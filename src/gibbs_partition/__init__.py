@@ -28,6 +28,7 @@ from .models import (
     table_model,
 )
 from .samplers import (
+    DensityOfStates,
     DrawCounter,
     SamplerOracle,
     coupling_failure_bound,
@@ -64,14 +65,18 @@ from .estimators import (
     ParamOverrides,
     bezakova_schedule,
     epsilon_tilde,
+    exp_or_inf,
     median_boosted_estimate,
     paired_product_estimate,
     paired_replicate,
+    prepare,
     product_estimate,
+    product_log_estimate,
     replicate_count,
     sample_bound_integer,
     sample_bound_shifted,
     single_shot_estimate,
+    single_shot_log_estimate,
 )
 from .streams import spawn_streams, stage_stream
 

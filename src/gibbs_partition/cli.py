@@ -167,18 +167,22 @@ def _save_schedule(path: str, schedule: sched_mod.CoolingSchedule, params) -> No
 
 
 def export_schedule(config: ExperimentConfig):
-    """Build one schedule from (seed, 'schedule-export') for reuse across runs."""
-    model = build_model(config.model)
-    oracle = build_oracle(model, config)
-    regime = sched_mod.regime_for_model(model)
-    work = oracle
-    if regime == sched_mod.REGIME_SHIFTED:
-        work = oracle.with_model(models.shift_hamiltonian(model, -2.0 * model.n_bound))
-    rng = stage_stream(config.seed, "schedule-export")
-    q_hat1, _ = sched_mod.initial_estimate(work, config.beta, rng)
-    params = sched_mod.select_params(q_hat1, model.n_bound, regime, config.beta)
-    schedule, _ = sched_mod.well_balanced_schedule(work, config.beta, params, rng)
-    return schedule, params
+    """The schedule repetition 0 of a paired run with this config builds.
+
+    It comes from the same stream and overrides, so at boost 1 a run that
+    reuses it gives the same estimate as the same-seed run without it.
+    """
+    # Steps 1-2 do not depend on the replicate count, so one replicate is
+    # enough to get the schedule the full run would build.
+    overrides = replace(estimators.ParamOverrides(**config.overrides), replicates=1)
+    est = estimators.paired_product_estimate(
+        build_oracle(build_model(config.model), config),
+        config.beta,
+        config.epsilon,
+        stage_stream(config.seed, "paired-rep", 0),
+        overrides=overrides,
+    )
+    return est.schedule, est.params
 
 
 def _run_repetition(cfg: dict, rep: int) -> dict:
@@ -204,7 +208,7 @@ def _run_repetition(cfg: dict, rep: int) -> dict:
     if config.method == "exact":
         if truth is None:
             raise models.EnumerationGuardError("exact method infeasible for this model")
-        row["estimate"] = math.exp(truth)
+        row["estimate"] = estimators.exp_or_inf(truth)
         row["log_estimate"] = truth
     else:
         oracle = build_oracle(model, config)
@@ -233,19 +237,16 @@ def _run_repetition(cfg: dict, rep: int) -> dict:
             row["schedule_length"] = len(est.schedule.betas)
         elif config.method == "single":
             before = oracle.counter.total
-            est = estimators.single_shot_estimate(oracle, config.beta, config.draws, rng)
-            row["estimate"] = est
-            row["log_estimate"] = math.log(est) if est > 0 else float("-inf")
+            log_est = estimators.single_shot_log_estimate(
+                oracle, config.beta, config.draws, rng
+            )
+            row["estimate"] = estimators.exp_or_inf(log_est)
+            row["log_estimate"] = log_est
             row["draws_total"] = oracle.counter.total - before
             row["schedule_length"] = 2
         else:  # product: two-piece fixed schedule fed by the TPA q estimate
             before = oracle.counter.total
-            regime = sched_mod.regime_for_model(model)
-            work = oracle
-            if regime == sched_mod.REGIME_SHIFTED:
-                work = oracle.with_model(
-                    models.shift_hamiltonian(model, -2.0 * model.n_bound)
-                )
+            work, _, log_shift = estimators.prepare(oracle, config.beta)
             q_hat1, _ = sched_mod.initial_estimate(
                 work, config.beta, rng, trace=trace
             )
@@ -256,13 +257,11 @@ def _run_repetition(cfg: dict, rep: int) -> dict:
             else:
                 schedule = sched_mod.CoolingSchedule(betas=(0.0, config.beta))
             per_stage = max(1, config.draws // schedule.num_intervals)
-            est = estimators.product_estimate(schedule, work, per_stage, rng)
-            log_est = (math.log(est) if est > 0 else float("-inf")) + (
-                config.beta * (-2.0 * model.n_bound)
-                if regime == sched_mod.REGIME_SHIFTED
-                else 0.0
+            log_est = (
+                estimators.product_log_estimate(schedule, work, per_stage, rng)
+                + log_shift
             )
-            row["estimate"] = math.exp(log_est)
+            row["estimate"] = estimators.exp_or_inf(log_est)
             row["log_estimate"] = log_est
             row["draws_total"] = oracle.counter.total - before
             row["schedule_length"] = len(schedule.betas)

@@ -41,6 +41,14 @@ REPLICATE_COEFF_INTEGER = 2.0 * math.e * math.sqrt(10.0)
 REPLICATE_COEFF_SHIFTED = math.e * math.sqrt(10.0)
 
 
+def exp_or_inf(log_value: float) -> float:
+    """exp(log_value), saturating to inf past the float range instead of raising."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 def epsilon_tilde(epsilon: float) -> float:
     """Per-mean accuracy target: the ratio of two means within (1+eps_tilde)^2."""
     return math.sqrt(1.0 + epsilon) - 1.0
@@ -69,8 +77,10 @@ class PairedEstimate:
 
     ``ratio_estimate`` always refers to the caller's model: for shifted
     pipelines it equals (w_bar / v_bar) * exp(log_shift_correction), where
-    the correction beta*c undoes the Hamiltonian shift.  ``draws_total`` is
-    the oracle counter delta across steps 1-3.
+    the correction beta*c undoes the Hamiltonian shift.  The linear fields
+    read inf where their logs pass the float range (about 709), and
+    ``log_ratio_estimate`` still carries the value.  ``draws_total`` is the
+    oracle counter delta across steps 1-3.
     """
 
     w_bar: float
@@ -89,16 +99,16 @@ def _paired_replicate_log(
     schedule: CoolingSchedule, oracle: SamplerOracle, rng: np.random.Generator
 ) -> tuple[float, float]:
     # One draw per schedule point; X_{i+1} closes V_i and opens W_{i+1}.
-    h = oracle.model.hamiltonian
+    draw_energy = oracle.draw_energy
     betas = schedule.betas
     deltas = schedule.half_lengths
     log_w = 0.0
     log_v = 0.0
-    x = oracle.draw(betas[0], rng)
+    hx = draw_energy(betas[0], rng)
     for i, delta in enumerate(deltas):
-        log_w -= delta * float(h[x])
-        x = oracle.draw(betas[i + 1], rng)
-        log_v += delta * float(h[x])
+        log_w -= delta * hx
+        hx = draw_energy(betas[i + 1], rng)
+        log_v += delta * hx
     return log_w, log_v
 
 
@@ -107,7 +117,23 @@ def paired_replicate(
 ) -> tuple[float, float]:
     """One (W, V) pair from exactly len(betas) draws, accumulated in log space."""
     log_w, log_v = _paired_replicate_log(schedule, oracle, rng)
-    return math.exp(log_w), math.exp(log_v)
+    return exp_or_inf(log_w), exp_or_inf(log_v)
+
+
+def prepare(oracle: SamplerOracle, beta: float) -> tuple[SamplerOracle, str, float]:
+    """Route a model to its pipeline: (oracle to walk, regime, log correction).
+
+    Mixed-sign or non-integer models go through the shifted pipeline: the
+    walked oracle sees H - 2n, which leaves every pi_b unchanged, and
+    ln Z/Z0 = ln Z'/Z'0 + beta*c with c = -2n.  Other models walk as given,
+    with correction 0.
+    """
+    model = oracle.model
+    regime = regime_for_model(model)
+    if regime != REGIME_SHIFTED:
+        return oracle, regime, 0.0
+    c = -2.0 * model.n_bound
+    return oracle.with_model(shift_hamiltonian(model, c)), regime, beta * c
 
 
 def paired_product_estimate(
@@ -151,22 +177,14 @@ def paired_product_estimate(
         raise ValueError("beta must be positive")
     overrides = overrides or ParamOverrides()
 
-    model = oracle.model
-    regime = regime_for_model(model)
-    log_shift = 0.0
-    work = oracle
-    if regime == REGIME_SHIFTED:
-        c = -2.0 * model.n_bound
-        work = oracle.with_model(shift_hamiltonian(model, c))
-        log_shift = beta * c  # ln Z/Z0 = ln Z'/Z'0 + beta*c
-
+    work, regime, log_shift = prepare(oracle, beta)
     start = oracle.counter.total
     init_rng, sched_rng, rep_rng = rng.spawn(3)
 
     params = schedule_params
     if schedule is None:
         q_hat1, _ = initial_estimate(work, beta, init_rng, runs=5, trace=trace)
-        params = select_params(q_hat1, model.n_bound, regime, beta)
+        params = select_params(q_hat1, oracle.model.n_bound, regime, beta)
         if overrides.eta is not None or overrides.d is not None or overrides.k is not None:
             eta = overrides.eta if overrides.eta is not None else params.eta
             d = overrides.d if overrides.d is not None else params.d
@@ -191,9 +209,9 @@ def paired_product_estimate(
     log_ratio = log_w_bar - log_v_bar + log_shift
 
     return PairedEstimate(
-        w_bar=math.exp(log_w_bar),
-        v_bar=math.exp(log_v_bar),
-        ratio_estimate=math.exp(log_ratio),
+        w_bar=exp_or_inf(log_w_bar),
+        v_bar=exp_or_inf(log_v_bar),
+        ratio_estimate=exp_or_inf(log_ratio),
         log_ratio_estimate=log_ratio,
         replicates=r,
         draws_total=oracle.counter.total - start,
@@ -242,17 +260,23 @@ def median_boosted_estimate(
     )
 
 
+def single_shot_log_estimate(
+    oracle: SamplerOracle, beta: float, num_draws: int, rng: np.random.Generator
+) -> float:
+    """Plain importance baseline, in logs: ln mean exp(-beta H(X)), X ~ pi_0."""
+    if num_draws < 1:
+        raise ValueError("num_draws must be >= 1")
+    logs = np.empty(num_draws)
+    for j in range(num_draws):
+        logs[j] = -beta * oracle.draw_energy(0.0, rng)
+    return float(logsumexp(logs) - math.log(num_draws))
+
+
 def single_shot_estimate(
     oracle: SamplerOracle, beta: float, num_draws: int, rng: np.random.Generator
 ) -> float:
     """Plain importance baseline: mean of exp(-beta H(X)) under X ~ pi_0."""
-    if num_draws < 1:
-        raise ValueError("num_draws must be >= 1")
-    h = oracle.model.hamiltonian
-    logs = np.empty(num_draws)
-    for j in range(num_draws):
-        logs[j] = -beta * float(h[oracle.draw(0.0, rng)])
-    return float(math.exp(logsumexp(logs) - math.log(num_draws)))
+    return exp_or_inf(single_shot_log_estimate(oracle, beta, num_draws, rng))
 
 
 def bezakova_schedule(q: float, n: int, beta: float) -> CoolingSchedule:
@@ -278,6 +302,27 @@ def bezakova_schedule(q: float, n: int, beta: float) -> CoolingSchedule:
     return CoolingSchedule(betas=(*betas, float(beta)))
 
 
+def product_log_estimate(
+    schedule: CoolingSchedule,
+    oracle: SamplerOracle,
+    draws_per_stage: int,
+    rng: np.random.Generator,
+) -> float:
+    """Multistage product baseline, in logs: per stage i, the log sample mean
+    of exp(-(beta_{i+1} - beta_i) H(X)) with X ~ pi_{beta_i}; stages add."""
+    if draws_per_stage < 1:
+        raise ValueError("draws_per_stage must be >= 1")
+    betas = schedule.betas
+    log_total = 0.0
+    logs = np.empty(draws_per_stage)
+    for i in range(schedule.num_intervals):
+        width = betas[i + 1] - betas[i]
+        for j in range(draws_per_stage):
+            logs[j] = -width * oracle.draw_energy(betas[i], rng)
+        log_total += float(logsumexp(logs) - math.log(draws_per_stage))
+    return log_total
+
+
 def product_estimate(
     schedule: CoolingSchedule,
     oracle: SamplerOracle,
@@ -286,18 +331,7 @@ def product_estimate(
 ) -> float:
     """Multistage product baseline: per stage i, the sample mean of
     exp(-(beta_{i+1} - beta_i) H(X)) with X ~ pi_{beta_i}; stages multiply."""
-    if draws_per_stage < 1:
-        raise ValueError("draws_per_stage must be >= 1")
-    h = oracle.model.hamiltonian
-    betas = schedule.betas
-    log_total = 0.0
-    logs = np.empty(draws_per_stage)
-    for i in range(schedule.num_intervals):
-        width = betas[i + 1] - betas[i]
-        for j in range(draws_per_stage):
-            logs[j] = -width * float(h[oracle.draw(betas[i], rng)])
-        log_total += float(logsumexp(logs) - math.log(draws_per_stage))
-    return float(math.exp(log_total))
+    return exp_or_inf(product_log_estimate(schedule, oracle, draws_per_stage, rng))
 
 
 def sample_bound_integer(q: float, n: int, epsilon: float) -> float:

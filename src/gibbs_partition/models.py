@@ -100,7 +100,7 @@ def _sign_class(h: np.ndarray) -> str:
 
 
 def _bound_for(h: np.ndarray) -> int:
-    return max(1, int(math.ceil(float(np.max(np.abs(h))) - 1e-12)))
+    return max(1, math.ceil(float(np.max(np.abs(h)))))
 
 
 def table_model(values, name: str = "table", graph: IsingGraph | None = None) -> GibbsModel:

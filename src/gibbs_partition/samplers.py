@@ -1,14 +1,20 @@
 """Sampling oracles for pi_b: exact enumeration and restart-Metropolis MCMC.
 
-Every draw consumes a caller-supplied numpy Generator, and every draw is
-tallied in the oracle's counter keyed by the b value it was served at; the
-counter is the ground truth for all sample-complexity accounting.
+Every consumer of draws reads only the energy H(X), so the oracle contract
+is ``draw_energy(b, rng)``; ``draw`` still returns a state index.  The exact
+oracle samples from the model's density of states (its distinct energy
+levels and their multiplicities), so a draw at a fresh b costs O(levels),
+not O(states).  Every draw consumes a caller-supplied numpy Generator, and
+every draw is tallied in the oracle's counter keyed by the b value it was
+served at; the counter is the ground truth for all sample-complexity
+accounting.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +43,30 @@ class DrawCounter:
         return sum(self.by_b.values())
 
 
+@dataclass(frozen=True)
+class DensityOfStates:
+    """Distinct energies E_l in ascending order with multiplicities m_l.
+
+    The states of level l are ``order[starts[l]:starts[l] + counts[l]]``,
+    in index order, so ``order`` lists all states sorted by (energy, index).
+    """
+
+    energies: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    order: np.ndarray
+
+    @classmethod
+    def of(cls, hamiltonian: np.ndarray) -> "DensityOfStates":
+        energies, counts = np.unique(hamiltonian, return_counts=True)
+        return cls(
+            energies=energies,
+            counts=counts,
+            starts=np.cumsum(counts) - counts,
+            order=np.argsort(hamiltonian, kind="stable"),
+        )
+
+
 @dataclass
 class SamplerOracle:
     """Source of draws from pi_b for b in [0, beta].
@@ -51,6 +81,7 @@ class SamplerOracle:
     tv_budget_per_draw: float = 0.0
     mcmc_steps: int = 0
     counter: DrawCounter = field(default_factory=DrawCounter)
+    levels: DensityOfStates | None = field(default=None, init=False, repr=False)
     _cdf_cache: dict = field(default_factory=dict, repr=False)
     _accept_cache: dict = field(default_factory=dict, repr=False)
 
@@ -66,11 +97,19 @@ class SamplerOracle:
                 raise ValueError("mcmc sampling requires an Ising model")
             if self.mcmc_steps < 0:
                 raise ValueError("mcmc_steps must be nonnegative")
+        else:
+            self.levels = DensityOfStates.of(self.model.hamiltonian)
 
     def draw(self, b: float, rng: np.random.Generator) -> int:
         if self.kind == KIND_EXACT:
             return draw_exact(self, b, rng)
         return draw_mcmc(self, b, rng)
+
+    def draw_energy(self, b: float, rng: np.random.Generator) -> float:
+        """H(X) for one X ~ pi_b; consumes the generator exactly as ``draw``."""
+        if self.kind == KIND_EXACT:
+            return self.levels.energies.item(_draw_level(self, b, rng)[0])
+        return float(self.model.hamiltonian[draw_mcmc(self, b, rng)])
 
     def with_model(self, model: GibbsModel) -> "SamplerOracle":
         """View of this oracle on another model, sharing the draw counter.
@@ -94,6 +133,13 @@ def exact_oracle(model: GibbsModel) -> SamplerOracle:
 
 
 def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -> SamplerOracle:
+    if tv_budget_per_draw == 0.0:
+        warnings.warn(
+            "mcmc oracle declares no total-variation budget per draw, so the "
+            "(epsilon, 3/4) guarantee does not apply to its estimates",
+            UserWarning,
+            stacklevel=2,
+        )
     return SamplerOracle(
         model=model,
         kind=KIND_MCMC,
@@ -102,27 +148,48 @@ def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -
     )
 
 
-def _cumweights(oracle: SamplerOracle, b: float) -> list[float]:
+def _level_cdf(oracle: SamplerOracle, b: float) -> list[float]:
+    # cw[l] = sum over levels j <= l of m_j exp(-b E_j), scaled by the top term.
     cw = oracle._cdf_cache.get(b)
     if cw is None:
-        logw = -b * oracle.model.hamiltonian
-        logw = logw - logw.max()
-        cw = np.cumsum(np.exp(logw)).tolist()
+        levels = oracle.levels
+        logw = -b * levels.energies
+        cw = np.cumsum(levels.counts * np.exp(logw - logw.max())).tolist()
+        # Drop the trailing levels whose weight underflowed to zero: they are
+        # never drawn, and the top level left has a step of positive width.
+        del cw[bisect_left(cw, cw[-1]) + 1:]
         if len(oracle._cdf_cache) >= _CACHE_CAP:
             oracle._cdf_cache.pop(next(iter(oracle._cdf_cache)))
         oracle._cdf_cache[b] = cw
     return cw
 
 
+def _draw_level(
+    oracle: SamplerOracle, b: float, rng: np.random.Generator
+) -> tuple[int, float, list[float]]:
+    """Level l of X ~ pi_b by CDF inversion over levels, with the point t
+    the one uniform landed on and the level CDF it was inverted against."""
+    cw = _level_cdf(oracle, b)
+    t = rng.random() * cw[-1]
+    oracle.counter.record(b)
+    # t can round up to cw[-1], where bisect_right runs past the top level.
+    return min(bisect_right(cw, t), len(cw) - 1), t, cw
+
+
 def draw_exact(oracle: SamplerOracle, b: float, rng: np.random.Generator) -> int:
-    """One state from pi_b by CDF inversion over the enumerated weights."""
+    """One state from pi_b by inversion over states sorted by (energy, index).
+
+    The uniform picks a level as in ``draw_energy``; where it lands inside
+    that level's CDF step picks one of the level's equally weighted states.
+    """
     if oracle.kind != KIND_EXACT:
         raise ValueError("draw_exact needs an exact-enumeration oracle")
-    cw = _cumweights(oracle, b)
-    u = rng.random() * cw[-1]
-    idx = bisect_right(cw, u)
-    oracle.counter.record(b)
-    return min(idx, len(cw) - 1)
+    level, t, cw = _draw_level(oracle, b, rng)
+    levels = oracle.levels
+    lo = cw[level - 1] if level else 0.0
+    m = int(levels.counts[level])
+    offset = min(int((t - lo) / (cw[level] - lo) * m), m - 1)
+    return int(levels.order[levels.starts[level] + offset])
 
 
 def _accept_tables(oracle: SamplerOracle, b: float):

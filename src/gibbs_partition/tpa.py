@@ -72,13 +72,11 @@ def tpa_run_nonpositive(
         raise ValueError("tpa_run_nonpositive requires a nonpositive Hamiltonian")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    h = oracle.model.hamiltonian
     b = beta
     points = []
     while True:
-        x = oracle.draw(b, rng)
+        hx = oracle.draw_energy(b, rng)
         u = _uniform_open(rng)
-        hx = float(h[x])
         b_next = -math.inf if hx == 0.0 else b - math.log(u) / hx
         assert b_next < b, "downward runs must strictly decrease b"
         if trace is not None:
@@ -103,13 +101,11 @@ def tpa_run_nonnegative(
         raise ValueError("tpa_run_nonnegative requires a nonnegative Hamiltonian")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    h = oracle.model.hamiltonian
     b = 0.0
     points = []
     while True:
-        x = oracle.draw(b, rng)
+        hx = oracle.draw_energy(b, rng)
         u = _uniform_open(rng)
-        hx = float(h[x])
         b_next = math.inf if hx == 0.0 else b - math.log(u) / hx
         assert b_next > b, "upward runs must strictly increase b"
         if trace is not None:

@@ -234,6 +234,35 @@ def test_schedule_roundtrip_through_files(tmp_path):
     assert int(r2[0]["draws_total"]) <= int(r1[0]["draws_total"])
 
 
+def test_schedule_out_saves_the_schedule_the_run_builds(tmp_path):
+    args = ["--seed", "8", "--expert-overrides", "d=30,r=40"]
+    code, plain = _run_main(tmp_path, "plain.csv", args)
+    assert code == 0
+    code, saved = _run_main(
+        tmp_path, "saved.csv", args + ["--schedule-out", str(tmp_path / "s.json")]
+    )
+    assert code == 0
+    r1, r2 = _read_csv(plain), _read_csv(saved)
+    assert r1[0]["schedule_length"] == r2[0]["schedule_length"]
+    assert r1[0]["log_estimate"] == r2[0]["log_estimate"]
+
+
+@pytest.mark.parametrize("method", ["paired", "exact", "product", "single"])
+def test_log_ratio_past_float_range_reports_inf(tmp_path, method):
+    # ln Z(1)/Z(0) = 800 for H == -800; exp(800) is past the float range.
+    out = tmp_path / "o.csv"
+    code = main(
+        [
+            "run", "--model", "const--800", "--beta", "1", "--method", method,
+            "--expert-overrides", "d=1,k=2,r=10", "--draws", "100", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    row = _read_csv(out)[0]
+    assert float(row["log_estimate"]) == pytest.approx(800.0, abs=1e-9)
+    assert row["estimate"] == "inf"
+
+
 # --- compare ----------------------------------------------------------------
 
 

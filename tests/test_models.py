@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbs_partition.models as models
@@ -125,6 +125,7 @@ def test_shift_mixed_makes_strictly_negative(mixed_table):
     c=st.floats(-4, 4),
     beta=st.floats(0.0, 3.0),
 )
+@example(values=[0.0], c=1.000000000001, beta=0.0)
 def test_shift_log_partition_identity(values, c, beta):
     model = table_model(values)
     shifted = shift_hamiltonian(model, c)
@@ -164,6 +165,11 @@ def test_constant_model_flags():
     half = constant_model(0.5)
     assert not half.integer_valued
     assert half.n_bound == 1
+
+
+def test_n_bound_dominates_energies_just_above_an_integer():
+    assert table_model([1.000000000001]).n_bound == 2
+    assert table_model([-3.0, 2.0]).n_bound == 3
 
 
 def test_grid_2x2_equals_cycle(c4, grid22):

@@ -83,6 +83,44 @@ def test_flat_hamiltonian_uniform_at_any_b():
     assert stats.chisquare(counts).pvalue > 0.001
 
 
+@pytest.mark.parametrize("label,model", tiny_models())
+@pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.0])
+def test_draw_energy_matches_draw(label, model, b):
+    # The energy contract and the state contract consume a generator alike.
+    makers = [exact_oracle]
+    if model.graph is not None:
+        makers.append(lambda m: mcmc_oracle(m, mcmc_steps=3, tv_budget_per_draw=0.1))
+    for make in makers:
+        by_energy, by_state = make(model), make(model)
+        g1 = _rng(f"energy-{label}", int(b * 10))
+        g2 = _rng(f"energy-{label}", int(b * 10))
+        energies = [by_energy.draw_energy(b, g1) for _ in range(1000)]
+        states = [by_state.draw(b, g2) for _ in range(1000)]
+        assert energies == [float(model.hamiltonian[x]) for x in states]
+        assert by_energy.counter.by_b == by_state.counter.by_b == {b: 1000}
+
+
+class _TopUniform:
+    """Generator stand-in whose uniform rounds u * total up to total."""
+
+    def random(self):
+        return float(np.nextafter(1.0, 0.0))
+
+
+def test_draw_never_lands_on_underflowed_level():
+    from gibbs_partition import table_model
+
+    # At b = 1 the weight of energy 2000 underflows to zero.
+    oracle = exact_oracle(table_model([0.0, 1.0, 1.0, 2000.0]))
+    assert oracle.draw(1.0, _TopUniform()) == 2
+    assert oracle.draw_energy(1.0, _TopUniform()) == 1.0
+    n = 20_000
+    counts = _draw_counts(oracle, 1.0, _rng("underflow"), n)
+    assert counts[3] == 0
+    expected = gibbs_distribution(oracle.model, 1.0)[:3] * n
+    assert stats.chisquare(counts[:3], expected).pvalue > 0.001
+
+
 def test_draw_exact_requires_exact_kind(k2):
     oracle = mcmc_oracle(k2, mcmc_steps=1, tv_budget_per_draw=0.1)
     with pytest.raises(ValueError):
@@ -175,6 +213,11 @@ def test_mcmc_k2_converges_to_gibbs(k2):
     counts = _draw_counts(oracle, 1.0, rng, n)
     aligned = (counts[0] + counts[3]) / n
     assert aligned == pytest.approx(0.7310585786300049, abs=0.01)
+
+
+def test_mcmc_without_tv_budget_warns(k2):
+    with pytest.warns(UserWarning, match="guarantee does not apply"):
+        mcmc_oracle(k2, mcmc_steps=5, tv_budget_per_draw=0.0)
 
 
 def test_mcmc_requires_ising(mixed_table):
