@@ -34,6 +34,7 @@ from .samplers import (
     coupling_failure_bound,
     draw_exact,
     draw_mcmc,
+    draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,
     mcmc_draw_distribution,
@@ -69,6 +70,7 @@ from .estimators import (
     median_boosted_estimate,
     paired_product_estimate,
     paired_replicate,
+    paired_replicate_logs,
     prepare,
     product_estimate,
     product_log_estimate,
@@ -78,6 +80,6 @@ from .estimators import (
     single_shot_estimate,
     single_shot_log_estimate,
 )
-from .streams import spawn_streams, stage_stream
+from .streams import stage_stream
 
 __version__ = "0.1.0"

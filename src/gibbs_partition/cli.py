@@ -369,6 +369,25 @@ def render_csv(rows: list[dict], fields: list[str]) -> str:
     return buf.getvalue()
 
 
+def _json_safe(value):
+    """``value`` with non-finite floats as "inf", "-inf" and "nan".
+
+    JSON (RFC 8259) has no tokens for them; these strings are the ones CSV
+    writes.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
+def _dumps(value, **kwargs) -> str:
+    return json.dumps(_json_safe(value), allow_nan=False, **kwargs)
+
+
 def _emit(rows, fields, config, out, fmt, elapsed):
     if fmt == "json":
         payload = []
@@ -377,7 +396,7 @@ def _emit(rows, fields, config, out, fmt, elapsed):
             if "_wall_time" in row:
                 rec["wall_time"] = row["_wall_time"]
             payload.append(rec)
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _dumps(payload, indent=2) + "\n"
     else:
         text = render_csv(rows, fields)
     if out:
@@ -385,7 +404,7 @@ def _emit(rows, fields, config, out, fmt, elapsed):
             fh.write(text)
         sidecar = out + ".config.json"
         with open(sidecar, "w") as fh:
-            json.dump({"config": asdict(config), "wall_time": elapsed}, fh, indent=2)
+            fh.write(_dumps({"config": asdict(config), "wall_time": elapsed}, indent=2))
     else:
         sys.stdout.write(text)
 
@@ -394,7 +413,7 @@ def _write_trace(rows: list[dict], path: str) -> None:
     with open(path, "w") as fh:
         for row in rows:
             for record in row.pop("_trace", []) or []:
-                fh.write(json.dumps(record) + "\n")
+                fh.write(_dumps(record) + "\n")
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:

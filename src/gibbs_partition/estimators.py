@@ -95,29 +95,22 @@ class PairedEstimate:
     log_shift_correction: float = 0.0
 
 
-def _paired_replicate_log(
-    schedule: CoolingSchedule, oracle: SamplerOracle, rng: np.random.Generator
-) -> tuple[float, float]:
-    # One draw per schedule point; X_{i+1} closes V_i and opens W_{i+1}.
-    draw_energy = oracle.draw_energy
-    betas = schedule.betas
-    deltas = schedule.half_lengths
-    log_w = 0.0
-    log_v = 0.0
-    hx = draw_energy(betas[0], rng)
-    for i, delta in enumerate(deltas):
-        log_w -= delta * hx
-        hx = draw_energy(betas[i + 1], rng)
-        log_v += delta * hx
-    return log_w, log_v
+def paired_replicate_logs(
+    schedule: CoolingSchedule, oracle: SamplerOracle, r: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """ln W and ln V of r replicates, from one vector draw of r energies per
+    schedule point, in point order; X_{i+1} closes V_i and opens W_{i+1}."""
+    energies = np.stack([oracle.draw_energies(b, r, rng) for b in schedule.betas])
+    deltas = np.array(schedule.half_lengths)
+    return -(deltas @ energies[:-1]), deltas @ energies[1:]
 
 
 def paired_replicate(
     schedule: CoolingSchedule, oracle: SamplerOracle, rng: np.random.Generator
 ) -> tuple[float, float]:
     """One (W, V) pair from exactly len(betas) draws, accumulated in log space."""
-    log_w, log_v = _paired_replicate_log(schedule, oracle, rng)
-    return exp_or_inf(log_w), exp_or_inf(log_v)
+    log_ws, log_vs = paired_replicate_logs(schedule, oracle, 1, rng)
+    return exp_or_inf(log_ws.item()), exp_or_inf(log_vs.item())
 
 
 def prepare(oracle: SamplerOracle, beta: float) -> tuple[SamplerOracle, str, float]:
@@ -159,7 +152,7 @@ def paired_product_estimate(
         oracle: sampler for pi_b on the caller's model.
         beta: target inverse temperature (> 0).
         epsilon: relative accuracy target; values above 1/10 warn.
-        rng: parent generator; child streams are spawned per stage/replicate.
+        rng: parent generator; one child stream is spawned per stage.
         overrides: expert replacements for d, k, eta, replicates.
         schedule: reuse an existing schedule instead of building one.
         schedule_params: params to record alongside a reused schedule.
@@ -200,10 +193,7 @@ def paired_product_estimate(
     if r < 1:
         raise ValueError("replicates must be >= 1")
 
-    log_ws = np.empty(r)
-    log_vs = np.empty(r)
-    for j, child in enumerate(rep_rng.spawn(r)):
-        log_ws[j], log_vs[j] = _paired_replicate_log(schedule, work, child)
+    log_ws, log_vs = paired_replicate_logs(schedule, work, r, rep_rng)
     log_w_bar = float(logsumexp(log_ws) - math.log(r))
     log_v_bar = float(logsumexp(log_vs) - math.log(r))
     log_ratio = log_w_bar - log_v_bar + log_shift
@@ -266,9 +256,7 @@ def single_shot_log_estimate(
     """Plain importance baseline, in logs: ln mean exp(-beta H(X)), X ~ pi_0."""
     if num_draws < 1:
         raise ValueError("num_draws must be >= 1")
-    logs = np.empty(num_draws)
-    for j in range(num_draws):
-        logs[j] = -beta * oracle.draw_energy(0.0, rng)
+    logs = -beta * oracle.draw_energies(0.0, num_draws, rng)
     return float(logsumexp(logs) - math.log(num_draws))
 
 
@@ -281,7 +269,11 @@ def single_shot_estimate(
 
 def bezakova_schedule(q: float, n: int, beta: float) -> CoolingSchedule:
     """Fixed two-piece schedule: linear steps 1/n up to ceil(q)/n, then
-    geometric growth by 1 + 1/q, truncated at and capped by beta."""
+    geometric growth by 1 + 1/q, truncated at and capped by beta.
+
+    The geometric part stops after 10,000 steps, since it cannot reach beta
+    when 1 + 1/q rounds to 1; it then warns with the final interval's width.
+    """
     if q <= 0:
         raise ValueError("q must be positive")
     if n < 1:
@@ -292,13 +284,19 @@ def bezakova_schedule(q: float, n: int, beta: float) -> CoolingSchedule:
     gamma = 1.0 + 1.0 / q
     points = [j / n for j in range(kk + 1)]
     t = 1
-    while True:
-        nxt = kk * gamma ** t / n
-        if nxt >= beta or t > 10_000:
-            break
+    nxt = kk * gamma / n
+    while nxt < beta and t <= 10_000:
         points.append(nxt)
         t += 1
+        nxt = kk * gamma ** t / n
     betas = [p for p in points if p < beta - 1e-12]
+    if nxt < beta:
+        warnings.warn(
+            "bezakova_schedule stopped after 10,000 geometric steps short of "
+            f"beta; its final interval is {beta - betas[-1]:.6g} wide",
+            UserWarning,
+            stacklevel=2,
+        )
     return CoolingSchedule(betas=(*betas, float(beta)))
 
 
@@ -314,11 +312,9 @@ def product_log_estimate(
         raise ValueError("draws_per_stage must be >= 1")
     betas = schedule.betas
     log_total = 0.0
-    logs = np.empty(draws_per_stage)
     for i in range(schedule.num_intervals):
         width = betas[i + 1] - betas[i]
-        for j in range(draws_per_stage):
-            logs[j] = -width * oracle.draw_energy(betas[i], rng)
+        logs = -width * oracle.draw_energies(betas[i], draws_per_stage, rng)
         log_total += float(logsumexp(logs) - math.log(draws_per_stage))
     return log_total
 

@@ -1,10 +1,12 @@
 """Sampling oracles for pi_b: exact enumeration and restart-Metropolis MCMC.
 
 Every consumer of draws reads only the energy H(X), so the oracle contract
-is ``draw_energy(b, rng)``; ``draw`` still returns a state index.  The exact
-oracle samples from the model's density of states (its distinct energy
-levels and their multiplicities), so a draw at a fresh b costs O(levels),
-not O(states).  Every draw consumes a caller-supplied numpy Generator, and
+is ``draw_energy(b, rng)`` for one draw and ``draw_energies(b, n, rng)`` for
+n independent draws at one b; ``draw`` still returns a state index.  The
+exact oracle samples from the model's density of states (its distinct
+energy levels and their multiplicities), so a draw at a fresh b costs
+O(levels), not O(states); the MCMC oracle runs n restart chains in
+lockstep.  Every draw consumes a caller-supplied numpy Generator, and
 every draw is tallied in the oracle's counter keyed by the b value it was
 served at; the counter is the ground truth for all sample-complexity
 accounting.
@@ -28,19 +30,17 @@ _CACHE_CAP = 128
 
 
 class DrawCounter:
-    """Monotone tally of draws served, bucketed by b value."""
+    """Monotone tally of draws served, bucketed by b value, with its total."""
 
-    __slots__ = ("by_b",)
+    __slots__ = ("by_b", "total")
 
     def __init__(self):
         self.by_b: dict[float, int] = {}
+        self.total = 0
 
     def record(self, b: float, n: int = 1) -> None:
         self.by_b[b] = self.by_b.get(b, 0) + n
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_b.values())
+        self.total += n
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,22 @@ class SamplerOracle:
         if self.kind == KIND_EXACT:
             return self.levels.energies.item(_draw_level(self, b, rng)[0])
         return float(self.model.hamiltonian[draw_mcmc(self, b, rng)])
+
+    def draw_energies(self, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        """H(X) for n independent X ~ pi_b, as one array.
+
+        For exact oracles this equals n ``draw_energy`` calls on the same
+        generator; MCMC oracles run n restart chains in lockstep.
+        """
+        if self.kind == KIND_EXACT:
+            cw = np.asarray(_level_cdf(self, b))
+            t = rng.random(n) * cw[-1]
+            self.counter.record(b, n)
+            # As in _draw_level, t can round up to cw[-1].
+            return self.levels.energies[
+                np.minimum(np.searchsorted(cw, t, side="right"), len(cw) - 1)
+            ]
+        return self.model.hamiltonian[draw_mcmc_lockstep(self, b, n, rng)]
 
     def with_model(self, model: GibbsModel) -> "SamplerOracle":
         """View of this oracle on another model, sharing the draw counter.
@@ -241,6 +257,37 @@ def draw_mcmc(oracle: SamplerOracle, b: float, rng: np.random.Generator) -> int:
                 pos += 1
     oracle.counter.record(b)
     return state
+
+
+def draw_mcmc_lockstep(
+    oracle: SamplerOracle, b: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """States of n independent restart chains run in lockstep.
+
+    The kernel is ``draw_mcmc``'s, applied to all chains at once: spins are
+    kept as one 0/1 array per site, and each site update draws n uniforms.
+    With n = 1 it consumes the generator exactly as one ``draw_mcmc`` call.
+    """
+    if oracle.kind != KIND_MCMC:
+        raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
+    graph = oracle.model.graph
+    nv = graph.num_vertices
+    adj = graph.adjacency()
+    states = rng.integers(0, 2 ** nv, size=n)
+    if oracle.mcmc_steps > 0:
+        spins = [(states >> v) & 1 for v in range(nv)]
+        accept = [np.array(row) for row in _accept_tables(oracle, b)]
+        for _ in range(oracle.mcmc_steps):
+            for v in range(nv):
+                # Uniforms one site at a time: a whole (steps * nv) x n block
+                # would hold every chain's uniforms in memory at once.
+                us = rng.random(n)
+                sv = spins[v]
+                aligned = sum(spins[u] == sv for u in adj[v])
+                spins[v] = sv ^ (us < accept[v][aligned])
+        states = sum(s << v for v, s in enumerate(spins))
+    oracle.counter.record(b, n)
+    return states
 
 
 def coupling_failure_bound(tv_budget_per_draw: float, total_draws: int) -> float:

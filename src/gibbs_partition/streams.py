@@ -24,8 +24,3 @@ def seed_sequence(master_seed: int, stage: str, index: int = 0) -> np.random.See
 def stage_stream(master_seed: int, stage: str, index: int = 0) -> np.random.Generator:
     """Generator for the given (seed, stage, index) coordinate."""
     return np.random.default_rng(seed_sequence(master_seed, stage, index))
-
-
-def spawn_streams(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """n child generators, deterministic given the parent's seed lineage."""
-    return rng.spawn(n)

@@ -293,3 +293,38 @@ def test_compare_rejects_empty_methods():
 
 def test_compare_via_main_empty_methods_exit_2():
     assert main(["compare", "--model", "k2", "--beta", "1", "--methods", ""]) == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_json_outputs_are_strict_json(tmp_path):
+    # Non-finite floats are written as the strings CSV uses, not Infinity.
+    out = tmp_path / "t.json"
+    code = main(
+        [
+            "run", "--model", "const--800", "--beta", "1", "--method", "exact",
+            "--format", "json", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload[0]["estimate"] == "inf"
+    assert payload[0]["log_estimate"] == 800.0
+    json.loads((tmp_path / "t.json.config.json").read_text(), parse_constant=_reject_constant)
+
+    trace = tmp_path / "trace.jsonl"
+    code = main(
+        [
+            "run", "--model", "k2", "--beta", "1", "--trace", str(trace),
+            "--out", str(tmp_path / "t.csv"),
+        ]
+    )
+    assert code == 0
+    records = [
+        json.loads(line, parse_constant=_reject_constant)
+        for line in trace.read_text().splitlines()
+    ]
+    # A TPA step on k2 that draws H(X) = 0 jumps to b = -inf.
+    assert "-inf" in {r["b"] for r in records}

@@ -1,6 +1,7 @@
 """Paired product estimator and baselines against enumeration truths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,14 +20,18 @@ from gibbs_partition import (
     median_boosted_estimate,
     paired_product_estimate,
     paired_replicate,
+    paired_replicate_logs,
     product_estimate,
+    product_log_estimate,
     replicate_count,
     sample_bound_integer,
     sample_bound_shifted,
     single_shot_estimate,
+    single_shot_log_estimate,
     stage_stream,
     table_model,
 )
+from gibbs_partition.cli import ExperimentConfig, run_experiment
 from gibbs_partition.schedule import (
     REGIME_INTEGER_NONPOSITIVE,
     REGIME_SHIFTED,
@@ -99,6 +104,26 @@ def test_replicate_uses_one_draw_per_schedule_point(k2):
     paired_replicate(sched, oracle, _rng("draws"))
     assert oracle.counter.total == 4
     assert set(oracle.counter.by_b) == {0.0, 0.3, 0.7, 1.0}
+
+
+@pytest.mark.parametrize("label,model", [("k2", "k2"), ("mixed-5", "mixed_table")])
+def test_batched_replicates_are_point_major_draws(label, model, request):
+    # All r draws at betas[0] come first, then all r at betas[1], and so on.
+    model = request.getfixturevalue(model)
+    sched = CoolingSchedule(betas=(0.0, 0.2, 0.55, 1.0))
+    r = 50
+    batched, single = exact_oracle(model), exact_oracle(model)
+    log_ws, log_vs = paired_replicate_logs(sched, batched, r, _rng(f"major-{label}"))
+    g = _rng(f"major-{label}")
+    hs = [[single.draw_energy(b, g) for _ in range(r)] for b in sched.betas]
+    for j in range(r):
+        log_w = log_v = 0.0
+        for i, delta in enumerate(sched.half_lengths):
+            log_w -= delta * hs[i][j]
+            log_v += delta * hs[i + 1][j]
+        assert log_ws[j] == pytest.approx(log_w, rel=1e-12, abs=1e-15)
+        assert log_vs[j] == pytest.approx(log_v, rel=1e-12, abs=1e-15)
+    assert batched.counter.by_b == {b: r for b in sched.betas}
 
 
 def test_k2_paired_factor_means(k2):
@@ -260,6 +285,13 @@ def test_bezakova_linear_then_geometric():
     assert betas[-1] == 3.0
 
 
+def test_bezakova_warns_when_it_stops_short_of_beta():
+    # 10,000 steps of growth 1 + 1/2000 reach about 296,456, far below 1e6.
+    with pytest.warns(UserWarning, match="final interval is 703544 wide"):
+        sched = bezakova_schedule(2000.0, 1, 1e6)
+    assert sched.betas[-1] == 1e6
+
+
 def test_bezakova_rejects_nonpositive_q():
     with pytest.raises(ValueError):
         bezakova_schedule(q=0.0, n=2, beta=1.0)
@@ -270,7 +302,9 @@ def test_bezakova_rejects_nonpositive_q():
 @settings(max_examples=50, deadline=None)
 @given(q=st.floats(0.01, 20), n=st.integers(1, 30), beta=st.floats(0.05, 8))
 def test_bezakova_strictly_increasing_and_capped(q, n, beta):
-    sched = bezakova_schedule(q, n, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        sched = bezakova_schedule(q, n, beta)
     assert sched.betas[0] == 0.0
     assert sched.betas[-1] == beta
     assert all(b2 > b1 for b1, b2 in zip(sched.betas, sched.betas[1:]))
@@ -295,6 +329,29 @@ def test_product_single_stage_matches_single_shot_distribution(k2):
     truth = 1.8591409142295225
     se = math.sqrt(0.2135522670340726) * truth / math.sqrt(50_000)
     assert abs(est - truth) <= 3.5 * se
+
+
+@pytest.mark.parametrize("label,model", [("k2", "k2"), ("mixed-5", "mixed_table")])
+def test_baselines_match_one_draw_at_a_time(label, model, request):
+    # For exact oracles the vector draws are the scalar draws, bit for bit.
+    from scipy.special import logsumexp
+
+    model = request.getfixturevalue(model)
+    n = 400
+    oracle = exact_oracle(model)
+    g = _rng(f"single-ref-{label}")
+    ref = logsumexp([-1.3 * oracle.draw_energy(0.0, g) for _ in range(n)]) - math.log(n)
+    got = single_shot_log_estimate(exact_oracle(model), 1.3, n, _rng(f"single-ref-{label}"))
+    assert got == ref
+
+    sched = CoolingSchedule(betas=(0.0, 0.4, 1.0))
+    g = _rng(f"product-ref-{label}")
+    ref = 0.0
+    for lo, hi in zip(sched.betas, sched.betas[1:]):
+        logs = [-(hi - lo) * oracle.draw_energy(lo, g) for _ in range(n)]
+        ref += float(logsumexp(logs) - math.log(n))
+    got = product_log_estimate(sched, exact_oracle(model), n, _rng(f"product-ref-{label}"))
+    assert got == ref
 
 
 def test_product_relvar_composition_empirical(k2):
@@ -417,6 +474,26 @@ def test_deterministic_given_stream(k2):
     b = paired_product_estimate(exact_oracle(k2), 1.0, 0.1, _rng("det"))
     assert a.log_ratio_estimate == b.log_ratio_estimate
     assert a.draws_total == b.draws_total
+
+
+@pytest.mark.parametrize(
+    "spec,draws",
+    [
+        ("k2", [22015, 22033, 22048, 22064]),
+        ("mixed-5", [14959, 14964, 14971, 14949]),
+    ],
+)
+def test_run_experiment_draw_cost_is_pinned(spec, draws, tmp_path):
+    # Draw counts per seed, frozen before the replicate stage was batched.
+    if spec == "mixed-5":
+        path = tmp_path / "mixed-5.json"
+        path.write_text('{"type": "table", "hamiltonian": [-2, -1, 0, 1, 2]}')
+        spec = f"table:{path}"
+    got = [
+        run_experiment(ExperimentConfig(model=spec, beta=1.0, seed=seed))[0]["draws_total"]
+        for seed in range(4)
+    ]
+    assert got == draws
 
 
 # --- instance bounds --------------------------------------------------------

@@ -12,6 +12,7 @@ from gibbs_partition import (
     coupling_failure_bound,
     draw_exact,
     draw_mcmc,
+    draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,
     log_partition_exact,
@@ -100,11 +101,26 @@ def test_draw_energy_matches_draw(label, model, b):
         assert by_energy.counter.by_b == by_state.counter.by_b == {b: 1000}
 
 
-class _TopUniform:
-    """Generator stand-in whose uniform rounds u * total up to total."""
+@pytest.mark.parametrize("label,model", tiny_models())
+@pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.0])
+def test_draw_energies_matches_draw_energy(label, model, b):
+    # n draws at once consume the generator exactly as n single draws.
+    batched, single = exact_oracle(model), exact_oracle(model)
+    g1 = _rng(f"energies-{label}", int(b * 10))
+    g2 = _rng(f"energies-{label}", int(b * 10))
+    n = 1000
+    energies = batched.draw_energies(b, n, g1)
+    assert energies.tolist() == [single.draw_energy(b, g2) for _ in range(n)]
+    assert batched.counter.by_b == {b: n}
+    assert g1.random() == g2.random()
 
-    def random(self):
-        return float(np.nextafter(1.0, 0.0))
+
+class _TopUniform:
+    """Generator stand-in whose uniforms round u * total up to total."""
+
+    def random(self, size=None):
+        u = float(np.nextafter(1.0, 0.0))
+        return u if size is None else np.full(size, u)
 
 
 def test_draw_never_lands_on_underflowed_level():
@@ -114,6 +130,7 @@ def test_draw_never_lands_on_underflowed_level():
     oracle = exact_oracle(table_model([0.0, 1.0, 1.0, 2000.0]))
     assert oracle.draw(1.0, _TopUniform()) == 2
     assert oracle.draw_energy(1.0, _TopUniform()) == 1.0
+    assert oracle.draw_energies(1.0, 3, _TopUniform()).tolist() == [1.0] * 3
     n = 20_000
     counts = _draw_counts(oracle, 1.0, _rng("underflow"), n)
     assert counts[3] == 0
@@ -135,6 +152,17 @@ def test_counter_tracks_every_draw(k2):
             draw_exact(oracle, b, rng)
     assert oracle.counter.by_b == {0.0: 13, 0.5: 7}
     assert oracle.counter.total == 20
+
+
+def test_counter_total_sums_batched_and_single_records():
+    from gibbs_partition import DrawCounter
+
+    counter = DrawCounter()
+    for b, n in [(0.0, 1), (0.5, 7217), (0.0, 3), (1.0, 1), (0.5, 2)]:
+        counter.record(b, n)
+    counter.record(0.25)
+    assert counter.by_b == {0.0: 4, 0.5: 7219, 1.0: 1, 0.25: 1}
+    assert counter.total == sum(counter.by_b.values()) == 7225
 
 
 def test_with_model_shares_counter(k2):
@@ -249,6 +277,44 @@ def test_mcmc_draws_match_exact_kernel(k2):
     counts = _draw_counts(oracle, 1.0, rng, n)
     expected = mcmc_draw_distribution(k2, 1.0, sweeps) * n
     assert stats.chisquare(counts, expected).pvalue > 0.001
+
+
+@pytest.mark.parametrize("label", ["k2", "path-3", "cycle-4", "grid-2x2"])
+@pytest.mark.parametrize("sweeps", [0, 3])
+def test_mcmc_lockstep_one_chain_is_draw_mcmc(label, sweeps):
+    # The lockstep kernel with one chain is draw_mcmc, uniform for uniform.
+    model = dict(tiny_models())[label]
+    lockstep = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    scalar = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    g1, g2 = _rng(f"lockstep-{label}"), _rng(f"lockstep-{label}")
+    bs = [0.0, 0.3, 1.0, 2.0] * 250
+    states = [draw_mcmc_lockstep(lockstep, b, 1, g1).item() for b in bs]
+    assert states == [draw_mcmc(scalar, b, g2) for b in bs]
+    assert lockstep.counter.by_b == scalar.counter.by_b
+    assert g1.random() == g2.random()
+
+
+@pytest.mark.parametrize("label", ["k2", "cycle-4"])
+@pytest.mark.parametrize("sweeps", [1, 3])
+def test_mcmc_lockstep_matches_exact_kernel(label, sweeps):
+    model = dict(tiny_models())[label]
+    oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    n = 400_000
+    states = draw_mcmc_lockstep(oracle, 1.0, n, _rng(f"lockstep-chi-{label}", sweeps))
+    assert oracle.counter.by_b == {1.0: n}
+    counts = np.bincount(states, minlength=model.num_states)
+    expected = mcmc_draw_distribution(model, 1.0, sweeps)
+    assert stats.chisquare(counts, expected * n).pvalue > 0.001
+    assert np.abs(counts / n - expected).max() < 5e-3
+
+
+def test_mcmc_draw_energies_are_lockstep_energies(c4):
+    by_energy = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
+    by_state = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
+    energies = by_energy.draw_energies(0.7, 500, _rng("mcmc-energies"))
+    states = draw_mcmc_lockstep(by_state, 0.7, 500, _rng("mcmc-energies"))
+    assert energies.tolist() == c4.hamiltonian[states].tolist()
+    assert by_energy.counter.by_b == {0.7: 500}
 
 
 def test_mcmc_tv_error_decreases(k2):
