@@ -3,7 +3,9 @@
 
 Builds schedules repeatedly on an enumerable model, maps every schedule
 point through ln Z, and reports how often the largest z-gap stays under
-the eta target, plus the gap distribution summary.
+the eta target, plus the gap distribution summary.  Mixed-sign and
+non-integer models are walked shifted, as the pipeline walks them, and
+their z-gaps are measured on the shifted model that eta targets.
 
 Usage: python3 scripts/audit_schedule_balance.py [--model cycle-4] [--beta 1.0]
        [--trials 200] [--seed 0]
@@ -17,7 +19,7 @@ from gibbs_partition import (
     exact_oracle,
     initial_estimate,
     log_partition_exact,
-    regime_for_model,
+    prepare,
     select_params,
     stage_stream,
     well_balanced_schedule,
@@ -34,18 +36,17 @@ def main():
     args = parser.parse_args()
 
     model = build_model(args.model)
-    regime = regime_for_model(model)
     balanced = 0
     max_gaps = []
     lengths = []
     eta = None
     for trial in range(args.trials):
-        oracle = exact_oracle(model)
+        work, regime, _ = prepare(exact_oracle(model), args.beta)
         rng = stage_stream(args.seed, "schedule-audit", trial)
-        q_hat, _ = initial_estimate(oracle, args.beta, rng)
+        q_hat, _ = initial_estimate(work, args.beta, rng)
         params = select_params(q_hat, model.n_bound, regime, args.beta)
-        sched, _ = well_balanced_schedule(oracle, args.beta, params, rng)
-        zs = [log_partition_exact(model, b).value for b in sched.betas]
+        sched, _ = well_balanced_schedule(work, args.beta, params, rng)
+        zs = [log_partition_exact(work.model, b).value for b in sched.betas]
         gap = float(np.max(np.abs(np.diff(zs))))
         max_gaps.append(gap)
         lengths.append(len(sched.betas))

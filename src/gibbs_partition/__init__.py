@@ -49,6 +49,7 @@ from .tpa import (
     tpa_run,
     tpa_run_nonnegative,
     tpa_run_nonpositive,
+    tpa_runs,
 )
 from .schedule import (
     CoolingSchedule,

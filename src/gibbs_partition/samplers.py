@@ -1,15 +1,15 @@
 """Sampling oracles for pi_b: exact enumeration and restart-Metropolis MCMC.
 
 Every consumer of draws reads only the energy H(X), so the oracle contract
-is ``draw_energy(b, rng)`` for one draw and ``draw_energies(b, n, rng)`` for
-n independent draws at one b; ``draw`` still returns a state index.  The
-exact oracle samples from the model's density of states (its distinct
-energy levels and their multiplicities), so a draw at a fresh b costs
-O(levels), not O(states); the MCMC oracle runs n restart chains in
-lockstep.  Every draw consumes a caller-supplied numpy Generator, and
-every draw is tallied in the oracle's counter keyed by the b value it was
-served at; the counter is the ground truth for all sample-complexity
-accounting.
+is ``draw_energy(b, rng)`` for one draw, ``draw_energies(b, n, rng)`` for
+n independent draws at one b and ``draw_energies_at(bs, rng)`` for one draw
+at each b of an array; ``draw`` still returns a state index.  The exact
+oracle samples from the model's density of states (its distinct energy
+levels and their multiplicities), so a draw at a fresh b costs O(levels),
+not O(states); the MCMC oracle runs restart chains in lockstep.  Every draw
+consumes a caller-supplied numpy Generator, and every draw is tallied in
+the oracle's counter with the b value it was served at; the counter is the
+ground truth for all sample-complexity accounting.
 """
 
 from __future__ import annotations
@@ -27,20 +27,43 @@ KIND_EXACT = "exact-enumeration"
 KIND_MCMC = "mcmc"
 
 _CACHE_CAP = 128
+# Entries per block of level-CDF columns in a draw at many fresh b values.
+_MATRIX_CAP = 1 << 16
 
 
 class DrawCounter:
-    """Monotone tally of draws served, bucketed by b value, with its total."""
+    """Monotone tally of draws served, with its running total.
 
-    __slots__ = ("by_b", "total")
+    Recording appends in O(1); ``by_b``, the tally bucketed by b value, is
+    built only when read.
+    """
+
+    __slots__ = ("_batches", "_singles", "total")
 
     def __init__(self):
-        self.by_b: dict[float, int] = {}
+        self._batches: list[tuple[float, int]] = []
+        self._singles: list[np.ndarray] = []
         self.total = 0
 
     def record(self, b: float, n: int = 1) -> None:
-        self.by_b[b] = self.by_b.get(b, 0) + n
+        """n draws at one b."""
+        self._batches.append((b, n))
         self.total += n
+
+    def record_each(self, bs: np.ndarray) -> None:
+        """One draw at each entry of ``bs``."""
+        self._singles.append(np.array(bs, dtype=float))
+        self.total += len(bs)
+
+    @property
+    def by_b(self) -> dict[float, int]:
+        tally: dict[float, int] = {}
+        for b, n in self._batches:
+            tally[b] = tally.get(b, 0) + n
+        for bs in self._singles:
+            for b in bs.tolist():
+                tally[b] = tally.get(b, 0) + 1
+        return tally
 
 
 @dataclass(frozen=True)
@@ -127,6 +150,18 @@ class SamplerOracle:
             ]
         return self.model.hamiltonian[draw_mcmc_lockstep(self, b, n, rng)]
 
+    def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """H(X_j) for independent X_j ~ pi_{bs[j]}, one per entry of ``bs``.
+
+        For exact oracles this equals ``[draw_energy(b, rng) for b in bs]``
+        draw for draw; MCMC oracles run one restart chain per entry, each at
+        its own b, in lockstep.
+        """
+        bs = np.asarray(bs, dtype=float)
+        if self.kind == KIND_EXACT:
+            return _draw_levels_at(self, bs, rng)
+        return self.model.hamiltonian[draw_mcmc_lockstep(self, bs, len(bs), rng)]
+
     def with_model(self, model: GibbsModel) -> "SamplerOracle":
         """View of this oracle on another model, sharing the draw counter.
 
@@ -190,6 +225,37 @@ def _draw_level(
     oracle.counter.record(b)
     # t can round up to cw[-1], where bisect_right runs past the top level.
     return min(bisect_right(cw, t), len(cw) - 1), t, cw
+
+
+def _draw_levels_at(
+    oracle: SamplerOracle, bs: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Energies of one draw at each b of ``bs``, one level-CDF column per b.
+
+    Each column is the list ``_level_cdf`` builds for its b, and the draw
+    inverts it as ``_draw_level`` does.  Columns are built in blocks of at
+    most _MATRIX_CAP entries, so a model with many levels never holds a
+    levels x len(bs) matrix at once.  No column enters the per-b cache:
+    these b values are fresh.
+    """
+    levels = oracle.levels
+    energies = levels.energies
+    u = rng.random(len(bs))
+    out = np.empty(len(bs))
+    width = max(1, _MATRIX_CAP // len(energies))
+    for lo in range(0, len(bs), width):
+        cols = slice(lo, lo + width)
+        logw = np.multiply.outer(energies, -bs[cols])
+        # Energies ascend, so each column's largest log-weight is at an end.
+        top_logw = np.maximum(logw[0], logw[-1])
+        cw = np.cumsum(levels.counts[:, None] * np.exp(logw - top_logw), axis=0)
+        top = cw[-1]
+        # Capped at the last level whose CDF entry is below top, as in
+        # _draw_level: a trailing level whose weight underflowed is never drawn.
+        level = np.minimum((cw <= u[cols] * top).sum(axis=0), (cw < top).sum(axis=0))
+        out[cols] = energies[level]
+    oracle.counter.record_each(bs)
+    return out
 
 
 def draw_exact(oracle: SamplerOracle, b: float, rng: np.random.Generator) -> int:
@@ -260,23 +326,39 @@ def draw_mcmc(oracle: SamplerOracle, b: float, rng: np.random.Generator) -> int:
 
 
 def draw_mcmc_lockstep(
-    oracle: SamplerOracle, b: float, n: int, rng: np.random.Generator
+    oracle: SamplerOracle, b: float | np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """States of n independent restart chains run in lockstep.
 
     The kernel is ``draw_mcmc``'s, applied to all chains at once: spins are
     kept as one 0/1 array per site, and each site update draws n uniforms.
-    With n = 1 it consumes the generator exactly as one ``draw_mcmc`` call.
+    ``b`` is one value for every chain or an array of n values, one per
+    chain.  With n = 1 it consumes the generator exactly as one
+    ``draw_mcmc`` call.
     """
     if oracle.kind != KIND_MCMC:
         raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
+    per_chain = np.ndim(b) > 0
+    if per_chain and np.shape(b) != (n,):
+        raise ValueError("per-chain b needs one value per chain")
     graph = oracle.model.graph
     nv = graph.num_vertices
     adj = graph.adjacency()
     states = rng.integers(0, 2 ** nv, size=n)
     if oracle.mcmc_steps > 0:
         spins = [(states >> v) & 1 for v in range(nv)]
-        accept = [np.array(row) for row in _accept_tables(oracle, b)]
+        if per_chain:
+            # accept[v][a, j] = min(1, exp(-b_j * deltaH)), deltaH = 2a - deg(v).
+            chain = np.arange(n)
+            degrees = [len(adj[v]) for v in range(nv)]
+            by_degree = {
+                deg: np.exp(-np.multiply.outer(np.maximum(2 * np.arange(deg + 1) - deg, 0), b))
+                for deg in set(degrees)
+            }
+            accept = [by_degree[deg] for deg in degrees]
+        else:
+            chain = 0
+            accept = [np.array(row)[:, None] for row in _accept_tables(oracle, b)]
         for _ in range(oracle.mcmc_steps):
             for v in range(nv):
                 # Uniforms one site at a time: a whole (steps * nv) x n block
@@ -284,9 +366,12 @@ def draw_mcmc_lockstep(
                 us = rng.random(n)
                 sv = spins[v]
                 aligned = sum(spins[u] == sv for u in adj[v])
-                spins[v] = sv ^ (us < accept[v][aligned])
+                spins[v] = sv ^ (us < accept[v][aligned, chain])
         states = sum(s << v for v, s in enumerate(spins))
-    oracle.counter.record(b, n)
+    if per_chain:
+        oracle.counter.record_each(b)
+    else:
+        oracle.counter.record(b, n)
     return states
 
 

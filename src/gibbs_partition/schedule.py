@@ -15,7 +15,7 @@ import numpy as np
 
 from .models import GibbsModel, SIGN_NONNEGATIVE, SIGN_NONPOSITIVE
 from .samplers import SamplerOracle
-from .tpa import DIRECTION_DOWN, merge_runs, thin, tpa_run
+from .tpa import DIRECTION_DOWN, thin, tpa_runs
 
 REGIME_INTEGER_NONPOSITIVE = "integer-nonpositive"
 REGIME_INTEGER_NONNEGATIVE = "integer-nonnegative"
@@ -127,7 +127,7 @@ def initial_estimate(
     normalized: bool = True,
     trace: list | None = None,
 ) -> tuple[float, int]:
-    """Estimate q from ``runs`` merged TPA runs.
+    """Estimate q from ``runs`` TPA runs walked together.
 
     Returns (q_hat1, draws_used).  q_hat1 is the merged point count divided
     by the run count, so it estimates q itself; with the default 5 runs,
@@ -138,9 +138,7 @@ def initial_estimate(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     before = oracle.counter.total
-    merged = merge_runs(
-        [tpa_run(oracle, beta, rng, trace=trace, run_id=i) for i in range(runs)]
-    )
+    merged = tpa_runs(oracle, beta, runs, rng, trace=trace)
     draws_used = oracle.counter.total - before
     count = float(len(merged))
     return (count / runs if normalized else count), draws_used
@@ -191,11 +189,8 @@ def well_balanced_schedule(
     degenerate.
     """
     before = oracle.counter.total
-    runs = [
-        tpa_run(oracle, beta, rng, trace=trace, run_id=i)
-        for i in range(math.ceil(params.k))
-    ]
-    process = thin(merge_runs(runs), params.k, rng)
+    merged = tpa_runs(oracle, beta, math.ceil(params.k), rng, trace=trace)
+    process = thin(merged, params.k, rng)
     draws_used = oracle.counter.total - before
 
     pts = process.points

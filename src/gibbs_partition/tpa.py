@@ -2,9 +2,10 @@
 
 A single run walks the inverse-temperature parameter across [0, beta] and
 emits values whose z-images form a rate-1 Poisson point process on
-[z(0), z(beta)].  Merging k runs superposes to rate k; thinning brings the
-rate down to any positive target.  Points are stored as b values, never as
-z values: z is unknown in production use.
+[z(0), z(beta)].  Runs are walked in lockstep: every step draws one energy
+per active run, each at that run's own b, and the superposition of k runs
+has rate k.  Thinning brings the rate down to any positive target.  Points
+are stored as b values, never as z values: z is unknown in production use.
 """
 
 from __future__ import annotations
@@ -35,87 +36,77 @@ class PointProcess:
             raise ValueError("rate must be positive")
         if self.direction not in (DIRECTION_DOWN, DIRECTION_UP):
             raise ValueError(f"unknown direction {self.direction!r}")
-        prev = 0.0
-        for p in self.points:
-            if not (0.0 < p < self.beta_max):
-                raise ValueError(f"point {p} outside (0, {self.beta_max})")
-            if p <= prev:
-                raise ValueError("points must be sorted ascending and distinct")
-            prev = p
+        pts = np.asarray(self.points, dtype=float)
+        outside = ~((0.0 < pts) & (pts < self.beta_max))
+        unsorted = pts <= np.concatenate(([0.0], pts[:-1]))
+        bad = np.flatnonzero(outside | unsorted)
+        if bad.size:
+            # The first offending point decides, the range check first.
+            first = bad[0]
+            if outside[first]:
+                raise ValueError(f"point {pts[first]} outside (0, {self.beta_max})")
+            raise ValueError("points must be sorted ascending and distinct")
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def _uniform_open(rng: np.random.Generator) -> float:
-    # U = 0 must not occur; rng.random() is [0, 1) so redraw the zero.
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return u
-
-
-def tpa_run_nonpositive(
+def tpa_runs(
     oracle: SamplerOracle,
     beta: float,
+    runs: int,
     rng: np.random.Generator,
     trace: list | None = None,
-    run_id: int = 0,
+    first_run_id: int = 0,
 ) -> PointProcess:
-    """One rate-1 run for H <= 0: walk b downward from beta.
+    """Superposition of ``runs`` independent rate-1 runs, walked in lockstep.
 
-    Each step draws X ~ pi_b and U ~ Uniform(0,1) and moves
-    b <- b - ln(U)/H(X), jumping to -inf when H(X) = 0; values are recorded
-    while b stays positive.  Oracle draws used = number of points + 1.
+    For H <= 0 every run starts at beta and walks b downward, jumping to
+    -inf when H(X) = 0; for H >= 0 it starts at 0 and walks upward, jumping
+    to +inf.  Each step draws, for the m runs still inside, X_j ~ pi_{b_j}
+    in one vector draw, then U ~ Uniform(0, 1) with zeros redrawn, and moves
+    b_j <- b_j - ln(U_j)/H(X_j); values are recorded while b stays inside
+    (0, beta).  Oracle draws used = number of points + runs.  With one run
+    this consumes the generator exactly as a run walked on its own.
+
+    ``trace`` receives one record per step, grouped by run in step order,
+    with run ids counted from ``first_run_id``.
     """
-    if oracle.model.sign_class != SIGN_NONPOSITIVE:
-        raise ValueError("tpa_run_nonpositive requires a nonpositive Hamiltonian")
+    sign = oracle.model.sign_class
+    if sign == SIGN_NONPOSITIVE:
+        start, jump, direction = beta, -math.inf, DIRECTION_DOWN
+    elif sign == SIGN_NONNEGATIVE:
+        start, jump, direction = 0.0, math.inf, DIRECTION_UP
+    else:
+        raise ValueError("TPA needs a sign-definite Hamiltonian; shift mixed models first")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    b = beta
-    points = []
-    while True:
-        hx = oracle.draw_energy(b, rng)
-        u = _uniform_open(rng)
-        b_next = -math.inf if hx == 0.0 else b - math.log(u) / hx
-        assert b_next < b, "downward runs must strictly decrease b"
-        if trace is not None:
-            trace.append({"run_id": run_id, "b": b_next, "H": hx, "U": u})
-        if b_next > 0.0:
-            points.append(b_next)
-            b = b_next
-        else:
-            break
-    return PointProcess(tuple(sorted(points)), 1.0, beta, DIRECTION_DOWN)
-
-
-def tpa_run_nonnegative(
-    oracle: SamplerOracle,
-    beta: float,
-    rng: np.random.Generator,
-    trace: list | None = None,
-    run_id: int = 0,
-) -> PointProcess:
-    """Mirror run for H >= 0: walk b upward from 0, jump to +inf on H(X) = 0."""
-    if oracle.model.sign_class != SIGN_NONNEGATIVE:
-        raise ValueError("tpa_run_nonnegative requires a nonnegative Hamiltonian")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    b = 0.0
-    points = []
-    while True:
-        hx = oracle.draw_energy(b, rng)
-        u = _uniform_open(rng)
-        b_next = math.inf if hx == 0.0 else b - math.log(u) / hx
-        assert b_next > b, "upward runs must strictly increase b"
-        if trace is not None:
-            trace.append({"run_id": run_id, "b": b_next, "H": hx, "U": u})
-        if b_next < beta:
-            points.append(b_next)
-            b = b_next
-        else:
-            break
-    return PointProcess(tuple(points), 1.0, beta, DIRECTION_UP)
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    b = np.full(runs, float(start))
+    ids = np.arange(first_run_id, first_run_id + runs)
+    points, steps = [], []
+    # H(X) = 0 divides by zero; np.where then takes the jump.
+    with np.errstate(divide="ignore"):
+        while b.size:
+            hx = oracle.draw_energies_at(b, rng)
+            u = rng.random(b.size)
+            while not u.all():
+                zeros = u == 0.0
+                u[zeros] = rng.random(np.count_nonzero(zeros))
+            b_next = np.where(hx == 0.0, jump, b - np.log(u) / hx)
+            if trace is not None:
+                steps.append((ids, b_next, hx, u))
+            inside = (0.0 < b_next) & (b_next < beta)
+            b, ids = b_next[inside], ids[inside]
+            points.append(b)
+    if trace is not None:
+        columns = [np.concatenate(column) for column in zip(*steps)]
+        order = np.argsort(columns[0], kind="stable")
+        records = zip(*(column[order].tolist() for column in columns))
+        trace.extend({"run_id": i, "b": b, "H": h, "U": u} for i, b, h, u in records)
+    pts = np.sort(np.concatenate(points))
+    return PointProcess(tuple(pts.tolist()), float(runs), beta, direction)
 
 
 def tpa_run(
@@ -125,13 +116,34 @@ def tpa_run(
     trace: list | None = None,
     run_id: int = 0,
 ) -> PointProcess:
-    """Dispatch on the model's sign class; mixed models must be shifted first."""
-    sign = oracle.model.sign_class
-    if sign == SIGN_NONPOSITIVE:
-        return tpa_run_nonpositive(oracle, beta, rng, trace, run_id)
-    if sign == SIGN_NONNEGATIVE:
-        return tpa_run_nonnegative(oracle, beta, rng, trace, run_id)
-    raise ValueError("TPA needs a sign-definite Hamiltonian; shift mixed models first")
+    """One rate-1 run; mixed models must be shifted first."""
+    return tpa_runs(oracle, beta, 1, rng, trace, first_run_id=run_id)
+
+
+def tpa_run_nonpositive(
+    oracle: SamplerOracle,
+    beta: float,
+    rng: np.random.Generator,
+    trace: list | None = None,
+    run_id: int = 0,
+) -> PointProcess:
+    """One rate-1 run for H <= 0: walk b downward from beta."""
+    if oracle.model.sign_class != SIGN_NONPOSITIVE:
+        raise ValueError("tpa_run_nonpositive requires a nonpositive Hamiltonian")
+    return tpa_run(oracle, beta, rng, trace, run_id)
+
+
+def tpa_run_nonnegative(
+    oracle: SamplerOracle,
+    beta: float,
+    rng: np.random.Generator,
+    trace: list | None = None,
+    run_id: int = 0,
+) -> PointProcess:
+    """Mirror run for H >= 0: walk b upward from 0."""
+    if oracle.model.sign_class != SIGN_NONNEGATIVE:
+        raise ValueError("tpa_run_nonnegative requires a nonnegative Hamiltonian")
+    return tpa_run(oracle, beta, rng, trace, run_id)
 
 
 def merge_runs(runs: list[PointProcess]) -> PointProcess:
@@ -157,5 +169,5 @@ def thin(process: PointProcess, target_rate: float, rng: np.random.Generator) ->
         return process
     keep_p = target_rate / process.rate
     mask = rng.random(len(process.points)) < keep_p
-    kept = tuple(p for p, m in zip(process.points, mask) if m)
+    kept = tuple(np.asarray(process.points)[mask].tolist())
     return PointProcess(kept, target_rate, process.beta_max, process.direction)

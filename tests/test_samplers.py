@@ -115,6 +115,32 @@ def test_draw_energies_matches_draw_energy(label, model, b):
     assert g1.random() == g2.random()
 
 
+@pytest.mark.parametrize("label,model", tiny_models())
+def test_draw_energies_at_matches_draw_energy(label, model):
+    # One draw at each of many fresh b values, as TPA's lockstep walk makes.
+    per_b, single = exact_oracle(model), exact_oracle(model)
+    bs = _rng(f"fresh-b-{label}").random(500) * 2.0
+    g1, g2 = _rng(f"energies-at-{label}"), _rng(f"energies-at-{label}")
+    energies = per_b.draw_energies_at(bs, g1)
+    assert energies.tolist() == [single.draw_energy(b, g2) for b in bs.tolist()]
+    assert per_b.counter.by_b == single.counter.by_b
+    assert per_b.counter.total == single.counter.total == 500
+    assert g1.random() == g2.random()
+
+
+def test_draw_energies_at_in_blocks_matches_draw_energy():
+    from gibbs_partition import table_model
+
+    # 5,000 distinct levels: the per-b CDF columns are built in blocks.
+    model = table_model(np.arange(5000.0) / 100.0)
+    per_b, single = exact_oracle(model), exact_oracle(model)
+    bs = _rng("blocks-b").random(60) * 2.0
+    g1, g2 = _rng("blocks"), _rng("blocks")
+    energies = per_b.draw_energies_at(bs, g1)
+    assert energies.tolist() == [single.draw_energy(b, g2) for b in bs.tolist()]
+    assert per_b.counter.by_b == single.counter.by_b
+
+
 class _TopUniform:
     """Generator stand-in whose uniforms round u * total up to total."""
 
@@ -131,6 +157,12 @@ def test_draw_never_lands_on_underflowed_level():
     assert oracle.draw(1.0, _TopUniform()) == 2
     assert oracle.draw_energy(1.0, _TopUniform()) == 1.0
     assert oracle.draw_energies(1.0, 3, _TopUniform()).tolist() == [1.0] * 3
+    # Row by row on the per-b path: at b = 0 no weight underflows.
+    assert oracle.draw_energies_at([1.0, 0.0, 1.0], _TopUniform()).tolist() == [
+        1.0,
+        2000.0,
+        1.0,
+    ]
     n = 20_000
     counts = _draw_counts(oracle, 1.0, _rng("underflow"), n)
     assert counts[3] == 0
@@ -163,6 +195,22 @@ def test_counter_total_sums_batched_and_single_records():
     counter.record(0.25)
     assert counter.by_b == {0.0: 4, 0.5: 7219, 1.0: 1, 0.25: 1}
     assert counter.total == sum(counter.by_b.values()) == 7225
+
+
+def test_counter_by_b_is_the_same_however_draws_are_recorded():
+    from gibbs_partition import DrawCounter
+
+    bs = [0.0, 0.5, 0.5, 1.0, 0.25, 0.5, 0.0]
+    one_by_one, batched, each = DrawCounter(), DrawCounter(), DrawCounter()
+    for b in bs:
+        one_by_one.record(b)
+    for b in sorted(set(bs)):
+        batched.record(b, bs.count(b))
+    each.record_each(np.array(bs[:3]))
+    each.record_each(np.array(bs[3:]))
+    expected = {0.0: 2, 0.5: 3, 1.0: 1, 0.25: 1}
+    assert one_by_one.by_b == batched.by_b == each.by_b == expected
+    assert one_by_one.total == batched.total == each.total == len(bs)
 
 
 def test_with_model_shares_counter(k2):
@@ -308,6 +356,41 @@ def test_mcmc_lockstep_matches_exact_kernel(label, sweeps):
     assert np.abs(counts / n - expected).max() < 5e-3
 
 
+@pytest.mark.parametrize("label", ["k2", "path-3", "cycle-4", "grid-2x2"])
+def test_mcmc_lockstep_per_chain_b_one_chain_is_draw_mcmc(label):
+    model = dict(tiny_models())[label]
+    lockstep = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
+    scalar = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
+    g1, g2 = _rng(f"per-chain-{label}"), _rng(f"per-chain-{label}")
+    bs = _rng(f"per-chain-b-{label}").random(1000) * 2.0
+    states = [draw_mcmc_lockstep(lockstep, bs[i : i + 1], 1, g1).item() for i in range(1000)]
+    assert states == [draw_mcmc(scalar, b, g2) for b in bs.tolist()]
+    assert lockstep.counter.by_b == scalar.counter.by_b
+    assert g1.random() == g2.random()
+
+
+@pytest.mark.parametrize("label", ["k2", "cycle-4"])
+@pytest.mark.parametrize("sweeps", [1, 3])
+def test_mcmc_lockstep_per_chain_b_matches_exact_kernel(label, sweeps):
+    # Chains alternate between two b values, so each chain must read its own.
+    model = dict(tiny_models())[label]
+    oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    n = 400_000
+    bs = np.where(np.arange(n) % 2 == 0, 0.3, 1.0)
+    states = draw_mcmc_lockstep(oracle, bs, n, _rng(f"per-chain-chi-{label}", sweeps))
+    assert oracle.counter.by_b == {0.3: n // 2, 1.0: n // 2}
+    for b, half in [(0.3, states[0::2]), (1.0, states[1::2])]:
+        counts = np.bincount(half, minlength=model.num_states)
+        expected = mcmc_draw_distribution(model, b, sweeps) * len(half)
+        assert stats.chisquare(counts, expected).pvalue > 0.001
+
+
+def test_mcmc_lockstep_rejects_misshapen_b(k2):
+    oracle = mcmc_oracle(k2, mcmc_steps=1, tv_budget_per_draw=0.1)
+    with pytest.raises(ValueError):
+        draw_mcmc_lockstep(oracle, np.array([0.3, 1.0]), 3, _rng("misshapen"))
+
+
 def test_mcmc_draw_energies_are_lockstep_energies(c4):
     by_energy = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
     by_state = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
@@ -315,6 +398,16 @@ def test_mcmc_draw_energies_are_lockstep_energies(c4):
     states = draw_mcmc_lockstep(by_state, 0.7, 500, _rng("mcmc-energies"))
     assert energies.tolist() == c4.hamiltonian[states].tolist()
     assert by_energy.counter.by_b == {0.7: 500}
+
+
+def test_mcmc_draw_energies_at_are_per_chain_lockstep_energies(c4):
+    by_energy = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
+    by_state = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
+    bs = _rng("mcmc-energies-at-b").random(500)
+    energies = by_energy.draw_energies_at(bs, _rng("mcmc-energies-at"))
+    states = draw_mcmc_lockstep(by_state, bs, 500, _rng("mcmc-energies-at"))
+    assert energies.tolist() == c4.hamiltonian[states].tolist()
+    assert by_energy.counter.by_b == by_state.counter.by_b
 
 
 def test_mcmc_tv_error_decreases(k2):

@@ -13,12 +13,14 @@ from gibbs_partition import (
     interval_length_exact,
     log_partition_exact,
     merge_runs,
+    mcmc_oracle,
     stage_stream,
     table_model,
     thin,
     tpa_run,
     tpa_run_nonnegative,
     tpa_run_nonpositive,
+    tpa_runs,
 )
 
 SEED = 2717
@@ -26,6 +28,26 @@ SEED = 2717
 
 def _rng(tag, index=0):
     return stage_stream(SEED, tag, index)
+
+
+def _scalar_walk(oracle, beta, rng):
+    """Reference: one run walked a draw at a time, (H, U, b_next) per step."""
+    down = oracle.model.sign_class == "nonpositive"
+    b = beta if down else 0.0
+    steps = []
+    while True:
+        hx = oracle.draw_energy(b, rng)
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        if hx == 0.0:
+            b_next = -math.inf if down else math.inf
+        else:
+            b_next = b - math.log(u) / hx
+        steps.append((hx, u, b_next))
+        if not 0.0 < b_next < beta:
+            return steps
+        b = b_next
 
 
 def test_flat_hamiltonian_one_draw_empty_run():
@@ -229,3 +251,73 @@ def test_z_mapped_gaps_of_merged_k2_process(k2):
     ztop = log_partition_exact(k2, 1.0).value
     gaps = np.diff(np.concatenate([zs, [ztop]])) * merged.rate
     assert stats.kstest(gaps, "expon").pvalue > 0.001
+
+
+@pytest.mark.parametrize(
+    "label,sampler",
+    [("k2", "exact"), ("const1", "exact"), ("c4", "exact"), ("k2", "mcmc")],
+)
+def test_one_lockstep_run_is_the_scalar_walk(label, sampler, request):
+    # Same draws, same uniforms, same generator state after every run.  The
+    # walk takes ln U with numpy, whose log may differ from math.log in the
+    # last bit, so b values are compared to a few ulps of beta.
+    model = request.getfixturevalue(label)
+    if sampler == "exact":
+        lockstep, scalar = exact_oracle(model), exact_oracle(model)
+    else:
+        lockstep = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
+        scalar = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
+    beta = 1.5
+    g1, g2 = _rng(f"scalar-{label}-{sampler}"), _rng(f"scalar-{label}-{sampler}")
+    for _ in range(200):
+        trace = []
+        run = tpa_run(lockstep, beta, g1, trace=trace)
+        steps = _scalar_walk(scalar, beta, g2)
+        assert [(r["H"], r["U"]) for r in trace] == [(h, u) for h, u, _ in steps]
+        got = [r["b"] for r in trace]
+        want = [b for _, _, b in steps]
+        np.testing.assert_allclose(got, want, rtol=0, atol=8 * np.finfo(float).eps * beta)
+        assert len(run) == len(steps) - 1
+        assert g1.random() == g2.random()
+    assert lockstep.counter.total == scalar.counter.total
+
+
+def test_lockstep_runs_superpose_to_rate_runs(k2):
+    oracle = exact_oracle(k2)
+    process = tpa_runs(oracle, 1.0, 3000, _rng("lockstep-zgaps"))
+    assert process.rate == 3000.0
+    assert oracle.counter.total == len(process) + 3000
+    zs = np.array([log_partition_exact(k2, b).value for b in process.points])
+    ztop = log_partition_exact(k2, 1.0).value
+    gaps = np.diff(np.concatenate([zs, [ztop]])) * process.rate
+    assert stats.kstest(gaps, "expon").pvalue > 0.001
+
+
+@pytest.mark.parametrize("label", ["k2", "const1"])
+def test_lockstep_trace_is_grouped_by_run(label, request):
+    # Each run's records are contiguous and in step order: every record but
+    # the last lands inside (0, beta) as a point, the last one leaves.
+    oracle = exact_oracle(request.getfixturevalue(label))
+    beta, runs = 1.0, 40
+    trace = []
+    process = tpa_runs(oracle, beta, runs, _rng(f"trace-{label}"), trace=trace, first_run_id=3)
+    ids = [r["run_id"] for r in trace]
+    assert ids == sorted(ids)
+    assert sorted(set(ids)) == list(range(3, 3 + runs))
+    points = 0
+    for run_id in range(3, 3 + runs):
+        bs = [r["b"] for r in trace if r["run_id"] == run_id]
+        assert all(0.0 < b < beta for b in bs[:-1])
+        assert not 0.0 < bs[-1] < beta
+        points += len(bs) - 1
+    assert points == len(process)
+    assert len(trace) == oracle.counter.total == len(process) + runs
+
+
+def test_tpa_runs_rejects_bad_inputs(k2, mixed_table):
+    with pytest.raises(ValueError):
+        tpa_runs(exact_oracle(mixed_table), 1.0, 5, _rng("bad"))
+    with pytest.raises(ValueError):
+        tpa_runs(exact_oracle(k2), 0.0, 5, _rng("bad"))
+    with pytest.raises(ValueError):
+        tpa_runs(exact_oracle(k2), 1.0, 0, _rng("bad"))
