@@ -14,6 +14,7 @@ from .models import (
     constant_model,
     cycle_edges,
     grid_edges,
+    grid_model,
     interval_length_exact,
     ising_model,
     load_model,
@@ -28,7 +29,6 @@ from .models import (
     table_model,
 )
 from .samplers import (
-    DensityOfStates,
     DrawCounter,
     SamplerOracle,
     coupling_failure_bound,

@@ -106,7 +106,7 @@ def build_model(spec: str) -> models.GibbsModel:
     if spec.startswith("grid-"):
         rows, cols = spec[len("grid-"):].split("x")
         r, c = int(rows), int(cols)
-        return models.ising_model(models.grid_edges(r, c), num_vertices=r * c)
+        return models.grid_model(r, c)
     if spec.startswith("const-"):
         return models.constant_model(float(spec[len("const-"):]))
     if spec.startswith("table:"):

@@ -20,9 +20,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .models import shift_hamiltonian
+from .models import logsumexp, shift_hamiltonian
 from .samplers import SamplerOracle
 from .schedule import (
     REGIME_SHIFTED,
@@ -194,8 +193,8 @@ def paired_product_estimate(
         raise ValueError("replicates must be >= 1")
 
     log_ws, log_vs = paired_replicate_logs(schedule, work, r, rep_rng)
-    log_w_bar = float(logsumexp(log_ws) - math.log(r))
-    log_v_bar = float(logsumexp(log_vs) - math.log(r))
+    log_w_bar = logsumexp(log_ws) - math.log(r)
+    log_v_bar = logsumexp(log_vs) - math.log(r)
     log_ratio = log_w_bar - log_v_bar + log_shift
 
     return PairedEstimate(
@@ -257,7 +256,7 @@ def single_shot_log_estimate(
     if num_draws < 1:
         raise ValueError("num_draws must be >= 1")
     logs = -beta * oracle.draw_energies(0.0, num_draws, rng)
-    return float(logsumexp(logs) - math.log(num_draws))
+    return logsumexp(logs) - math.log(num_draws)
 
 
 def single_shot_estimate(
@@ -315,7 +314,7 @@ def product_log_estimate(
     for i in range(schedule.num_intervals):
         width = betas[i + 1] - betas[i]
         logs = -width * oracle.draw_energies(betas[i], draws_per_stage, rng)
-        log_total += float(logsumexp(logs) - math.log(draws_per_stage))
+        log_total += logsumexp(logs) - math.log(draws_per_stage)
     return log_total
 
 

@@ -1,8 +1,12 @@
-"""Gibbs models over finite state spaces and the brute-force partition oracle.
+"""Gibbs models over finite state spaces and the exact partition oracle.
 
-States are opaque integer indices 0..num_states-1; spin semantics live only
-inside the Ising constructor.  All values are immutable after construction,
-so models are safe to share across concurrent workers.
+A model is its density of states: the distinct energies E_l and their
+multiplicities m_l, which is all that the estimators and the exact truth
+ln Z(b) = logsumexp(ln m_l - b E_l) read.  States are opaque integer indices
+0..num_states-1, and the state table H(x) serves only state-level consumers;
+spin semantics live only inside the Ising constructors.  Models are not
+changed after construction (a deferred state table is only filled in), so
+they are safe to share across concurrent workers.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Keeps the exact oracle under seconds on desk hardware.
 ENUMERATION_GUARD = 2 ** 24
@@ -41,45 +44,89 @@ class IsingGraph:
         return tuple(tuple(a) for a in adj)
 
 
-@dataclass(frozen=True)
 class GibbsModel:
-    """Energy table H(x) over an indexed finite state space.
+    """Density of states: distinct energies E_l, ascending, with multiplicities m_l.
 
-    ``n_bound`` is a positive integer with |H(x)| <= n_bound for every state;
-    ``integer_valued`` records whether all energies are integers, which is
-    what the integer-regime parameter choices assume.
+    ``energies`` and ``counts`` are float64 arrays; counts below 2^53 are
+    exact integers, and larger ones (grids past 53 sites) carry float64
+    rounding.  ``n_bound`` is a positive integer with
+    |E_l| <= n_bound for every level; ``integer_valued`` records whether all
+    energies are integers, which is what the integer-regime parameter
+    choices assume.
+
+    ``hamiltonian`` is the state table H(x), or a function that builds it.
+    Given a table, the levels are counted from it.  Given a function, the
+    caller passes ``levels`` and ``num_states``, and the table is built the
+    first time ``hamiltonian`` is read.  ``enumerated`` records whether the
+    levels were counted from a state table: the enumeration guard bounds
+    such models.
     """
 
-    hamiltonian: np.ndarray
-    n_bound: int
-    sign_class: str
-    integer_valued: bool
-    name: str = "table"
-    graph: IsingGraph | None = None
-
-    def __post_init__(self):
-        h = np.array(self.hamiltonian, dtype=np.float64)
-        if h.ndim != 1 or h.size < 1:
-            raise ValueError("hamiltonian must be a non-empty 1-d array")
-        if not np.all(np.isfinite(h)):
+    def __init__(
+        self,
+        hamiltonian,
+        n_bound: int,
+        sign_class: str,
+        integer_valued: bool,
+        name: str = "table",
+        graph: IsingGraph | None = None,
+        *,
+        levels: tuple[np.ndarray, np.ndarray] | None = None,
+        num_states: int | None = None,
+        enumerated: bool = True,
+    ):
+        if callable(hamiltonian):
+            if levels is None or num_states is None:
+                raise ValueError("a model without a state table needs its levels and state count")
+            energies, counts = (np.array(x, dtype=np.float64) for x in levels)
+            self._table = None
+            self._build_table = hamiltonian
+        else:
+            h = np.array(hamiltonian, dtype=np.float64)
+            if h.ndim != 1 or h.size < 1:
+                raise ValueError("hamiltonian must be a non-empty 1-d array")
+            h.flags.writeable = False
+            energies, counts = np.unique(h, return_counts=True)
+            counts = counts.astype(np.float64)
+            num_states = h.size
+            self._table = h
+        if energies.ndim != 1 or energies.size < 1 or counts.shape != energies.shape:
+            raise ValueError("levels must be two non-empty 1-d arrays of one length")
+        if not np.all(np.isfinite(energies)):
             raise ValueError("hamiltonian values must be finite")
-        h.flags.writeable = False
-        object.__setattr__(self, "hamiltonian", h)
-        if int(self.n_bound) != self.n_bound or self.n_bound < 1:
+        if np.any(np.diff(energies) <= 0) or np.any(counts < 1):
+            raise ValueError("level energies must ascend strictly, with positive counts")
+        energies.flags.writeable = False
+        counts.flags.writeable = False
+        self.energies = energies
+        self.counts = counts
+        self.num_states = int(num_states)
+        self.n_bound = n_bound
+        self.sign_class = sign_class
+        self.integer_valued = integer_valued
+        self.name = name
+        self.graph = graph
+        self.enumerated = enumerated
+        if int(n_bound) != n_bound or n_bound < 1:
             raise ValueError("n_bound must be a positive integer")
-        if float(np.max(np.abs(h))) > self.n_bound:
+        if float(np.max(np.abs(energies))) > n_bound:
             raise ValueError("n_bound does not dominate max |H(x)|")
-        if self.sign_class != _sign_class(h):
+        if sign_class != _sign_class(energies):
             raise ValueError(
-                f"declared sign_class {self.sign_class!r} inconsistent with "
-                f"energy range [{h.min()}, {h.max()}]"
+                f"declared sign_class {sign_class!r} inconsistent with "
+                f"energy range [{energies[0]}, {energies[-1]}]"
             )
-        if self.integer_valued != bool(np.all(h == np.round(h))):
+        if integer_valued != _is_integer(energies):
             raise ValueError("integer_valued flag inconsistent with energies")
 
     @property
-    def num_states(self) -> int:
-        return int(self.hamiltonian.size)
+    def hamiltonian(self) -> np.ndarray:
+        """The state table H(x), built on first read if the model has none yet."""
+        if self._table is None:
+            h = np.array(self._build_table(), dtype=np.float64)
+            h.flags.writeable = False
+            self._table = h
+        return self._table
 
 
 @dataclass(frozen=True)
@@ -103,6 +150,39 @@ def _bound_for(h: np.ndarray) -> int:
     return max(1, math.ceil(float(np.max(np.abs(h)))))
 
 
+def _is_integer(h: np.ndarray) -> bool:
+    return bool(np.all(h == np.round(h)))
+
+
+def require_enumerable(num_states: int) -> None:
+    """Raise EnumerationGuardError for a state space past the enumeration guard."""
+    if num_states > ENUMERATION_GUARD:
+        raise EnumerationGuardError(
+            f"{num_states} states exceed the enumeration guard "
+            f"({ENUMERATION_GUARD}); state-level oracles need a smaller model"
+        )
+
+
+def logsumexp(a) -> float:
+    """ln sum exp(a) over a 1-d array, rounded as scipy.special.logsumexp rounds it.
+
+    The entries equal to the maximum are taken out of the shifted sum and
+    counted, so ln(m) + log1p(s / m) keeps the precision of the top terms.
+    A non-finite result falls back to the direct ln sum exp(a), which
+    handles all -inf, +inf and nan entries.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    top = a.max(keepdims=True)
+    at_top = a == top
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = np.sum(at_top, keepdims=True, dtype=np.float64)
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out[0]):
+            out = np.log(np.sum(np.exp(a), keepdims=True))
+    return float(out[0])
+
+
 def table_model(values, name: str = "table", graph: IsingGraph | None = None) -> GibbsModel:
     """Build a model from an explicit energy table."""
     h = np.asarray(values, dtype=np.float64)
@@ -110,25 +190,33 @@ def table_model(values, name: str = "table", graph: IsingGraph | None = None) ->
         hamiltonian=h,
         n_bound=_bound_for(h),
         sign_class=_sign_class(h),
-        integer_valued=bool(np.all(h == np.round(h))),
+        integer_valued=_is_integer(h),
         name=name,
         graph=graph,
     )
+
+
+def _ising_table(num_vertices: int, edges) -> np.ndarray:
+    """H(x) = -#aligned edges for every state x; spin(v) = +1 iff bit v of x is set."""
+    require_enumerable(2 ** num_vertices)
+    idx = np.arange(2 ** num_vertices, dtype=np.int64)
+    h = np.zeros(idx.size, dtype=np.float64)
+    for i, j in edges:
+        aligned = ((idx >> i) & 1) == ((idx >> j) & 1)
+        h[aligned] -= 1.0
+    return h
 
 
 def ising_model(edges, num_vertices: int) -> GibbsModel:
     """Ising model on a simple graph: Omega = {-1,1}^V, H(x) = -#aligned edges.
 
     State index s encodes spins bitwise: spin(v) = +1 iff bit v of s is set.
-    n_bound equals |E| (all edges aligned), sign class is nonpositive.
+    n_bound equals |E| (all edges aligned), sign class is nonpositive.  The
+    levels are counted from the enumerated state table, so the enumeration
+    guard bounds num_vertices.
     """
     if num_vertices < 1:
         raise ValueError("num_vertices must be >= 1")
-    if 2 ** num_vertices > ENUMERATION_GUARD:
-        raise EnumerationGuardError(
-            f"2^{num_vertices} states exceed the enumeration guard "
-            f"({ENUMERATION_GUARD}); exact oracle only supports smaller models"
-        )
     seen = set()
     canon = []
     for i, j in edges:
@@ -141,21 +229,96 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
             raise ValueError(f"duplicate edge ({i},{j})")
         seen.add(key)
         canon.append(key)
-
-    idx = np.arange(2 ** num_vertices, dtype=np.int64)
-    h = np.zeros(idx.size, dtype=np.float64)
-    for i, j in canon:
-        aligned = ((idx >> i) & 1) == ((idx >> j) & 1)
-        h[aligned] -= 1.0
     graph = IsingGraph(num_vertices=num_vertices, edges=tuple(canon))
     return GibbsModel(
-        hamiltonian=h,
+        hamiltonian=_ising_table(num_vertices, canon),
         n_bound=max(1, len(canon)),
         sign_class=SIGN_NONPOSITIVE,
         integer_valued=True,
         name=f"ising-{num_vertices}v-{len(canon)}e",
         graph=graph,
     )
+
+
+def grid_model(rows: int, cols: int) -> GibbsModel:
+    """Free-boundary rows x cols Ising grid, levels counted by transfer matrix.
+
+    The same graph, n_bound, levels and state indexing as
+    ``ising_model(grid_edges(rows, cols), rows * cols)``, but the density of
+    states is counted site by site over the 2^w spin patterns of a front of
+    w = min(rows, cols) sites (Beale, PRL 76:78, 1996), so building it costs
+    O(2^w |E|) per site and no 2^n array.  The enumeration guard bounds the
+    count array, not the state space; the state table is enumerated, under
+    the guard, only if ``hamiltonian`` is read.
+    """
+    if rows < 1 or cols < 1:
+        raise ValueError("a grid needs at least one row and one column")
+    num_vertices = rows * cols
+    edges = grid_edges(rows, cols)
+    width = min(rows, cols)
+    if 2 ** width * (len(edges) + 1) > ENUMERATION_GUARD:
+        raise EnumerationGuardError(
+            f"a {rows}x{cols} grid needs 2^{width} x {len(edges) + 1} level counts, "
+            f"past the enumeration guard ({ENUMERATION_GUARD})"
+        )
+    if num_vertices >= 1024:
+        raise EnumerationGuardError(
+            f"2^{num_vertices} states pass the float64 range of the level counts"
+        )
+    return GibbsModel(
+        hamiltonian=lambda: _ising_table(num_vertices, edges),
+        n_bound=max(1, len(edges)),
+        sign_class=SIGN_NONPOSITIVE,
+        integer_valued=True,
+        name=f"ising-{num_vertices}v-{len(edges)}e",
+        graph=IsingGraph(num_vertices=num_vertices, edges=tuple(edges)),
+        levels=_grid_levels(width, num_vertices // width, len(edges)),
+        num_states=2 ** num_vertices,
+        enumerated=False,
+    )
+
+
+def _grid_levels(width: int, length: int, num_edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of H = -#aligned edges on a free-boundary length x width grid.
+
+    count[p, k] counts the spin assignments of the sites visited so far, in
+    line order, that have k aligned edges and whose front (the last visited
+    site of each of the width columns) has spins p, bit c set iff spin +1.
+    Visiting site (r, c) replaces bit c.  The new spin meets its left
+    neighbour, bit c - 1, visited just before, and the site above it, the
+    old bit c.  So each new pattern gathers the two old patterns that differ
+    from it in bit c, with their counts shifted by 0, 1 or 2 aligned edges.
+    """
+    patterns = np.arange(2 ** width)
+    size = patterns.size
+    # Rows of shifted.reshape(3 * size, -1) each new pattern gathers, per
+    # column: one source in the first line, which has no site above, and
+    # the two sources (old bit c = 0, 1) after it.
+    first, later = [], []
+    for c in range(width):
+        spin = (patterns >> c) & 1
+        left = (((patterns >> (c - 1)) & 1) == spin).astype(np.int64) if c else 0
+        cleared = patterns & ~(1 << c)
+        first.append(left * size + cleared)
+        later.append([(left + (up == spin)) * size + (cleared | (up << c)) for up in (0, 1)])
+    count = np.zeros((size, num_edges + 1))
+    count[0, 0] = 1.0
+    # shifted[d, p, k] = count[p, k - d]; the first d columns stay zero.
+    shifted = np.zeros((3, size, num_edges + 1))
+    flat = shifted.reshape(3 * size, num_edges + 1)
+    for r in range(length):
+        for c in range(width):
+            shifted[0] = count
+            shifted[1, :, 1:] = count[:, :-1]
+            shifted[2, :, 2:] = count[:, :-2]
+            if r:
+                up0, up1 = later[c]
+                count = flat[up0] + flat[up1]
+            else:
+                count = flat[first[c]]
+    totals = count.sum(axis=0)
+    aligned = np.flatnonzero(totals)[::-1]
+    return (-aligned).astype(np.float64), totals[aligned]
 
 
 def constant_model(level: float, num_states: int = 4, name: str | None = None) -> GibbsModel:
@@ -192,28 +355,24 @@ def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
 
 
 def log_partition_exact(model: GibbsModel, beta: float) -> LogPartition:
-    """ln Z(beta) by full enumeration with a max-shift log-sum-exp.
+    """ln Z(beta) = logsumexp(ln m_l - beta E_l) over the model's levels.
 
-    Raises EnumerationGuardError above the enumeration guard: past that size
-    the model is usable with the sampling estimators only.
+    Raises EnumerationGuardError for a model whose levels were counted from
+    a state table past the enumeration guard.
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    if model.num_states > ENUMERATION_GUARD:
-        raise EnumerationGuardError(
-            f"{model.num_states} states exceed the enumeration guard; "
-            "sampling oracle only"
-        )
-    value = float(logsumexp(-beta * model.hamiltonian))
+    if model.enumerated:
+        require_enumerable(model.num_states)
+    value = logsumexp(np.log(model.counts) - beta * model.energies)
     return LogPartition(beta=float(beta), value=value)
 
 
 def mean_neg_energy(model: GibbsModel, beta: float) -> float:
-    """E[-H(X)] for X ~ pi_beta, i.e. the slope z'(beta), by enumeration."""
-    h = model.hamiltonian
-    logw = -beta * h
-    logw = logw - logw.max()
-    w = np.exp(logw)
+    """E[-H(X)] for X ~ pi_beta, i.e. the slope z'(beta), over the levels."""
+    h = model.energies
+    logw = np.log(model.counts) - beta * h
+    w = np.exp(logw - logw.max())
     return float(np.sum(-h * w) / np.sum(w))
 
 
@@ -228,17 +387,25 @@ def interval_length_exact(model: GibbsModel, beta: float) -> float:
 
 
 def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
-    """Add a constant to every energy: pi_beta unchanged, ln Z'(b) = ln Z(b) - b*c."""
+    """Add a constant to every energy: pi_beta unchanged, ln Z'(b) = ln Z(b) - b*c.
+
+    Only the levels are shifted; the shifted state table is built from the
+    model's own if it is read.  Levels that round to one energy merge.
+    """
     if c == 0.0:
         return model
-    h = model.hamiltonian + float(c)
+    c = float(c)
+    energies, level = np.unique(model.energies + c, return_inverse=True)
     return GibbsModel(
-        hamiltonian=h,
-        n_bound=_bound_for(h),
-        sign_class=_sign_class(h),
-        integer_valued=bool(np.all(h == np.round(h))),
+        hamiltonian=lambda: model.hamiltonian + c,
+        n_bound=_bound_for(energies),
+        sign_class=_sign_class(energies),
+        integer_valued=_is_integer(energies),
         name=f"{model.name}+shift({c:g})",
         graph=model.graph,
+        levels=(energies, np.bincount(level, weights=model.counts)),
+        num_states=model.num_states,
+        enumerated=model.enumerated,
     )
 
 

@@ -5,8 +5,9 @@ is ``draw_energy(b, rng)`` for one draw, ``draw_energies(b, n, rng)`` for
 n independent draws at one b and ``draw_energies_at(bs, rng)`` for one draw
 at each b of an array; ``draw`` still returns a state index.  The exact
 oracle samples from the model's density of states (its distinct energy
-levels and their multiplicities), so a draw at a fresh b costs O(levels),
-not O(states); the MCMC oracle runs restart chains in lockstep.  Every draw
+levels and their multiplicities), so building it and a draw at a fresh b
+cost O(levels), not O(states), and only ``draw`` reads the state table;
+the MCMC oracle runs restart chains in lockstep.  Every draw
 consumes a caller-supplied numpy Generator, and every draw is tallied in
 the oracle's counter with the b value it was served at; the counter is the
 ground truth for all sample-complexity accounting.
@@ -18,14 +19,16 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .models import ENUMERATION_GUARD, GibbsModel, EnumerationGuardError
+from .models import GibbsModel, require_enumerable
 
 KIND_EXACT = "exact-enumeration"
 KIND_MCMC = "mcmc"
 
+# Entries kept in the per-b cache of Metropolis acceptance tables.
 _CACHE_CAP = 128
 # Entries per block of level-CDF columns in a draw at many fresh b values.
 _MATRIX_CAP = 1 << 16
@@ -66,30 +69,6 @@ class DrawCounter:
         return tally
 
 
-@dataclass(frozen=True)
-class DensityOfStates:
-    """Distinct energies E_l in ascending order with multiplicities m_l.
-
-    The states of level l are ``order[starts[l]:starts[l] + counts[l]]``,
-    in index order, so ``order`` lists all states sorted by (energy, index).
-    """
-
-    energies: np.ndarray
-    counts: np.ndarray
-    starts: np.ndarray
-    order: np.ndarray
-
-    @classmethod
-    def of(cls, hamiltonian: np.ndarray) -> "DensityOfStates":
-        energies, counts = np.unique(hamiltonian, return_counts=True)
-        return cls(
-            energies=energies,
-            counts=counts,
-            starts=np.cumsum(counts) - counts,
-            order=np.argsort(hamiltonian, kind="stable"),
-        )
-
-
 @dataclass
 class SamplerOracle:
     """Source of draws from pi_b for b in [0, beta].
@@ -104,9 +83,10 @@ class SamplerOracle:
     tv_budget_per_draw: float = 0.0
     mcmc_steps: int = 0
     counter: DrawCounter = field(default_factory=DrawCounter)
-    levels: DensityOfStates | None = field(default=None, init=False, repr=False)
-    _cdf_cache: dict = field(default_factory=dict, repr=False)
     _accept_cache: dict = field(default_factory=dict, repr=False)
+    # States sorted by (energy, index) and where each level starts in that
+    # order; only ``draw`` on an exact oracle needs them, so built on first use.
+    _by_level: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (KIND_EXACT, KIND_MCMC):
@@ -120,8 +100,8 @@ class SamplerOracle:
                 raise ValueError("mcmc sampling requires an Ising model")
             if self.mcmc_steps < 0:
                 raise ValueError("mcmc_steps must be nonnegative")
-        else:
-            self.levels = DensityOfStates.of(self.model.hamiltonian)
+            # Its draws are states, and their energies come from the state table.
+            require_enumerable(self.model.num_states)
 
     def draw(self, b: float, rng: np.random.Generator) -> int:
         if self.kind == KIND_EXACT:
@@ -131,7 +111,7 @@ class SamplerOracle:
     def draw_energy(self, b: float, rng: np.random.Generator) -> float:
         """H(X) for one X ~ pi_b; consumes the generator exactly as ``draw``."""
         if self.kind == KIND_EXACT:
-            return self.levels.energies.item(_draw_level(self, b, rng)[0])
+            return self.model.energies.item(_draw_level(self, b, rng)[0])
         return float(self.model.hamiltonian[draw_mcmc(self, b, rng)])
 
     def draw_energies(self, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -145,7 +125,7 @@ class SamplerOracle:
             t = rng.random(n) * cw[-1]
             self.counter.record(b, n)
             # As in _draw_level, t can round up to cw[-1].
-            return self.levels.energies[
+            return self.model.energies[
                 np.minimum(np.searchsorted(cw, t, side="right"), len(cw) - 1)
             ]
         return self.model.hamiltonian[draw_mcmc_lockstep(self, b, n, rng)]
@@ -178,12 +158,18 @@ class SamplerOracle:
 
 
 def exact_oracle(model: GibbsModel) -> SamplerOracle:
-    if model.num_states > ENUMERATION_GUARD:
-        raise EnumerationGuardError("model too large for enumeration sampling")
+    """Exact draws from the model's levels; it needs no state table."""
     return SamplerOracle(model=model, kind=KIND_EXACT)
 
 
 def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -> SamplerOracle:
+    """Restart-Metropolis draws; raises EnumerationGuardError past the guard."""
+    oracle = SamplerOracle(
+        model=model,
+        kind=KIND_MCMC,
+        tv_budget_per_draw=tv_budget_per_draw,
+        mcmc_steps=mcmc_steps,
+    )
     if tv_budget_per_draw == 0.0:
         warnings.warn(
             "mcmc oracle declares no total-variation budget per draw, so the "
@@ -191,27 +177,19 @@ def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -
             UserWarning,
             stacklevel=2,
         )
-    return SamplerOracle(
-        model=model,
-        kind=KIND_MCMC,
-        tv_budget_per_draw=tv_budget_per_draw,
-        mcmc_steps=mcmc_steps,
-    )
+    return oracle
 
 
 def _level_cdf(oracle: SamplerOracle, b: float) -> list[float]:
     # cw[l] = sum over levels j <= l of m_j exp(-b E_j), scaled by the top term.
-    cw = oracle._cdf_cache.get(b)
-    if cw is None:
-        levels = oracle.levels
-        logw = -b * levels.energies
-        cw = np.cumsum(levels.counts * np.exp(logw - logw.max())).tolist()
-        # Drop the trailing levels whose weight underflowed to zero: they are
-        # never drawn, and the top level left has a step of positive width.
-        del cw[bisect_left(cw, cw[-1]) + 1:]
-        if len(oracle._cdf_cache) >= _CACHE_CAP:
-            oracle._cdf_cache.pop(next(iter(oracle._cdf_cache)))
-        oracle._cdf_cache[b] = cw
+    # Energies ascend, so the largest log-weight is at an end; accumulate adds
+    # left to right as np.cumsum does, and is faster on a handful of levels.
+    model = oracle.model
+    logw = -b * model.energies
+    cw = list(accumulate((model.counts * np.exp(logw - max(logw[0], logw[-1]))).tolist()))
+    # Drop the trailing levels whose weight underflowed to zero: they are
+    # never drawn, and the top level left has a step of positive width.
+    del cw[bisect_left(cw, cw[-1]) + 1:]
     return cw
 
 
@@ -235,11 +213,10 @@ def _draw_levels_at(
     Each column is the list ``_level_cdf`` builds for its b, and the draw
     inverts it as ``_draw_level`` does.  Columns are built in blocks of at
     most _MATRIX_CAP entries, so a model with many levels never holds a
-    levels x len(bs) matrix at once.  No column enters the per-b cache:
-    these b values are fresh.
+    levels x len(bs) matrix at once.
     """
-    levels = oracle.levels
-    energies = levels.energies
+    energies = oracle.model.energies
+    counts = oracle.model.counts
     u = rng.random(len(bs))
     out = np.empty(len(bs))
     width = max(1, _MATRIX_CAP // len(energies))
@@ -248,7 +225,7 @@ def _draw_levels_at(
         logw = np.multiply.outer(energies, -bs[cols])
         # Energies ascend, so each column's largest log-weight is at an end.
         top_logw = np.maximum(logw[0], logw[-1])
-        cw = np.cumsum(levels.counts[:, None] * np.exp(logw - top_logw), axis=0)
+        cw = np.cumsum(counts[:, None] * np.exp(logw - top_logw), axis=0)
         top = cw[-1]
         # Capped at the last level whose CDF entry is below top, as in
         # _draw_level: a trailing level whose weight underflowed is never drawn.
@@ -266,12 +243,16 @@ def draw_exact(oracle: SamplerOracle, b: float, rng: np.random.Generator) -> int
     """
     if oracle.kind != KIND_EXACT:
         raise ValueError("draw_exact needs an exact-enumeration oracle")
+    if oracle._by_level is None:
+        counts = oracle.model.counts.astype(np.int64)
+        order = np.argsort(oracle.model.hamiltonian, kind="stable")
+        oracle._by_level = order, np.cumsum(counts) - counts
+    order, starts = oracle._by_level
     level, t, cw = _draw_level(oracle, b, rng)
-    levels = oracle.levels
     lo = cw[level - 1] if level else 0.0
-    m = int(levels.counts[level])
+    m = int(oracle.model.counts[level])
     offset = min(int((t - lo) / (cw[level] - lo) * m), m - 1)
-    return int(levels.order[levels.starts[level] + offset])
+    return int(order[starts[level] + offset])
 
 
 def _accept_tables(oracle: SamplerOracle, b: float):
@@ -390,6 +371,7 @@ def metropolis_sweep_matrix(model: GibbsModel, b: float) -> np.ndarray:
     """
     if model.graph is None:
         raise ValueError("sweep matrix requires an Ising model")
+    require_enumerable(model.num_states)
     nv = model.graph.num_vertices
     adj = model.graph.adjacency()
     size = 2 ** nv
@@ -409,6 +391,7 @@ def metropolis_sweep_matrix(model: GibbsModel, b: float) -> np.ndarray:
 
 def mcmc_draw_distribution(model: GibbsModel, b: float, sweeps: int) -> np.ndarray:
     """Exact distribution of a restart-MCMC draw after the given sweep count."""
+    require_enumerable(model.num_states)
     size = model.num_states
     dist = np.full(size, 1.0 / size)
     if sweeps > 0:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 import gibbs_partition.models as models
+from conftest import row_transfer_log_partition
 from gibbs_partition.cli import (
     ConfigError,
     ExperimentConfig,
@@ -175,6 +176,33 @@ def test_main_exact_infeasible_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(models, "ENUMERATION_GUARD", 4)
     assert main(["run", "--model", "cycle-4", "--beta", "1", "--method", "exact"]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_main_mcmc_past_the_guard_exit_3(capsys):
+    # grid-5x5 counts its levels, but MCMC needs its 2^25-entry state table.
+    assert main(["run", "--model", "grid-5x5", "--beta", "0.5", "--sampler", "mcmc",
+                 "--tv-budget", "0.001"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_grid_past_the_guard_runs_with_exact_truth(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["run", "--model", "grid-8x8", "--beta", "0.5", "--seed", "3",
+                 "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    truth = float(row["true_log_ratio"])
+    assert truth == pytest.approx(row_transfer_log_partition(8, 8, 0.5) - 64 * math.log(2))
+    assert abs(float(row["log_estimate"]) - truth) <= 5 * math.log(1.1)
+
+
+def test_exact_method_on_grid_10x10(tmp_path):
+    out = tmp_path / "exact.csv"
+    assert main(["run", "--model", "grid-10x10", "--beta", "0.5", "--method", "exact",
+                 "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    expected = row_transfer_log_partition(10, 10, 0.5) - 100 * math.log(2)
+    assert float(row["true_log_ratio"]) == pytest.approx(expected, rel=1e-12)
+    assert float(row["log_estimate"]) == float(row["true_log_ratio"])
 
 
 def test_json_format_includes_wall_time(tmp_path):

@@ -511,3 +511,20 @@ def test_sample_bound_values(k2):
     )
     assert val == pytest.approx(by_hand, rel=1e-12)
     assert sample_bound_shifted(1.0, 2, 1.0, 0.1) > 0
+
+
+def test_grid_levels_and_enumerated_table_estimate_alike():
+    from gibbs_partition import grid_edges, grid_model, ising_model
+
+    # The transfer-matrix levels are the enumerated table's levels, so every
+    # draw, and with it every stage of the pipeline, is the same.
+    for seed in range(10):
+        by_levels, by_table = (
+            paired_product_estimate(
+                exact_oracle(model), 0.5, 0.1, stage_stream(seed, "grid-alike", 0)
+            )
+            for model in (grid_model(4, 4), ising_model(grid_edges(4, 4), 16))
+        )
+        assert by_levels.log_ratio_estimate == by_table.log_ratio_estimate
+        assert by_levels.draws_total == by_table.draws_total
+        assert by_levels.schedule.betas == by_table.schedule.betas

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 import gibbs_partition.models as models
 from gibbs_partition import (
     EnumerationGuardError,
     constant_model,
     grid_edges,
+    grid_model,
     ising_model,
     load_model,
     log_partition_exact,
@@ -25,7 +27,7 @@ from gibbs_partition import (
     table_model,
 )
 
-from conftest import brute_ising_energies, brute_z, tiny_models
+from conftest import brute_ising_energies, brute_z, row_transfer_log_partition, tiny_models
 
 BETA_GRID = [0.0, 0.25, 0.5, 1.0, 2.0]
 
@@ -215,3 +217,122 @@ def test_json_loader_validates(tmp_path):
     path.write_text(json.dumps({"type": "ising", "num_vertices": 2, "edges": [[0, 0]]}))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+# --- levels as the model ----------------------------------------------------
+
+GRID_SHAPES = [(r, c) for r in range(1, 17) for c in range(1, 17) if r * c <= 16]
+
+
+@pytest.mark.parametrize("rows,cols", GRID_SHAPES)
+def test_grid_model_levels_match_enumeration(rows, cols):
+    grid = grid_model(rows, cols)
+    enumerated = ising_model(grid_edges(rows, cols), rows * cols)
+    energies, counts = np.unique(enumerated.hamiltonian, return_counts=True)
+    assert grid.energies.tolist() == energies.tolist()
+    assert grid.counts.tolist() == counts.tolist()
+    assert grid.graph == enumerated.graph
+    assert grid.n_bound == enumerated.n_bound
+    assert grid.num_states == enumerated.num_states == 2 ** (rows * cols)
+    assert not grid.enumerated
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 3), (2, 5), (5, 2)])
+def test_grid_model_state_table_is_built_on_first_read(rows, cols):
+    grid = grid_model(rows, cols)
+    assert grid._table is None
+    expected = brute_ising_energies(grid_edges(rows, cols), rows * cols)
+    assert grid.hamiltonian.tolist() == expected
+    assert grid.hamiltonian is grid.hamiltonian
+
+
+@pytest.mark.parametrize("label,model", tiny_models())
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.0])
+def test_level_truth_matches_per_state_sum(label, model, beta):
+    per_state = float(scipy_logsumexp(-beta * model.hamiltonian))
+    assert log_partition_exact(model, beta).value == pytest.approx(per_state, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows,cols", [(10, 10), (6, 9), (9, 6), (1, 30)])
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+def test_grid_truth_past_the_guard_matches_row_transfer(rows, cols, beta):
+    grid = grid_model(rows, cols)
+    width = min(rows, cols)
+    expected = row_transfer_log_partition(rows * cols // width, width, beta)
+    assert log_partition_exact(grid, beta).value == pytest.approx(expected, rel=1e-12)
+
+
+def test_grid_8x8_counts_every_state():
+    grid = grid_model(8, 8)
+    assert log_partition_exact(grid, 0.0).value == pytest.approx(64 * math.log(2), abs=1e-12)
+    assert grid.num_states == 2 ** 64
+    assert len(grid.energies) == 111
+    with pytest.raises(EnumerationGuardError):
+        grid.hamiltonian
+
+
+def test_grid_model_refuses_fronts_past_the_guard():
+    with pytest.raises(EnumerationGuardError):
+        grid_model(20, 20)
+    with pytest.raises(EnumerationGuardError):
+        grid_model(1, 1024)
+    with pytest.raises(ValueError):
+        grid_model(0, 3)
+
+
+def test_shift_moves_levels_and_defers_the_table():
+    grid = grid_model(3, 3)
+    shifted = shift_hamiltonian(grid, -30.0)
+    assert shifted.energies.tolist() == (grid.energies - 30.0).tolist()
+    assert shifted.counts.tolist() == grid.counts.tolist()
+    assert grid._table is None and shifted._table is None
+    assert shifted.hamiltonian.tolist() == (grid.hamiltonian - 30.0).tolist()
+    # Levels that round to one energy merge, with their counts added.
+    merged = shift_hamiltonian(table_model([0.0, 1e-17, 1e-17, 2.0]), 4.0)
+    assert merged.energies.tolist() == [4.0, 6.0]
+    assert merged.counts.tolist() == [3.0, 1.0]
+
+
+def test_level_model_validation():
+    levels_of = {
+        "no state count": dict(levels=([-1.0, 0.0], [1.0, 1.0])),
+        "descending": dict(levels=([0.0, -1.0], [1.0, 1.0]), num_states=2),
+        "empty level": dict(levels=([-1.0, 0.0], [1.0, 0.0]), num_states=1),
+        "ragged": dict(levels=([-1.0, 0.0], [2.0]), num_states=2),
+    }
+    for kwargs in levels_of.values():
+        with pytest.raises(ValueError):
+            models.GibbsModel(lambda: None, 1, "nonpositive", True, **kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.floats(-800, 800), st.sampled_from([0.0, 1.0, -1.0, 709.0, -math.inf])),
+        min_size=1,
+        max_size=60,
+    ),
+    scale=st.sampled_from([1e-3, 1.0, 500.0]),
+)
+def test_logsumexp_rounds_as_scipy(values, scale):
+    a = np.array(values) * scale
+    ours, scipys = models.logsumexp(a), float(scipy_logsumexp(a))
+    assert ours == scipys or (math.isnan(ours) and math.isnan(scipys))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-math.inf],
+        [math.inf, 1.0],
+        [-math.inf, -math.inf],
+        [math.nan, 1.0],
+        [1e308, 1e308],
+        [3.0] * 7,
+        np.linspace(-5.0, 5.0, 20_000),
+    ],
+)
+def test_logsumexp_edge_cases_round_as_scipy(values):
+    a = np.asarray(values, dtype=float)
+    ours, scipys = models.logsumexp(a), float(scipy_logsumexp(a))
+    assert ours == scipys or (math.isnan(ours) and math.isnan(scipys))

@@ -438,3 +438,71 @@ def test_coupling_failure_bound_rejects_negative():
         coupling_failure_bound(-0.1, 5)
     with pytest.raises(ValueError):
         coupling_failure_bound(0.1, -5)
+
+
+# --- models counted by levels, past the enumeration guard -------------------
+
+
+def test_exact_oracle_draws_from_levels_past_the_guard():
+    from gibbs_partition import grid_model, mean_neg_energy
+
+    # 2^64 states: the oracle reads only the 111 levels.
+    grid = grid_model(8, 8)
+    oracle = exact_oracle(grid)
+    n = 20_000
+    energies = oracle.draw_energies(0.5, n, _rng("grid-8x8"))
+    assert set(energies.tolist()) <= set(grid.energies.tolist())
+    assert oracle.counter.total == n
+    se = energies.std(ddof=1) / math.sqrt(n)
+    assert abs(-energies.mean() - mean_neg_energy(grid, 0.5)) <= 4 * se
+
+
+def test_grid_levels_and_enumerated_table_draw_alike():
+    from gibbs_partition import grid_edges, grid_model, ising_model
+
+    by_levels = exact_oracle(grid_model(3, 3))
+    by_table = exact_oracle(ising_model(grid_edges(3, 3), 9))
+    bs = _rng("grid-alike-b").random(300) * 2.0
+    g1, g2 = _rng("grid-alike"), _rng("grid-alike")
+    assert by_levels.draw_energies_at(bs, g1).tolist() == by_table.draw_energies_at(bs, g2).tolist()
+    assert by_levels.draw_energies(0.7, 500, g1).tolist() == by_table.draw_energies(0.7, 500, g2).tolist()
+    assert [by_levels.draw(1.3, g1) for _ in range(500)] == [by_table.draw(1.3, g2) for _ in range(500)]
+
+
+class _NoDraws:
+    """Generator stand-in that fails the test if anything draws from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the generator was used ({name})")
+
+
+def test_state_level_consumers_refuse_models_past_the_guard():
+    from gibbs_partition import EnumerationGuardError, grid_model
+
+    grid = grid_model(5, 5)  # 2^25 states, one past the guard
+    with pytest.raises(EnumerationGuardError):
+        mcmc_oracle(grid, mcmc_steps=5, tv_budget_per_draw=0.1)
+    oracle = exact_oracle(grid)
+    with pytest.raises(EnumerationGuardError):
+        oracle.draw(0.5, _NoDraws())
+    assert oracle.counter.total == 0
+    with pytest.raises(EnumerationGuardError):
+        draw_exact(oracle, 0.5, _NoDraws())
+    with pytest.raises(EnumerationGuardError):
+        gibbs_distribution(grid, 0.5)
+    with pytest.raises(EnumerationGuardError):
+        metropolis_sweep_matrix(grid, 0.5)
+    with pytest.raises(EnumerationGuardError):
+        mcmc_draw_distribution(grid, 0.5, 3)
+    # Draws that need only the levels still work.
+    assert oracle.draw_energies(0.5, 10, _rng("past-guard")).shape == (10,)
+
+
+def test_mcmc_oracle_on_a_grid_model_reads_its_table():
+    from gibbs_partition import grid_edges, grid_model, ising_model
+
+    by_levels = mcmc_oracle(grid_model(2, 3), mcmc_steps=3, tv_budget_per_draw=0.1)
+    by_table = mcmc_oracle(ising_model(grid_edges(2, 3), 6), mcmc_steps=3, tv_budget_per_draw=0.1)
+    e1 = by_levels.draw_energies(0.8, 300, _rng("mcmc-grid"))
+    e2 = by_table.draw_energies(0.8, 300, _rng("mcmc-grid"))
+    assert e1.tolist() == e2.tolist()

@@ -1,4 +1,5 @@
-"""Smoke tests: the experiment scripts run end to end and print their headers."""
+"""Smoke tests: the experiment scripts run end to end and print their headers,
+and the package imports without its test dependencies."""
 
 import os
 import subprocess
@@ -12,18 +13,29 @@ from gibbs_partition.cli import COMPARE_FIELDS
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name, *args):
+def _run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def _run_script(name, *args):
+    return _run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test dependency only; the package runs on numpy alone.
+    done = _run_python("-c", "import sys, gibbs_partition; print('scipy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_compare_baselines_runs():
