@@ -33,7 +33,6 @@ from .samplers import (
     SamplerOracle,
     coupling_failure_bound,
     draw_exact,
-    draw_mcmc,
     draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,
@@ -47,8 +46,6 @@ from .tpa import (
     merge_runs,
     thin,
     tpa_run,
-    tpa_run_nonnegative,
-    tpa_run_nonpositive,
     tpa_runs,
 )
 from .schedule import (
@@ -73,12 +70,10 @@ from .estimators import (
     paired_replicate,
     paired_replicate_logs,
     prepare,
-    product_estimate,
     product_log_estimate,
     replicate_count,
     sample_bound_integer,
     sample_bound_shifted,
-    single_shot_estimate,
     single_shot_log_estimate,
 )
 from .streams import stage_stream

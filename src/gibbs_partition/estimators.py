@@ -259,13 +259,6 @@ def single_shot_log_estimate(
     return logsumexp(logs) - math.log(num_draws)
 
 
-def single_shot_estimate(
-    oracle: SamplerOracle, beta: float, num_draws: int, rng: np.random.Generator
-) -> float:
-    """Plain importance baseline: mean of exp(-beta H(X)) under X ~ pi_0."""
-    return exp_or_inf(single_shot_log_estimate(oracle, beta, num_draws, rng))
-
-
 def bezakova_schedule(q: float, n: int, beta: float) -> CoolingSchedule:
     """Fixed two-piece schedule: linear steps 1/n up to ceil(q)/n, then
     geometric growth by 1 + 1/q, truncated at and capped by beta.
@@ -316,17 +309,6 @@ def product_log_estimate(
         logs = -width * oracle.draw_energies(betas[i], draws_per_stage, rng)
         log_total += logsumexp(logs) - math.log(draws_per_stage)
     return log_total
-
-
-def product_estimate(
-    schedule: CoolingSchedule,
-    oracle: SamplerOracle,
-    draws_per_stage: int,
-    rng: np.random.Generator,
-) -> float:
-    """Multistage product baseline: per stage i, the sample mean of
-    exp(-(beta_{i+1} - beta_i) H(X)) with X ~ pi_{beta_i}; stages multiply."""
-    return exp_or_inf(product_log_estimate(schedule, oracle, draws_per_stage, rng))
 
 
 def sample_bound_integer(q: float, n: int, epsilon: float) -> float:

@@ -410,7 +410,8 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
 
 
 def model_to_dict(model: GibbsModel) -> dict:
-    if model.graph is not None:
+    # A shift moves the ground level off the graph's -|E|; only a table keeps it.
+    if model.graph is not None and model.energies[0] == -len(model.graph.edges):
         return {
             "type": "ising",
             "num_vertices": model.graph.num_vertices,
@@ -441,5 +442,6 @@ def load_model(path) -> GibbsModel:
 
 
 def save_model(model: GibbsModel, path) -> None:
+    spec = model_to_dict(model)  # may raise; then no file is opened
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh)
+        json.dump(spec, fh)

@@ -1,16 +1,16 @@
 """Sampling oracles for pi_b: exact enumeration and restart-Metropolis MCMC.
 
 Every consumer of draws reads only the energy H(X), so the oracle contract
-is ``draw_energy(b, rng)`` for one draw, ``draw_energies(b, n, rng)`` for
-n independent draws at one b and ``draw_energies_at(bs, rng)`` for one draw
-at each b of an array; ``draw`` still returns a state index.  The exact
+is ``draw_energies(b, n, rng)`` for n independent draws at one b and
+``draw_energies_at(bs, rng)`` for one draw at each b of an array; ``draw``
+returns one state index, the reference both are checked against.  The exact
 oracle samples from the model's density of states (its distinct energy
 levels and their multiplicities), so building it and a draw at a fresh b
 cost O(levels), not O(states), and only ``draw`` reads the state table;
-the MCMC oracle runs restart chains in lockstep.  Every draw
-consumes a caller-supplied numpy Generator, and every draw is tallied in
-the oracle's counter with the b value it was served at; the counter is the
-ground truth for all sample-complexity accounting.
+the MCMC oracle runs restart chains in lockstep, a lone ``draw`` as one
+chain.  Every draw consumes a caller-supplied numpy Generator, and every
+draw is tallied in the oracle's counter with the b value it was served at;
+the counter is the ground truth for all sample-complexity accounting.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .models import GibbsModel, require_enumerable
 KIND_EXACT = "exact-enumeration"
 KIND_MCMC = "mcmc"
 
-# Entries kept in the per-b cache of Metropolis acceptance tables.
-_CACHE_CAP = 128
 # Entries per block of level-CDF columns in a draw at many fresh b values.
 _MATRIX_CAP = 1 << 16
 
@@ -83,7 +81,6 @@ class SamplerOracle:
     tv_budget_per_draw: float = 0.0
     mcmc_steps: int = 0
     counter: DrawCounter = field(default_factory=DrawCounter)
-    _accept_cache: dict = field(default_factory=dict, repr=False)
     # States sorted by (energy, index) and where each level starts in that
     # order; only ``draw`` on an exact oracle needs them, so built on first use.
     _by_level: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
@@ -106,25 +103,19 @@ class SamplerOracle:
     def draw(self, b: float, rng: np.random.Generator) -> int:
         if self.kind == KIND_EXACT:
             return draw_exact(self, b, rng)
-        return draw_mcmc(self, b, rng)
-
-    def draw_energy(self, b: float, rng: np.random.Generator) -> float:
-        """H(X) for one X ~ pi_b; consumes the generator exactly as ``draw``."""
-        if self.kind == KIND_EXACT:
-            return self.model.energies.item(_draw_level(self, b, rng)[0])
-        return float(self.model.hamiltonian[draw_mcmc(self, b, rng)])
+        return int(draw_mcmc_lockstep(self, b, 1, rng)[0])
 
     def draw_energies(self, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """H(X) for n independent X ~ pi_b, as one array.
 
-        For exact oracles this equals n ``draw_energy`` calls on the same
-        generator; MCMC oracles run n restart chains in lockstep.
+        For exact oracles this equals the energies of n ``draw`` calls on
+        the same generator; MCMC oracles run n restart chains in lockstep.
         """
         if self.kind == KIND_EXACT:
             cw = np.asarray(_level_cdf(self, b))
             t = rng.random(n) * cw[-1]
             self.counter.record(b, n)
-            # As in _draw_level, t can round up to cw[-1].
+            # As in draw_exact, t can round up to cw[-1].
             return self.model.energies[
                 np.minimum(np.searchsorted(cw, t, side="right"), len(cw) - 1)
             ]
@@ -133,9 +124,9 @@ class SamplerOracle:
     def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """H(X_j) for independent X_j ~ pi_{bs[j]}, one per entry of ``bs``.
 
-        For exact oracles this equals ``[draw_energy(b, rng) for b in bs]``
-        draw for draw; MCMC oracles run one restart chain per entry, each at
-        its own b, in lockstep.
+        For exact oracles this equals the energies of ``[draw(b, rng) for b
+        in bs]`` draw for draw; MCMC oracles run one restart chain per
+        entry, each at its own b, in lockstep.
         """
         bs = np.asarray(bs, dtype=float)
         if self.kind == KIND_EXACT:
@@ -193,25 +184,13 @@ def _level_cdf(oracle: SamplerOracle, b: float) -> list[float]:
     return cw
 
 
-def _draw_level(
-    oracle: SamplerOracle, b: float, rng: np.random.Generator
-) -> tuple[int, float, list[float]]:
-    """Level l of X ~ pi_b by CDF inversion over levels, with the point t
-    the one uniform landed on and the level CDF it was inverted against."""
-    cw = _level_cdf(oracle, b)
-    t = rng.random() * cw[-1]
-    oracle.counter.record(b)
-    # t can round up to cw[-1], where bisect_right runs past the top level.
-    return min(bisect_right(cw, t), len(cw) - 1), t, cw
-
-
 def _draw_levels_at(
     oracle: SamplerOracle, bs: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Energies of one draw at each b of ``bs``, one level-CDF column per b.
 
     Each column is the list ``_level_cdf`` builds for its b, and the draw
-    inverts it as ``_draw_level`` does.  Columns are built in blocks of at
+    inverts it as ``draw_exact`` does.  Columns are built in blocks of at
     most _MATRIX_CAP entries, so a model with many levels never holds a
     levels x len(bs) matrix at once.
     """
@@ -228,7 +207,7 @@ def _draw_levels_at(
         cw = np.cumsum(counts[:, None] * np.exp(logw - top_logw), axis=0)
         top = cw[-1]
         # Capped at the last level whose CDF entry is below top, as in
-        # _draw_level: a trailing level whose weight underflowed is never drawn.
+        # draw_exact: a trailing level whose weight underflowed is never drawn.
         level = np.minimum((cw <= u[cols] * top).sum(axis=0), (cw < top).sum(axis=0))
         out[cols] = energies[level]
     oracle.counter.record_each(bs)
@@ -238,8 +217,9 @@ def _draw_levels_at(
 def draw_exact(oracle: SamplerOracle, b: float, rng: np.random.Generator) -> int:
     """One state from pi_b by inversion over states sorted by (energy, index).
 
-    The uniform picks a level as in ``draw_energy``; where it lands inside
-    that level's CDF step picks one of the level's equally weighted states.
+    The uniform picks a level by CDF inversion over levels; where it lands
+    inside that level's CDF step picks one of the level's equally weighted
+    states.
     """
     if oracle.kind != KIND_EXACT:
         raise ValueError("draw_exact needs an exact-enumeration oracle")
@@ -248,62 +228,15 @@ def draw_exact(oracle: SamplerOracle, b: float, rng: np.random.Generator) -> int
         order = np.argsort(oracle.model.hamiltonian, kind="stable")
         oracle._by_level = order, np.cumsum(counts) - counts
     order, starts = oracle._by_level
-    level, t, cw = _draw_level(oracle, b, rng)
+    cw = _level_cdf(oracle, b)
+    t = rng.random() * cw[-1]
+    oracle.counter.record(b)
+    # t can round up to cw[-1], where bisect_right runs past the top level.
+    level = min(bisect_right(cw, t), len(cw) - 1)
     lo = cw[level - 1] if level else 0.0
     m = int(oracle.model.counts[level])
     offset = min(int((t - lo) / (cw[level] - lo) * m), m - 1)
     return int(order[starts[level] + offset])
-
-
-def _accept_tables(oracle: SamplerOracle, b: float):
-    # accept[v][a] = min(1, exp(-b * deltaH)) for flipping site v with a
-    # currently-aligned neighbors; deltaH = 2a - deg(v).
-    tables = oracle._accept_cache.get(b)
-    if tables is None:
-        adj = oracle.model.graph.adjacency()
-        tables = []
-        for v in range(oracle.model.graph.num_vertices):
-            deg = len(adj[v])
-            row = []
-            for a in range(deg + 1):
-                delta = 2 * a - deg
-                row.append(1.0 if delta <= 0 else math.exp(-b * delta))
-            tables.append(row)
-        if len(oracle._accept_cache) >= _CACHE_CAP:
-            oracle._accept_cache.pop(next(iter(oracle._accept_cache)))
-        oracle._accept_cache[b] = tables
-    return tables
-
-
-def draw_mcmc(oracle: SamplerOracle, b: float, rng: np.random.Generator) -> int:
-    """State after mcmc_steps systematic Metropolis sweeps from a uniform start.
-
-    Each draw restarts from a fresh uniform state so draws are independent,
-    at the cost of re-running the burn-in every time.
-    """
-    if oracle.kind != KIND_MCMC:
-        raise ValueError("draw_mcmc needs an mcmc oracle")
-    graph = oracle.model.graph
-    nv = graph.num_vertices
-    adj = graph.adjacency()
-    state = int(rng.integers(0, 2 ** nv))
-    steps = oracle.mcmc_steps
-    if steps > 0:
-        accept = _accept_tables(oracle, b)
-        us = rng.random(steps * nv)
-        pos = 0
-        for _ in range(steps):
-            for v in range(nv):
-                sv = (state >> v) & 1
-                aligned = 0
-                for u_ in adj[v]:
-                    if ((state >> u_) & 1) == sv:
-                        aligned += 1
-                if us[pos] < accept[v][aligned]:
-                    state ^= 1 << v
-                pos += 1
-    oracle.counter.record(b)
-    return state
 
 
 def draw_mcmc_lockstep(
@@ -311,11 +244,11 @@ def draw_mcmc_lockstep(
 ) -> np.ndarray:
     """States of n independent restart chains run in lockstep.
 
-    The kernel is ``draw_mcmc``'s, applied to all chains at once: spins are
-    kept as one 0/1 array per site, and each site update draws n uniforms.
-    ``b`` is one value for every chain or an array of n values, one per
-    chain.  With n = 1 it consumes the generator exactly as one
-    ``draw_mcmc`` call.
+    Each chain runs mcmc_steps systematic Metropolis sweeps from a fresh
+    uniform state, so draws are independent, at the cost of re-running the
+    burn-in every time.  Spins are kept as one 0/1 array per site, and each
+    site update draws n uniforms.  ``b`` is one value for every chain or an
+    array of n values, one per chain.
     """
     if oracle.kind != KIND_MCMC:
         raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
@@ -328,18 +261,16 @@ def draw_mcmc_lockstep(
     states = rng.integers(0, 2 ** nv, size=n)
     if oracle.mcmc_steps > 0:
         spins = [(states >> v) & 1 for v in range(nv)]
-        if per_chain:
-            # accept[v][a, j] = min(1, exp(-b_j * deltaH)), deltaH = 2a - deg(v).
-            chain = np.arange(n)
-            degrees = [len(adj[v]) for v in range(nv)]
-            by_degree = {
-                deg: np.exp(-np.multiply.outer(np.maximum(2 * np.arange(deg + 1) - deg, 0), b))
-                for deg in set(degrees)
-            }
-            accept = [by_degree[deg] for deg in degrees]
-        else:
-            chain = 0
-            accept = [np.array(row)[:, None] for row in _accept_tables(oracle, b)]
+        # accept[v][a, j] = min(1, exp(-b_j * deltaH)), deltaH = 2a - deg(v),
+        # with one column j for a scalar b.
+        chain = np.arange(n) if per_chain else 0
+        bs = np.atleast_1d(b)
+        degrees = [len(adj[v]) for v in range(nv)]
+        by_degree = {
+            deg: np.exp(-np.multiply.outer(np.maximum(2 * np.arange(deg + 1) - deg, 0), bs))
+            for deg in set(degrees)
+        }
+        accept = [by_degree[deg] for deg in degrees]
         for _ in range(oracle.mcmc_steps):
             for v in range(nv):
                 # Uniforms one site at a time: a whole (steps * nv) x n block

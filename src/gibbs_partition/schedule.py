@@ -124,24 +124,20 @@ def initial_estimate(
     beta: float,
     rng: np.random.Generator,
     runs: int = 5,
-    normalized: bool = True,
     trace: list | None = None,
 ) -> tuple[float, int]:
     """Estimate q from ``runs`` TPA runs walked together.
 
     Returns (q_hat1, draws_used).  q_hat1 is the merged point count divided
     by the run count, so it estimates q itself; with the default 5 runs,
-    q_hat1 + 1/2 >= q/2 with probability >= 99%.  ``normalized=False``
-    returns the raw merged count instead (mean 5q), for fidelity
-    experiments against the literal step-1 phrasing.
+    q_hat1 + 1/2 >= q/2 with probability >= 99%.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     before = oracle.counter.total
     merged = tpa_runs(oracle, beta, runs, rng, trace=trace)
     draws_used = oracle.counter.total - before
-    count = float(len(merged))
-    return (count / runs if normalized else count), draws_used
+    return len(merged) / runs, draws_used
 
 
 def select_params(q_hat1: float, n: int, regime: str, beta: float) -> ScheduleParams:

@@ -57,7 +57,6 @@ def tpa_runs(
     runs: int,
     rng: np.random.Generator,
     trace: list | None = None,
-    first_run_id: int = 0,
 ) -> PointProcess:
     """Superposition of ``runs`` independent rate-1 runs, walked in lockstep.
 
@@ -70,7 +69,7 @@ def tpa_runs(
     this consumes the generator exactly as a run walked on its own.
 
     ``trace`` receives one record per step, grouped by run in step order,
-    with run ids counted from ``first_run_id``.
+    with run ids counted from 0.
     """
     sign = oracle.model.sign_class
     if sign == SIGN_NONPOSITIVE:
@@ -84,7 +83,7 @@ def tpa_runs(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     b = np.full(runs, float(start))
-    ids = np.arange(first_run_id, first_run_id + runs)
+    ids = np.arange(runs)
     points, steps = [], []
     # H(X) = 0 divides by zero; np.where then takes the jump.
     with np.errstate(divide="ignore"):
@@ -114,36 +113,9 @@ def tpa_run(
     beta: float,
     rng: np.random.Generator,
     trace: list | None = None,
-    run_id: int = 0,
 ) -> PointProcess:
     """One rate-1 run; mixed models must be shifted first."""
-    return tpa_runs(oracle, beta, 1, rng, trace, first_run_id=run_id)
-
-
-def tpa_run_nonpositive(
-    oracle: SamplerOracle,
-    beta: float,
-    rng: np.random.Generator,
-    trace: list | None = None,
-    run_id: int = 0,
-) -> PointProcess:
-    """One rate-1 run for H <= 0: walk b downward from beta."""
-    if oracle.model.sign_class != SIGN_NONPOSITIVE:
-        raise ValueError("tpa_run_nonpositive requires a nonpositive Hamiltonian")
-    return tpa_run(oracle, beta, rng, trace, run_id)
-
-
-def tpa_run_nonnegative(
-    oracle: SamplerOracle,
-    beta: float,
-    rng: np.random.Generator,
-    trace: list | None = None,
-    run_id: int = 0,
-) -> PointProcess:
-    """Mirror run for H >= 0: walk b upward from 0."""
-    if oracle.model.sign_class != SIGN_NONNEGATIVE:
-        raise ValueError("tpa_run_nonnegative requires a nonnegative Hamiltonian")
-    return tpa_run(oracle, beta, rng, trace, run_id)
+    return tpa_runs(oracle, beta, 1, rng, trace)
 
 
 def merge_runs(runs: list[PointProcess]) -> PointProcess:

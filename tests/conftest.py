@@ -43,6 +43,46 @@ def brute_ising_energies(edges, num_vertices):
     return energies
 
 
+def draw_mcmc(oracle, b, rng):
+    """Reference restart-Metropolis draw: one chain, one site at a time.
+
+    The state after ``oracle.mcmc_steps`` systematic Metropolis sweeps from
+    a uniform start, with the sweeps' uniforms drawn as one block and the
+    acceptance probabilities computed with math.exp.  The draw is recorded
+    in the oracle's counter, as a library draw is.
+    """
+    graph = oracle.model.graph
+    nv = graph.num_vertices
+    adj = graph.adjacency()
+    # accept[v][a] = min(1, exp(-b * deltaH)) for flipping site v with a
+    # currently-aligned neighbors; deltaH = 2a - deg(v).
+    accept = []
+    for v in range(nv):
+        deg = len(adj[v])
+        row = []
+        for a in range(deg + 1):
+            delta = 2 * a - deg
+            row.append(1.0 if delta <= 0 else math.exp(-b * delta))
+        accept.append(row)
+    state = int(rng.integers(0, 2 ** nv))
+    steps = oracle.mcmc_steps
+    if steps > 0:
+        us = rng.random(steps * nv)
+        pos = 0
+        for _ in range(steps):
+            for v in range(nv):
+                sv = (state >> v) & 1
+                aligned = 0
+                for u_ in adj[v]:
+                    if ((state >> u_) & 1) == sv:
+                        aligned += 1
+                if us[pos] < accept[v][aligned]:
+                    state ^= 1 << v
+                pos += 1
+    oracle.counter.record(b)
+    return state
+
+
 def brute_z(model, beta):
     return brute_log_partition(model.hamiltonian.tolist(), beta)
 

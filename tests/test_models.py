@@ -207,6 +207,18 @@ def test_json_roundtrip(tmp_path, k2, mixed_table):
         assert loaded.sign_class == model.sign_class
 
 
+def test_json_roundtrip_keeps_a_shift(tmp_path, k2):
+    path = tmp_path / "model.json"
+    save_model(shift_hamiltonian(k2, -2.0), path)
+    assert load_model(path).energies.tolist() == [-3.0, -2.0]
+    assert model_to_dict(k2)["type"] == "ising"
+    assert model_to_dict(grid_model(3, 3))["type"] == "ising"
+    # Past the guard a shifted grid has no table to write, and no file is written.
+    with pytest.raises(EnumerationGuardError):
+        save_model(shift_hamiltonian(grid_model(5, 5), -2.0), tmp_path / "grid.json")
+    assert not (tmp_path / "grid.json").exists()
+
+
 def test_json_loader_validates(tmp_path):
     assert model_to_dict(table_model([1.0]))["type"] == "table"
     with pytest.raises(ValueError):

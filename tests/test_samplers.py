@@ -11,7 +11,6 @@ from scipy import stats
 from gibbs_partition import (
     coupling_failure_bound,
     draw_exact,
-    draw_mcmc,
     draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,
@@ -24,7 +23,7 @@ from gibbs_partition import (
     shift_hamiltonian,
 )
 
-from conftest import tiny_models
+from conftest import draw_mcmc, tiny_models
 
 SEED = 1811
 
@@ -87,7 +86,7 @@ def test_flat_hamiltonian_uniform_at_any_b():
 @pytest.mark.parametrize("label,model", tiny_models())
 @pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.0])
 def test_draw_energy_matches_draw(label, model, b):
-    # The energy contract and the state contract consume a generator alike.
+    # One energy at a time and one state at a time consume a generator alike.
     makers = [exact_oracle]
     if model.graph is not None:
         makers.append(lambda m: mcmc_oracle(m, mcmc_steps=3, tv_budget_per_draw=0.1))
@@ -95,7 +94,7 @@ def test_draw_energy_matches_draw(label, model, b):
         by_energy, by_state = make(model), make(model)
         g1 = _rng(f"energy-{label}", int(b * 10))
         g2 = _rng(f"energy-{label}", int(b * 10))
-        energies = [by_energy.draw_energy(b, g1) for _ in range(1000)]
+        energies = [by_energy.draw_energies(b, 1, g1).item() for _ in range(1000)]
         states = [by_state.draw(b, g2) for _ in range(1000)]
         assert energies == [float(model.hamiltonian[x]) for x in states]
         assert by_energy.counter.by_b == by_state.counter.by_b == {b: 1000}
@@ -104,13 +103,13 @@ def test_draw_energy_matches_draw(label, model, b):
 @pytest.mark.parametrize("label,model", tiny_models())
 @pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.0])
 def test_draw_energies_matches_draw_energy(label, model, b):
-    # n draws at once consume the generator exactly as n single draws.
+    # n draws at once consume the generator exactly as n state-index draws.
     batched, single = exact_oracle(model), exact_oracle(model)
     g1 = _rng(f"energies-{label}", int(b * 10))
     g2 = _rng(f"energies-{label}", int(b * 10))
     n = 1000
     energies = batched.draw_energies(b, n, g1)
-    assert energies.tolist() == [single.draw_energy(b, g2) for _ in range(n)]
+    assert energies.tolist() == model.hamiltonian[[single.draw(b, g2) for _ in range(n)]].tolist()
     assert batched.counter.by_b == {b: n}
     assert g1.random() == g2.random()
 
@@ -122,7 +121,7 @@ def test_draw_energies_at_matches_draw_energy(label, model):
     bs = _rng(f"fresh-b-{label}").random(500) * 2.0
     g1, g2 = _rng(f"energies-at-{label}"), _rng(f"energies-at-{label}")
     energies = per_b.draw_energies_at(bs, g1)
-    assert energies.tolist() == [single.draw_energy(b, g2) for b in bs.tolist()]
+    assert energies.tolist() == model.hamiltonian[[single.draw(b, g2) for b in bs.tolist()]].tolist()
     assert per_b.counter.by_b == single.counter.by_b
     assert per_b.counter.total == single.counter.total == 500
     assert g1.random() == g2.random()
@@ -137,7 +136,7 @@ def test_draw_energies_at_in_blocks_matches_draw_energy():
     bs = _rng("blocks-b").random(60) * 2.0
     g1, g2 = _rng("blocks"), _rng("blocks")
     energies = per_b.draw_energies_at(bs, g1)
-    assert energies.tolist() == [single.draw_energy(b, g2) for b in bs.tolist()]
+    assert energies.tolist() == model.hamiltonian[[single.draw(b, g2) for b in bs.tolist()]].tolist()
     assert per_b.counter.by_b == single.counter.by_b
 
 
@@ -155,7 +154,6 @@ def test_draw_never_lands_on_underflowed_level():
     # At b = 1 the weight of energy 2000 underflows to zero.
     oracle = exact_oracle(table_model([0.0, 1.0, 1.0, 2000.0]))
     assert oracle.draw(1.0, _TopUniform()) == 2
-    assert oracle.draw_energy(1.0, _TopUniform()) == 1.0
     assert oracle.draw_energies(1.0, 3, _TopUniform()).tolist() == [1.0] * 3
     # Row by row on the per-b path: at b = 0 no weight underflows.
     assert oracle.draw_energies_at([1.0, 0.0, 1.0], _TopUniform()).tolist() == [
@@ -267,26 +265,22 @@ def test_single_shot_relvar_matches_z_identity(label):
 
 def test_mcmc_zero_steps_is_uniform(k2):
     oracle = mcmc_oracle(k2, mcmc_steps=0, tv_budget_per_draw=0.5)
-    rng = _rng("mcmc0")
-    counts = np.zeros(4)
-    for _ in range(40_000):
-        counts[draw_mcmc(oracle, 1.0, rng)] += 1
+    counts = np.bincount(draw_mcmc_lockstep(oracle, 1.0, 40_000, _rng("mcmc0")), minlength=4)
     assert stats.chisquare(counts).pvalue > 0.001
     assert oracle.counter.total == 40_000
 
 
 def test_mcmc_b_zero_is_uniform(c4):
     oracle = mcmc_oracle(c4, mcmc_steps=5, tv_budget_per_draw=0.5)
-    counts = _draw_counts(oracle, 0.0, _rng("mcmc-b0"), 40_000)
+    counts = np.bincount(draw_mcmc_lockstep(oracle, 0.0, 40_000, _rng("mcmc-b0")), minlength=16)
     assert stats.chisquare(counts).pvalue > 0.001
 
 
 def test_mcmc_k2_converges_to_gibbs(k2):
     # spec example: 50 sweeps, empirical aligned probability within 0.01
     oracle = mcmc_oracle(k2, mcmc_steps=50, tv_budget_per_draw=0.01)
-    rng = _rng("mcmc50")
     n = 100_000
-    counts = _draw_counts(oracle, 1.0, rng, n)
+    counts = np.bincount(draw_mcmc_lockstep(oracle, 1.0, n, _rng("mcmc50")), minlength=4)
     aligned = (counts[0] + counts[3]) / n
     assert aligned == pytest.approx(0.7310585786300049, abs=0.01)
 
@@ -330,7 +324,8 @@ def test_mcmc_draws_match_exact_kernel(k2):
 @pytest.mark.parametrize("label", ["k2", "path-3", "cycle-4", "grid-2x2"])
 @pytest.mark.parametrize("sweeps", [0, 3])
 def test_mcmc_lockstep_one_chain_is_draw_mcmc(label, sweeps):
-    # The lockstep kernel with one chain is draw_mcmc, uniform for uniform.
+    # The lockstep kernel with one chain is the scalar reference kernel,
+    # uniform for uniform.
     model = dict(tiny_models())[label]
     lockstep = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     scalar = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)

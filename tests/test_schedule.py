@@ -62,16 +62,6 @@ def test_initial_estimate_k2_mean(k2):
     assert np.mean(estimates) == pytest.approx(q, rel=0.05)
 
 
-def test_initial_estimate_raw_count_mode(k2):
-    oracle = exact_oracle(k2)
-    rng = _rng("raw")
-    normalized, _ = initial_estimate(oracle, 1.0, rng, normalized=True)
-    oracle2 = exact_oracle(k2)
-    rng2 = _rng("raw")
-    raw, _ = initial_estimate(oracle2, 1.0, rng2, normalized=False)
-    assert raw == pytest.approx(5 * normalized)
-
-
 def test_initial_estimate_counts_draws(k2):
     oracle = exact_oracle(k2)
     before = oracle.counter.total

@@ -18,8 +18,6 @@ from gibbs_partition import (
     table_model,
     thin,
     tpa_run,
-    tpa_run_nonnegative,
-    tpa_run_nonpositive,
     tpa_runs,
 )
 
@@ -36,7 +34,7 @@ def _scalar_walk(oracle, beta, rng):
     b = beta if down else 0.0
     steps = []
     while True:
-        hx = oracle.draw_energy(b, rng)
+        hx = float(oracle.model.hamiltonian[oracle.draw(b, rng)])
         u = rng.random()
         while u == 0.0:
             u = rng.random()
@@ -53,14 +51,14 @@ def _scalar_walk(oracle, beta, rng):
 def test_flat_hamiltonian_one_draw_empty_run():
     model = table_model([0.0, 0.0, 0.0])
     oracle = exact_oracle(model)
-    run = tpa_run_nonpositive(oracle, 5.0, _rng("flat"))
+    run = tpa_run(oracle, 5.0, _rng("flat"))
     assert run.points == ()
     assert oracle.counter.total == 1
 
 
 def test_tiny_beta_gives_empty_run(k2):
     oracle = exact_oracle(k2)
-    run = tpa_run_nonpositive(oracle, 1e-12, _rng("tiny"))
+    run = tpa_run(oracle, 1e-12, _rng("tiny"))
     assert run.points == ()
 
 
@@ -89,10 +87,6 @@ def test_direction_dispatch(k2, const1, mixed_table):
     assert tpa_run(exact_oracle(const1), 1.0, rng).direction == "upward"
     with pytest.raises(ValueError):
         tpa_run(exact_oracle(mixed_table), 1.0, rng)
-    with pytest.raises(ValueError):
-        tpa_run_nonpositive(exact_oracle(const1), 1.0, rng)
-    with pytest.raises(ValueError):
-        tpa_run_nonnegative(exact_oracle(k2), 1.0, rng)
 
 
 def test_k2_run_length_is_poisson_q(k2):
@@ -234,10 +228,10 @@ def test_point_process_validation():
 def test_trace_records_every_step(k2):
     oracle = exact_oracle(k2)
     trace = []
-    run = tpa_run(oracle, 1.0, _rng("trace"), trace=trace, run_id=7)
+    run = tpa_run(oracle, 1.0, _rng("trace"), trace=trace)
     assert len(trace) == len(run) + 1
     for record in trace:
-        assert record["run_id"] == 7
+        assert record["run_id"] == 0
         assert set(record) == {"run_id", "b", "H", "U"}
         assert 0.0 < record["U"] < 1.0
 
@@ -300,12 +294,12 @@ def test_lockstep_trace_is_grouped_by_run(label, request):
     oracle = exact_oracle(request.getfixturevalue(label))
     beta, runs = 1.0, 40
     trace = []
-    process = tpa_runs(oracle, beta, runs, _rng(f"trace-{label}"), trace=trace, first_run_id=3)
+    process = tpa_runs(oracle, beta, runs, _rng(f"trace-{label}"), trace=trace)
     ids = [r["run_id"] for r in trace]
     assert ids == sorted(ids)
-    assert sorted(set(ids)) == list(range(3, 3 + runs))
+    assert sorted(set(ids)) == list(range(runs))
     points = 0
-    for run_id in range(3, 3 + runs):
+    for run_id in range(runs):
         bs = [r["b"] for r in trace if r["run_id"] == run_id]
         assert all(0.0 < b < beta for b in bs[:-1])
         assert not 0.0 < bs[-1] < beta
