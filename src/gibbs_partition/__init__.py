@@ -70,6 +70,7 @@ from .estimators import (
     paired_replicate,
     paired_replicate_logs,
     prepare,
+    product_baseline_log_estimate,
     product_log_estimate,
     replicate_count,
     sample_bound_integer,

@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError("boost must be a positive odd integer")
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
+        if self.schedule_out and self.method != "paired":
+            raise ConfigError("schedule_out saves a paired schedule; use method paired")
 
 
 def build_model(spec: str) -> models.GibbsModel:
@@ -166,56 +168,27 @@ def _save_schedule(path: str, schedule: sched_mod.CoolingSchedule, params) -> No
         json.dump(spec, fh)
 
 
-def export_schedule(config: ExperimentConfig):
-    """The schedule repetition 0 of a paired run with this config builds.
-
-    It comes from the same stream and overrides, so at boost 1 a run that
-    reuses it gives the same estimate as the same-seed run without it.
-    """
-    # Steps 1-2 do not depend on the replicate count, so one replicate is
-    # enough to get the schedule the full run would build.
-    overrides = replace(estimators.ParamOverrides(**config.overrides), replicates=1)
-    est = estimators.paired_product_estimate(
-        build_oracle(build_model(config.model), config),
-        config.beta,
-        config.epsilon,
-        stage_stream(config.seed, "paired-rep", 0),
-        overrides=overrides,
-    )
-    return est.schedule, est.params
-
-
 def _run_repetition(cfg: dict, rep: int) -> dict:
-    """One independent repetition; safe to run in a worker process."""
+    """One independent repetition; safe to run in a worker process.
+
+    Each method makes one library call on a fresh oracle, so ``draws_total``
+    is that oracle's draw count.  With ``schedule_out`` the paired method
+    saves the schedule and params its estimate used.
+    """
     config = ExperimentConfig(**cfg)
     model = build_model(config.model)
     truth = _true_log_ratio(model, config.beta)
-    row = {
-        "rep": rep,
-        "method": config.method,
-        "model": config.model,
-        "beta": config.beta,
-        "epsilon": config.epsilon,
-        "sampler": config.sampler,
-        "true_log_ratio": truth,
-        "seed": config.seed,
-        "replicates": 0,
-        "draws_total": 0,
-        "schedule_length": 0,
-    }
     start = time.perf_counter()
-
+    trace: list | None = [] if config.trace else None
+    draws = replicates = 0
     if config.method == "exact":
         if truth is None:
             raise models.EnumerationGuardError("exact method infeasible for this model")
-        row["estimate"] = estimators.exp_or_inf(truth)
-        row["log_estimate"] = truth
+        log_est, length = truth, 0
     else:
         oracle = build_oracle(model, config)
         rng = stage_stream(config.seed, f"{config.method}-rep", rep)
-        trace: list | None = [] if config.trace else None
         if config.method == "paired":
-            overrides = estimators.ParamOverrides(**config.overrides)
             schedule = params = None
             if config.schedule_in:
                 schedule, params = _load_schedule(config.schedule_in)
@@ -225,70 +198,68 @@ def _run_repetition(cfg: dict, rep: int) -> dict:
                 config.epsilon,
                 rng,
                 boost=config.boost,
-                overrides=overrides,
+                overrides=estimators.ParamOverrides(**config.overrides),
                 schedule=schedule,
                 schedule_params=params,
                 trace=trace,
             )
-            row["estimate"] = est.ratio_estimate
-            row["log_estimate"] = est.log_ratio_estimate
-            row["replicates"] = est.replicates
-            row["draws_total"] = est.draws_total
-            row["schedule_length"] = len(est.schedule.betas)
+            if config.schedule_out:
+                _save_schedule(config.schedule_out, est.schedule, est.params)
+            log_est, length, replicates = (
+                est.log_ratio_estimate, len(est.schedule.betas), est.replicates
+            )
         elif config.method == "single":
-            before = oracle.counter.total
             log_est = estimators.single_shot_log_estimate(
                 oracle, config.beta, config.draws, rng
             )
-            row["estimate"] = estimators.exp_or_inf(log_est)
-            row["log_estimate"] = log_est
-            row["draws_total"] = oracle.counter.total - before
-            row["schedule_length"] = 2
-        else:  # product: two-piece fixed schedule fed by the TPA q estimate
-            before = oracle.counter.total
-            work, _, log_shift = estimators.prepare(oracle, config.beta)
-            q_hat1, _ = sched_mod.initial_estimate(
-                work, config.beta, rng, trace=trace
+            length = 2
+        else:  # product
+            log_est, schedule = estimators.product_baseline_log_estimate(
+                oracle, config.beta, config.draws, rng, trace=trace
             )
-            if q_hat1 > 0:
-                schedule = estimators.bezakova_schedule(
-                    q_hat1, model.n_bound, config.beta
-                )
-            else:
-                schedule = sched_mod.CoolingSchedule(betas=(0.0, config.beta))
-            per_stage = max(1, config.draws // schedule.num_intervals)
-            log_est = (
-                estimators.product_log_estimate(schedule, work, per_stage, rng)
-                + log_shift
-            )
-            row["estimate"] = estimators.exp_or_inf(log_est)
-            row["log_estimate"] = log_est
-            row["draws_total"] = oracle.counter.total - before
-            row["schedule_length"] = len(schedule.betas)
-        if trace is not None:
-            row["_trace"] = trace
-    row["_wall_time"] = time.perf_counter() - start
-    return row
+            length = len(schedule.betas)
+        draws = oracle.counter.total
+    return {
+        "rep": rep,
+        "method": config.method,
+        "model": config.model,
+        "beta": config.beta,
+        "epsilon": config.epsilon,
+        "sampler": config.sampler,
+        "estimate": estimators.exp_or_inf(log_est),
+        "log_estimate": log_est,
+        "true_log_ratio": truth,
+        "replicates": replicates,
+        "draws_total": draws,
+        "schedule_length": length,
+        "seed": config.seed,
+        "_trace": trace,
+        "_wall_time": time.perf_counter() - start,
+    }
 
 
-def _map_reps(config: ExperimentConfig, reps: int) -> list[dict]:
+def _map_reps(config: ExperimentConfig, reps: range) -> list[dict]:
     cfg = asdict(config)
     threads = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if threads > 1 and reps > 1 and not config.trace:
+    if threads > 1 and len(reps) > 1 and not config.trace:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_run_repetition, [cfg] * reps, range(reps)))
-    return [_run_repetition(cfg, rep) for rep in range(reps)]
+            return list(pool.map(_run_repetition, [cfg] * len(reps), reps))
+    return [_run_repetition(cfg, rep) for rep in reps]
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
-    """Execute `reps` independent estimates; rows are in repetition order."""
+    """Execute `reps` independent estimates; rows are in repetition order.
+
+    With ``schedule_out``, repetition 0 runs first and saves its schedule;
+    repetitions 1.. read that file back as their ``schedule_in``.
+    """
     config.validate()
-    if config.schedule_out:
-        schedule, params = export_schedule(config)
-        _save_schedule(config.schedule_out, schedule, params)
-        config.schedule_in = config.schedule_out
     reps = 1 if config.method == "exact" else config.reps
-    return _map_reps(config, reps)
+    rows: list[dict] = []
+    if config.schedule_out:
+        rows = _map_reps(config, range(1))
+        config = replace(config, schedule_in=config.schedule_out, schedule_out=None)
+    return rows + _map_reps(config, range(len(rows), reps))
 
 
 def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
@@ -314,8 +285,7 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
     else:
         bound = estimators.sample_bound_integer(q, model.n_bound, config.epsilon)
 
-    paired_cfg = replace(config, method="paired")
-    paired_rows = _map_reps(paired_cfg, config.reps)
+    paired_rows = run_experiment(replace(config, method="paired"))
     mean_paired_draws = sum(r["draws_total"] for r in paired_rows) / len(paired_rows)
 
     table = []
@@ -323,8 +293,10 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
         if method == "paired":
             rows = paired_rows
         else:
-            cfg = replace(config, method=method, draws=max(1, round(mean_paired_draws)))
-            rows = _map_reps(cfg, config.reps)
+            draws = max(1, round(mean_paired_draws))
+            rows = run_experiment(
+                replace(config, method=method, draws=draws, schedule_out=None)
+            )
         hits = sum(
             1
             for r in rows

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class PairedEstimate:
     log_ratio_estimate: float
     replicates: int
     draws_total: int
-    epsilon: float
     schedule: CoolingSchedule
     params: ScheduleParams | None
     log_shift_correction: float = 0.0
@@ -145,7 +144,7 @@ def paired_product_estimate(
     oracles the output is within a factor 1+epsilon of the truth with
     probability >= 3/4.  Mixed-sign or non-integer models are routed through
     the shifted pipeline automatically (H - 2n, same pi_b, ratio corrected
-    back).  A pre-built ``schedule`` skips steps 1-2.
+    back).  A pre-built ``schedule`` skips steps 1-2; it must end at ``beta``.
 
     Args:
         oracle: sampler for pi_b on the caller's model.
@@ -153,7 +152,8 @@ def paired_product_estimate(
         epsilon: relative accuracy target; values above 1/10 warn.
         rng: parent generator; one child stream is spawned per stage.
         overrides: expert replacements for d, k, eta, replicates.
-        schedule: reuse an existing schedule instead of building one.
+        schedule: reuse an existing schedule, ending at ``beta``, instead of
+            building one.
         schedule_params: params to record alongside a reused schedule.
         trace: optional list collecting TPA step records.
     """
@@ -167,6 +167,8 @@ def paired_product_estimate(
         )
     if beta <= 0:
         raise ValueError("beta must be positive")
+    if schedule is not None and schedule.beta != beta:
+        raise ValueError(f"the schedule ends at beta={schedule.beta}, not at beta={beta}")
     overrides = overrides or ParamOverrides()
 
     work, regime, log_shift = prepare(oracle, beta)
@@ -204,7 +206,6 @@ def paired_product_estimate(
         log_ratio_estimate=log_ratio,
         replicates=r,
         draws_total=oracle.counter.total - start,
-        epsilon=epsilon,
         schedule=schedule,
         params=params,
         log_shift_correction=log_shift,
@@ -233,20 +234,7 @@ def median_boosted_estimate(
         for child in rng.spawn(boost)
     ]
     runs.sort(key=lambda est: est.log_ratio_estimate)
-    median = runs[boost // 2]
-    total = sum(est.draws_total for est in runs)
-    return PairedEstimate(
-        w_bar=median.w_bar,
-        v_bar=median.v_bar,
-        ratio_estimate=median.ratio_estimate,
-        log_ratio_estimate=median.log_ratio_estimate,
-        replicates=median.replicates,
-        draws_total=total,
-        epsilon=epsilon,
-        schedule=median.schedule,
-        params=median.params,
-        log_shift_correction=median.log_shift_correction,
-    )
+    return replace(runs[boost // 2], draws_total=sum(est.draws_total for est in runs))
 
 
 def single_shot_log_estimate(
@@ -309,6 +297,31 @@ def product_log_estimate(
         logs = -width * oracle.draw_energies(betas[i], draws_per_stage, rng)
         log_total += logsumexp(logs) - math.log(draws_per_stage)
     return log_total
+
+
+def product_baseline_log_estimate(
+    oracle: SamplerOracle,
+    beta: float,
+    draws: int,
+    rng: np.random.Generator,
+    trace: list | None = None,
+) -> tuple[float, CoolingSchedule]:
+    """Multistage product baseline on the fixed two-piece schedule, in logs.
+
+    q comes from the 5-run TPA initial estimate; the schedule is
+    ``bezakova_schedule`` at that q, or {0, beta} when q_hat is 0, and each
+    of its stages gets ``max(1, draws // intervals)`` draws.  Models are
+    routed through ``prepare`` as in the paired pipeline.  Returns the log
+    estimate of Z(beta)/Z(0) and the schedule.
+    """
+    work, _, log_shift = prepare(oracle, beta)
+    q_hat1, _ = initial_estimate(work, beta, rng, trace=trace)
+    if q_hat1 > 0:
+        schedule = bezakova_schedule(q_hat1, oracle.model.n_bound, beta)
+    else:
+        schedule = CoolingSchedule(betas=(0.0, float(beta)))
+    per_stage = max(1, draws // schedule.num_intervals)
+    return product_log_estimate(schedule, work, per_stage, rng) + log_shift, schedule
 
 
 def sample_bound_integer(q: float, n: int, epsilon: float) -> float:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -259,7 +260,7 @@ def test_schedule_roundtrip_through_files(tmp_path):
     r1, r2 = _read_csv(out1), _read_csv(out2)
     assert r1[0]["schedule_length"] == r2[0]["schedule_length"]
     # reused schedule skips steps 1-2, so the rerun needs fewer draws
-    assert int(r2[0]["draws_total"]) <= int(r1[0]["draws_total"])
+    assert int(r2[0]["draws_total"]) < int(r1[0]["draws_total"])
 
 
 def test_schedule_out_saves_the_schedule_the_run_builds(tmp_path):
@@ -273,6 +274,55 @@ def test_schedule_out_saves_the_schedule_the_run_builds(tmp_path):
     r1, r2 = _read_csv(plain), _read_csv(saved)
     assert r1[0]["schedule_length"] == r2[0]["schedule_length"]
     assert r1[0]["log_estimate"] == r2[0]["log_estimate"]
+
+
+def test_schedule_out_rep_0_is_the_plain_run(tmp_path):
+    # Repetition 0 builds the schedule it saves, so its row and trace are
+    # those of the same-seed run without --schedule-out, steps 1-2 included.
+    args = ["--model", "cycle-4", "--beta", "1", "--seed", "5", "--expert-overrides", "r=40"]
+    plain, saved = tmp_path / "plain.csv", tmp_path / "saved.csv"
+    assert main(["run", *args, "--trace", str(tmp_path / "plain.jsonl"),
+                 "--out", str(plain)]) == 0
+    assert main(["run", *args, "--reps", "2", "--trace", str(tmp_path / "saved.jsonl"),
+                 "--schedule-out", str(tmp_path / "s.json"), "--out", str(saved)]) == 0
+    (p0,), (s0, s1) = _read_csv(plain), _read_csv(saved)
+    assert (s0["log_estimate"], s0["draws_total"]) == (p0["log_estimate"], p0["draws_total"])
+    # Repetition 1 reuses the saved schedule, so it draws only replicates.
+    assert int(s1["draws_total"]) == 40 * int(s1["schedule_length"])
+    records = (tmp_path / "saved.jsonl").read_text()
+    assert records == (tmp_path / "plain.jsonl").read_text()
+    run_ids = [json.loads(line)["run_id"] for line in records.splitlines()]
+    step_2 = run_ids.index(0, run_ids.index(4))
+    assert set(run_ids[:step_2]) == set(range(5)) and run_ids[step_2:]
+    sidecar = json.loads((tmp_path / "saved.csv.config.json").read_text())
+    assert sidecar["config"]["schedule_in"] is None
+
+
+def test_run_experiment_leaves_the_config_unchanged(tmp_path):
+    config = ExperimentConfig(model="k2", beta=1.0, seed=8, reps=2,
+                              overrides={"replicates": 40},
+                              schedule_out=str(tmp_path / "s.json"))
+    before = replace(config)
+    run_experiment(config)
+    assert config == before
+
+
+def test_schedule_out_needs_the_paired_method(tmp_path):
+    config = ExperimentConfig(model="k2", beta=1.0, method="product",
+                              schedule_out=str(tmp_path / "s.json"))
+    with pytest.raises(ConfigError):
+        run_experiment(config)
+
+
+def test_schedule_in_at_another_beta_exit_2(tmp_path, capsys):
+    sched = tmp_path / "s.json"
+    code, _ = _run_main(tmp_path, "a.csv", ["--expert-overrides", "r=40",
+                                            "--schedule-out", str(sched)])
+    assert code == 0
+    code = main(["run", "--model", "k2", "--beta", "0.5", "--expert-overrides", "r=40",
+                 "--schedule-in", str(sched)])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["paired", "exact", "product", "single"])
@@ -309,6 +359,19 @@ def test_compare_methods_table():
     # matched budgets: baselines land near the paired draw count
     paired = table[0]["mean_draws"]
     assert table[2]["mean_draws"] == pytest.approx(paired, rel=0.05)
+
+
+def test_compare_schedule_out_acts_on_the_paired_rows(tmp_path):
+    # The paired rows come from run_experiment, so --schedule-out saves the
+    # schedule of their repetition 0, as in `run`.
+    sched = tmp_path / "s.json"
+    cfg = ExperimentConfig(model="k2", beta=1.0, reps=2, seed=8,
+                           overrides={"replicates": 40}, schedule_out=str(sched))
+    (paired,) = compare_methods(cfg, ["paired"])
+    saved = json.loads(sched.read_text())
+    rows = run_experiment(replace(cfg, schedule_out=str(tmp_path / "again.json")))
+    assert paired["mean_draws"] == sum(r["draws_total"] for r in rows) / 2
+    assert json.loads((tmp_path / "again.json").read_text()) == saved
 
 
 def test_compare_rejects_empty_methods():

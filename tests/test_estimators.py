@@ -22,6 +22,7 @@ from gibbs_partition import (
     paired_product_estimate,
     paired_replicate,
     paired_replicate_logs,
+    product_baseline_log_estimate,
     product_log_estimate,
     replicate_count,
     sample_bound_integer,
@@ -318,6 +319,14 @@ def test_product_estimate_flat_model():
     assert est == pytest.approx(1.0, rel=1e-12)
 
 
+def test_product_baseline_flat_model_falls_back_to_one_interval():
+    # q_hat is 0 on a flat model, so the baseline walks {0, beta}.
+    oracle = exact_oracle(table_model([0.0] * 4))
+    log_est, sched = product_baseline_log_estimate(oracle, 2.0, 100, _rng("pb-flat"))
+    assert log_est == 0.0
+    assert sched.betas == (0.0, 2.0)
+
+
 def test_product_single_stage_matches_single_shot_distribution(k2):
     # one stage is the plain importance estimator
     sched = CoolingSchedule(betas=(0.0, 1.0))
@@ -451,6 +460,12 @@ def test_reused_schedule_skips_construction(k2):
     assert est.draws_total == 100 * 3  # replicates x schedule points only
 
 
+def test_reused_schedule_must_end_at_beta(k2):
+    sched = CoolingSchedule(betas=(0.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match="beta"):
+        paired_product_estimate(exact_oracle(k2), 0.5, 0.1, _rng("reuse"), schedule=sched)
+
+
 def test_median_boost(k2):
     oracle = exact_oracle(k2)
     est = median_boosted_estimate(
@@ -492,6 +507,34 @@ def test_run_experiment_draw_cost_is_pinned(spec, draws, tmp_path):
         for seed in range(4)
     ]
     assert got == draws
+
+
+@pytest.mark.parametrize(
+    "spec,method,draws,logs",
+    [
+        ("k2", "product", [10010, 10011, 10006, 10010],
+         [0.6170598730730052, 0.616967162592692, 0.6236204443663365, 0.6202069261189465]),
+        ("k2", "single", [10000] * 4,
+         [0.6205765173722888, 0.6208536211976554, 0.6228833730516907, 0.626471475321658]),
+        ("mixed-5", "product", [10024, 10035, 10014, 10025],
+         [0.8378507880195567, 0.8429315483834898, 0.8465054418385147, 0.8268413252384335]),
+        ("mixed-5", "single", [10000] * 4,
+         [0.8321916978043085, 0.8408309737222606, 0.8437548446624135, 0.850474808589393]),
+    ],
+)
+def test_run_experiment_baseline_rows_are_pinned(spec, method, draws, logs, tmp_path):
+    # Baseline rows per seed at the default 10,000-draw budget; a change in
+    # the q estimate, the two-piece schedule or the per-stage split moves them.
+    if spec == "mixed-5":
+        path = tmp_path / "mixed-5.json"
+        path.write_text('{"type": "table", "hamiltonian": [-2, -1, 0, 1, 2]}')
+        spec = f"table:{path}"
+    rows = [
+        run_experiment(ExperimentConfig(model=spec, beta=1.0, seed=seed, method=method))[0]
+        for seed in range(4)
+    ]
+    assert [row["draws_total"] for row in rows] == draws
+    assert [row["log_estimate"] for row in rows] == pytest.approx(logs, rel=1e-12)
 
 
 # --- instance bounds --------------------------------------------------------
