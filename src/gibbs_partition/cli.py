@@ -91,8 +91,8 @@ class ExperimentConfig:
             raise ConfigError("boost must be a positive odd integer")
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
-        if self.schedule_out and self.method != "paired":
-            raise ConfigError("schedule_out saves a paired schedule; use method paired")
+        if (self.schedule_in or self.schedule_out) and self.method != "paired":
+            raise ConfigError("schedule_in and schedule_out need method paired")
 
 
 def build_model(spec: str) -> models.GibbsModel:
@@ -251,7 +251,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Execute `reps` independent estimates; rows are in repetition order.
 
     With ``schedule_out``, repetition 0 runs first and saves its schedule;
-    repetitions 1.. read that file back as their ``schedule_in``.
+    repetitions 1.. read that file back as their ``schedule_in``.  With
+    ``trace``, every repetition's TPA step records go to that file.
     """
     config.validate()
     reps = 1 if config.method == "exact" else config.reps
@@ -259,11 +260,17 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     if config.schedule_out:
         rows = _map_reps(config, range(1))
         config = replace(config, schedule_in=config.schedule_out, schedule_out=None)
-    return rows + _map_reps(config, range(len(rows), reps))
+    rows += _map_reps(config, range(len(rows), reps))
+    if config.trace:
+        _write_trace(rows, config.trace)
+    return rows
 
 
 def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
-    """Paired vs baselines at matched draw budgets, with the instance bound."""
+    """Paired vs baselines at matched draw budgets, with the instance bound.
+
+    ``schedule_in``, ``schedule_out`` and ``trace`` act on the paired rows only.
+    """
     config.validate()
     if not methods:
         raise ConfigError("empty method list")
@@ -294,9 +301,8 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
             rows = paired_rows
         else:
             draws = max(1, round(mean_paired_draws))
-            rows = run_experiment(
-                replace(config, method=method, draws=draws, schedule_out=None)
-            )
+            rows = run_experiment(replace(config, method=method, draws=draws, schedule_in=None,
+                                          schedule_out=None, trace=None))
         hits = sum(
             1
             for r in rows
@@ -451,16 +457,11 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "run":
-            rows = run_experiment(config)
-            if config.trace:
-                _write_trace(rows, config.trace)
-            _emit(rows, CSV_FIELDS, config, args.out, args.format,
-                  time.perf_counter() - start)
+            rows, fields = run_experiment(config), CSV_FIELDS
         else:
             methods = [m for m in args.methods.split(",") if m.strip()]
-            rows = compare_methods(config, methods)
-            _emit(rows, COMPARE_FIELDS, config, args.out, args.format,
-                  time.perf_counter() - start)
+            rows, fields = compare_methods(config, methods), COMPARE_FIELDS
+        _emit(rows, fields, config, args.out, args.format, time.perf_counter() - start)
     except models.EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

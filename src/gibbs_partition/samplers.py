@@ -7,10 +7,10 @@ returns one state index, the reference both are checked against.  The exact
 oracle samples from the model's density of states (its distinct energy
 levels and their multiplicities), so building it and a draw at a fresh b
 cost O(levels), not O(states), and only ``draw`` reads the state table;
-the MCMC oracle runs restart chains in lockstep, a lone ``draw`` as one
-chain.  Every draw consumes a caller-supplied numpy Generator, and every
-draw is tallied in the oracle's counter with the b value it was served at;
-the counter is the ground truth for all sample-complexity accounting.
+the MCMC oracle runs restart chains in lockstep on one (nv, n) spin array
+with one (nv, n) block of uniforms per sweep, a lone ``draw`` as one chain.
+Every draw consumes a caller-supplied numpy Generator and is tallied, with
+its b, in the oracle's counter, the ground truth for all sample counts.
 """
 
 from __future__ import annotations
@@ -246,40 +246,39 @@ def draw_mcmc_lockstep(
 
     Each chain runs mcmc_steps systematic Metropolis sweeps from a fresh
     uniform state, so draws are independent, at the cost of re-running the
-    burn-in every time.  Spins are kept as one 0/1 array per site, and each
-    site update draws n uniforms.  ``b`` is one value for every chain or an
-    array of n values, one per chain.
+    burn-in every time.  Spins are one (nv, n) bool array, row v holding bit
+    v of each chain's state; ``rng`` gives the n start states, then one
+    (nv, n) block of uniforms per sweep.  ``b`` is one value or one per chain.
     """
     if oracle.kind != KIND_MCMC:
         raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
     per_chain = np.ndim(b) > 0
     if per_chain and np.shape(b) != (n,):
         raise ValueError("per-chain b needs one value per chain")
-    graph = oracle.model.graph
-    nv = graph.num_vertices
-    adj = graph.adjacency()
+    adj = oracle.model.graph.adjacency()
+    nv = len(adj)
     states = rng.integers(0, 2 ** nv, size=n)
     if oracle.mcmc_steps > 0:
-        spins = [(states >> v) & 1 for v in range(nv)]
-        # accept[v][a, j] = min(1, exp(-b_j * deltaH)), deltaH = 2a - deg(v),
-        # with one column j for a scalar b.
-        chain = np.arange(n) if per_chain else 0
-        bs = np.atleast_1d(b)
-        degrees = [len(adj[v]) for v in range(nv)]
-        by_degree = {
-            deg: np.exp(-np.multiply.outer(np.maximum(2 * np.arange(deg + 1) - deg, 0), bs))
-            for deg in set(degrees)
-        }
-        accept = [by_degree[deg] for deg in degrees]
+        bit = np.arange(nv)[:, None]
+        spins = ((states >> bit) & 1).astype(bool)
+        # A flip of site v with a aligned neighbours passes if u < min(1,
+        # exp(-b (2a - deg))).  That is 1 for a <= deg // 2 and past it
+        # nonincreasing in a (or >= 1 for b < 0), so the flip happens exactly
+        # when a < deg // 2 + 1 + #{thresholds above u}.  above[k][v] is site
+        # v's threshold at a = deg // 2 + 1 + k, or 0 (below every u) past deg.
+        deg = np.array([len(nbrs) for nbrs in adj])[:, None]
+        base = (deg // 2 + 1).astype(np.int8)
+        a = base + np.arange((deg - deg // 2).max())
+        delta = np.multiply.outer(np.minimum(2 * a - deg, deg), np.atleast_1d(b))
+        above = list(np.where((a <= deg)[..., None], np.exp(-delta), 0.0).swapaxes(0, 1))
+        sites = [(spins[v], [spins[u] for u in nbrs]) for v, nbrs in enumerate(adj)]
         for _ in range(oracle.mcmc_steps):
-            for v in range(nv):
-                # Uniforms one site at a time: a whole (steps * nv) x n block
-                # would hold every chain's uniforms in memory at once.
-                us = rng.random(n)
-                sv = spins[v]
-                aligned = sum(spins[u] == sv for u in adj[v])
-                spins[v] = sv ^ (us < accept[v][aligned, chain])
-        states = sum(s << v for v, s in enumerate(spins))
+            uniforms = rng.random((nv, n))
+            limits = sum((uniforms < t for t in above), base)
+            for (row, nbr_rows), limit in zip(sites, limits):
+                aligned = sum((nbr == row for nbr in nbr_rows), np.int8(0))
+                np.bitwise_xor(row, aligned < limit, out=row)
+        states = (spins << bit).sum(axis=0)
     if per_chain:
         oracle.counter.record_each(b)
     else:

@@ -43,44 +43,57 @@ def brute_ising_energies(edges, num_vertices):
     return energies
 
 
+def _metropolis_sweep(state, adj, b, us):
+    """One systematic Metropolis sweep of one chain, site v reading us[v].
+
+    Flipping site v with a currently-aligned neighbors is accepted with
+    probability min(1, exp(-b * deltaH)), deltaH = 2a - deg(v), computed
+    with math.exp.
+    """
+    for v, nbrs in enumerate(adj):
+        sv = (state >> v) & 1
+        aligned = sum(1 for u in nbrs if ((state >> u) & 1) == sv)
+        delta = 2 * aligned - len(nbrs)
+        if us[v] < (1.0 if delta <= 0 else math.exp(-b * delta)):
+            state ^= 1 << v
+    return state
+
+
 def draw_mcmc(oracle, b, rng):
     """Reference restart-Metropolis draw: one chain, one site at a time.
 
     The state after ``oracle.mcmc_steps`` systematic Metropolis sweeps from
-    a uniform start, with the sweeps' uniforms drawn as one block and the
-    acceptance probabilities computed with math.exp.  The draw is recorded
-    in the oracle's counter, as a library draw is.
+    a uniform start, with the sweeps' uniforms drawn as one block.  The draw
+    is recorded in the oracle's counter, as a library draw is.
     """
-    graph = oracle.model.graph
-    nv = graph.num_vertices
-    adj = graph.adjacency()
-    # accept[v][a] = min(1, exp(-b * deltaH)) for flipping site v with a
-    # currently-aligned neighbors; deltaH = 2a - deg(v).
-    accept = []
-    for v in range(nv):
-        deg = len(adj[v])
-        row = []
-        for a in range(deg + 1):
-            delta = 2 * a - deg
-            row.append(1.0 if delta <= 0 else math.exp(-b * delta))
-        accept.append(row)
+    adj = oracle.model.graph.adjacency()
+    nv = len(adj)
     state = int(rng.integers(0, 2 ** nv))
     steps = oracle.mcmc_steps
     if steps > 0:
         us = rng.random(steps * nv)
-        pos = 0
-        for _ in range(steps):
-            for v in range(nv):
-                sv = (state >> v) & 1
-                aligned = 0
-                for u_ in adj[v]:
-                    if ((state >> u_) & 1) == sv:
-                        aligned += 1
-                if us[pos] < accept[v][aligned]:
-                    state ^= 1 << v
-                pos += 1
+        for k in range(steps):
+            state = _metropolis_sweep(state, adj, b, us[k * nv : (k + 1) * nv])
     oracle.counter.record(b)
     return state
+
+
+def draw_mcmc_chains(oracle, b, n, rng):
+    """Reference lockstep draw: n restart chains, each one site at a time.
+
+    Replays the lockstep stream contract: n start states from one
+    ``rng.integers`` call, then one (nv, n) block of uniforms per sweep, and
+    chain j sweeps on column j of each block.  ``b`` is one value or one per
+    chain.  Returns the n states as a list of ints.
+    """
+    adj = oracle.model.graph.adjacency()
+    nv = len(adj)
+    bs = np.asarray(b, dtype=float).tolist() if np.ndim(b) else [b] * n
+    states = rng.integers(0, 2 ** nv, size=n).tolist()
+    for _ in range(oracle.mcmc_steps):
+        us = rng.random((nv, n))
+        states = [_metropolis_sweep(s, adj, bs[j], us[:, j]) for j, s in enumerate(states)]
+    return states
 
 
 def brute_z(model, beta):

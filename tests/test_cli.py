@@ -314,6 +314,19 @@ def test_schedule_out_needs_the_paired_method(tmp_path):
         run_experiment(config)
 
 
+@pytest.mark.parametrize("method", ["product", "single", "exact"])
+def test_schedule_in_needs_the_paired_method_exit_2(tmp_path, capsys, method):
+    # The file is a valid paired schedule, so only the method is at fault.
+    sched = tmp_path / "s.json"
+    code, _ = _run_main(tmp_path, "a.csv", ["--expert-overrides", "r=40",
+                                            "--schedule-out", str(sched)])
+    assert code == 0
+    code, out = _run_main(tmp_path, "b.csv", ["--method", method, "--schedule-in", str(sched)])
+    assert code == 2
+    assert "schedule_in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_schedule_in_at_another_beta_exit_2(tmp_path, capsys):
     sched = tmp_path / "s.json"
     code, _ = _run_main(tmp_path, "a.csv", ["--expert-overrides", "r=40",
@@ -372,6 +385,31 @@ def test_compare_schedule_out_acts_on_the_paired_rows(tmp_path):
     rows = run_experiment(replace(cfg, schedule_out=str(tmp_path / "again.json")))
     assert paired["mean_draws"] == sum(r["draws_total"] for r in rows) / 2
     assert json.loads((tmp_path / "again.json").read_text()) == saved
+
+
+def test_compare_schedule_in_acts_on_the_paired_rows(tmp_path):
+    # The paired rows read the schedule; the baselines build their own.
+    sched = tmp_path / "s.json"
+    cfg = ExperimentConfig(model="k2", beta=1.0, reps=2, seed=8,
+                           overrides={"replicates": 40})
+    run_experiment(replace(cfg, schedule_out=str(sched)))
+    cfg = replace(cfg, schedule_in=str(sched))
+    table = compare_methods(cfg, ["paired", "product", "single"])
+    rows = run_experiment(cfg)
+    assert table[0]["mean_draws"] == sum(r["draws_total"] for r in rows) / 2
+    assert all(r["draws_total"] == 40 * r["schedule_length"] for r in rows)
+    assert [row["method"] for row in table] == ["paired", "product", "single"]
+
+
+def test_compare_trace_is_the_paired_run_trace(tmp_path):
+    args = ["--model", "k2", "--beta", "1", "--epsilon", "0.3", "--seed", "6",
+            "--reps", "2", "--expert-overrides", "r=5"]
+    compared, run = tmp_path / "compare.jsonl", tmp_path / "run.jsonl"
+    assert main(["compare", *args, "--trace", str(compared),
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(["run", "--method", "paired", *args, "--trace", str(run),
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert compared.read_bytes() and compared.read_bytes() == run.read_bytes()
 
 
 def test_compare_rejects_empty_methods():

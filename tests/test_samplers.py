@@ -14,6 +14,8 @@ from gibbs_partition import (
     draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,
+    grid_edges,
+    ising_model,
     log_partition_exact,
     log_ratio_exact,
     mcmc_draw_distribution,
@@ -23,7 +25,7 @@ from gibbs_partition import (
     shift_hamiltonian,
 )
 
-from conftest import draw_mcmc, tiny_models
+from conftest import draw_mcmc, draw_mcmc_chains, tiny_models
 
 SEED = 1811
 
@@ -335,6 +337,30 @@ def test_mcmc_lockstep_one_chain_is_draw_mcmc(label, sweeps):
     assert states == [draw_mcmc(scalar, b, g2) for b in bs]
     assert lockstep.counter.by_b == scalar.counter.by_b
     assert g1.random() == g2.random()
+
+
+_REPLAY_MODELS = [
+    *((label, m) for label, m in tiny_models() if m.graph is not None),
+    ("grid-3x3", ising_model(grid_edges(3, 3), num_vertices=9)),
+    ("star-5", ising_model([(0, leaf) for leaf in range(1, 6)], num_vertices=6)),
+    ("isolated", ising_model([(0, 1)], num_vertices=3)),
+    ("lone-site", ising_model([], num_vertices=1)),
+]
+
+
+@pytest.mark.parametrize("label,model", _REPLAY_MODELS, ids=[m[0] for m in _REPLAY_MODELS])
+@pytest.mark.parametrize("n", [1, 5, 64])
+@pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.0, 50.0, -0.5, "per-chain"])
+def test_mcmc_lockstep_replays_the_stream_contract(label, model, n, b):
+    # n chains in lockstep are n scalar chains, chain j reading column j of
+    # each sweep's (nv, n) block of uniforms; degree-0 sites always flip.
+    oracle = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
+    if b == "per-chain":
+        b = _rng(f"replay-b-{label}", n).uniform(-0.5, 3.0, n)
+    g1, g2 = _rng(f"replay-{label}", n), _rng(f"replay-{label}", n)
+    states = draw_mcmc_lockstep(oracle, b, n, g1)
+    assert states.tolist() == draw_mcmc_chains(oracle, b, n, g2)
+    assert g1.bit_generator.state == g2.bit_generator.state
 
 
 @pytest.mark.parametrize("label", ["k2", "cycle-4"])
