@@ -96,9 +96,9 @@ class PairedEstimate:
 def paired_replicate_logs(
     schedule: CoolingSchedule, oracle: SamplerOracle, r: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ln W and ln V of r replicates, from one vector draw of r energies per
-    schedule point, in point order; X_{i+1} closes V_i and opens W_{i+1}."""
-    energies = np.stack([oracle.draw_energies(b, r, rng) for b in schedule.betas])
+    """ln W and ln V of r replicates, from one (points, r) block of energies,
+    row i drawn at schedule point i; X_{i+1} closes V_i and opens W_{i+1}."""
+    energies = oracle.draw_energies(schedule.betas, r, rng)
     deltas = np.array(schedule.half_lengths)
     return -(deltas @ energies[:-1]), deltas @ energies[1:]
 
@@ -291,11 +291,10 @@ def product_log_estimate(
     if draws_per_stage < 1:
         raise ValueError("draws_per_stage must be >= 1")
     betas = schedule.betas
+    energies = oracle.draw_energies(betas[:-1], draws_per_stage, rng)
     log_total = 0.0
-    for i in range(schedule.num_intervals):
-        width = betas[i + 1] - betas[i]
-        logs = -width * oracle.draw_energies(betas[i], draws_per_stage, rng)
-        log_total += logsumexp(logs) - math.log(draws_per_stage)
+    for lo, hi, row in zip(betas, betas[1:], energies):
+        log_total += logsumexp(-(hi - lo) * row) - math.log(draws_per_stage)
     return log_total
 
 

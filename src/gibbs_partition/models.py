@@ -147,7 +147,10 @@ def _sign_class(h: np.ndarray) -> str:
 
 
 def _bound_for(h: np.ndarray) -> int:
-    return max(1, math.ceil(float(np.max(np.abs(h)))))
+    top = float(np.max(np.abs(h)))
+    if not math.isfinite(top):
+        raise ValueError("hamiltonian values must be finite")
+    return max(1, math.ceil(top))
 
 
 def _is_integer(h: np.ndarray) -> bool:
@@ -395,7 +398,12 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
     if c == 0.0:
         return model
     c = float(c)
-    energies, level = np.unique(model.energies + c, return_inverse=True)
+    with np.errstate(over="ignore"):
+        shifted = model.energies + c
+    if not np.all(np.isfinite(shifted)):
+        top = float(np.max(np.abs(model.energies)))
+        raise ValueError(f"energies up to |H| = {top:g} shifted by {c:g} pass the float range")
+    energies, level = np.unique(shifted, return_inverse=True)
     return GibbsModel(
         hamiltonian=lambda: model.hamiltonian + c,
         n_bound=_bound_for(energies),
@@ -421,8 +429,18 @@ def model_to_dict(model: GibbsModel) -> dict:
 
 
 def model_from_dict(spec: dict) -> GibbsModel:
-    """Load a model from the JSON schema, validating invariants."""
+    """Load a model from the JSON schema, validating invariants.
+
+    Malformed specs raise ValueError: a spec that is not an object, a
+    missing field, or a table that is not a non-empty list.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError("a model spec must be a JSON object")
+    missing = {"ising": ("edges", "num_vertices"), "table": ("hamiltonian",)}
     kind = spec.get("type")
+    for key in missing.get(kind, ()):
+        if key not in spec:
+            raise ValueError(f"{kind} model spec has no {key!r} field")
     if kind == "ising":
         return ising_model(
             [tuple(e) for e in spec["edges"]],
@@ -430,8 +448,8 @@ def model_from_dict(spec: dict) -> GibbsModel:
         )
     if kind == "table":
         values = spec["hamiltonian"]
-        if len(values) < 1:
-            raise ValueError("table model needs at least one state")
+        if not isinstance(values, list) or len(values) < 1:
+            raise ValueError("table model needs a non-empty list of energies")
         return table_model(values)
     raise ValueError(f"unknown model type {kind!r}")
 

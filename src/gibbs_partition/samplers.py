@@ -1,13 +1,15 @@
 """Sampling oracles for pi_b: exact enumeration and restart-Metropolis MCMC.
 
 Every consumer of draws reads only the energy H(X), so the oracle contract
-is ``draw_energies(b, n, rng)`` for n independent draws at one b and
-``draw_energies_at(bs, rng)`` for one draw at each b of an array; ``draw``
-returns one state index, the reference both are checked against.  The exact
-oracle samples from the model's density of states (its distinct energy
-levels and their multiplicities), so building it and a draw at a fresh b
-cost O(levels), not O(states), and only ``draw`` reads the state table;
-the MCMC oracle runs restart chains in lockstep on one (nv, n) spin array
+is ``draw_energies(b, n, rng)`` for n independent draws at one b, or a
+(len(b), n) block for a 1-d array of b, and ``draw_energies_at(bs, rng)``
+for one draw at each b of an array; ``draw`` returns one state index, the
+reference both are checked against.  The exact oracle samples from the
+model's density of states (its distinct energy levels and their
+multiplicities), so building it and a draw at a fresh b cost O(levels), not
+O(states), and only ``draw`` reads the state table; a row of n draws at one
+b inverts its uniforms through a guide table, O(1) per draw on average.  The
+MCMC oracle runs restart chains in lockstep on one (nv, n) spin array
 with one (nv, n) block of uniforms per sweep, a lone ``draw`` as one chain.
 Every draw consumes a caller-supplied numpy Generator and is tallied, with
 its b, in the oracle's counter, the ground truth for all sample counts.
@@ -105,21 +107,27 @@ class SamplerOracle:
             return draw_exact(self, b, rng)
         return int(draw_mcmc_lockstep(self, b, 1, rng)[0])
 
-    def draw_energies(self, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        """H(X) for n independent X ~ pi_b, as one array.
+    def draw_energies(
+        self, b: float | np.ndarray, n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """H(X) for n independent X ~ pi_b; a 1-d array of b gives one row per b.
 
-        For exact oracles this equals the energies of n ``draw`` calls on
-        the same generator; MCMC oracles run n restart chains in lockstep.
+        A scalar b returns n energies, and an array ``b`` a (len(b), n) block
+        that consumes ``rng`` exactly as one call per entry, in order, would;
+        the counter records (b, n) per row.  For exact oracles each row
+        equals the energies of n ``draw`` calls on the same generator, and
+        the uniforms are one (len(b), n) block inverted by a guide table
+        (see ``_draw_levels``); MCMC oracles run n restart chains in
+        lockstep per row.
         """
+        bs = np.atleast_1d(np.asarray(b, dtype=float))
         if self.kind == KIND_EXACT:
-            cw = np.asarray(_level_cdf(self, b))
-            t = rng.random(n) * cw[-1]
-            self.counter.record(b, n)
-            # As in draw_exact, t can round up to cw[-1].
-            return self.model.energies[
-                np.minimum(np.searchsorted(cw, t, side="right"), len(cw) - 1)
-            ]
-        return self.model.hamiltonian[draw_mcmc_lockstep(self, b, n, rng)]
+            block = _draw_levels(self, bs, n, rng)
+        else:
+            block = np.empty((len(bs), n))
+            for row, row_b in zip(block, bs.tolist()):
+                row[:] = self.model.hamiltonian[draw_mcmc_lockstep(self, row_b, n, rng)]
+        return block if np.ndim(b) else block[0]
 
     def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """H(X_j) for independent X_j ~ pi_{bs[j]}, one per entry of ``bs``.
@@ -182,6 +190,42 @@ def _level_cdf(oracle: SamplerOracle, b: float) -> list[float]:
     # never drawn, and the top level left has a step of positive width.
     del cw[bisect_left(cw, cw[-1]) + 1:]
     return cw
+
+
+def _draw_levels(
+    oracle: SamplerOracle, bs: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Energies of n draws at each b of ``bs``, one row per b, by guide table.
+
+    One (len(bs), n) block of uniforms; row i inverts the list
+    ``_level_cdf`` builds for bs[i] as ``draw_exact`` does, through a guide
+    table (Chen and Asau, AIIE Trans. 6(2), 1974) of g = 2^k buckets, k
+    derived from n.  lv[j] is the level that u = j/g inverts to.  For a
+    power of two g, u*g and j/g are exact and fl(u * top) is monotone in u,
+    so a uniform in bucket j = floor(u*g) inverts to a level in
+    [lv[j], lv[j+1]]: where the two agree that is its level, and in the at
+    most levels - 1 other buckets ``searchsorted`` over the level CDF finds
+    it.  Each row of energies overwrites its row of uniforms.
+    """
+    energies = oracle.model.energies
+    block = rng.random((len(bs), n))
+    g = 1 << (n // 8).bit_length()
+    edges = np.arange(g + 1) / g
+    for row, b in zip(block, bs.tolist()):
+        cw = np.asarray(_level_cdf(oracle, b))
+        top, last = cw[-1], len(cw) - 1
+        # As in draw_exact, u * top can round up to top.
+        lv = np.minimum(np.searchsorted(cw, edges * top, side="right"), last)
+        # Energies are finite, so nan marks the buckets a boundary splits.
+        guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
+        drawn = guide[(row * g).astype(np.intp)]
+        split = np.flatnonzero(np.isnan(drawn))
+        if split.size:
+            t = row[split] * top
+            drawn[split] = energies[np.minimum(np.searchsorted(cw, t, side="right"), last)]
+        row[:] = drawn
+        oracle.counter.record(b, n)
+    return block
 
 
 def _draw_levels_at(

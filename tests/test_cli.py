@@ -173,6 +173,26 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"type": "table"}', "no 'hamiltonian' field"),
+        ("[0.0, 1.0]", "must be a JSON object"),
+        # json reads 1e400 as inf.
+        ('{"type": "table", "hamiltonian": [1e400]}', "must be finite"),
+        # Finite, but the shifted pipeline's H - 2n is not.
+        ('{"type": "table", "hamiltonian": [0.5, 1e308]}', "pass the float range"),
+    ],
+    ids=["no-hamiltonian", "top-level-list", "infinite-value", "shift-overflows"],
+)
+def test_malformed_table_file_exit_2(text, message, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert main(["run", "--model", f"table:{path}", "--beta", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_main_exact_infeasible_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(models, "ENUMERATION_GUARD", 4)
     assert main(["run", "--model", "cycle-4", "--beta", "1", "--method", "exact"]) == 3

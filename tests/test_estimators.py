@@ -568,3 +568,22 @@ def test_grid_levels_and_enumerated_table_estimate_alike():
         assert by_levels.log_ratio_estimate == by_table.log_ratio_estimate
         assert by_levels.draws_total == by_table.draws_total
         assert by_levels.schedule.betas == by_table.schedule.betas
+
+
+def test_grid_8x8_past_the_guard_covers_within_the_draw_bound():
+    from gibbs_partition import grid_model
+
+    from conftest import row_transfer_log_partition
+
+    # 2^64 states, so the truth comes from a row transfer matrix that shares
+    # nothing with the model's level counts.  Tag frozen at first choice.
+    grid = grid_model(8, 8)
+    truth = row_transfer_log_partition(8, 8, 0.5) - 64 * math.log(2)
+    runs = [
+        paired_product_estimate(exact_oracle(grid), 0.5, 0.1, _rng("grid-8x8-past-guard", rep))
+        for rep in range(20)
+    ]
+    hits = sum(abs(est.log_ratio_estimate - truth) <= math.log(1.1) for est in runs)
+    assert hits >= 15
+    mean_draws = float(np.mean([est.draws_total for est in runs]))
+    assert mean_draws <= sample_bound_integer(abs(truth), grid.n_bound, 0.1)

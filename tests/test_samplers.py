@@ -1,6 +1,7 @@
 """Samplers: distributional correctness, draw accounting, coupling arithmetic."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gibbs_partition import (
+    ENUMERATION_GUARD,
     coupling_failure_bound,
     draw_exact,
     draw_mcmc_lockstep,
@@ -24,6 +26,8 @@ from gibbs_partition import (
     metropolis_sweep_matrix,
     shift_hamiltonian,
 )
+
+from gibbs_partition.samplers import _level_cdf
 
 from conftest import draw_mcmc, draw_mcmc_chains, tiny_models
 
@@ -142,6 +146,97 @@ def test_draw_energies_at_in_blocks_matches_draw_energy():
     assert per_b.counter.by_b == single.counter.by_b
 
 
+# --- draw blocks: one row per b -------------------------------------------
+
+BLOCK_BS = [0.0, 0.3, 1.0, 5.0, 50.0]
+
+
+def _block_models():
+    from gibbs_partition import grid_model, table_model
+
+    # The grids have more levels than the guide table has buckets at small n.
+    return tiny_models() + [
+        ("grid-8x8", grid_model(8, 8)),
+        ("grid-10x10", grid_model(10, 10)),
+        ("underflow", table_model([0.0, 1.0, 1.0, 2000.0])),
+    ]
+
+
+def _row_by_row(oracle, b, n, rng):
+    """Energies of n ``draw`` calls at b, or past the guard, where ``draw``
+    needs a state table, of n draws by its level inversion, one uniform each."""
+    model = oracle.model
+    if model.num_states <= ENUMERATION_GUARD:
+        return model.hamiltonian[[oracle.draw(b, rng) for _ in range(n)]]
+    cw = _level_cdf(oracle, b)
+    levels = [min(bisect_right(cw, rng.random() * cw[-1]), len(cw) - 1) for _ in range(n)]
+    oracle.counter.record(b, n)
+    return model.energies[levels]
+
+
+@pytest.mark.parametrize("label,model", _block_models())
+@pytest.mark.parametrize("n", [1, 7, 64, 7217])
+def test_draw_energies_block_is_row_by_row_draws(label, model, n):
+    # One (len(b), n) block consumes the generator as row-by-row draws do.
+    by_block, by_row = exact_oracle(model), exact_oracle(model)
+    g1, g2 = _rng(f"block-{label}", n), _rng(f"block-{label}", n)
+    block = by_block.draw_energies(BLOCK_BS, n, g1)
+    rows = [_row_by_row(by_row, b, n, g2) for b in BLOCK_BS]
+    assert block.shape == (len(BLOCK_BS), n)
+    assert block.tolist() == [row.tolist() for row in rows]
+    assert g1.bit_generator.state == g2.bit_generator.state
+    assert by_block.counter.by_b == by_row.counter.by_b
+    assert by_block.counter.total == len(BLOCK_BS) * n
+
+
+def _guide_levels(oracle, b, n):
+    """The level CDF at b and the level each bucket edge j/g inverts to."""
+    cw = np.asarray(_level_cdf(oracle, b))
+    g = 1 << (n // 8).bit_length()
+    edges = np.searchsorted(cw, np.arange(g + 1) / g * cw[-1], side="right")
+    return cw, g, np.minimum(edges, len(cw) - 1)
+
+
+def test_guide_table_falls_back_where_levels_crowd_one_bucket():
+    from gibbs_partition import grid_model
+
+    # At b = 2 the tiny-mass levels 5..19 of grid-4x4 share the top bucket,
+    # so some draws take the table and some the searchsorted fallback.
+    n = 7217
+    oracle = exact_oracle(grid_model(4, 4))
+    cw, g, lv = _guide_levels(oracle, 2.0, n)
+    assert (len(cw), g, lv[-2], lv[-1]) == (20, 1024, 5, 19)
+    j = (np.random.default_rng(0).random(n) * g).astype(int)
+    split = lv[j] != lv[j + 1]
+    assert split.sum() == 48
+    energies = oracle.draw_energies(2.0, n, np.random.default_rng(0))
+    reference = _row_by_row(exact_oracle(oracle.model), 2.0, n, np.random.default_rng(0))
+    assert energies.tolist() == reference.tolist()
+
+
+def test_guide_table_with_one_level_left_never_falls_back():
+    from gibbs_partition import table_model
+
+    # At b = 50 every level above the ground level underflows against it.
+    oracle = exact_oracle(table_model([0.0, 1.0, 1.0, 2000.0]))
+    cw, _, lv = _guide_levels(oracle, 50.0, 7217)
+    assert len(cw) == 1 and not lv.any()
+    assert oracle.draw_energies(50.0, 7217, _rng("one-level")).tolist() == [0.0] * 7217
+
+
+@pytest.mark.parametrize("label", ["k2", "cycle-4", "grid-2x2"])
+def test_mcmc_draw_energies_block_is_row_by_row_calls(label):
+    model = dict(tiny_models())[label]
+    by_block = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
+    by_row = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
+    g1, g2 = _rng(f"mcmc-block-{label}"), _rng(f"mcmc-block-{label}")
+    block = by_block.draw_energies(BLOCK_BS, 64, g1)
+    rows = [by_row.draw_energies(b, 64, g2) for b in BLOCK_BS]
+    assert block.tolist() == [row.tolist() for row in rows]
+    assert g1.bit_generator.state == g2.bit_generator.state
+    assert by_block.counter.by_b == by_row.counter.by_b
+
+
 class _TopUniform:
     """Generator stand-in whose uniforms round u * total up to total."""
 
@@ -157,6 +252,11 @@ def test_draw_never_lands_on_underflowed_level():
     oracle = exact_oracle(table_model([0.0, 1.0, 1.0, 2000.0]))
     assert oracle.draw(1.0, _TopUniform()) == 2
     assert oracle.draw_energies(1.0, 3, _TopUniform()).tolist() == [1.0] * 3
+    # A block's rows each cap at their own top level.
+    assert oracle.draw_energies([1.0, 0.0], 3, _TopUniform()).tolist() == [
+        [1.0] * 3,
+        [2000.0] * 3,
+    ]
     # Row by row on the per-b path: at b = 0 no weight underflows.
     assert oracle.draw_energies_at([1.0, 0.0, 1.0], _TopUniform()).tolist() == [
         1.0,
