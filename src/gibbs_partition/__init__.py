@@ -67,7 +67,6 @@ from .estimators import (
     exp_or_inf,
     median_boosted_estimate,
     paired_product_estimate,
-    paired_replicate,
     paired_replicate_logs,
     prepare,
     product_baseline_log_estimate,

@@ -168,16 +168,14 @@ def _save_schedule(path: str, schedule: sched_mod.CoolingSchedule, params) -> No
         json.dump(spec, fh)
 
 
-def _run_repetition(cfg: dict, rep: int) -> dict:
+def _run_repetition(config: ExperimentConfig, model: models.GibbsModel, truth, rep: int) -> dict:
     """One independent repetition; safe to run in a worker process.
 
-    Each method makes one library call on a fresh oracle, so ``draws_total``
-    is that oracle's draw count.  With ``schedule_out`` the paired method
-    saves the schedule and params its estimate used.
+    ``truth`` is ``_true_log_ratio(model, config.beta)``.  Each method
+    makes one library call on a fresh oracle, so ``draws_total`` is that
+    oracle's draw count.  With ``schedule_out`` the paired method saves the
+    schedule and params its estimate used.
     """
-    config = ExperimentConfig(**cfg)
-    model = build_model(config.model)
-    truth = _true_log_ratio(model, config.beta)
     start = time.perf_counter()
     trace: list | None = [] if config.trace else None
     draws = replicates = 0
@@ -238,29 +236,32 @@ def _run_repetition(cfg: dict, rep: int) -> dict:
     }
 
 
-def _map_reps(config: ExperimentConfig, reps: range) -> list[dict]:
-    cfg = asdict(config)
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if threads > 1 and len(reps) > 1 and not config.trace:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_run_repetition, [cfg] * len(reps), reps))
-    return [_run_repetition(cfg, rep) for rep in reps]
-
-
 def run_experiment(config: ExperimentConfig) -> list[dict]:
-    """Execute `reps` independent estimates; rows are in repetition order.
+    """Execute `reps` independent estimates on one model; rows are in repetition order.
 
     With ``schedule_out``, repetition 0 runs first and saves its schedule;
     repetitions 1.. read that file back as their ``schedule_in``.  With
     ``trace``, every repetition's TPA step records go to that file.
     """
     config.validate()
+    model = build_model(config.model)
+    return _run_on(config, model, _true_log_ratio(model, config.beta))
+
+
+def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[dict]:
     reps = 1 if config.method == "exact" else config.reps
     rows: list[dict] = []
     if config.schedule_out:
-        rows = _map_reps(config, range(1))
+        rows = [_run_repetition(config, model, truth, 0)]
         config = replace(config, schedule_in=config.schedule_out, schedule_out=None)
-    rows += _map_reps(config, range(len(rows), reps))
+    todo = range(len(rows), reps)
+    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
+    if threads > 1 and len(todo) > 1 and not config.trace:
+        n = len(todo)
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            rows += pool.map(_run_repetition, [config] * n, [model] * n, [truth] * n, todo)
+    else:
+        rows += [_run_repetition(config, model, truth, rep) for rep in todo]
     if config.trace:
         _write_trace(rows, config.trace)
     return rows
@@ -292,7 +293,7 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
     else:
         bound = estimators.sample_bound_integer(q, model.n_bound, config.epsilon)
 
-    paired_rows = run_experiment(replace(config, method="paired"))
+    paired_rows = _run_on(replace(config, method="paired"), model, truth)
     mean_paired_draws = sum(r["draws_total"] for r in paired_rows) / len(paired_rows)
 
     table = []
@@ -301,18 +302,9 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
             rows = paired_rows
         else:
             draws = max(1, round(mean_paired_draws))
-            rows = run_experiment(replace(config, method=method, draws=draws, schedule_in=None,
-                                          schedule_out=None, trace=None))
-        hits = sum(
-            1
-            for r in rows
-            if math.isfinite(r["log_estimate"]) and abs(r["log_estimate"] - truth) <= band
-        )
-        errs = [
-            abs(r["log_estimate"] - truth)
-            for r in rows
-            if math.isfinite(r["log_estimate"])
-        ]
+            rows = _run_on(replace(config, method=method, draws=draws, schedule_in=None,
+                                   schedule_out=None, trace=None), model, truth)
+        errs = [abs(r["log_estimate"] - truth) for r in rows if math.isfinite(r["log_estimate"])]
         table.append(
             {
                 "method": method,
@@ -320,7 +312,7 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
                 "beta": config.beta,
                 "epsilon": config.epsilon,
                 "reps": config.reps,
-                "coverage": hits / len(rows),
+                "coverage": sum(err <= band for err in errs) / len(rows),
                 "mean_draws": sum(r["draws_total"] for r in rows) / len(rows),
                 "mean_abs_log_error": sum(errs) / len(errs) if errs else float("nan"),
                 "sample_bound": bound,

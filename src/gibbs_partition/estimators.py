@@ -103,14 +103,6 @@ def paired_replicate_logs(
     return -(deltas @ energies[:-1]), deltas @ energies[1:]
 
 
-def paired_replicate(
-    schedule: CoolingSchedule, oracle: SamplerOracle, rng: np.random.Generator
-) -> tuple[float, float]:
-    """One (W, V) pair from exactly len(betas) draws, accumulated in log space."""
-    log_ws, log_vs = paired_replicate_logs(schedule, oracle, 1, rng)
-    return exp_or_inf(log_ws.item()), exp_or_inf(log_vs.item())
-
-
 def prepare(oracle: SamplerOracle, beta: float) -> tuple[SamplerOracle, str, float]:
     """Route a model to its pipeline: (oracle to walk, regime, log correction).
 

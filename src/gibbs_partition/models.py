@@ -4,9 +4,9 @@ A model is its density of states: the distinct energies E_l and their
 multiplicities m_l, which is all that the estimators and the exact truth
 ln Z(b) = logsumexp(ln m_l - b E_l) read.  States are opaque integer indices
 0..num_states-1, and the state table H(x) serves only state-level consumers;
-spin semantics live only inside the Ising constructors.  Models are not
-changed after construction (a deferred state table is only filled in), so
-they are safe to share across concurrent workers.
+spin semantics live only inside the Ising constructors.  Models are plain
+data, not changed after construction (a deferred state table is only filled
+in), so they are safe to share across concurrent workers and they pickle.
 """
 
 from __future__ import annotations
@@ -54,12 +54,14 @@ class GibbsModel:
     energies are integers, which is what the integer-regime parameter
     choices assume.
 
-    ``hamiltonian`` is the state table H(x), or a function that builds it.
-    Given a table, the levels are counted from it.  Given a function, the
-    caller passes ``levels`` and ``num_states``, and the table is built the
-    first time ``hamiltonian`` is read.  ``enumerated`` records whether the
-    levels were counted from a state table: the enumeration guard bounds
-    such models.
+    The state table H(x), read as ``hamiltonian``, has one source: a table
+    passed as ``hamiltonian``, which the levels are counted from; else a
+    ``source`` model, giving ``source.hamiltonian + shift``; else the Ising
+    ``graph``, giving -#aligned edges.  The last two take ``levels`` and
+    ``num_states`` and build the table, under the guard, on first read, so a
+    model pickles as its levels, graph and source.  ``enumerated`` records
+    whether the levels were counted from a state table: the enumeration
+    guard bounds such models.
     """
 
     def __init__(
@@ -74,22 +76,21 @@ class GibbsModel:
         levels: tuple[np.ndarray, np.ndarray] | None = None,
         num_states: int | None = None,
         enumerated: bool = True,
+        source: GibbsModel | None = None,
+        shift: float = 0.0,
     ):
-        if callable(hamiltonian):
-            if levels is None or num_states is None:
-                raise ValueError("a model without a state table needs its levels and state count")
+        if hamiltonian is None:
+            if levels is None or num_states is None or (graph is None and source is None):
+                raise ValueError("a tableless model needs levels, num_states and a graph or source")
             energies, counts = (np.array(x, dtype=np.float64) for x in levels)
-            self._table = None
-            self._build_table = hamiltonian
         else:
-            h = np.array(hamiltonian, dtype=np.float64)
-            if h.ndim != 1 or h.size < 1:
+            hamiltonian = np.array(hamiltonian, dtype=np.float64)
+            if hamiltonian.ndim != 1 or hamiltonian.size < 1:
                 raise ValueError("hamiltonian must be a non-empty 1-d array")
-            h.flags.writeable = False
-            energies, counts = np.unique(h, return_counts=True)
+            hamiltonian.flags.writeable = False
+            energies, counts = np.unique(hamiltonian, return_counts=True)
             counts = counts.astype(np.float64)
-            num_states = h.size
-            self._table = h
+            num_states = hamiltonian.size
         if energies.ndim != 1 or energies.size < 1 or counts.shape != energies.shape:
             raise ValueError("levels must be two non-empty 1-d arrays of one length")
         if not np.all(np.isfinite(energies)):
@@ -98,6 +99,9 @@ class GibbsModel:
             raise ValueError("level energies must ascend strictly, with positive counts")
         energies.flags.writeable = False
         counts.flags.writeable = False
+        self._table = hamiltonian
+        self.source = source
+        self.shift = shift
         self.energies = energies
         self.counts = counts
         self.num_states = int(num_states)
@@ -121,9 +125,12 @@ class GibbsModel:
 
     @property
     def hamiltonian(self) -> np.ndarray:
-        """The state table H(x), built on first read if the model has none yet."""
+        """The state table H(x), built from the source or graph on first read."""
         if self._table is None:
-            h = np.array(self._build_table(), dtype=np.float64)
+            if self.source is not None:
+                h = self.source.hamiltonian + self.shift
+            else:
+                h = _ising_table(self.graph.num_vertices, self.graph.edges)
             h.flags.writeable = False
             self._table = h
         return self._table
@@ -186,7 +193,7 @@ def logsumexp(a) -> float:
     return float(out[0])
 
 
-def table_model(values, name: str = "table", graph: IsingGraph | None = None) -> GibbsModel:
+def table_model(values, name: str = "table") -> GibbsModel:
     """Build a model from an explicit energy table."""
     h = np.asarray(values, dtype=np.float64)
     return GibbsModel(
@@ -195,7 +202,6 @@ def table_model(values, name: str = "table", graph: IsingGraph | None = None) ->
         sign_class=_sign_class(h),
         integer_valued=_is_integer(h),
         name=name,
-        graph=graph,
     )
 
 
@@ -216,7 +222,7 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
     State index s encodes spins bitwise: spin(v) = +1 iff bit v of s is set.
     n_bound equals |E| (all edges aligned), sign class is nonpositive.  The
     levels are counted from the enumerated state table, so the enumeration
-    guard bounds num_vertices.
+    guard bounds num_vertices; the model keeps the graph, not the table.
     """
     if num_vertices < 1:
         raise ValueError("num_vertices must be >= 1")
@@ -232,14 +238,15 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
             raise ValueError(f"duplicate edge ({i},{j})")
         seen.add(key)
         canon.append(key)
-    graph = IsingGraph(num_vertices=num_vertices, edges=tuple(canon))
     return GibbsModel(
-        hamiltonian=_ising_table(num_vertices, canon),
+        hamiltonian=None,
         n_bound=max(1, len(canon)),
         sign_class=SIGN_NONPOSITIVE,
         integer_valued=True,
         name=f"ising-{num_vertices}v-{len(canon)}e",
-        graph=graph,
+        graph=IsingGraph(num_vertices=num_vertices, edges=tuple(canon)),
+        levels=np.unique(_ising_table(num_vertices, canon), return_counts=True),
+        num_states=2 ** num_vertices,
     )
 
 
@@ -269,7 +276,7 @@ def grid_model(rows: int, cols: int) -> GibbsModel:
             f"2^{num_vertices} states pass the float64 range of the level counts"
         )
     return GibbsModel(
-        hamiltonian=lambda: _ising_table(num_vertices, edges),
+        hamiltonian=None,
         n_bound=max(1, len(edges)),
         sign_class=SIGN_NONPOSITIVE,
         integer_valued=True,
@@ -405,7 +412,7 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
         raise ValueError(f"energies up to |H| = {top:g} shifted by {c:g} pass the float range")
     energies, level = np.unique(shifted, return_inverse=True)
     return GibbsModel(
-        hamiltonian=lambda: model.hamiltonian + c,
+        hamiltonian=None,
         n_bound=_bound_for(energies),
         sign_class=_sign_class(energies),
         integer_valued=_is_integer(energies),
@@ -414,6 +421,8 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
         levels=(energies, np.bincount(level, weights=model.counts)),
         num_states=model.num_states,
         enumerated=model.enumerated,
+        source=model,
+        shift=c,
     )
 
 
@@ -432,7 +441,8 @@ def model_from_dict(spec: dict) -> GibbsModel:
     """Load a model from the JSON schema, validating invariants.
 
     Malformed specs raise ValueError: a spec that is not an object, a
-    missing field, or a table that is not a non-empty list.
+    missing field, ising fields that are not an integer vertex count and a
+    list of integer pairs, or a table that is not a non-empty list of numbers.
     """
     if not isinstance(spec, dict):
         raise ValueError("a model spec must be a JSON object")
@@ -442,14 +452,19 @@ def model_from_dict(spec: dict) -> GibbsModel:
         if key not in spec:
             raise ValueError(f"{kind} model spec has no {key!r} field")
     if kind == "ising":
-        return ising_model(
-            [tuple(e) for e in spec["edges"]],
-            num_vertices=int(spec["num_vertices"]),
+        num_vertices, edges = spec["num_vertices"], spec["edges"]
+        pairs = isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
         )
+        if type(num_vertices) is not int or not pairs:
+            raise ValueError("ising model needs integer num_vertices and a list of [i, j] edges")
+        return ising_model([tuple(e) for e in edges], num_vertices=num_vertices)
     if kind == "table":
         values = spec["hamiltonian"]
         if not isinstance(values, list) or len(values) < 1:
             raise ValueError("table model needs a non-empty list of energies")
+        if not all(type(v) in (int, float) for v in values):
+            raise ValueError("table model energies must be numbers")
         return table_model(values)
     raise ValueError(f"unknown model type {kind!r}")
 

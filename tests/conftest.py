@@ -16,8 +16,10 @@ import pytest
 from gibbs_partition import (
     constant_model,
     cycle_edges,
+    exp_or_inf,
     grid_edges,
     ising_model,
+    paired_replicate_logs,
     path_edges,
     table_model,
 )
@@ -94,6 +96,12 @@ def draw_mcmc_chains(oracle, b, n, rng):
         us = rng.random((nv, n))
         states = [_metropolis_sweep(s, adj, bs[j], us[:, j]) for j, s in enumerate(states)]
     return states
+
+
+def paired_replicate(schedule, oracle, rng):
+    """One (W, V) pair: the library's r = 1 replicate block, exponentiated."""
+    log_ws, log_vs = paired_replicate_logs(schedule, oracle, 1, rng)
+    return exp_or_inf(log_ws.item()), exp_or_inf(log_vs.item())
 
 
 def brute_z(model, beta):

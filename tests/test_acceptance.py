@@ -27,7 +27,6 @@ from gibbs_partition import (
     mcmc_tv_error,
     merge_runs,
     paired_product_estimate,
-    paired_replicate,
     regime_for_model,
     sample_bound_integer,
     sample_bound_shifted,
@@ -39,7 +38,7 @@ from gibbs_partition import (
     well_balanced_schedule,
 )
 
-from conftest import brute_z, tiny_models
+from conftest import brute_z, paired_replicate, tiny_models
 
 SEED = 1  # frozen; all statistical criteria are deterministic given this
 

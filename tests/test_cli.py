@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import gibbs_partition.cli as cli
 import gibbs_partition.models as models
 from conftest import row_transfer_log_partition
 from gibbs_partition.cli import (
@@ -150,8 +151,24 @@ def test_main_writes_csv_and_sidecar(tmp_path):
     assert "wall_time" in sidecar
 
 
-def test_main_determinism_bytes(tmp_path, monkeypatch):
-    args = [
+MIXED_5 = {"type": "table", "hamiltonian": [-2, -1, 0, 1, 2]}
+
+
+@pytest.mark.parametrize(
+    "model_args",
+    [
+        ["--model", "k2"],
+        ["--model", "grid-3x3"],
+        ["--model", "table:{mixed}"],
+        ["--model", "cycle-4", "--sampler", "mcmc", "--mcmc-steps", "5"],
+    ],
+    ids=["k2", "grid-3x3", "mixed-5", "cycle-4-mcmc"],
+)
+def test_main_determinism_bytes(model_args, tmp_path, monkeypatch):
+    mixed = tmp_path / "mixed-5.json"
+    mixed.write_text(json.dumps(MIXED_5))
+    # The later --model overrides _run_main's k2.
+    args = [arg.format(mixed=mixed) for arg in model_args] + [
         "--method", "paired", "--epsilon", "0.4", "--reps", "4", "--seed", "11",
         "--expert-overrides", "r=60",
     ]
@@ -182,8 +199,12 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
         ('{"type": "table", "hamiltonian": [1e400]}', "must be finite"),
         # Finite, but the shifted pipeline's H - 2n is not.
         ('{"type": "table", "hamiltonian": [0.5, 1e308]}', "pass the float range"),
+        ('{"type": "ising", "num_vertices": 2, "edges": 5}', "list of [i, j] edges"),
+        ('{"type": "ising", "num_vertices": 2, "edges": [1]}', "list of [i, j] edges"),
+        ('{"type": "table", "hamiltonian": [{}]}', "must be numbers"),
     ],
-    ids=["no-hamiltonian", "top-level-list", "infinite-value", "shift-overflows"],
+    ids=["no-hamiltonian", "top-level-list", "infinite-value", "shift-overflows",
+         "edges-not-a-list", "edge-not-a-pair", "value-not-a-number"],
 )
 def test_malformed_table_file_exit_2(text, message, tmp_path, capsys):
     path = tmp_path / "m.json"
@@ -430,6 +451,30 @@ def test_compare_trace_is_the_paired_run_trace(tmp_path):
     assert main(["run", "--method", "paired", *args, "--trace", str(run),
                  "--out", str(tmp_path / "r.csv")]) == 0
     assert compared.read_bytes() and compared.read_bytes() == run.read_bytes()
+
+
+def test_a_run_builds_its_model_and_truth_once(tmp_path, monkeypatch):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_model", counted("build_model", cli.build_model))
+    monkeypatch.setattr(models, "log_ratio_exact", counted("log_ratio_exact", models.log_ratio_exact))
+    cfg = ExperimentConfig(model="k2", beta=1.0, epsilon=0.4, reps=4, seed=3,
+                           overrides={"replicates": 20})
+    runs = {
+        "run": lambda: run_experiment(cfg),
+        "schedule-out": lambda: run_experiment(replace(cfg, schedule_out=str(tmp_path / "s.json"))),
+        "compare": lambda: compare_methods(cfg, ["paired", "product", "single"]),
+    }
+    for label, run in runs.items():
+        calls.clear()
+        run()
+        assert calls == {"build_model": 1, "log_ratio_exact": 1}, label
 
 
 def test_compare_rejects_empty_methods():

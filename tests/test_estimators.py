@@ -20,7 +20,6 @@ from gibbs_partition import (
     log_ratio_exact,
     median_boosted_estimate,
     paired_product_estimate,
-    paired_replicate,
     paired_replicate_logs,
     product_baseline_log_estimate,
     product_log_estimate,
@@ -37,6 +36,8 @@ from gibbs_partition.schedule import (
     REGIME_SHIFTED,
     regime_for_model,
 )
+
+from conftest import paired_replicate
 
 SEED = 4241
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gibbs_partition import (
     shift_hamiltonian,
     table_model,
 )
+from gibbs_partition.cli import build_model
 
 from conftest import brute_ising_energies, brute_z, row_transfer_log_partition, tiny_models
 
@@ -306,15 +308,50 @@ def test_shift_moves_levels_and_defers_the_table():
 
 
 def test_level_model_validation():
+    graph = models.IsingGraph(num_vertices=1, edges=())
     levels_of = {
-        "no state count": dict(levels=([-1.0, 0.0], [1.0, 1.0])),
-        "descending": dict(levels=([0.0, -1.0], [1.0, 1.0]), num_states=2),
-        "empty level": dict(levels=([-1.0, 0.0], [1.0, 0.0]), num_states=1),
-        "ragged": dict(levels=([-1.0, 0.0], [2.0]), num_states=2),
+        "no state count": dict(levels=([-1.0, 0.0], [1.0, 1.0]), graph=graph),
+        "descending": dict(levels=([0.0, -1.0], [1.0, 1.0]), num_states=2, graph=graph),
+        "empty level": dict(levels=([-1.0, 0.0], [1.0, 0.0]), num_states=1, graph=graph),
+        "ragged": dict(levels=([-1.0, 0.0], [2.0]), num_states=2, graph=graph),
+        "no table source": dict(levels=([-1.0, 0.0], [1.0, 1.0]), num_states=2),
     }
     for kwargs in levels_of.values():
         with pytest.raises(ValueError):
-            models.GibbsModel(lambda: None, 1, "nonpositive", True, **kwargs)
+            models.GibbsModel(None, 1, "nonpositive", True, **kwargs)
+
+
+PICKLED_SPECS = ["k2", "path-5", "cycle-4", "grid-3x3", "grid-10x10", "const-2", "mixed-5"]
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["plain", "shifted"])
+@pytest.mark.parametrize("spec", PICKLED_SPECS)
+def test_models_pickle_as_plain_data(spec, shifted, tmp_path):
+    if spec == "mixed-5":
+        path = tmp_path / "mixed-5.json"
+        path.write_text(json.dumps({"type": "table", "hamiltonian": [-2, -1, 0, 1, 2]}))
+        spec = f"table:{path}"
+    model = build_model(spec)
+    if shifted:
+        model = shift_hamiltonian(model, -2.0 * model.n_bound)
+    copy = pickle.loads(pickle.dumps(model))
+    for key in ("name", "num_states", "graph", "n_bound", "sign_class", "integer_valued",
+                "enumerated"):
+        assert getattr(copy, key) == getattr(model, key)
+    assert copy.energies.tobytes() == model.energies.tobytes()
+    assert copy.counts.tobytes() == model.counts.tobytes()
+    for part in filter(None, (model, model.source)):
+        assert not [key for key, value in vars(part).items() if callable(value)]
+    if model.num_states <= models.ENUMERATION_GUARD:
+        assert copy.hamiltonian.tobytes() == model.hamiltonian.tobytes()
+    else:
+        with pytest.raises(EnumerationGuardError):
+            copy.hamiltonian
+
+
+def test_an_ising_model_pickles_without_its_state_table():
+    # path-20 counts its levels from a 2^20-entry table, 8 MB, and keeps its graph.
+    assert len(pickle.dumps(build_model("path-20"))) < 64 * 1024
 
 
 @settings(max_examples=300, deadline=None)
