@@ -32,7 +32,6 @@ from .samplers import (
     DrawCounter,
     SamplerOracle,
     coupling_failure_bound,
-    draw_exact,
     draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,

@@ -1,12 +1,15 @@
 """Gibbs models over finite state spaces and the exact partition oracle.
 
 A model is its density of states: the distinct energies E_l and their
-multiplicities m_l, which is all that the estimators and the exact truth
-ln Z(b) = logsumexp(ln m_l - b E_l) read.  States are opaque integer indices
-0..num_states-1, and the state table H(x) serves only state-level consumers;
-spin semantics live only inside the Ising constructors.  Models are plain
-data, not changed after construction (a deferred state table is only filled
-in), so they are safe to share across concurrent workers and they pickle.
+multiplicities m_l, which is all that the estimators, the exact sampler and
+the exact truth ln Z(b) = logsumexp(ln m_l - b E_l) read; its flags
+(``n_bound``, ``sign_class``, ``integer_valued``) are derived from the
+levels.  States are opaque integer indices 0..num_states-1, and the state
+table H(x) serves only state-level consumers (model files, kernel
+enumeration, tests), never a draw: the MCMC sampler sums energies from its
+spins.  Models are plain data, not changed after construction (a deferred
+state table is only filled in), so they are safe to share across concurrent
+workers and they pickle.
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ class GibbsModel:
 
     ``energies`` and ``counts`` are float64 arrays; counts below 2^53 are
     exact integers, and larger ones (grids past 53 sites) carry float64
-    rounding.  ``n_bound`` is a positive integer with
-    |E_l| <= n_bound for every level; ``integer_valued`` records whether all
-    energies are integers, which is what the integer-regime parameter
-    choices assume.
+    rounding.  Three flags are derived from the levels: ``n_bound``, the
+    least positive integer with |E_l| <= n_bound for every level;
+    ``sign_class``; and ``integer_valued``, whether all energies are
+    integers, which is what the integer-regime parameter choices assume.
 
     The state table H(x), read as ``hamiltonian``, has one source: a table
     passed as ``hamiltonian``, which the levels are counted from; else a
@@ -67,9 +70,6 @@ class GibbsModel:
     def __init__(
         self,
         hamiltonian,
-        n_bound: int,
-        sign_class: str,
-        integer_valued: bool,
         name: str = "table",
         graph: IsingGraph | None = None,
         *,
@@ -105,23 +105,19 @@ class GibbsModel:
         self.energies = energies
         self.counts = counts
         self.num_states = int(num_states)
-        self.n_bound = n_bound
-        self.sign_class = sign_class
-        self.integer_valued = integer_valued
+        self.n_bound = _bound_for(energies)
+        self.sign_class = _sign_class(energies)
+        self.integer_valued = _is_integer(energies)
         self.name = name
         self.graph = graph
         self.enumerated = enumerated
-        if int(n_bound) != n_bound or n_bound < 1:
-            raise ValueError("n_bound must be a positive integer")
-        if float(np.max(np.abs(energies))) > n_bound:
-            raise ValueError("n_bound does not dominate max |H(x)|")
-        if sign_class != _sign_class(energies):
-            raise ValueError(
-                f"declared sign_class {sign_class!r} inconsistent with "
-                f"energy range [{energies[0]}, {energies[-1]}]"
-            )
-        if integer_valued != _is_integer(energies):
-            raise ValueError("integer_valued flag inconsistent with energies")
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writable; models are not changed.
+        self.__dict__.update(state)
+        for array in (self.energies, self.counts, self._table):
+            if array is not None:
+                array.flags.writeable = False
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -154,10 +150,7 @@ def _sign_class(h: np.ndarray) -> str:
 
 
 def _bound_for(h: np.ndarray) -> int:
-    top = float(np.max(np.abs(h)))
-    if not math.isfinite(top):
-        raise ValueError("hamiltonian values must be finite")
-    return max(1, math.ceil(top))
+    return max(1, math.ceil(float(np.max(np.abs(h)))))
 
 
 def _is_integer(h: np.ndarray) -> bool:
@@ -196,13 +189,7 @@ def logsumexp(a) -> float:
 def table_model(values, name: str = "table") -> GibbsModel:
     """Build a model from an explicit energy table."""
     h = np.asarray(values, dtype=np.float64)
-    return GibbsModel(
-        hamiltonian=h,
-        n_bound=_bound_for(h),
-        sign_class=_sign_class(h),
-        integer_valued=_is_integer(h),
-        name=name,
-    )
+    return GibbsModel(hamiltonian=h, name=name)
 
 
 def _ising_table(num_vertices: int, edges) -> np.ndarray:
@@ -240,9 +227,6 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
         canon.append(key)
     return GibbsModel(
         hamiltonian=None,
-        n_bound=max(1, len(canon)),
-        sign_class=SIGN_NONPOSITIVE,
-        integer_valued=True,
         name=f"ising-{num_vertices}v-{len(canon)}e",
         graph=IsingGraph(num_vertices=num_vertices, edges=tuple(canon)),
         levels=np.unique(_ising_table(num_vertices, canon), return_counts=True),
@@ -277,9 +261,6 @@ def grid_model(rows: int, cols: int) -> GibbsModel:
         )
     return GibbsModel(
         hamiltonian=None,
-        n_bound=max(1, len(edges)),
-        sign_class=SIGN_NONPOSITIVE,
-        integer_valued=True,
         name=f"ising-{num_vertices}v-{len(edges)}e",
         graph=IsingGraph(num_vertices=num_vertices, edges=tuple(edges)),
         levels=_grid_levels(width, num_vertices // width, len(edges)),
@@ -413,9 +394,6 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
     energies, level = np.unique(shifted, return_inverse=True)
     return GibbsModel(
         hamiltonian=None,
-        n_bound=_bound_for(energies),
-        sign_class=_sign_class(energies),
-        integer_valued=_is_integer(energies),
         name=f"{model.name}+shift({c:g})",
         graph=model.graph,
         levels=(energies, np.bincount(level, weights=model.counts)),

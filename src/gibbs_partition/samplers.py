@@ -3,23 +3,23 @@
 Every consumer of draws reads only the energy H(X), so the oracle contract
 is ``draw_energies(b, n, rng)`` for n independent draws at one b, or a
 (len(b), n) block for a 1-d array of b, and ``draw_energies_at(bs, rng)``
-for one draw at each b of an array; ``draw`` returns one state index, the
-reference both are checked against.  The exact oracle samples from the
-model's density of states (its distinct energy levels and their
-multiplicities), so building it and a draw at a fresh b cost O(levels), not
-O(states), and only ``draw`` reads the state table; a row of n draws at one
-b inverts its uniforms through a guide table, O(1) per draw on average.  The
-MCMC oracle runs restart chains in lockstep on one (nv, n) spin array
-with one (nv, n) block of uniforms per sweep, a lone ``draw`` as one chain.
-Every draw consumes a caller-supplied numpy Generator and is tallied, with
-its b, in the oracle's counter, the ground truth for all sample counts.
+for one draw at each b of an array; no draw path keeps a state index or
+reads the state table.  The exact oracle samples from the model's density
+of states (its distinct energy levels and their multiplicities), so building
+it and a draw at a fresh b cost O(levels), not O(states); a row of n draws
+at one b inverts its uniforms through a guide table, O(1) per draw on
+average.  The MCMC oracle runs restart chains in lockstep on one (nv, n)
+spin array with one (nv, n) block of uniforms per sweep, and sums each
+chain's energy from its spins.  Every draw consumes a caller-supplied numpy
+Generator and is tallied, with its b, in the oracle's counter, the ground
+truth for all sample counts.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -83,9 +83,6 @@ class SamplerOracle:
     tv_budget_per_draw: float = 0.0
     mcmc_steps: int = 0
     counter: DrawCounter = field(default_factory=DrawCounter)
-    # States sorted by (energy, index) and where each level starts in that
-    # order; only ``draw`` on an exact oracle needs them, so built on first use.
-    _by_level: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (KIND_EXACT, KIND_MCMC):
@@ -99,13 +96,16 @@ class SamplerOracle:
                 raise ValueError("mcmc sampling requires an Ising model")
             if self.mcmc_steps < 0:
                 raise ValueError("mcmc_steps must be nonnegative")
-            # Its draws are states, and their energies come from the state table.
+            # Each chain starts from one rng.integers(0, 2**nv) state index,
+            # so the guard stays until the start-state stream changes.
             require_enumerable(self.model.num_states)
 
-    def draw(self, b: float, rng: np.random.Generator) -> int:
-        if self.kind == KIND_EXACT:
-            return draw_exact(self, b, rng)
-        return int(draw_mcmc_lockstep(self, b, 1, rng)[0])
+    def draw(self, b: float, rng: np.random.Generator) -> float:
+        """H(X) for one X ~ pi_b: one row of one ``draw_energies`` draw.
+
+        No estimate calls it; the per-layer probes in ``perfbench`` do.
+        """
+        return float(self.draw_energies(b, 1, rng)[0])
 
     def draw_energies(
         self, b: float | np.ndarray, n: int, rng: np.random.Generator
@@ -114,11 +114,10 @@ class SamplerOracle:
 
         A scalar b returns n energies, and an array ``b`` a (len(b), n) block
         that consumes ``rng`` exactly as one call per entry, in order, would;
-        the counter records (b, n) per row.  For exact oracles each row
-        equals the energies of n ``draw`` calls on the same generator, and
-        the uniforms are one (len(b), n) block inverted by a guide table
-        (see ``_draw_levels``); MCMC oracles run n restart chains in
-        lockstep per row.
+        the counter records (b, n) per row.  For exact oracles the uniforms
+        are one (len(b), n) block inverted by a guide table (see
+        ``_draw_levels``); MCMC oracles run n restart chains in lockstep per
+        row.
         """
         bs = np.atleast_1d(np.asarray(b, dtype=float))
         if self.kind == KIND_EXACT:
@@ -126,20 +125,20 @@ class SamplerOracle:
         else:
             block = np.empty((len(bs), n))
             for row, row_b in zip(block, bs.tolist()):
-                row[:] = self.model.hamiltonian[draw_mcmc_lockstep(self, row_b, n, rng)]
+                row[:] = _spin_energies(self.model, draw_mcmc_lockstep(self, row_b, n, rng))
         return block if np.ndim(b) else block[0]
 
     def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """H(X_j) for independent X_j ~ pi_{bs[j]}, one per entry of ``bs``.
 
-        For exact oracles this equals the energies of ``[draw(b, rng) for b
-        in bs]`` draw for draw; MCMC oracles run one restart chain per
-        entry, each at its own b, in lockstep.
+        For exact oracles this equals ``[draw(b, rng) for b in bs]`` draw
+        for draw; MCMC oracles run one restart chain per entry, each at its
+        own b, in lockstep.
         """
         bs = np.asarray(bs, dtype=float)
         if self.kind == KIND_EXACT:
             return _draw_levels_at(self, bs, rng)
-        return self.model.hamiltonian[draw_mcmc_lockstep(self, bs, len(bs), rng)]
+        return _spin_energies(self.model, draw_mcmc_lockstep(self, bs, len(bs), rng))
 
     def with_model(self, model: GibbsModel) -> "SamplerOracle":
         """View of this oracle on another model, sharing the draw counter.
@@ -197,8 +196,9 @@ def _draw_levels(
 ) -> np.ndarray:
     """Energies of n draws at each b of ``bs``, one row per b, by guide table.
 
-    One (len(bs), n) block of uniforms; row i inverts the list
-    ``_level_cdf`` builds for bs[i] as ``draw_exact`` does, through a guide
+    One (len(bs), n) block of uniforms; uniform u of row i draws the first
+    level whose entry of the list ``_level_cdf`` builds for bs[i] passes
+    u * top, capped at the last level, and finds it through a guide
     table (Chen and Asau, AIIE Trans. 6(2), 1974) of g = 2^k buckets, k
     derived from n.  lv[j] is the level that u = j/g inverts to.  For a
     power of two g, u*g and j/g are exact and fl(u * top) is monotone in u,
@@ -214,7 +214,7 @@ def _draw_levels(
     for row, b in zip(block, bs.tolist()):
         cw = np.asarray(_level_cdf(oracle, b))
         top, last = cw[-1], len(cw) - 1
-        # As in draw_exact, u * top can round up to top.
+        # u * top can round up to top, past the last level.
         lv = np.minimum(np.searchsorted(cw, edges * top, side="right"), last)
         # Energies are finite, so nan marks the buckets a boundary splits.
         guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
@@ -234,7 +234,7 @@ def _draw_levels_at(
     """Energies of one draw at each b of ``bs``, one level-CDF column per b.
 
     Each column is the list ``_level_cdf`` builds for its b, and the draw
-    inverts it as ``draw_exact`` does.  Columns are built in blocks of at
+    inverts it as ``_draw_levels`` does.  Columns are built in blocks of at
     most _MATRIX_CAP entries, so a model with many levels never holds a
     levels x len(bs) matrix at once.
     """
@@ -250,49 +250,25 @@ def _draw_levels_at(
         top_logw = np.maximum(logw[0], logw[-1])
         cw = np.cumsum(counts[:, None] * np.exp(logw - top_logw), axis=0)
         top = cw[-1]
-        # Capped at the last level whose CDF entry is below top, as in
-        # draw_exact: a trailing level whose weight underflowed is never drawn.
+        # Capped at the last level whose CDF entry is below top, as
+        # _level_cdf drops a trailing level whose weight underflowed.
         level = np.minimum((cw <= u[cols] * top).sum(axis=0), (cw < top).sum(axis=0))
         out[cols] = energies[level]
     oracle.counter.record_each(bs)
     return out
 
 
-def draw_exact(oracle: SamplerOracle, b: float, rng: np.random.Generator) -> int:
-    """One state from pi_b by inversion over states sorted by (energy, index).
-
-    The uniform picks a level by CDF inversion over levels; where it lands
-    inside that level's CDF step picks one of the level's equally weighted
-    states.
-    """
-    if oracle.kind != KIND_EXACT:
-        raise ValueError("draw_exact needs an exact-enumeration oracle")
-    if oracle._by_level is None:
-        counts = oracle.model.counts.astype(np.int64)
-        order = np.argsort(oracle.model.hamiltonian, kind="stable")
-        oracle._by_level = order, np.cumsum(counts) - counts
-    order, starts = oracle._by_level
-    cw = _level_cdf(oracle, b)
-    t = rng.random() * cw[-1]
-    oracle.counter.record(b)
-    # t can round up to cw[-1], where bisect_right runs past the top level.
-    level = min(bisect_right(cw, t), len(cw) - 1)
-    lo = cw[level - 1] if level else 0.0
-    m = int(oracle.model.counts[level])
-    offset = min(int((t - lo) / (cw[level] - lo) * m), m - 1)
-    return int(order[starts[level] + offset])
-
-
 def draw_mcmc_lockstep(
     oracle: SamplerOracle, b: float | np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """States of n independent restart chains run in lockstep.
+    """Spins of n independent restart chains run in lockstep, as (nv, n) bools.
 
     Each chain runs mcmc_steps systematic Metropolis sweeps from a fresh
     uniform state, so draws are independent, at the cost of re-running the
-    burn-in every time.  Spins are one (nv, n) bool array, row v holding bit
-    v of each chain's state; ``rng`` gives the n start states, then one
-    (nv, n) block of uniforms per sweep.  ``b`` is one value or one per chain.
+    burn-in every time.  Row v holds site v of every chain, True for spin
+    +1; ``rng`` gives the n start states as state indices, site v from bit
+    v, then one (nv, n) block of uniforms per sweep.  ``b`` is one value or
+    one per chain.
     """
     if oracle.kind != KIND_MCMC:
         raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
@@ -302,32 +278,44 @@ def draw_mcmc_lockstep(
     adj = oracle.model.graph.adjacency()
     nv = len(adj)
     states = rng.integers(0, 2 ** nv, size=n)
-    if oracle.mcmc_steps > 0:
-        bit = np.arange(nv)[:, None]
-        spins = ((states >> bit) & 1).astype(bool)
-        # A flip of site v with a aligned neighbours passes if u < min(1,
-        # exp(-b (2a - deg))).  That is 1 for a <= deg // 2 and past it
-        # nonincreasing in a (or >= 1 for b < 0), so the flip happens exactly
-        # when a < deg // 2 + 1 + #{thresholds above u}.  above[k][v] is site
-        # v's threshold at a = deg // 2 + 1 + k, or 0 (below every u) past deg.
-        deg = np.array([len(nbrs) for nbrs in adj])[:, None]
-        base = (deg // 2 + 1).astype(np.int8)
-        a = base + np.arange((deg - deg // 2).max())
-        delta = np.multiply.outer(np.minimum(2 * a - deg, deg), np.atleast_1d(b))
-        above = list(np.where((a <= deg)[..., None], np.exp(-delta), 0.0).swapaxes(0, 1))
-        sites = [(spins[v], [spins[u] for u in nbrs]) for v, nbrs in enumerate(adj)]
-        for _ in range(oracle.mcmc_steps):
-            uniforms = rng.random((nv, n))
-            limits = sum((uniforms < t for t in above), base)
-            for (row, nbr_rows), limit in zip(sites, limits):
-                aligned = sum((nbr == row for nbr in nbr_rows), np.int8(0))
-                np.bitwise_xor(row, aligned < limit, out=row)
-        states = (spins << bit).sum(axis=0)
+    spins = ((states >> np.arange(nv)[:, None]) & 1).astype(bool)
+    # A flip of site v with a aligned neighbours passes if u < min(1,
+    # exp(-b (2a - deg))).  That is 1 for a <= deg // 2 and past it
+    # nonincreasing in a (or >= 1 for b < 0), so the flip happens exactly
+    # when a < deg // 2 + 1 + #{thresholds above u}.  above[k][v] is site
+    # v's threshold at a = deg // 2 + 1 + k, or 0 (below every u) past deg.
+    deg = np.array([len(nbrs) for nbrs in adj])[:, None]
+    base = (deg // 2 + 1).astype(np.int8)
+    a = base + np.arange((deg - deg // 2).max())
+    delta = np.multiply.outer(np.minimum(2 * a - deg, deg), np.atleast_1d(b))
+    above = list(np.where((a <= deg)[..., None], np.exp(-delta), 0.0).swapaxes(0, 1))
+    sites = [(spins[v], [spins[u] for u in nbrs]) for v, nbrs in enumerate(adj)]
+    for _ in range(oracle.mcmc_steps):
+        uniforms = rng.random((nv, n))
+        limits = sum((uniforms < t for t in above), base)
+        for (row, nbr_rows), limit in zip(sites, limits):
+            aligned = sum((nbr == row for nbr in nbr_rows), np.int8(0))
+            np.bitwise_xor(row, aligned < limit, out=row)
     if per_chain:
         oracle.counter.record_each(b)
     else:
         oracle.counter.record(b, n)
-    return states
+    return spins
+
+
+def _spin_energies(model: GibbsModel, spins: np.ndarray) -> np.ndarray:
+    """H of each column of an (nv, n) spin array, as the state table sums it.
+
+    -1 per aligned edge, in edge order, plus the shift of every model down
+    the ``source`` chain, innermost first, as ``GibbsModel.hamiltonian``
+    adds them, so the energies are the table's bit for bit.
+    """
+    if model.source is not None:
+        return _spin_energies(model.source, spins) + model.shift
+    h = np.zeros(spins.shape[1])
+    for i, j in model.graph.edges:
+        h -= spins[i] == spins[j]
+    return h
 
 
 def coupling_failure_bound(tv_budget_per_draw: float, total_draws: int) -> float:

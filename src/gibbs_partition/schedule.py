@@ -40,6 +40,8 @@ class ScheduleParams:
     regime: str
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.eta, self.k, self.q_hat1)):
+            raise ValueError("eta, k and q_hat1 must be finite")
         if self.eta <= 0 or self.k <= 0 or self.d < 1:
             raise ValueError("eta and k must be positive, d >= 1")
         if self.q_hat1 < 0:
@@ -56,13 +58,22 @@ class ScheduleParams:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ScheduleParams":
-        return cls(
-            eta=float(spec["eta"]),
-            d=int(spec["d"]),
-            k=float(spec["k"]),
-            q_hat1=float(spec["q_hat1"]),
-            regime=str(spec["regime"]),
-        )
+        """Malformed specs (not an object, a missing field, a value that is
+        not a number) raise ValueError."""
+        if not isinstance(spec, dict):
+            raise ValueError("schedule params must be a JSON object")
+        try:
+            return cls(
+                eta=float(spec["eta"]),
+                d=int(spec["d"]),
+                k=float(spec["k"]),
+                q_hat1=float(spec["q_hat1"]),
+                regime=str(spec["regime"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"schedule params have no {exc} field") from None
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed schedule params: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,9 @@ class CoolingSchedule:
         if self.betas[0] != 0.0:
             raise ValueError("schedules start at 0")
         for lo, hi in zip(self.betas, self.betas[1:]):
-            if hi <= lo:
-                raise ValueError("schedule points must be strictly increasing")
+            # Also false for a nan or infinite point.
+            if not lo < hi < math.inf:
+                raise ValueError("schedule points must be finite and strictly increasing")
 
     @property
     def beta(self) -> float:
@@ -103,8 +115,13 @@ class CoolingSchedule:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "CoolingSchedule":
+        """Malformed specs (not an object, no list of numbers as ``betas``)
+        raise ValueError."""
+        betas = spec.get("betas") if isinstance(spec, dict) else None
+        if not isinstance(betas, list) or not all(type(b) in (int, float) for b in betas):
+            raise ValueError("a schedule file needs a list of numbers as 'betas'")
         return cls(
-            betas=tuple(float(b) for b in spec["betas"]),
+            betas=tuple(float(b) for b in betas),
             degenerate=bool(spec.get("degenerate", False)),
         )
 

@@ -9,6 +9,7 @@ check.
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gibbs_partition import (
     path_edges,
     table_model,
 )
+from gibbs_partition.samplers import KIND_EXACT, _level_cdf
 
 
 def brute_log_partition(values, beta):
@@ -43,6 +45,48 @@ def brute_ising_energies(edges, num_vertices):
         s = sum(1 << v for v, spin in enumerate(spins) if spin == 1)
         energies[s] = -float(sum(1 for i, j in edges if spins[i] == spins[j]))
     return energies
+
+
+def draw_exact(oracle, b, rng):
+    """Reference exact draw: one state from pi_b by inversion over states
+    sorted by (energy, index).
+
+    The uniform picks a level by CDF inversion over levels; where it lands
+    inside that level's CDF step picks one of the level's equally weighted
+    states.  The sorted states and where each level starts in that order
+    are kept on the oracle as ``_by_level``, built on first use.  The draw
+    is recorded in the oracle's counter, as a library draw is.
+    """
+    if oracle.kind != KIND_EXACT:
+        raise ValueError("draw_exact needs an exact-enumeration oracle")
+    if getattr(oracle, "_by_level", None) is None:
+        counts = oracle.model.counts.astype(np.int64)
+        order = np.argsort(oracle.model.hamiltonian, kind="stable")
+        oracle._by_level = order, np.cumsum(counts) - counts
+    order, starts = oracle._by_level
+    cw = _level_cdf(oracle, b)
+    t = rng.random() * cw[-1]
+    oracle.counter.record(b)
+    # t can round up to cw[-1], where bisect_right runs past the top level.
+    level = min(bisect_right(cw, t), len(cw) - 1)
+    lo = cw[level - 1] if level else 0.0
+    m = int(oracle.model.counts[level])
+    offset = min(int((t - lo) / (cw[level] - lo) * m), m - 1)
+    return int(order[starts[level] + offset])
+
+
+def draw_state(oracle, b, rng):
+    """One state index from the reference draw for the oracle's kind; it
+    consumes ``rng`` as one library draw at b does."""
+    if oracle.kind == KIND_EXACT:
+        return draw_exact(oracle, b, rng)
+    return draw_mcmc(oracle, b, rng)
+
+
+def pack_states(spins):
+    """State indices of the columns of an (nv, n) spin array: bit v of a
+    state is set iff its spin at site v is +1."""
+    return (spins.astype(np.int64) << np.arange(len(spins))[:, None]).sum(axis=0)
 
 
 def _metropolis_sweep(state, adj, b, us):

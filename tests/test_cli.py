@@ -188,6 +188,9 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
     assert main(["run", "--model", "k2", "--beta", "-3"]) == 2
     assert main(["run", "--model", "unknown-99", "--beta", "1"]) == 2
     assert "error" in capsys.readouterr().err
+    for override in ("k=inf", "k=nan", "eta=nan"):
+        assert main(["run", "--model", "k2", "--beta", "1", "--expert-overrides", override]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -377,6 +380,28 @@ def test_schedule_in_at_another_beta_exit_2(tmp_path, capsys):
                  "--schedule-in", str(sched)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("{}", "list of numbers as 'betas'"),
+        ("[]", "list of numbers as 'betas'"),
+        ('{"betas": [0, 1], "params": {"eta": 1}}', "no 'd' field"),
+        ('{"betas": [0, null, 1]}', "list of numbers as 'betas'"),
+        # json reads NaN as a float nan.
+        ('{"betas": [0, NaN, 1]}', "finite and strictly increasing"),
+    ],
+    ids=["empty-object", "top-level-list", "params-without-d", "null-point", "nan-point"],
+)
+def test_malformed_schedule_file_exit_2(text, message, tmp_path, capsys):
+    sched = tmp_path / "s.json"
+    sched.write_text(text)
+    code, out = _run_main(tmp_path, "a.csv", ["--schedule-in", str(sched)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["paired", "exact", "product", "single"])

@@ -37,7 +37,7 @@ from gibbs_partition.schedule import (
     regime_for_model,
 )
 
-from conftest import paired_replicate
+from conftest import draw_exact, paired_replicate
 
 SEED = 4241
 
@@ -116,7 +116,7 @@ def test_batched_replicates_are_point_major_draws(label, model, request):
     batched, single = exact_oracle(model), exact_oracle(model)
     log_ws, log_vs = paired_replicate_logs(sched, batched, r, _rng(f"major-{label}"))
     g = _rng(f"major-{label}")
-    hs = [model.hamiltonian[[single.draw(b, g) for _ in range(r)]] for b in sched.betas]
+    hs = [model.hamiltonian[[draw_exact(single, b, g) for _ in range(r)]] for b in sched.betas]
     for j in range(r):
         log_w = log_v = 0.0
         for i, delta in enumerate(sched.half_lengths):
@@ -155,7 +155,7 @@ def test_unbiased_per_interval_on_audited_schedule(c4):
         sched.betas, sched.betas[1:], sched.midpoints, sched.half_lengths
     ):
         ws = np.array(
-            [math.exp(-delta * h[oracle.draw(lo, rng)]) for _ in range(n)]
+            [math.exp(-delta * h[draw_exact(oracle, lo, rng)]) for _ in range(n)]
         )
         expected = math.exp(_z(c4, mid) - _z(c4, lo))
         assert abs(ws.mean() - expected) <= 3.5 * ws.std(ddof=1) / math.sqrt(n)
@@ -347,7 +347,7 @@ def test_baselines_match_one_draw_at_a_time(label, model, request):
     n = 400
     oracle = exact_oracle(model)
     g = _rng(f"single-ref-{label}")
-    ref = logsumexp([-1.3 * model.hamiltonian[oracle.draw(0.0, g)] for _ in range(n)]) - math.log(n)
+    ref = logsumexp([-1.3 * model.hamiltonian[draw_exact(oracle, 0.0, g)] for _ in range(n)]) - math.log(n)
     got = single_shot_log_estimate(exact_oracle(model), 1.3, n, _rng(f"single-ref-{label}"))
     assert got == ref
 
@@ -355,7 +355,7 @@ def test_baselines_match_one_draw_at_a_time(label, model, request):
     g = _rng(f"product-ref-{label}")
     ref = 0.0
     for lo, hi in zip(sched.betas, sched.betas[1:]):
-        logs = [-(hi - lo) * model.hamiltonian[oracle.draw(lo, g)] for _ in range(n)]
+        logs = [-(hi - lo) * model.hamiltonian[draw_exact(oracle, lo, g)] for _ in range(n)]
         ref += float(logsumexp(logs) - math.log(n))
     got = product_log_estimate(sched, exact_oracle(model), n, _rng(f"product-ref-{label}"))
     assert got == ref

@@ -183,20 +183,6 @@ def test_grid_2x2_equals_cycle(c4, grid22):
 
 def test_model_validation_catches_inconsistency(k2):
     with pytest.raises(ValueError):
-        models.GibbsModel(
-            hamiltonian=k2.hamiltonian,
-            n_bound=1,
-            sign_class="nonnegative",
-            integer_valued=True,
-        )
-    with pytest.raises(ValueError):
-        models.GibbsModel(
-            hamiltonian=k2.hamiltonian,
-            n_bound=0,
-            sign_class="nonpositive",
-            integer_valued=True,
-        )
-    with pytest.raises(ValueError):
         table_model([])
 
 
@@ -318,7 +304,7 @@ def test_level_model_validation():
     }
     for kwargs in levels_of.values():
         with pytest.raises(ValueError):
-            models.GibbsModel(None, 1, "nonpositive", True, **kwargs)
+            models.GibbsModel(None, **kwargs)
 
 
 PICKLED_SPECS = ["k2", "path-5", "cycle-4", "grid-3x3", "grid-10x10", "const-2", "mixed-5"]
@@ -340,10 +326,13 @@ def test_models_pickle_as_plain_data(spec, shifted, tmp_path):
         assert getattr(copy, key) == getattr(model, key)
     assert copy.energies.tobytes() == model.energies.tobytes()
     assert copy.counts.tobytes() == model.counts.tobytes()
+    assert not copy.energies.flags.writeable and not copy.counts.flags.writeable
     for part in filter(None, (model, model.source)):
         assert not [key for key, value in vars(part).items() if callable(value)]
     if model.num_states <= models.ENUMERATION_GUARD:
         assert copy.hamiltonian.tobytes() == model.hamiltonian.tobytes()
+        # The read above filled the table in, so this copy pickles it.
+        assert not pickle.loads(pickle.dumps(model)).hamiltonian.flags.writeable
     else:
         with pytest.raises(EnumerationGuardError):
             copy.hamiltonian

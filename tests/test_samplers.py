@@ -12,7 +12,6 @@ from scipy import stats
 from gibbs_partition import (
     ENUMERATION_GUARD,
     coupling_failure_bound,
-    draw_exact,
     draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,
@@ -29,7 +28,14 @@ from gibbs_partition import (
 
 from gibbs_partition.samplers import _level_cdf
 
-from conftest import draw_mcmc, draw_mcmc_chains, tiny_models
+from conftest import (
+    draw_exact,
+    draw_mcmc,
+    draw_mcmc_chains,
+    draw_state,
+    pack_states,
+    tiny_models,
+)
 
 SEED = 1811
 
@@ -43,7 +49,7 @@ def _rng(tag, index=0):
 def _draw_counts(oracle, b, rng, n):
     counts = np.zeros(oracle.model.num_states)
     for _ in range(n):
-        counts[oracle.draw(b, rng)] += 1
+        counts[draw_state(oracle, b, rng)] += 1
     return counts
 
 
@@ -92,18 +98,22 @@ def test_flat_hamiltonian_uniform_at_any_b():
 @pytest.mark.parametrize("label,model", tiny_models())
 @pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.0])
 def test_draw_energy_matches_draw(label, model, b):
-    # One energy at a time and one state at a time consume a generator alike.
+    # One energy at a time, ``draw`` and one reference state at a time
+    # consume a generator alike.
     makers = [exact_oracle]
     if model.graph is not None:
         makers.append(lambda m: mcmc_oracle(m, mcmc_steps=3, tv_budget_per_draw=0.1))
     for make in makers:
-        by_energy, by_state = make(model), make(model)
+        by_energy, by_draw, by_state = make(model), make(model), make(model)
         g1 = _rng(f"energy-{label}", int(b * 10))
         g2 = _rng(f"energy-{label}", int(b * 10))
+        g3 = _rng(f"energy-{label}", int(b * 10))
         energies = [by_energy.draw_energies(b, 1, g1).item() for _ in range(1000)]
-        states = [by_state.draw(b, g2) for _ in range(1000)]
-        assert energies == [float(model.hamiltonian[x]) for x in states]
-        assert by_energy.counter.by_b == by_state.counter.by_b == {b: 1000}
+        drawn = [by_draw.draw(b, g2) for _ in range(1000)]
+        states = [draw_state(by_state, b, g3) for _ in range(1000)]
+        assert energies == drawn == [float(model.hamiltonian[x]) for x in states]
+        assert by_energy.counter.by_b == by_draw.counter.by_b == {b: 1000}
+        assert by_state.counter.by_b == {b: 1000}
 
 
 @pytest.mark.parametrize("label,model", tiny_models())
@@ -115,7 +125,7 @@ def test_draw_energies_matches_draw_energy(label, model, b):
     g2 = _rng(f"energies-{label}", int(b * 10))
     n = 1000
     energies = batched.draw_energies(b, n, g1)
-    assert energies.tolist() == model.hamiltonian[[single.draw(b, g2) for _ in range(n)]].tolist()
+    assert energies.tolist() == model.hamiltonian[[draw_exact(single, b, g2) for _ in range(n)]].tolist()
     assert batched.counter.by_b == {b: n}
     assert g1.random() == g2.random()
 
@@ -127,7 +137,7 @@ def test_draw_energies_at_matches_draw_energy(label, model):
     bs = _rng(f"fresh-b-{label}").random(500) * 2.0
     g1, g2 = _rng(f"energies-at-{label}"), _rng(f"energies-at-{label}")
     energies = per_b.draw_energies_at(bs, g1)
-    assert energies.tolist() == model.hamiltonian[[single.draw(b, g2) for b in bs.tolist()]].tolist()
+    assert energies.tolist() == model.hamiltonian[[draw_exact(single, b, g2) for b in bs.tolist()]].tolist()
     assert per_b.counter.by_b == single.counter.by_b
     assert per_b.counter.total == single.counter.total == 500
     assert g1.random() == g2.random()
@@ -142,7 +152,7 @@ def test_draw_energies_at_in_blocks_matches_draw_energy():
     bs = _rng("blocks-b").random(60) * 2.0
     g1, g2 = _rng("blocks"), _rng("blocks")
     energies = per_b.draw_energies_at(bs, g1)
-    assert energies.tolist() == model.hamiltonian[[single.draw(b, g2) for b in bs.tolist()]].tolist()
+    assert energies.tolist() == model.hamiltonian[[draw_exact(single, b, g2) for b in bs.tolist()]].tolist()
     assert per_b.counter.by_b == single.counter.by_b
 
 
@@ -163,11 +173,12 @@ def _block_models():
 
 
 def _row_by_row(oracle, b, n, rng):
-    """Energies of n ``draw`` calls at b, or past the guard, where ``draw``
-    needs a state table, of n draws by its level inversion, one uniform each."""
+    """Energies of n reference ``draw_exact`` calls at b, or past the guard,
+    where it needs a state table, of n draws by its level inversion, one
+    uniform each."""
     model = oracle.model
     if model.num_states <= ENUMERATION_GUARD:
-        return model.hamiltonian[[oracle.draw(b, rng) for _ in range(n)]]
+        return model.hamiltonian[[draw_exact(oracle, b, rng) for _ in range(n)]]
     cw = _level_cdf(oracle, b)
     levels = [min(bisect_right(cw, rng.random() * cw[-1]), len(cw) - 1) for _ in range(n)]
     oracle.counter.record(b, n)
@@ -250,7 +261,8 @@ def test_draw_never_lands_on_underflowed_level():
 
     # At b = 1 the weight of energy 2000 underflows to zero.
     oracle = exact_oracle(table_model([0.0, 1.0, 1.0, 2000.0]))
-    assert oracle.draw(1.0, _TopUniform()) == 2
+    assert draw_exact(oracle, 1.0, _TopUniform()) == 2
+    assert oracle.draw(1.0, _TopUniform()) == 1.0
     assert oracle.draw_energies(1.0, 3, _TopUniform()).tolist() == [1.0] * 3
     # A block's rows each cap at their own top level.
     assert oracle.draw_energies([1.0, 0.0], 3, _TopUniform()).tolist() == [
@@ -367,14 +379,16 @@ def test_single_shot_relvar_matches_z_identity(label):
 
 def test_mcmc_zero_steps_is_uniform(k2):
     oracle = mcmc_oracle(k2, mcmc_steps=0, tv_budget_per_draw=0.5)
-    counts = np.bincount(draw_mcmc_lockstep(oracle, 1.0, 40_000, _rng("mcmc0")), minlength=4)
+    spins = draw_mcmc_lockstep(oracle, 1.0, 40_000, _rng("mcmc0"))
+    counts = np.bincount(pack_states(spins), minlength=4)
     assert stats.chisquare(counts).pvalue > 0.001
     assert oracle.counter.total == 40_000
 
 
 def test_mcmc_b_zero_is_uniform(c4):
     oracle = mcmc_oracle(c4, mcmc_steps=5, tv_budget_per_draw=0.5)
-    counts = np.bincount(draw_mcmc_lockstep(oracle, 0.0, 40_000, _rng("mcmc-b0")), minlength=16)
+    spins = draw_mcmc_lockstep(oracle, 0.0, 40_000, _rng("mcmc-b0"))
+    counts = np.bincount(pack_states(spins), minlength=16)
     assert stats.chisquare(counts).pvalue > 0.001
 
 
@@ -382,7 +396,7 @@ def test_mcmc_k2_converges_to_gibbs(k2):
     # spec example: 50 sweeps, empirical aligned probability within 0.01
     oracle = mcmc_oracle(k2, mcmc_steps=50, tv_budget_per_draw=0.01)
     n = 100_000
-    counts = np.bincount(draw_mcmc_lockstep(oracle, 1.0, n, _rng("mcmc50")), minlength=4)
+    counts = np.bincount(pack_states(draw_mcmc_lockstep(oracle, 1.0, n, _rng("mcmc50"))), minlength=4)
     aligned = (counts[0] + counts[3]) / n
     assert aligned == pytest.approx(0.7310585786300049, abs=0.01)
 
@@ -433,7 +447,7 @@ def test_mcmc_lockstep_one_chain_is_draw_mcmc(label, sweeps):
     scalar = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     g1, g2 = _rng(f"lockstep-{label}"), _rng(f"lockstep-{label}")
     bs = [0.0, 0.3, 1.0, 2.0] * 250
-    states = [draw_mcmc_lockstep(lockstep, b, 1, g1).item() for b in bs]
+    states = [pack_states(draw_mcmc_lockstep(lockstep, b, 1, g1)).item() for b in bs]
     assert states == [draw_mcmc(scalar, b, g2) for b in bs]
     assert lockstep.counter.by_b == scalar.counter.by_b
     assert g1.random() == g2.random()
@@ -458,8 +472,9 @@ def test_mcmc_lockstep_replays_the_stream_contract(label, model, n, b):
     if b == "per-chain":
         b = _rng(f"replay-b-{label}", n).uniform(-0.5, 3.0, n)
     g1, g2 = _rng(f"replay-{label}", n), _rng(f"replay-{label}", n)
-    states = draw_mcmc_lockstep(oracle, b, n, g1)
-    assert states.tolist() == draw_mcmc_chains(oracle, b, n, g2)
+    spins = draw_mcmc_lockstep(oracle, b, n, g1)
+    assert spins.shape == (model.graph.num_vertices, n)
+    assert pack_states(spins).tolist() == draw_mcmc_chains(oracle, b, n, g2)
     assert g1.bit_generator.state == g2.bit_generator.state
 
 
@@ -469,7 +484,7 @@ def test_mcmc_lockstep_matches_exact_kernel(label, sweeps):
     model = dict(tiny_models())[label]
     oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     n = 400_000
-    states = draw_mcmc_lockstep(oracle, 1.0, n, _rng(f"lockstep-chi-{label}", sweeps))
+    states = pack_states(draw_mcmc_lockstep(oracle, 1.0, n, _rng(f"lockstep-chi-{label}", sweeps)))
     assert oracle.counter.by_b == {1.0: n}
     counts = np.bincount(states, minlength=model.num_states)
     expected = mcmc_draw_distribution(model, 1.0, sweeps)
@@ -484,7 +499,7 @@ def test_mcmc_lockstep_per_chain_b_one_chain_is_draw_mcmc(label):
     scalar = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
     g1, g2 = _rng(f"per-chain-{label}"), _rng(f"per-chain-{label}")
     bs = _rng(f"per-chain-b-{label}").random(1000) * 2.0
-    states = [draw_mcmc_lockstep(lockstep, bs[i : i + 1], 1, g1).item() for i in range(1000)]
+    states = [pack_states(draw_mcmc_lockstep(lockstep, bs[i : i + 1], 1, g1)).item() for i in range(1000)]
     assert states == [draw_mcmc(scalar, b, g2) for b in bs.tolist()]
     assert lockstep.counter.by_b == scalar.counter.by_b
     assert g1.random() == g2.random()
@@ -498,7 +513,7 @@ def test_mcmc_lockstep_per_chain_b_matches_exact_kernel(label, sweeps):
     oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     n = 400_000
     bs = np.where(np.arange(n) % 2 == 0, 0.3, 1.0)
-    states = draw_mcmc_lockstep(oracle, bs, n, _rng(f"per-chain-chi-{label}", sweeps))
+    states = pack_states(draw_mcmc_lockstep(oracle, bs, n, _rng(f"per-chain-chi-{label}", sweeps)))
     assert oracle.counter.by_b == {0.3: n // 2, 1.0: n // 2}
     for b, half in [(0.3, states[0::2]), (1.0, states[1::2])]:
         counts = np.bincount(half, minlength=model.num_states)
@@ -516,7 +531,7 @@ def test_mcmc_draw_energies_are_lockstep_energies(c4):
     by_energy = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
     by_state = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
     energies = by_energy.draw_energies(0.7, 500, _rng("mcmc-energies"))
-    states = draw_mcmc_lockstep(by_state, 0.7, 500, _rng("mcmc-energies"))
+    states = pack_states(draw_mcmc_lockstep(by_state, 0.7, 500, _rng("mcmc-energies")))
     assert energies.tolist() == c4.hamiltonian[states].tolist()
     assert by_energy.counter.by_b == {0.7: 500}
 
@@ -526,9 +541,47 @@ def test_mcmc_draw_energies_at_are_per_chain_lockstep_energies(c4):
     by_state = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
     bs = _rng("mcmc-energies-at-b").random(500)
     energies = by_energy.draw_energies_at(bs, _rng("mcmc-energies-at"))
-    states = draw_mcmc_lockstep(by_state, bs, 500, _rng("mcmc-energies-at"))
+    states = pack_states(draw_mcmc_lockstep(by_state, bs, 500, _rng("mcmc-energies-at")))
     assert energies.tolist() == c4.hamiltonian[states].tolist()
     assert by_energy.counter.by_b == by_state.counter.by_b
+
+
+def _shifted_c4s():
+    c4 = dict(tiny_models())["cycle-4"]
+    once = shift_hamiltonian(c4, -2.5)
+    # (H - 2.5) + 1/3 rounds apart from H + (-2.5 + 1/3) at H = -4 and -2.
+    return [("once", once), ("twice", shift_hamiltonian(once, 1.0 / 3.0))]
+
+
+@pytest.mark.parametrize("label,model", _shifted_c4s(), ids=["once", "twice"])
+def test_mcmc_energies_on_a_shifted_model_are_its_table(label, model):
+    # The energies keep every shift down the source chain, added as the
+    # state table adds them: bit for bit the table at the replayed states.
+    bs = _rng(f"shifted-b-{label}").random(200)
+    for b in (0.7, bs):
+        by_energy = mcmc_oracle(model, mcmc_steps=2, tv_budget_per_draw=0.1)
+        replay = mcmc_oracle(model, mcmc_steps=2, tv_budget_per_draw=0.1)
+        g1, g2 = _rng(f"shifted-{label}"), _rng(f"shifted-{label}")
+        if np.ndim(b):
+            energies = by_energy.draw_energies_at(b, g1)
+        else:
+            energies = by_energy.draw_energies(b, 200, g1)
+        states = draw_mcmc_chains(replay, b, 200, g2)
+        assert energies.tobytes() == model.hamiltonian[states].tobytes()
+
+
+@pytest.mark.parametrize("spec", ["cycle-4", "grid-3x3"])
+def test_paired_mcmc_estimate_never_builds_the_state_table(spec):
+    from gibbs_partition import ParamOverrides, paired_product_estimate
+    from gibbs_partition.cli import build_model
+
+    model = build_model(spec)
+    oracle = mcmc_oracle(model, mcmc_steps=2, tv_budget_per_draw=1e-4)
+    est = paired_product_estimate(
+        oracle, 1.0, 0.1, _rng(f"no-table-{spec}"), overrides=ParamOverrides(replicates=20)
+    )
+    assert est.draws_total > 0 and math.isfinite(est.log_ratio_estimate)
+    assert model._table is None
 
 
 def test_mcmc_tv_error_decreases(k2):
@@ -588,6 +641,9 @@ def test_grid_levels_and_enumerated_table_draw_alike():
     assert by_levels.draw_energies_at(bs, g1).tolist() == by_table.draw_energies_at(bs, g2).tolist()
     assert by_levels.draw_energies(0.7, 500, g1).tolist() == by_table.draw_energies(0.7, 500, g2).tolist()
     assert [by_levels.draw(1.3, g1) for _ in range(500)] == [by_table.draw(1.3, g2) for _ in range(500)]
+    g1, g2 = _rng("grid-alike-states"), _rng("grid-alike-states")
+    states = [draw_exact(by_levels, 1.3, g1) for _ in range(500)]
+    assert states == [draw_exact(by_table, 1.3, g2) for _ in range(500)]
 
 
 class _NoDraws:
@@ -605,10 +661,8 @@ def test_state_level_consumers_refuse_models_past_the_guard():
         mcmc_oracle(grid, mcmc_steps=5, tv_budget_per_draw=0.1)
     oracle = exact_oracle(grid)
     with pytest.raises(EnumerationGuardError):
-        oracle.draw(0.5, _NoDraws())
-    assert oracle.counter.total == 0
-    with pytest.raises(EnumerationGuardError):
         draw_exact(oracle, 0.5, _NoDraws())
+    assert oracle.counter.total == 0
     with pytest.raises(EnumerationGuardError):
         gibbs_distribution(grid, 0.5)
     with pytest.raises(EnumerationGuardError):
@@ -617,9 +671,10 @@ def test_state_level_consumers_refuse_models_past_the_guard():
         mcmc_draw_distribution(grid, 0.5, 3)
     # Draws that need only the levels still work.
     assert oracle.draw_energies(0.5, 10, _rng("past-guard")).shape == (10,)
+    assert oracle.draw(0.5, _rng("past-guard")) in grid.energies
 
 
-def test_mcmc_oracle_on_a_grid_model_reads_its_table():
+def test_mcmc_oracle_draws_alike_on_a_grid_model_and_its_ising_model():
     from gibbs_partition import grid_edges, grid_model, ising_model
 
     by_levels = mcmc_oracle(grid_model(2, 3), mcmc_steps=3, tv_budget_per_draw=0.1)

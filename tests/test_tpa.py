@@ -21,6 +21,8 @@ from gibbs_partition import (
     tpa_runs,
 )
 
+from conftest import draw_state
+
 SEED = 2717
 
 
@@ -34,7 +36,7 @@ def _scalar_walk(oracle, beta, rng):
     b = beta if down else 0.0
     steps = []
     while True:
-        hx = float(oracle.model.hamiltonian[oracle.draw(b, rng)])
+        hx = float(oracle.model.hamiltonian[draw_state(oracle, b, rng)])
         u = rng.random()
         while u == 0.0:
             u = rng.random()
