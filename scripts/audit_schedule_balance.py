@@ -46,7 +46,7 @@ def main():
         q_hat, _ = initial_estimate(work, args.beta, rng)
         params = select_params(q_hat, model.n_bound, regime, args.beta)
         sched, _ = well_balanced_schedule(work, args.beta, params, rng)
-        zs = [log_partition_exact(work.model, b).value for b in sched.betas]
+        zs = [log_partition_exact(work.model, b) for b in sched.betas]
         gap = float(np.max(np.abs(np.diff(zs))))
         max_gaps.append(gap)
         lengths.append(len(sched.betas))

@@ -10,7 +10,6 @@ from .models import (
     EnumerationGuardError,
     GibbsModel,
     IsingGraph,
-    LogPartition,
     constant_model,
     cycle_edges,
     grid_edges,
@@ -41,8 +40,6 @@ from .samplers import (
     metropolis_sweep_matrix,
 )
 from .tpa import (
-    PointProcess,
-    merge_runs,
     thin,
     tpa_run,
     tpa_runs,

@@ -144,13 +144,6 @@ def parse_overrides(text: str) -> dict:
     return out
 
 
-def _true_log_ratio(model: models.GibbsModel, beta: float) -> float | None:
-    try:
-        return models.log_ratio_exact(model, beta)
-    except models.EnumerationGuardError:
-        return None
-
-
 def _load_schedule(path: str):
     with open(path) as fh:
         spec = json.load(fh)
@@ -171,7 +164,7 @@ def _save_schedule(path: str, schedule: sched_mod.CoolingSchedule, params) -> No
 def _run_repetition(config: ExperimentConfig, model: models.GibbsModel, truth, rep: int) -> dict:
     """One independent repetition; safe to run in a worker process.
 
-    ``truth`` is ``_true_log_ratio(model, config.beta)``.  Each method
+    ``truth`` is ``models.log_ratio_exact(model, config.beta)``.  Each method
     makes one library call on a fresh oracle, so ``draws_total`` is that
     oracle's draw count.  With ``schedule_out`` the paired method saves the
     schedule and params its estimate used.
@@ -180,8 +173,6 @@ def _run_repetition(config: ExperimentConfig, model: models.GibbsModel, truth, r
     trace: list | None = [] if config.trace else None
     draws = replicates = 0
     if config.method == "exact":
-        if truth is None:
-            raise models.EnumerationGuardError("exact method infeasible for this model")
         log_est, length = truth, 0
     else:
         oracle = build_oracle(model, config)
@@ -245,7 +236,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """
     config.validate()
     model = build_model(config.model)
-    return _run_on(config, model, _true_log_ratio(model, config.beta))
+    return _run_on(config, model, models.log_ratio_exact(model, config.beta))
 
 
 def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[dict]:
@@ -280,9 +271,7 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
             raise ConfigError(f"compare does not support method {m!r}")
 
     model = build_model(config.model)
-    truth = _true_log_ratio(model, config.beta)
-    if truth is None:
-        raise ConfigError("compare needs an enumerable model for ground truth")
+    truth = models.log_ratio_exact(model, config.beta)
     band = math.log(1.0 + config.epsilon)
     regime = sched_mod.regime_for_model(model)
     q = abs(truth)

@@ -62,9 +62,8 @@ class GibbsModel:
     ``source`` model, giving ``source.hamiltonian + shift``; else the Ising
     ``graph``, giving -#aligned edges.  The last two take ``levels`` and
     ``num_states`` and build the table, under the guard, on first read, so a
-    model pickles as its levels, graph and source.  ``enumerated`` records
-    whether the levels were counted from a state table: the enumeration
-    guard bounds such models.
+    model pickles as its levels, graph and source.  Every model has its
+    levels in memory, so every model has an exact truth.
     """
 
     def __init__(
@@ -75,7 +74,6 @@ class GibbsModel:
         *,
         levels: tuple[np.ndarray, np.ndarray] | None = None,
         num_states: int | None = None,
-        enumerated: bool = True,
         source: GibbsModel | None = None,
         shift: float = 0.0,
     ):
@@ -110,7 +108,6 @@ class GibbsModel:
         self.integer_valued = _is_integer(energies)
         self.name = name
         self.graph = graph
-        self.enumerated = enumerated
 
     def __setstate__(self, state: dict) -> None:
         # Unpickled arrays come back writable; models are not changed.
@@ -130,14 +127,6 @@ class GibbsModel:
             h.flags.writeable = False
             self._table = h
         return self._table
-
-
-@dataclass(frozen=True)
-class LogPartition:
-    """Natural log of Z(beta); raw Z is never materialized."""
-
-    beta: float
-    value: float
 
 
 def _sign_class(h: np.ndarray) -> str:
@@ -208,7 +197,7 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
 
     State index s encodes spins bitwise: spin(v) = +1 iff bit v of s is set.
     n_bound equals |E| (all edges aligned), sign class is nonpositive.  The
-    levels are counted from the enumerated state table, so the enumeration
+    levels are counted from the full state table, so the enumeration
     guard bounds num_vertices; the model keeps the graph, not the table.
     """
     if num_vertices < 1:
@@ -242,7 +231,7 @@ def grid_model(rows: int, cols: int) -> GibbsModel:
     states is counted site by site over the 2^w spin patterns of a front of
     w = min(rows, cols) sites (Beale, PRL 76:78, 1996), so building it costs
     O(2^w |E|) per site and no 2^n array.  The enumeration guard bounds the
-    count array, not the state space; the state table is enumerated, under
+    count array, not the state space; the state table is built, under
     the guard, only if ``hamiltonian`` is read.
     """
     if rows < 1 or cols < 1:
@@ -265,7 +254,6 @@ def grid_model(rows: int, cols: int) -> GibbsModel:
         graph=IsingGraph(num_vertices=num_vertices, edges=tuple(edges)),
         levels=_grid_levels(width, num_vertices // width, len(edges)),
         num_states=2 ** num_vertices,
-        enumerated=False,
     )
 
 
@@ -345,18 +333,12 @@ def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
     return edges
 
 
-def log_partition_exact(model: GibbsModel, beta: float) -> LogPartition:
-    """ln Z(beta) = logsumexp(ln m_l - beta E_l) over the model's levels.
-
-    Raises EnumerationGuardError for a model whose levels were counted from
-    a state table past the enumeration guard.
-    """
+def log_partition_exact(model: GibbsModel, beta: float) -> float:
+    """ln Z(beta) = logsumexp(ln m_l - beta E_l) over the model's levels;
+    raw Z is never materialized."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    if model.enumerated:
-        require_enumerable(model.num_states)
-    value = logsumexp(np.log(model.counts) - beta * model.energies)
-    return LogPartition(beta=float(beta), value=value)
+    return logsumexp(np.log(model.counts) - beta * model.energies)
 
 
 def mean_neg_energy(model: GibbsModel, beta: float) -> float:
@@ -369,7 +351,7 @@ def mean_neg_energy(model: GibbsModel, beta: float) -> float:
 
 def log_ratio_exact(model: GibbsModel, beta: float) -> float:
     """Signed ln(Z(beta)/Z(0)) from the exact oracle."""
-    return log_partition_exact(model, beta).value - log_partition_exact(model, 0.0).value
+    return log_partition_exact(model, beta) - log_partition_exact(model, 0.0)
 
 
 def interval_length_exact(model: GibbsModel, beta: float) -> float:
@@ -398,7 +380,6 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
         graph=model.graph,
         levels=(energies, np.bincount(level, weights=model.counts)),
         num_states=model.num_states,
-        enumerated=model.enumerated,
         source=model,
         shift=c,
     )

@@ -89,8 +89,8 @@ class SamplerOracle:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.kind == KIND_EXACT and self.tv_budget_per_draw != 0.0:
             raise ValueError("exact-enumeration oracles must declare tv budget 0")
-        if self.tv_budget_per_draw < 0:
-            raise ValueError("tv_budget_per_draw must be nonnegative")
+        if not 0 <= self.tv_budget_per_draw < math.inf:
+            raise ValueError("tv_budget_per_draw must be finite and nonnegative")
         if self.kind == KIND_MCMC:
             if self.model.graph is None:
                 raise ValueError("mcmc sampling requires an Ising model")
@@ -328,7 +328,7 @@ def coupling_failure_bound(tv_budget_per_draw: float, total_draws: int) -> float
 def metropolis_sweep_matrix(model: GibbsModel, b: float) -> np.ndarray:
     """Exact one-sweep transition matrix of the systematic Metropolis kernel.
 
-    Row-stochastic over the enumerated state space; used to measure the MCMC
+    Row-stochastic over the whole state space; used to measure the MCMC
     sampler's true total-variation error by evolving the start distribution.
     """
     if model.graph is None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .models import GibbsModel, SIGN_NONNEGATIVE, SIGN_NONPOSITIVE
 from .samplers import SamplerOracle
-from .tpa import DIRECTION_DOWN, thin, tpa_runs
+from .tpa import thin, tpa_runs
 
 REGIME_INTEGER_NONPOSITIVE = "integer-nonpositive"
 REGIME_INTEGER_NONNEGATIVE = "integer-nonnegative"
@@ -145,16 +145,16 @@ def initial_estimate(
 ) -> tuple[float, int]:
     """Estimate q from ``runs`` TPA runs walked together.
 
-    Returns (q_hat1, draws_used).  q_hat1 is the merged point count divided
-    by the run count, so it estimates q itself; with the default 5 runs,
-    q_hat1 + 1/2 >= q/2 with probability >= 99%.
+    Returns (q_hat1, draws_used).  q_hat1 is the runs' total point count
+    divided by the run count, so it estimates q itself; with the default 5
+    runs, q_hat1 + 1/2 >= q/2 with probability >= 99%.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     before = oracle.counter.total
-    merged = tpa_runs(oracle, beta, runs, rng, trace=trace)
+    points = tpa_runs(oracle, beta, runs, rng, trace=trace)
     draws_used = oracle.counter.total - before
-    return len(merged) / runs, draws_used
+    return len(points) / runs, draws_used
 
 
 def select_params(q_hat1: float, n: int, regime: str, beta: float) -> ScheduleParams:
@@ -194,29 +194,23 @@ def well_balanced_schedule(
 ) -> tuple[CoolingSchedule, int]:
     """Step 2: run TPA ceil(k) times, thin to rate k, keep every d-th point.
 
-    Points are kept counting from the end where the walk starts (the beta
-    end for downward processes, the 0 end for upward ones), which is what
-    makes consecutive kept z-gaps Gamma(d, k); the final partial block is
-    absorbed into the interval touching the far endpoint.  Fewer than d
-    points yield the legal single-interval schedule {0, beta}, flagged
-    degenerate.
+    Thinning keeps each point with probability k / ceil(k).  Points are kept
+    counting from the end where the walk starts (the beta end when H <= 0,
+    the 0 end when H >= 0), which is what makes consecutive kept z-gaps
+    Gamma(d, k); the final partial block is absorbed into the interval
+    touching the far endpoint.  Fewer than d points yield the legal
+    single-interval schedule {0, beta}, flagged degenerate.
     """
     before = oracle.counter.total
-    merged = tpa_runs(oracle, beta, math.ceil(params.k), rng, trace=trace)
-    process = thin(merged, params.k, rng)
+    runs = math.ceil(params.k)
+    pts = thin(tpa_runs(oracle, beta, runs, rng, trace=trace), params.k / runs, rng)
     draws_used = oracle.counter.total - before
 
-    pts = process.points
-    m = len(pts)
-    d = params.d
-    if process.direction == DIRECTION_DOWN:
-        kept = [pts[m - j * d] for j in range(1, m // d + 1)]
-    else:
-        kept = [pts[j * d - 1] for j in range(1, m // d + 1)]
-    kept = sorted(
-        p for p in kept if p > _ENDPOINT_TOL and p < beta - _ENDPOINT_TOL
-    )
+    if oracle.model.sign_class == SIGN_NONPOSITIVE:
+        pts = pts[::-1]
+    kept = np.sort(pts[params.d - 1::params.d])
+    kept = kept[(kept > _ENDPOINT_TOL) & (kept < beta - _ENDPOINT_TOL)]
     schedule = CoolingSchedule(
-        betas=(0.0, *kept, float(beta)), degenerate=not kept
+        betas=(0.0, *kept.tolist(), float(beta)), degenerate=not kept.size
     )
     return schedule, draws_used

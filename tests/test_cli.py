@@ -188,8 +188,14 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
     assert main(["run", "--model", "k2", "--beta", "-3"]) == 2
     assert main(["run", "--model", "unknown-99", "--beta", "1"]) == 2
     assert "error" in capsys.readouterr().err
-    for override in ("k=inf", "k=nan", "eta=nan"):
-        assert main(["run", "--model", "k2", "--beta", "1", "--expert-overrides", override]) == 2
+    for extra in (
+        ["--expert-overrides", "k=inf"],
+        ["--expert-overrides", "k=nan"],
+        ["--expert-overrides", "eta=nan"],
+        ["--sampler", "mcmc", "--tv-budget", "nan"],
+        ["--sampler", "mcmc", "--tv-budget", "inf"],
+    ):
+        assert main(["run", "--model", "k2", "--beta", "1", *extra]) == 2
         assert "must be finite" in capsys.readouterr().err
 
 

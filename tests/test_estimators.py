@@ -47,7 +47,7 @@ def _rng(tag, index=0):
 
 
 def _z(model, b):
-    return log_partition_exact(model, b).value
+    return log_partition_exact(model, b)
 
 
 def _interval_relvars(model, sched):

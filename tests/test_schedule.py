@@ -23,6 +23,7 @@ from gibbs_partition import (
     select_params,
     stage_stream,
     table_model,
+    tpa_runs,
     well_balanced_schedule,
 )
 
@@ -184,7 +185,7 @@ def test_schedule_endpoints_and_draw_accounting(c4):
 
 
 def _zgaps(model, sched):
-    zs = [log_partition_exact(model, b).value for b in sched.betas]
+    zs = [log_partition_exact(model, b) for b in sched.betas]
     return np.diff(zs)
 
 
@@ -262,3 +263,34 @@ def test_upward_schedule_on_constant_model():
     assert sched.betas[0] == 0.0 and sched.betas[-1] == 1.0
     gaps = np.abs(_zgaps(model, sched))
     assert np.max(gaps) <= params.eta
+
+
+@pytest.mark.parametrize("k", [7.5, 8.0], ids=["fractional-k", "integer-k"])
+@pytest.mark.parametrize("label", ["c4", "const2"])
+def test_kept_points_count_from_the_walk_start(label, k, request):
+    # Replays step 2 on a twin generator: ceil(k) lockstep runs (their
+    # points are the traced b values inside (0, beta)), the thinning mask
+    # when k < ceil(k), then every d-th point counted from the end where
+    # the walk starts, beta for H <= 0 (c4) and 0 for H >= 0 (const-2).
+    model = request.getfixturevalue("c4") if label == "c4" else constant_model(2.0)
+    beta, d = 1.5, 3
+    params = ScheduleParams(
+        eta=(4.0 / 3.0) * d / k, d=d, k=k, q_hat1=3.0, regime=regime_for_model(model)
+    )
+    rng, twin = _rng(f"kept-{label}-{k}"), _rng(f"kept-{label}-{k}")
+    sched, _ = well_balanced_schedule(exact_oracle(model), beta, params, rng)
+
+    trace = []
+    tpa_runs(exact_oracle(model), beta, math.ceil(k), twin, trace=trace)
+    pts = sorted(r["b"] for r in trace if 0.0 < r["b"] < beta)
+    if k < math.ceil(k):
+        mask = twin.random(len(pts)) < k / math.ceil(k)
+        pts = [p for p, keep in zip(pts, mask) if keep]
+    m = len(pts)
+    if model.sign_class == "nonpositive":
+        kept = [pts[m - j * d] for j in range(1, m // d + 1)]
+    else:
+        kept = [pts[j * d - 1] for j in range(1, m // d + 1)]
+    assert len(kept) >= 3
+    assert list(sched.betas[1:-1]) == sorted(kept)
+    assert rng.random() == twin.random()

@@ -7,12 +7,10 @@ import pytest
 from scipy import stats
 
 from gibbs_partition import (
-    PointProcess,
     constant_model,
     exact_oracle,
     interval_length_exact,
     log_partition_exact,
-    merge_runs,
     mcmc_oracle,
     stage_stream,
     table_model,
@@ -54,14 +52,14 @@ def test_flat_hamiltonian_one_draw_empty_run():
     model = table_model([0.0, 0.0, 0.0])
     oracle = exact_oracle(model)
     run = tpa_run(oracle, 5.0, _rng("flat"))
-    assert run.points == ()
+    assert run.size == 0
     assert oracle.counter.total == 1
 
 
 def test_tiny_beta_gives_empty_run(k2):
     oracle = exact_oracle(k2)
     run = tpa_run(oracle, 1e-12, _rng("tiny"))
-    assert run.points == ()
+    assert run.size == 0
 
 
 def test_draws_equal_points_plus_one(k2):
@@ -78,15 +76,22 @@ def test_points_live_inside_the_interval(c4):
     rng = _rng("range")
     for _ in range(100):
         run = tpa_run(oracle, 1.5, rng)
-        assert all(0.0 < p < 1.5 for p in run.points)
-        assert list(run.points) == sorted(run.points)
-        assert run.direction == "downward"
+        assert run.dtype == np.float64
+        assert np.all((0.0 < run) & (run < 1.5))
+        assert np.all(np.diff(run) > 0)
 
 
 def test_direction_dispatch(k2, const1, mixed_table):
+    # A downward walk (H <= 0) starts at beta and its b values fall step by
+    # step; an upward one (H >= 0) starts at 0 and they rise.
     rng = _rng("dispatch")
-    assert tpa_run(exact_oracle(k2), 1.0, rng).direction == "downward"
-    assert tpa_run(exact_oracle(const1), 1.0, rng).direction == "upward"
+    for model, sign in ((k2, -1.0), (const1, 1.0)):
+        trace = []
+        points = tpa_runs(exact_oracle(model), 3.0, 20, rng, trace=trace)
+        assert points.size > 20
+        for run_id in range(20):
+            bs = [r["b"] for r in trace if r["run_id"] == run_id]
+            assert np.all(sign * np.diff(bs) > 0)
     with pytest.raises(ValueError):
         tpa_run(exact_oracle(mixed_table), 1.0, rng)
 
@@ -118,18 +123,9 @@ def test_upward_spacings_are_exponential():
     oracle = exact_oracle(model)
     rng = _rng("spacing")
     runs = [tpa_run(oracle, 3.0, rng) for _ in range(3000)]
-    merged = merge_runs(runs)
-    pts = np.array(merged.points)
-    gaps = np.diff(np.concatenate([[0.0], pts])) * merged.rate
+    pts = np.sort(np.concatenate(runs))
+    gaps = np.diff(np.concatenate([[0.0], pts])) * len(runs)
     assert stats.kstest(gaps, "expon").pvalue > 0.001
-
-
-def test_merge_single_run_identity(k2):
-    oracle = exact_oracle(k2)
-    run = tpa_run(oracle, 1.0, _rng("merge1"))
-    merged = merge_runs([run])
-    assert merged.points == run.points
-    assert merged.rate == 1.0
 
 
 def test_merge_superposes_counts(k2):
@@ -138,59 +134,34 @@ def test_merge_superposes_counts(k2):
     rng = _rng("merge5")
     totals = []
     for _ in range(2000):
-        merged = merge_runs([tpa_run(oracle, 1.0, rng) for _ in range(5)])
-        assert merged.rate == 5.0
+        merged = np.sort(np.concatenate([tpa_run(oracle, 1.0, rng) for _ in range(5)]))
         totals.append(len(merged))
     totals = np.array(totals)
     assert totals.mean() == pytest.approx(5 * q, rel=0.05)
 
 
-def test_merge_of_empty_runs():
-    empty = [
-        PointProcess((), 1.0, 2.0, "downward"),
-        PointProcess((), 2.5, 2.0, "downward"),
-    ]
-    merged = merge_runs(empty)
-    assert merged.points == ()
-    assert merged.rate == 3.5
-
-
-def test_merge_validates_inputs(k2):
-    oracle = exact_oracle(k2)
-    rng = _rng("merge-err")
-    a = tpa_run(oracle, 1.0, rng)
-    b = tpa_run(oracle, 2.0, rng)
-    with pytest.raises(ValueError):
-        merge_runs([a, b])
-    with pytest.raises(ValueError):
-        merge_runs([])
-    up = PointProcess((), 1.0, 1.0, "upward")
-    with pytest.raises(ValueError):
-        merge_runs([a, up])
-
-
 def test_thin_identity_at_full_rate():
-    proc = PointProcess((0.1, 0.5, 0.9), 2.0, 1.0, "downward")
-    assert thin(proc, 2.0, _rng("thin-id")) is proc
+    pts = np.array([0.1, 0.5, 0.9])
+    rng, twin = _rng("thin-id"), _rng("thin-id")
+    assert thin(pts, 1.0, rng) is pts
+    assert rng.random() == twin.random()  # no uniforms drawn
 
 
 def test_thin_keeps_binomial_fraction():
     rng = _rng("thin-frac")
-    pts = tuple(np.sort(rng.random(10_000) * 0.999 + 5e-4))
-    proc = PointProcess(pts, 2.0, 1.0, "downward")
-    kept = thin(proc, 1.0, rng)
-    assert kept.rate == 1.0
-    assert set(kept.points) <= set(pts)
+    pts = np.sort(rng.random(10_000) * 0.999 + 5e-4)
+    kept = thin(pts, 0.5, rng)
+    assert set(kept) <= set(pts)
+    assert np.all(np.diff(kept) > 0)
     # Binomial(10^4, 1/2): 4 sigma around 5000
     assert abs(len(kept) - 5000) <= 4 * math.sqrt(10_000 * 0.25)
 
 
 def test_thin_rejects_bad_rates():
-    proc = PointProcess((0.5,), 1.0, 1.0, "downward")
-    with pytest.raises(ValueError):
-        thin(proc, 1.5, _rng("thin-err"))
-    with pytest.raises(ValueError):
-        thin(proc, 0.0, _rng("thin-err"))
+    pts = np.array([0.5])
+    for keep in (1.5, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            thin(pts, keep, _rng("thin-err"))
 
 
 def test_thinned_counts_stay_poisson(k2):
@@ -201,8 +172,8 @@ def test_thinned_counts_stay_poisson(k2):
     target = 2.5
     counts = []
     for _ in range(1000):
-        merged = merge_runs([tpa_run(oracle, 1.0, rng) for _ in range(5)])
-        counts.append(len(thin(merged, target, rng)))
+        merged = np.sort(np.concatenate([tpa_run(oracle, 1.0, rng) for _ in range(5)]))
+        counts.append(len(thin(merged, target / 5, rng)))
     counts = np.array(counts)
     mean = target * q
     # chi-square GOF against the Poisson pmf, tail-binned
@@ -214,17 +185,6 @@ def test_thinned_counts_stay_poisson(k2):
     probs[kmax] = 1.0 - probs[:kmax].sum()
     res = stats.chisquare(observed, probs * len(counts))
     assert res.pvalue > 0.001
-
-
-def test_point_process_validation():
-    with pytest.raises(ValueError):
-        PointProcess((0.5, 0.5), 1.0, 1.0, "downward")
-    with pytest.raises(ValueError):
-        PointProcess((1.5,), 1.0, 1.0, "downward")
-    with pytest.raises(ValueError):
-        PointProcess((), 0.0, 1.0, "downward")
-    with pytest.raises(ValueError):
-        PointProcess((), 1.0, 1.0, "sideways")
 
 
 def test_trace_records_every_step(k2):
@@ -242,10 +202,10 @@ def test_z_mapped_gaps_of_merged_k2_process(k2):
     # z-images form a rate-k PPP on [z(0), z(beta)]: scaled gaps ~ Exp(1)
     oracle = exact_oracle(k2)
     rng = _rng("zgaps")
-    merged = merge_runs([tpa_run(oracle, 1.0, rng) for _ in range(3000)])
-    zs = np.array([log_partition_exact(k2, b).value for b in merged.points])
-    ztop = log_partition_exact(k2, 1.0).value
-    gaps = np.diff(np.concatenate([zs, [ztop]])) * merged.rate
+    merged = np.sort(np.concatenate([tpa_run(oracle, 1.0, rng) for _ in range(3000)]))
+    zs = np.array([log_partition_exact(k2, b) for b in merged])
+    ztop = log_partition_exact(k2, 1.0)
+    gaps = np.diff(np.concatenate([zs, [ztop]])) * 3000
     assert stats.kstest(gaps, "expon").pvalue > 0.001
 
 
@@ -281,11 +241,10 @@ def test_one_lockstep_run_is_the_scalar_walk(label, sampler, request):
 def test_lockstep_runs_superpose_to_rate_runs(k2):
     oracle = exact_oracle(k2)
     process = tpa_runs(oracle, 1.0, 3000, _rng("lockstep-zgaps"))
-    assert process.rate == 3000.0
     assert oracle.counter.total == len(process) + 3000
-    zs = np.array([log_partition_exact(k2, b).value for b in process.points])
-    ztop = log_partition_exact(k2, 1.0).value
-    gaps = np.diff(np.concatenate([zs, [ztop]])) * process.rate
+    zs = np.array([log_partition_exact(k2, b) for b in process])
+    ztop = log_partition_exact(k2, 1.0)
+    gaps = np.diff(np.concatenate([zs, [ztop]])) * 3000
     assert stats.kstest(gaps, "expon").pvalue > 0.001
 
 
