@@ -443,7 +443,7 @@ def main(argv=None) -> int:
             methods = [m for m in args.methods.split(",") if m.strip()]
             rows, fields = compare_methods(config, methods), COMPARE_FIELDS
         _emit(rows, fields, config, args.out, args.format, time.perf_counter() - start)
-    except models.EnumerationGuardError as exc:
+    except (models.EnumerationGuardError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as exc:

@@ -157,8 +157,8 @@ def paired_product_estimate(
             f"epsilon={epsilon} accepted without it",
             stacklevel=2,
         )
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if schedule is not None and schedule.beta != beta:
         raise ValueError(f"the schedule ends at beta={schedule.beta}, not at beta={beta}")
     overrides = overrides or ParamOverrides()
@@ -233,6 +233,8 @@ def single_shot_log_estimate(
     oracle: SamplerOracle, beta: float, num_draws: int, rng: np.random.Generator
 ) -> float:
     """Plain importance baseline, in logs: ln mean exp(-beta H(X)), X ~ pi_0."""
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
     if num_draws < 1:
         raise ValueError("num_draws must be >= 1")
     logs = -beta * oracle.draw_energies(0.0, num_draws, rng)

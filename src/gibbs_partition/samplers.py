@@ -6,22 +6,22 @@ is ``draw_energies(b, n, rng)`` for n independent draws at one b, or a
 for one draw at each b of an array; no draw path keeps a state index or
 reads the state table.  The exact oracle samples from the model's density
 of states (its distinct energy levels and their multiplicities), so building
-it and a draw at a fresh b cost O(levels), not O(states); a row of n draws
-at one b inverts its uniforms through a guide table, O(1) per draw on
-average.  The MCMC oracle runs restart chains in lockstep on one (nv, n)
+it and a draw at a fresh b cost O(levels), not O(states).  One builder,
+``_level_cdfs``, makes every level CDF, one column per b; one draw per b,
+and rows of fewer than 8 draws, invert by counting down the column, and a
+row of n >= 8 draws at one b through a guide table over it, O(1) per draw
+on average.  The MCMC oracle runs restart chains in lockstep on one (nv, n)
 spin array with one (nv, n) block of uniforms per sweep, and sums each
 chain's energy from its spins.  Every draw consumes a caller-supplied numpy
-Generator and is tallied, with its b, in the oracle's counter, the ground
-truth for all sample counts.
+Generator and is tallied, with its b, by the counter's one ``record``
+method, the ground truth for all sample counts.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,35 +37,28 @@ _MATRIX_CAP = 1 << 16
 class DrawCounter:
     """Monotone tally of draws served, with its running total.
 
-    Recording appends in O(1); ``by_b``, the tally bucketed by b value, is
-    built only when read.
+    Each ``record`` call appends one entry; ``by_b``, the tally bucketed by
+    b value, is built only when read.
     """
 
-    __slots__ = ("_batches", "_singles", "total")
+    __slots__ = ("_batches", "total")
 
     def __init__(self):
-        self._batches: list[tuple[float, int]] = []
-        self._singles: list[np.ndarray] = []
+        self._batches: list[tuple[np.ndarray, int]] = []
         self.total = 0
 
-    def record(self, b: float, n: int = 1) -> None:
-        """n draws at one b."""
+    def record(self, b: float | np.ndarray, n: int = 1) -> None:
+        """n draws at b, or n at each entry of a 1-d array b."""
+        b = np.array(b, dtype=float)
         self._batches.append((b, n))
-        self.total += n
-
-    def record_each(self, bs: np.ndarray) -> None:
-        """One draw at each entry of ``bs``."""
-        self._singles.append(np.array(bs, dtype=float))
-        self.total += len(bs)
+        self.total += n * b.size
 
     @property
     def by_b(self) -> dict[float, int]:
         tally: dict[float, int] = {}
-        for b, n in self._batches:
-            tally[b] = tally.get(b, 0) + n
-        for bs in self._singles:
-            for b in bs.tolist():
-                tally[b] = tally.get(b, 0) + 1
+        for bs, n in self._batches:
+            for b in bs.ravel().tolist():
+                tally[b] = tally.get(b, 0) + n
         return tally
 
 
@@ -114,10 +107,10 @@ class SamplerOracle:
 
         A scalar b returns n energies, and an array ``b`` a (len(b), n) block
         that consumes ``rng`` exactly as one call per entry, in order, would;
-        the counter records (b, n) per row.  For exact oracles the uniforms
-        are one (len(b), n) block inverted by a guide table (see
-        ``_draw_levels``); MCMC oracles run n restart chains in lockstep per
-        row.
+        the counter records n draws at each b.  For exact oracles the
+        uniforms are one (len(b), n) block inverted by counting or by a
+        guide table (see ``_draw_levels``); MCMC oracles run n restart
+        chains in lockstep per row.
         """
         bs = np.atleast_1d(np.asarray(b, dtype=float))
         if self.kind == KIND_EXACT:
@@ -137,22 +130,18 @@ class SamplerOracle:
         """
         bs = np.asarray(bs, dtype=float)
         if self.kind == KIND_EXACT:
-            return _draw_levels_at(self, bs, rng)
+            self.counter.record(bs)
+            return _count_levels(self.model, bs, rng.random(len(bs)))
         return _spin_energies(self.model, draw_mcmc_lockstep(self, bs, len(bs), rng))
 
     def with_model(self, model: GibbsModel) -> "SamplerOracle":
         """View of this oracle on another model, sharing the draw counter.
 
         Shifting H by a constant leaves pi_b unchanged, so the shifted
-        pipeline draws through a view and all draws land in one tally.
+        pipeline draws through a view and all draws land in one tally.  The
+        view is checked as a new oracle is.
         """
-        return SamplerOracle(
-            model=model,
-            kind=self.kind,
-            tv_budget_per_draw=self.tv_budget_per_draw,
-            mcmc_steps=self.mcmc_steps,
-            counter=self.counter,
-        )
+        return replace(self, model=model)
 
 
 def exact_oracle(model: GibbsModel) -> SamplerOracle:
@@ -178,70 +167,18 @@ def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -
     return oracle
 
 
-def _level_cdf(oracle: SamplerOracle, b: float) -> list[float]:
-    # cw[l] = sum over levels j <= l of m_j exp(-b E_j), scaled by the top term.
-    # Energies ascend, so the largest log-weight is at an end; accumulate adds
-    # left to right as np.cumsum does, and is faster on a handful of levels.
-    model = oracle.model
-    logw = -b * model.energies
-    cw = list(accumulate((model.counts * np.exp(logw - max(logw[0], logw[-1]))).tolist()))
-    # Drop the trailing levels whose weight underflowed to zero: they are
-    # never drawn, and the top level left has a step of positive width.
-    del cw[bisect_left(cw, cw[-1]) + 1:]
-    return cw
+def _level_cdfs(model: GibbsModel, bs: np.ndarray):
+    """Level CDFs at each b of ``bs``, one column per b, in column blocks.
 
-
-def _draw_levels(
-    oracle: SamplerOracle, bs: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Energies of n draws at each b of ``bs``, one row per b, by guide table.
-
-    One (len(bs), n) block of uniforms; uniform u of row i draws the first
-    level whose entry of the list ``_level_cdf`` builds for bs[i] passes
-    u * top, capped at the last level, and finds it through a guide
-    table (Chen and Asau, AIIE Trans. 6(2), 1974) of g = 2^k buckets, k
-    derived from n.  lv[j] is the level that u = j/g inverts to.  For a
-    power of two g, u*g and j/g are exact and fl(u * top) is monotone in u,
-    so a uniform in bucket j = floor(u*g) inverts to a level in
-    [lv[j], lv[j+1]]: where the two agree that is its level, and in the at
-    most levels - 1 other buckets ``searchsorted`` over the level CDF finds
-    it.  Each row of energies overwrites its row of uniforms.
+    Yields ``(cols, cw, top, last)`` for the b values bs[cols]: cw[l, j] is
+    the sum over levels i <= l of m_i exp(-b_j E_i), scaled by column j's
+    largest term and added in level order; top = cw[-1]; and last is each
+    column's top drawable level, the first whose entry reaches top.  The
+    trailing levels after it have weights that underflowed to zero and are
+    never drawn.  A block holds at most _MATRIX_CAP entries, so a model
+    with many levels never holds a levels x len(bs) matrix at once.
     """
-    energies = oracle.model.energies
-    block = rng.random((len(bs), n))
-    g = 1 << (n // 8).bit_length()
-    edges = np.arange(g + 1) / g
-    for row, b in zip(block, bs.tolist()):
-        cw = np.asarray(_level_cdf(oracle, b))
-        top, last = cw[-1], len(cw) - 1
-        # u * top can round up to top, past the last level.
-        lv = np.minimum(np.searchsorted(cw, edges * top, side="right"), last)
-        # Energies are finite, so nan marks the buckets a boundary splits.
-        guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
-        drawn = guide[(row * g).astype(np.intp)]
-        split = np.flatnonzero(np.isnan(drawn))
-        if split.size:
-            t = row[split] * top
-            drawn[split] = energies[np.minimum(np.searchsorted(cw, t, side="right"), last)]
-        row[:] = drawn
-        oracle.counter.record(b, n)
-    return block
-
-
-def _draw_levels_at(
-    oracle: SamplerOracle, bs: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Energies of one draw at each b of ``bs``, one level-CDF column per b.
-
-    Each column is the list ``_level_cdf`` builds for its b, and the draw
-    inverts it as ``_draw_levels`` does.  Columns are built in blocks of at
-    most _MATRIX_CAP entries, so a model with many levels never holds a
-    levels x len(bs) matrix at once.
-    """
-    energies = oracle.model.energies
-    counts = oracle.model.counts
-    u = rng.random(len(bs))
-    out = np.empty(len(bs))
+    energies, counts = model.energies, model.counts
     width = max(1, _MATRIX_CAP // len(energies))
     for lo in range(0, len(bs), width):
         cols = slice(lo, lo + width)
@@ -250,12 +187,59 @@ def _draw_levels_at(
         top_logw = np.maximum(logw[0], logw[-1])
         cw = np.cumsum(counts[:, None] * np.exp(logw - top_logw), axis=0)
         top = cw[-1]
-        # Capped at the last level whose CDF entry is below top, as
-        # _level_cdf drops a trailing level whose weight underflowed.
-        level = np.minimum((cw <= u[cols] * top).sum(axis=0), (cw < top).sum(axis=0))
-        out[cols] = energies[level]
-    oracle.counter.record_each(bs)
+        yield cols, cw, top, (cw < top).sum(axis=0)
+
+
+def _count_levels(model: GibbsModel, bs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Energy of one draw at each b of ``bs``, bs[j] inverting uniform u[j].
+
+    The drawn level is the first whose CDF entry passes u * top, counted
+    down its column, capped at last: u * top can round up to top.
+    """
+    out = np.empty(len(bs))
+    for cols, cw, top, last in _level_cdfs(model, bs):
+        out[cols] = model.energies[np.minimum((cw <= u[cols] * top).sum(axis=0), last)]
     return out
+
+
+def _draw_levels(
+    oracle: SamplerOracle, bs: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Energies of n draws at each b of ``bs``, one row per b.
+
+    One (len(bs), n) block of uniforms; uniform u of row i draws the level
+    ``_count_levels`` would for bs[i].  Below 8 draws a row is that count,
+    one draw at each entry of ``np.repeat(bs, n)``.  Otherwise each row
+    finds its level through a guide table (Chen and Asau, AIIE Trans.
+    6(2), 1974) of g = 2^k buckets, k derived from n.  lv[j] is the level
+    that u = j/g inverts to.  For a power of two g, u*g and j/g are exact
+    and fl(u * top) is monotone in u, so a uniform in bucket j = floor(u*g)
+    inverts to a level in [lv[j], lv[j+1]]: where the two agree that is its
+    level, and in the at most levels - 1 other buckets ``searchsorted`` over
+    the level CDF finds it.  Each row of energies overwrites its row of
+    uniforms.
+    """
+    model = oracle.model
+    block = rng.random((len(bs), n))
+    oracle.counter.record(bs, n)
+    if n < 8:
+        return _count_levels(model, np.repeat(bs, n), block.ravel()).reshape(block.shape)
+    energies = model.energies
+    g = 1 << (n // 8).bit_length()
+    edges = np.arange(g + 1) / g
+    for cols, cw, top, last in _level_cdfs(model, bs):
+        for row, col, t, cap in zip(block[cols], cw.T, top.tolist(), last.tolist()):
+            lv = np.minimum(np.searchsorted(col, edges * t, side="right"), cap)
+            # Energies are finite, so nan marks the buckets a boundary splits.
+            guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
+            drawn = guide[(row * g).astype(np.intp)]
+            split = np.flatnonzero(np.isnan(drawn))
+            if split.size:
+                drawn[split] = energies[
+                    np.minimum(np.searchsorted(col, row[split] * t, side="right"), cap)
+                ]
+            row[:] = drawn
+    return block
 
 
 def draw_mcmc_lockstep(
@@ -296,10 +280,7 @@ def draw_mcmc_lockstep(
         for (row, nbr_rows), limit in zip(sites, limits):
             aligned = sum((nbr == row for nbr in nbr_rows), np.int8(0))
             np.bitwise_xor(row, aligned < limit, out=row)
-    if per_chain:
-        oracle.counter.record_each(b)
-    else:
-        oracle.counter.record(b, n)
+    oracle.counter.record(b, 1 if per_chain else n)
     return spins
 
 

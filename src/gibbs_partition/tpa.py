@@ -48,8 +48,8 @@ def tpa_runs(
         start, jump = 0.0, math.inf
     else:
         raise ValueError("TPA needs a sign-definite Hamiltonian; shift mixed models first")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if runs < 1:
         raise ValueError("runs must be >= 1")
     b = np.full(runs, float(start))

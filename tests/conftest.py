@@ -9,7 +9,7 @@ check.
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from gibbs_partition import (
     path_edges,
     table_model,
 )
-from gibbs_partition.samplers import KIND_EXACT, _level_cdf
+from gibbs_partition.samplers import KIND_EXACT
 
 
 def brute_log_partition(values, beta):
@@ -47,6 +47,21 @@ def brute_ising_energies(edges, num_vertices):
     return energies
 
 
+def level_cdf(oracle, b):
+    """The oracle model's level CDF at b, as a list, added left to right.
+
+    cw[l] = sum over levels j <= l of m_j exp(-b E_j), scaled by the largest
+    term, with the trailing levels whose weight underflowed to zero dropped:
+    they are never drawn, and the top level left has a step of positive
+    width.
+    """
+    model = oracle.model
+    logw = -b * model.energies
+    cw = list(itertools.accumulate((model.counts * np.exp(logw - max(logw[0], logw[-1]))).tolist()))
+    del cw[bisect_left(cw, cw[-1]) + 1 :]
+    return cw
+
+
 def draw_exact(oracle, b, rng):
     """Reference exact draw: one state from pi_b by inversion over states
     sorted by (energy, index).
@@ -64,7 +79,7 @@ def draw_exact(oracle, b, rng):
         order = np.argsort(oracle.model.hamiltonian, kind="stable")
         oracle._by_level = order, np.cumsum(counts) - counts
     order, starts = oracle._by_level
-    cw = _level_cdf(oracle, b)
+    cw = level_cdf(oracle, b)
     t = rng.random() * cw[-1]
     oracle.counter.record(b)
     # t can round up to cw[-1], where bisect_right runs past the top level.

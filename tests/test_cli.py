@@ -229,6 +229,22 @@ def test_main_exact_infeasible_exit_3(monkeypatch, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--expert-overrides", "r=100000000000000000"],
+        ["--method", "single", "--draws", "1000000000000000000"],
+    ],
+    ids=["replicates", "single-draws"],
+)
+def test_main_unallocatable_block_exit_3(args, capsys):
+    # Draw blocks of 2 and 7 EiB: past any address space, below numpy's
+    # 2^63-byte limit, so the allocation fails without touching memory.
+    assert main(["run", "--model", "k2", "--beta", "1", *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "allocate" in err
+
+
 def test_main_mcmc_past_the_guard_exit_3(capsys):
     # grid-5x5 counts its levels, but MCMC needs its 2^25-entry state table.
     assert main(["run", "--model", "grid-5x5", "--beta", "0.5", "--sampler", "mcmc",

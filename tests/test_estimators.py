@@ -430,6 +430,18 @@ def test_epsilon_validation(k2):
         paired_product_estimate(oracle, 1.0, 0.5, _rng("eps"))
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan])
+def test_nonfinite_beta_is_refused_before_any_draw(k2, beta):
+    oracle = exact_oracle(k2)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        paired_product_estimate(oracle, beta, 0.1, _rng("beta"))
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        product_baseline_log_estimate(oracle, beta, 100, _rng("beta"))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        single_shot_log_estimate(oracle, beta, 10, _rng("beta"))
+    assert oracle.counter.total == 0
+
+
 def test_overrides_are_honored(k2):
     oracle = exact_oracle(k2)
     est = paired_product_estimate(
@@ -521,17 +533,29 @@ def test_run_experiment_draw_cost_is_pinned(spec, draws, tmp_path):
          [0.8378507880195567, 0.8429315483834898, 0.8465054418385147, 0.8268413252384335]),
         ("mixed-5", "single", [10000] * 4,
          [0.8321916978043085, 0.8408309737222606, 0.8437548446624135, 0.850474808589393]),
+        ("k2", "paired", [22031, 22031, 22027, 22039],
+         [0.6211666640153517, 0.6193671991061862, 0.610909765705653, 0.6168902074703801]),
+        ("mixed-5", "paired", [14962, 14966, 14973, 14932],
+         [0.8432851171614075, 0.8577671891256511, 0.8179333372098716, 0.8492977561311736]),
+        ("k2-mcmc", "paired", [22053, 14829, 22032, 22033],
+         [0.6181543384215917, 0.6142851906935718, 0.6216745497282172, 0.6144267513896526]),
     ],
 )
 def test_run_experiment_baseline_rows_are_pinned(spec, method, draws, logs, tmp_path):
-    # Baseline rows per seed at the default 10,000-draw budget; a change in
-    # the q estimate, the two-piece schedule or the per-stage split moves them.
+    # Rows per seed: the baselines at the default 10,000-draw budget, where a
+    # change in the q estimate, the two-piece schedule or the per-stage split
+    # moves them, and paired rows, exact and at the k2-mcmc benchmark setting.
+    sampler = {}
     if spec == "mixed-5":
         path = tmp_path / "mixed-5.json"
         path.write_text('{"type": "table", "hamiltonian": [-2, -1, 0, 1, 2]}')
         spec = f"table:{path}"
+    elif spec == "k2-mcmc":
+        spec, sampler = "k2", {"sampler": "mcmc", "mcmc_steps": 46, "tv_budget": 1e-3}
     rows = [
-        run_experiment(ExperimentConfig(model=spec, beta=1.0, seed=seed, method=method))[0]
+        run_experiment(
+            ExperimentConfig(model=spec, beta=1.0, seed=seed, method=method, **sampler)
+        )[0]
         for seed in range(4)
     ]
     assert [row["draws_total"] for row in rows] == draws

@@ -26,13 +26,12 @@ from gibbs_partition import (
     shift_hamiltonian,
 )
 
-from gibbs_partition.samplers import _level_cdf
-
 from conftest import (
     draw_exact,
     draw_mcmc,
     draw_mcmc_chains,
     draw_state,
+    level_cdf,
     pack_states,
     tiny_models,
 )
@@ -179,30 +178,45 @@ def _row_by_row(oracle, b, n, rng):
     model = oracle.model
     if model.num_states <= ENUMERATION_GUARD:
         return model.hamiltonian[[draw_exact(oracle, b, rng) for _ in range(n)]]
-    cw = _level_cdf(oracle, b)
+    cw = level_cdf(oracle, b)
     levels = [min(bisect_right(cw, rng.random() * cw[-1]), len(cw) - 1) for _ in range(n)]
     oracle.counter.record(b, n)
     return model.energies[levels]
 
 
-@pytest.mark.parametrize("label,model", _block_models())
-@pytest.mark.parametrize("n", [1, 7, 64, 7217])
-def test_draw_energies_block_is_row_by_row_draws(label, model, n):
+def _assert_block_is_row_by_row(label, model, bs, n):
     # One (len(b), n) block consumes the generator as row-by-row draws do.
     by_block, by_row = exact_oracle(model), exact_oracle(model)
     g1, g2 = _rng(f"block-{label}", n), _rng(f"block-{label}", n)
-    block = by_block.draw_energies(BLOCK_BS, n, g1)
-    rows = [_row_by_row(by_row, b, n, g2) for b in BLOCK_BS]
-    assert block.shape == (len(BLOCK_BS), n)
+    block = by_block.draw_energies(bs, n, g1)
+    rows = [_row_by_row(by_row, b, n, g2) for b in bs]
+    assert block.shape == (len(bs), n)
     assert block.tolist() == [row.tolist() for row in rows]
     assert g1.bit_generator.state == g2.bit_generator.state
     assert by_block.counter.by_b == by_row.counter.by_b
-    assert by_block.counter.total == len(BLOCK_BS) * n
+    assert by_block.counter.total == len(bs) * n
+
+
+@pytest.mark.parametrize("label,model", _block_models())
+@pytest.mark.parametrize("n", [1, 7, 8, 64, 7217])
+def test_draw_energies_block_is_row_by_row_draws(label, model, n):
+    # n = 8 is the smallest guide table, of g = 2 buckets.
+    _assert_block_is_row_by_row(label, model, BLOCK_BS, n)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_draw_energies_block_across_column_blocks_is_row_by_row_draws(n):
+    from gibbs_partition import table_model
+
+    # 5,000 distinct levels: a block of CDF columns holds 65,536 // 5,000 =
+    # 13, so the 16 rows take their guide tables from two blocks.
+    model = table_model(np.arange(5000.0) / 100.0)
+    _assert_block_is_row_by_row("5000-levels", model, (np.arange(16) / 8.0).tolist(), n)
 
 
 def _guide_levels(oracle, b, n):
     """The level CDF at b and the level each bucket edge j/g inverts to."""
-    cw = np.asarray(_level_cdf(oracle, b))
+    cw = np.asarray(level_cdf(oracle, b))
     g = 1 << (n // 8).bit_length()
     edges = np.searchsorted(cw, np.arange(g + 1) / g * cw[-1], side="right")
     return cw, g, np.minimum(edges, len(cw) - 1)
@@ -318,8 +332,8 @@ def test_counter_by_b_is_the_same_however_draws_are_recorded():
         one_by_one.record(b)
     for b in sorted(set(bs)):
         batched.record(b, bs.count(b))
-    each.record_each(np.array(bs[:3]))
-    each.record_each(np.array(bs[3:]))
+    each.record(np.array(bs[:3]))
+    each.record(np.array(bs[3:]))
     expected = {0.0: 2, 0.5: 3, 1.0: 1, 0.25: 1}
     assert one_by_one.by_b == batched.by_b == each.by_b == expected
     assert one_by_one.total == batched.total == each.total == len(bs)

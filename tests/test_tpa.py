@@ -272,7 +272,8 @@ def test_lockstep_trace_is_grouped_by_run(label, request):
 def test_tpa_runs_rejects_bad_inputs(k2, mixed_table):
     with pytest.raises(ValueError):
         tpa_runs(exact_oracle(mixed_table), 1.0, 5, _rng("bad"))
-    with pytest.raises(ValueError):
-        tpa_runs(exact_oracle(k2), 0.0, 5, _rng("bad"))
+    for beta in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            tpa_runs(exact_oracle(k2), beta, 5, _rng("bad"))
     with pytest.raises(ValueError):
         tpa_runs(exact_oracle(k2), 1.0, 0, _rng("bad"))
