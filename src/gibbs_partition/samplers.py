@@ -7,12 +7,11 @@ for one draw at each b of an array; no draw path keeps a state index or
 reads the state table.  The exact oracle samples from the model's density
 of states (its distinct energy levels and their multiplicities), so building
 it and a draw at a fresh b cost O(levels), not O(states).  One builder,
-``_level_cdfs``, makes every level CDF, one column per b; one draw per b,
-and rows of fewer than 8 draws, invert by counting down the column, and a
-row of n >= 8 draws at one b through a guide table over it, O(1) per draw
-on average.  The MCMC oracle runs restart chains in lockstep on one (nv, n)
-spin array with one (nv, n) block of uniforms per sweep, and sums each
-chain's energy from its spins.  Every draw consumes a caller-supplied numpy
+``_level_cdfs``, makes every level CDF, one column per b; one draw per b
+inverts by counting down the column, and a row of n draws at one b through
+a guide table over it, O(1) per draw on average.  The MCMC oracle runs
+restart chains in lockstep on one (nv, n) spin array with one (nv, n)
+block of uniforms per sweep, and sums each chain's energy from its spins.  Every draw consumes a caller-supplied numpy
 Generator and is tallied, with its b, by the counter's one ``record``
 method, the ground truth for all sample counts.
 """
@@ -108,9 +107,9 @@ class SamplerOracle:
         A scalar b returns n energies, and an array ``b`` a (len(b), n) block
         that consumes ``rng`` exactly as one call per entry, in order, would;
         the counter records n draws at each b.  For exact oracles the
-        uniforms are one (len(b), n) block inverted by counting or by a
-        guide table (see ``_draw_levels``); MCMC oracles run n restart
-        chains in lockstep per row.
+        uniforms are one (len(b), n) block inverted through a guide table
+        per row (see ``_draw_levels``); MCMC oracles run n restart chains
+        in lockstep per row.
         """
         bs = np.atleast_1d(np.asarray(b, dtype=float))
         if self.kind == KIND_EXACT:
@@ -208,10 +207,9 @@ def _draw_levels(
     """Energies of n draws at each b of ``bs``, one row per b.
 
     One (len(bs), n) block of uniforms; uniform u of row i draws the level
-    ``_count_levels`` would for bs[i].  Below 8 draws a row is that count,
-    one draw at each entry of ``np.repeat(bs, n)``.  Otherwise each row
-    finds its level through a guide table (Chen and Asau, AIIE Trans.
-    6(2), 1974) of g = 2^k buckets, k derived from n.  lv[j] is the level
+    ``_count_levels`` would for bs[i], found through a guide table (Chen and
+    Asau, AIIE Trans. 6(2), 1974) of g = 2^k buckets over the row's level
+    CDF column, k derived from n, so g = 1 below 8 draws.  lv[j] is the level
     that u = j/g inverts to.  For a power of two g, u*g and j/g are exact
     and fl(u * top) is monotone in u, so a uniform in bucket j = floor(u*g)
     inverts to a level in [lv[j], lv[j+1]]: where the two agree that is its
@@ -219,15 +217,12 @@ def _draw_levels(
     the level CDF finds it.  Each row of energies overwrites its row of
     uniforms.
     """
-    model = oracle.model
+    energies = oracle.model.energies
     block = rng.random((len(bs), n))
     oracle.counter.record(bs, n)
-    if n < 8:
-        return _count_levels(model, np.repeat(bs, n), block.ravel()).reshape(block.shape)
-    energies = model.energies
     g = 1 << (n // 8).bit_length()
     edges = np.arange(g + 1) / g
-    for cols, cw, top, last in _level_cdfs(model, bs):
+    for cols, cw, top, last in _level_cdfs(oracle.model, bs):
         for row, col, t, cap in zip(block[cols], cw.T, top.tolist(), last.tolist()):
             lv = np.minimum(np.searchsorted(col, edges * t, side="right"), cap)
             # Energies are finite, so nan marks the buckets a boundary splits.

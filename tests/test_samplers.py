@@ -160,15 +160,25 @@ def test_draw_energies_at_in_blocks_matches_draw_energy():
 BLOCK_BS = [0.0, 0.3, 1.0, 5.0, 50.0]
 
 
-def _block_models():
+def _block_cases():
     from gibbs_partition import grid_model, table_model
 
     # The grids have more levels than the guide table has buckets at small n.
-    return tiny_models() + [
+    models = tiny_models() + [
         ("grid-8x8", grid_model(8, 8)),
         ("grid-10x10", grid_model(10, 10)),
         ("underflow", table_model([0.0, 1.0, 1.0, 2000.0])),
     ]
+    cases = [
+        (n, label, model, BLOCK_BS, i)
+        for n in [1, 7, 8, 64, 7217]
+        for i, (label, model) in enumerate(models)
+    ]
+    # 5,000 distinct levels: a block of CDF columns holds 65,536 // 5,000 =
+    # 13, so 16 rows take their guide tables from two blocks.
+    many = table_model(np.arange(5000.0) / 100.0)
+    cases += [(n, "5000-levels", many, (np.arange(16) / 8.0).tolist(), len(models)) for n in [8, 64]]
+    return [pytest.param(n, label, model, bs, id=f"{n}-{label}-model{i}") for n, label, model, bs, i in cases]
 
 
 def _row_by_row(oracle, b, n, rng):
@@ -184,8 +194,10 @@ def _row_by_row(oracle, b, n, rng):
     return model.energies[levels]
 
 
-def _assert_block_is_row_by_row(label, model, bs, n):
-    # One (len(b), n) block consumes the generator as row-by-row draws do.
+@pytest.mark.parametrize("n,label,model,bs", _block_cases())
+def test_draw_energies_block_is_row_by_row_draws(n, label, model, bs):
+    # One (len(b), n) block consumes the generator as row-by-row draws do;
+    # n = 8 is the smallest guide table, of g = 2 buckets.
     by_block, by_row = exact_oracle(model), exact_oracle(model)
     g1, g2 = _rng(f"block-{label}", n), _rng(f"block-{label}", n)
     block = by_block.draw_energies(bs, n, g1)
@@ -195,23 +207,6 @@ def _assert_block_is_row_by_row(label, model, bs, n):
     assert g1.bit_generator.state == g2.bit_generator.state
     assert by_block.counter.by_b == by_row.counter.by_b
     assert by_block.counter.total == len(bs) * n
-
-
-@pytest.mark.parametrize("label,model", _block_models())
-@pytest.mark.parametrize("n", [1, 7, 8, 64, 7217])
-def test_draw_energies_block_is_row_by_row_draws(label, model, n):
-    # n = 8 is the smallest guide table, of g = 2 buckets.
-    _assert_block_is_row_by_row(label, model, BLOCK_BS, n)
-
-
-@pytest.mark.parametrize("n", [8, 64])
-def test_draw_energies_block_across_column_blocks_is_row_by_row_draws(n):
-    from gibbs_partition import table_model
-
-    # 5,000 distinct levels: a block of CDF columns holds 65,536 // 5,000 =
-    # 13, so the 16 rows take their guide tables from two blocks.
-    model = table_model(np.arange(5000.0) / 100.0)
-    _assert_block_is_row_by_row("5000-levels", model, (np.arange(16) / 8.0).tolist(), n)
 
 
 def _guide_levels(oracle, b, n):
