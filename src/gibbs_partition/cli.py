@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.sampler not in ("exact", "mcmc"):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
+        if self.tv_budget != 0.0 and self.sampler != "mcmc":
+            raise ConfigError("tv_budget needs sampler mcmc")
         if self.boost < 1 or self.boost % 2 == 0:
             raise ConfigError("boost must be a positive odd integer")
         if self.draws < 1:
@@ -99,12 +101,13 @@ def build_model(spec: str) -> models.GibbsModel:
     """Resolve a model shorthand: k2 | path-N | cycle-N | grid-RxC | const-h | table:<file>."""
     if spec == "k2":
         return models.ising_model([(0, 1)], num_vertices=2)
-    if spec.startswith("path-"):
-        n = int(spec[len("path-"):])
-        return models.ising_model(models.path_edges(n), num_vertices=n)
-    if spec.startswith("cycle-"):
-        n = int(spec[len("cycle-"):])
-        return models.ising_model(models.cycle_edges(n), num_vertices=n)
+    if spec.startswith(("path-", "cycle-")):
+        kind, _, size = spec.partition("-")
+        n = int(size)
+        # Guard before the edge list: a path of millions of sites costs GBs.
+        models.require_enumerable(2 ** n)
+        edges = models.path_edges(n) if kind == "path" else models.cycle_edges(n)
+        return models.ising_model(edges, num_vertices=n)
     if spec.startswith("grid-"):
         rows, cols = spec[len("grid-"):].split("x")
         r, c = int(rows), int(cols)
@@ -440,7 +443,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             rows, fields = run_experiment(config), CSV_FIELDS
         else:
-            methods = [m for m in args.methods.split(",") if m.strip()]
+            methods = [m.strip() for m in args.methods.split(",") if m.strip()]
             rows, fields = compare_methods(config, methods), COMPARE_FIELDS
         _emit(rows, fields, config, args.out, args.format, time.perf_counter() - start)
     except (models.EnumerationGuardError, MemoryError) as exc:

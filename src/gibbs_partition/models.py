@@ -4,12 +4,13 @@ A model is its density of states: the distinct energies E_l and their
 multiplicities m_l, which is all that the estimators, the exact sampler and
 the exact truth ln Z(b) = logsumexp(ln m_l - b E_l) read; its flags
 (``n_bound``, ``sign_class``, ``integer_valued``) are derived from the
-levels.  States are opaque integer indices 0..num_states-1, and the state
-table H(x) serves only state-level consumers (model files, kernel
-enumeration, tests), never a draw: the MCMC sampler sums energies from its
-spins.  Models are plain data, not changed after construction (a deferred
-state table is only filled in), so they are safe to share across concurrent
-workers and they pickle.
+levels.  An Ising model also keeps its graph, which the MCMC sampler moves
+on, and a table model its table.  States are opaque integer indices
+0..num_states-1, and the state table H(x) serves only state-level consumers
+(kernel enumeration, tests), never a draw: the MCMC sampler sums energies
+from its spins.  Models are plain data, never changed after construction
+and holding no cache, so they are safe to share across concurrent workers
+and they pickle.
 """
 
 from __future__ import annotations
@@ -50,83 +51,57 @@ class IsingGraph:
 class GibbsModel:
     """Density of states: distinct energies E_l, ascending, with multiplicities m_l.
 
-    ``energies`` and ``counts`` are float64 arrays; counts below 2^53 are
-    exact integers, and larger ones (grids past 53 sites) carry float64
-    rounding.  Three flags are derived from the levels: ``n_bound``, the
-    least positive integer with |E_l| <= n_bound for every level;
-    ``sign_class``; and ``integer_valued``, whether all energies are
+    ``levels`` is the pair (energies, counts), stored as float64 arrays;
+    counts below 2^53 are exact integers, and larger ones (grids past 53
+    sites) carry float64 rounding.  Three flags are derived from the levels:
+    ``n_bound``, the least positive integer with |E_l| <= n_bound for every
+    level; ``sign_class``; and ``integer_valued``, whether all energies are
     integers, which is what the integer-regime parameter choices assume.
 
-    The state table H(x), read as ``hamiltonian``, has one source: a table
-    passed as ``hamiltonian``, which the levels are counted from; else a
-    ``source`` model, giving ``source.hamiltonian + shift``; else the Ising
-    ``graph``, giving -#aligned edges.  The last two take ``levels`` and
-    ``num_states`` and build the table, under the guard, on first read, so a
-    model pickles as its levels, graph and source.  Every model has its
-    levels in memory, so every model has an exact truth.
+    An Ising model keeps its ``graph`` for MCMC's local moves, and a table
+    model its ``table``.  ``hamiltonian`` serves state-level consumers only.
     """
 
     def __init__(
-        self,
-        hamiltonian,
-        name: str = "table",
-        graph: IsingGraph | None = None,
-        *,
-        levels: tuple[np.ndarray, np.ndarray] | None = None,
-        num_states: int | None = None,
-        source: GibbsModel | None = None,
-        shift: float = 0.0,
+        self, levels: tuple, num_states: int, graph: IsingGraph | None = None, table=None
     ):
-        if hamiltonian is None:
-            if levels is None or num_states is None or (graph is None and source is None):
-                raise ValueError("a tableless model needs levels, num_states and a graph or source")
-            energies, counts = (np.array(x, dtype=np.float64) for x in levels)
-        else:
-            hamiltonian = np.array(hamiltonian, dtype=np.float64)
-            if hamiltonian.ndim != 1 or hamiltonian.size < 1:
-                raise ValueError("hamiltonian must be a non-empty 1-d array")
-            hamiltonian.flags.writeable = False
-            energies, counts = np.unique(hamiltonian, return_counts=True)
-            counts = counts.astype(np.float64)
-            num_states = hamiltonian.size
+        energies, counts = (np.array(x, dtype=np.float64) for x in levels)
         if energies.ndim != 1 or energies.size < 1 or counts.shape != energies.shape:
             raise ValueError("levels must be two non-empty 1-d arrays of one length")
         if not np.all(np.isfinite(energies)):
             raise ValueError("hamiltonian values must be finite")
         if np.any(np.diff(energies) <= 0) or np.any(counts < 1):
             raise ValueError("level energies must ascend strictly, with positive counts")
-        energies.flags.writeable = False
-        counts.flags.writeable = False
-        self._table = hamiltonian
-        self.source = source
-        self.shift = shift
         self.energies = energies
         self.counts = counts
         self.num_states = int(num_states)
         self.n_bound = _bound_for(energies)
         self.sign_class = _sign_class(energies)
         self.integer_valued = _is_integer(energies)
-        self.name = name
         self.graph = graph
+        self.table = table
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for array in (self.energies, self.counts, self.table):
+            if array is not None:
+                array.flags.writeable = False
 
     def __setstate__(self, state: dict) -> None:
         # Unpickled arrays come back writable; models are not changed.
         self.__dict__.update(state)
-        for array in (self.energies, self.counts, self._table):
-            if array is not None:
-                array.flags.writeable = False
+        self._freeze()
 
     @property
     def hamiltonian(self) -> np.ndarray:
-        """The state table H(x), built from the source or graph on first read."""
-        if self._table is None:
-            if self.source is not None:
-                h = self.source.hamiltonian + self.shift
-            else:
-                h = _ising_table(self.graph.num_vertices, self.graph.edges)
-            h.flags.writeable = False
-            self._table = h
-        return self._table
+        """The state table H(x): the model's table, or the Ising table rebuilt
+        from ``graph`` on every read, under the guard.  A model made of levels
+        only has no state table and raises ValueError."""
+        if self.table is not None:
+            return self.table
+        if self.graph is None:
+            raise ValueError("a model made of levels only has no state table")
+        return _ising_table(self.graph.num_vertices, self.graph.edges)
 
 
 def _sign_class(h: np.ndarray) -> str:
@@ -149,9 +124,10 @@ def _is_integer(h: np.ndarray) -> bool:
 def require_enumerable(num_states: int) -> None:
     """Raise EnumerationGuardError for a state space past the enumeration guard."""
     if num_states > ENUMERATION_GUARD:
+        # As a power of two: str() refuses 2^n in decimal past n = 14,000 or so.
         raise EnumerationGuardError(
-            f"{num_states} states exceed the enumeration guard "
-            f"({ENUMERATION_GUARD}); state-level oracles need a smaller model"
+            f"2^{math.log2(num_states):.10g} states exceed the enumeration guard "
+            f"(2^{math.log2(ENUMERATION_GUARD):.10g}); state-level oracles need a smaller model"
         )
 
 
@@ -175,10 +151,12 @@ def logsumexp(a) -> float:
     return float(out[0])
 
 
-def table_model(values, name: str = "table") -> GibbsModel:
-    """Build a model from an explicit energy table."""
-    h = np.asarray(values, dtype=np.float64)
-    return GibbsModel(hamiltonian=h, name=name)
+def table_model(values) -> GibbsModel:
+    """Build a model from an explicit energy table, counting its levels."""
+    h = np.array(values, dtype=np.float64)
+    if h.ndim != 1 or h.size < 1:
+        raise ValueError("hamiltonian must be a non-empty 1-d array")
+    return GibbsModel(np.unique(h, return_counts=True), h.size, table=h)
 
 
 def _ising_table(num_vertices: int, edges) -> np.ndarray:
@@ -198,10 +176,12 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
     State index s encodes spins bitwise: spin(v) = +1 iff bit v of s is set.
     n_bound equals |E| (all edges aligned), sign class is nonpositive.  The
     levels are counted from the full state table, so the enumeration
-    guard bounds num_vertices; the model keeps the graph, not the table.
+    guard bounds num_vertices, checked before the edges are; the model keeps
+    the graph, not the table.
     """
     if num_vertices < 1:
         raise ValueError("num_vertices must be >= 1")
+    require_enumerable(2 ** num_vertices)
     seen = set()
     canon = []
     for i, j in edges:
@@ -215,11 +195,9 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
         seen.add(key)
         canon.append(key)
     return GibbsModel(
-        hamiltonian=None,
-        name=f"ising-{num_vertices}v-{len(canon)}e",
+        np.unique(_ising_table(num_vertices, canon), return_counts=True),
+        2 ** num_vertices,
         graph=IsingGraph(num_vertices=num_vertices, edges=tuple(canon)),
-        levels=np.unique(_ising_table(num_vertices, canon), return_counts=True),
-        num_states=2 ** num_vertices,
     )
 
 
@@ -232,28 +210,27 @@ def grid_model(rows: int, cols: int) -> GibbsModel:
     w = min(rows, cols) sites (Beale, PRL 76:78, 1996), so building it costs
     O(2^w |E|) per site and no 2^n array.  The enumeration guard bounds the
     count array, not the state space; the state table is built, under
-    the guard, only if ``hamiltonian`` is read.
+    the guard, only when ``hamiltonian`` is read.  Both guards are checked
+    from the grid's shape, before its edge list is built.
     """
     if rows < 1 or cols < 1:
         raise ValueError("a grid needs at least one row and one column")
     num_vertices = rows * cols
-    edges = grid_edges(rows, cols)
-    width = min(rows, cols)
-    if 2 ** width * (len(edges) + 1) > ENUMERATION_GUARD:
-        raise EnumerationGuardError(
-            f"a {rows}x{cols} grid needs 2^{width} x {len(edges) + 1} level counts, "
-            f"past the enumeration guard ({ENUMERATION_GUARD})"
-        )
     if num_vertices >= 1024:
         raise EnumerationGuardError(
             f"2^{num_vertices} states pass the float64 range of the level counts"
         )
+    num_edges = rows * (cols - 1) + (rows - 1) * cols
+    width = min(rows, cols)
+    if 2 ** width * (num_edges + 1) > ENUMERATION_GUARD:
+        raise EnumerationGuardError(
+            f"a {rows}x{cols} grid needs 2^{width} x {num_edges + 1} level counts, "
+            f"past the enumeration guard ({ENUMERATION_GUARD})"
+        )
     return GibbsModel(
-        hamiltonian=None,
-        name=f"ising-{num_vertices}v-{len(edges)}e",
-        graph=IsingGraph(num_vertices=num_vertices, edges=tuple(edges)),
-        levels=_grid_levels(width, num_vertices // width, len(edges)),
-        num_states=2 ** num_vertices,
+        _grid_levels(width, num_vertices // width, num_edges),
+        2 ** num_vertices,
+        graph=IsingGraph(num_vertices=num_vertices, edges=tuple(grid_edges(rows, cols))),
     )
 
 
@@ -300,14 +277,11 @@ def _grid_levels(width: int, length: int, num_edges: int) -> tuple[np.ndarray, n
     return (-aligned).astype(np.float64), totals[aligned]
 
 
-def constant_model(level: float, num_states: int = 4, name: str | None = None) -> GibbsModel:
+def constant_model(level: float, num_states: int = 4) -> GibbsModel:
     """Model with H identically equal to ``level``; Z(b)/Z(0) = exp(-b*level)."""
     if num_states < 1:
         raise ValueError("num_states must be >= 1")
-    return table_model(
-        np.full(num_states, float(level)),
-        name=name or f"const-{level:g}",
-    )
+    return table_model(np.full(num_states, float(level)))
 
 
 def path_edges(num_vertices: int) -> list[tuple[int, int]]:
@@ -362,8 +336,8 @@ def interval_length_exact(model: GibbsModel, beta: float) -> float:
 def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
     """Add a constant to every energy: pi_beta unchanged, ln Z'(b) = ln Z(b) - b*c.
 
-    Only the levels are shifted; the shifted state table is built from the
-    model's own if it is read.  Levels that round to one energy merge.
+    The shifted model is its levels only, with no graph and no state
+    table.  Levels that round to one energy merge.
     """
     if c == 0.0:
         return model
@@ -374,26 +348,21 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
         top = float(np.max(np.abs(model.energies)))
         raise ValueError(f"energies up to |H| = {top:g} shifted by {c:g} pass the float range")
     energies, level = np.unique(shifted, return_inverse=True)
-    return GibbsModel(
-        hamiltonian=None,
-        name=f"{model.name}+shift({c:g})",
-        graph=model.graph,
-        levels=(energies, np.bincount(level, weights=model.counts)),
-        num_states=model.num_states,
-        source=model,
-        shift=c,
-    )
+    return GibbsModel((energies, np.bincount(level, weights=model.counts)), model.num_states)
 
 
 def model_to_dict(model: GibbsModel) -> dict:
-    # A shift moves the ground level off the graph's -|E|; only a table keeps it.
-    if model.graph is not None and model.energies[0] == -len(model.graph.edges):
+    """An Ising model as its graph; any other as its levels expanded to a
+    table in ascending energy order, under the guard."""
+    if model.graph is not None:
         return {
             "type": "ising",
             "num_vertices": model.graph.num_vertices,
             "edges": [list(e) for e in model.graph.edges],
         }
-    return {"type": "table", "hamiltonian": [float(v) for v in model.hamiltonian]}
+    require_enumerable(model.num_states)
+    table = np.repeat(model.energies, model.counts.astype(np.int64))
+    return {"type": "table", "hamiltonian": table.tolist()}
 
 
 def model_from_dict(spec: dict) -> GibbsModel:

@@ -11,9 +11,10 @@ it and a draw at a fresh b cost O(levels), not O(states).  One builder,
 inverts by counting down the column, and a row of n draws at one b through
 a guide table over it, O(1) per draw on average.  The MCMC oracle runs
 restart chains in lockstep on one (nv, n) spin array with one (nv, n)
-block of uniforms per sweep, and sums each chain's energy from its spins.  Every draw consumes a caller-supplied numpy
-Generator and is tallied, with its b, by the counter's one ``record``
-method, the ground truth for all sample counts.
+block of uniforms per sweep, and sums each chain's energy from its spins.
+Every draw consumes a caller-supplied numpy Generator and is counted by the
+counter's one ``record`` method, whose running total is the ground truth
+for all sample counts.
 """
 
 from __future__ import annotations
@@ -34,31 +35,16 @@ _MATRIX_CAP = 1 << 16
 
 
 class DrawCounter:
-    """Monotone tally of draws served, with its running total.
+    """Monotone running total of draws served."""
 
-    Each ``record`` call appends one entry; ``by_b``, the tally bucketed by
-    b value, is built only when read.
-    """
-
-    __slots__ = ("_batches", "total")
+    __slots__ = ("total",)
 
     def __init__(self):
-        self._batches: list[tuple[np.ndarray, int]] = []
         self.total = 0
 
     def record(self, b: float | np.ndarray, n: int = 1) -> None:
         """n draws at b, or n at each entry of a 1-d array b."""
-        b = np.array(b, dtype=float)
-        self._batches.append((b, n))
-        self.total += n * b.size
-
-    @property
-    def by_b(self) -> dict[float, int]:
-        tally: dict[float, int] = {}
-        for bs, n in self._batches:
-            for b in bs.ravel().tolist():
-                tally[b] = tally.get(b, 0) + n
-        return tally
+        self.total += n * np.asarray(b).size
 
 
 @dataclass
@@ -280,14 +266,8 @@ def draw_mcmc_lockstep(
 
 
 def _spin_energies(model: GibbsModel, spins: np.ndarray) -> np.ndarray:
-    """H of each column of an (nv, n) spin array, as the state table sums it.
-
-    -1 per aligned edge, in edge order, plus the shift of every model down
-    the ``source`` chain, innermost first, as ``GibbsModel.hamiltonian``
-    adds them, so the energies are the table's bit for bit.
-    """
-    if model.source is not None:
-        return _spin_energies(model.source, spins) + model.shift
+    """H of each column of an (nv, n) spin array: -1 per aligned edge, in
+    edge order, as the state table sums it, so the two agree bit for bit."""
     h = np.zeros(spins.shape[1])
     for i, j in model.graph.edges:
         h -= spins[i] == spins[j]

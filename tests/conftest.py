@@ -215,7 +215,7 @@ def const1():
 
 @pytest.fixture
 def mixed_table():
-    return table_model([-2.0, -1.0, 0.0, 1.0, 2.0], name="mixed-5")
+    return table_model([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def tiny_models():
@@ -226,7 +226,7 @@ def tiny_models():
         ("cycle-4", ising_model(cycle_edges(4), num_vertices=4)),
         ("grid-2x2", ising_model(grid_edges(2, 2), num_vertices=4)),
         ("const-1", constant_model(1.0)),
-        ("mixed-5", table_model([-2.0, -1.0, 0.0, 1.0, 2.0], name="mixed-5")),
+        ("mixed-5", table_model([-2.0, -1.0, 0.0, 1.0, 2.0])),
     ]
 
 

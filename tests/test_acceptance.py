@@ -42,7 +42,7 @@ from conftest import brute_z, paired_replicate, tiny_models
 SEED = 1  # frozen; all statistical criteria are deterministic given this
 
 K2 = ising_model([(0, 1)], num_vertices=2)
-MIXED = table_model([-1.0] + [2.0] * 49, name="mixed-skew")  # |H| <= 2, mixed sign
+MIXED = table_model([-1.0] + [2.0] * 49)  # |H| <= 2, mixed sign
 
 
 def _report(num: int, ok: bool, detail: str):

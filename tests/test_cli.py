@@ -197,6 +197,9 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
     ):
         assert main(["run", "--model", "k2", "--beta", "1", *extra]) == 2
         assert "must be finite" in capsys.readouterr().err
+    # An exact sampler has no TV budget to declare.
+    assert main(["run", "--model", "k2", "--beta", "1", "--tv-budget", "0.5"]) == 2
+    assert "tv_budget needs sampler mcmc" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -223,7 +226,14 @@ def test_malformed_table_file_exit_2(text, message, tmp_path, capsys):
     assert err.startswith("error:") and message in err
 
 
-def test_main_exact_infeasible_exit_3(monkeypatch, capsys):
+def test_main_exact_infeasible_exit_3(monkeypatch, capsys, tmp_path):
+    # 2^20000 has more decimal digits than str() converts; the guard words
+    # it as a power of two and checks it before building any edge list.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"type": "ising", "num_vertices": 20000, "edges": []}))
+    for spec in ("path-20000", "cycle-20000", f"table:{path}"):
+        assert main(["run", "--model", spec, "--beta", "1", "--method", "exact"]) == 3
+        assert "enumeration guard" in capsys.readouterr().err
     monkeypatch.setattr(models, "ENUMERATION_GUARD", 4)
     assert main(["run", "--model", "cycle-4", "--beta", "1", "--method", "exact"]) == 3
     assert "error" in capsys.readouterr().err
@@ -493,11 +503,14 @@ def test_compare_trace_is_the_paired_run_trace(tmp_path):
     args = ["--model", "k2", "--beta", "1", "--epsilon", "0.3", "--seed", "6",
             "--reps", "2", "--expert-overrides", "r=5"]
     compared, run = tmp_path / "compare.jsonl", tmp_path / "run.jsonl"
-    assert main(["compare", *args, "--trace", str(compared),
-                 "--out", str(tmp_path / "c.csv")]) == 0
+    # Method names are stripped, as override chunks are.
+    assert main(["compare", *args, "--methods", "paired, product ,single", "--trace",
+                 str(compared), "--out", str(tmp_path / "c.csv")]) == 0
     assert main(["run", "--method", "paired", *args, "--trace", str(run),
                  "--out", str(tmp_path / "r.csv")]) == 0
     assert compared.read_bytes() and compared.read_bytes() == run.read_bytes()
+    methods = [row["method"] for row in _read_csv(tmp_path / "c.csv")]
+    assert methods == ["paired", "product", "single"]
 
 
 def test_a_run_builds_its_model_and_truth_once(tmp_path, monkeypatch):

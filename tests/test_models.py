@@ -127,8 +127,8 @@ def test_shift_mixed_makes_strictly_negative(mixed_table):
     shifted = shift_hamiltonian(mixed_table, -2.0 * n)
     # H' = H - 2n lands in [-3n, -n]: strictly negative, so TPA applies.
     assert shifted.sign_class == "nonpositive"
-    assert shifted.hamiltonian.max() == -n
-    assert shifted.hamiltonian.min() >= -3 * n
+    assert shifted.energies.max() == -n
+    assert shifted.energies.min() >= -3 * n
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,10 +247,8 @@ def test_grid_model_levels_match_enumeration(rows, cols):
 @pytest.mark.parametrize("rows,cols", [(3, 3), (2, 5), (5, 2)])
 def test_grid_model_state_table_is_built_on_first_read(rows, cols):
     grid = grid_model(rows, cols)
-    assert grid._table is None
     expected = brute_ising_energies(grid_edges(rows, cols), rows * cols)
     assert grid.hamiltonian.tolist() == expected
-    assert grid.hamiltonian is grid.hamiltonian
 
 
 @pytest.mark.parametrize("label,model", tiny_models())
@@ -292,8 +290,10 @@ def test_shift_moves_levels_and_defers_the_table():
     shifted = shift_hamiltonian(grid, -30.0)
     assert shifted.energies.tolist() == (grid.energies - 30.0).tolist()
     assert shifted.counts.tolist() == grid.counts.tolist()
-    assert grid._table is None and shifted._table is None
-    assert shifted.hamiltonian.tolist() == (grid.hamiltonian - 30.0).tolist()
+    # The shifted model is its levels only: no graph and no state table.
+    assert shifted.graph is None
+    with pytest.raises(ValueError, match="levels only"):
+        shifted.hamiltonian
     # Levels that round to one energy merge, with their counts added.
     merged = shift_hamiltonian(table_model([0.0, 1e-17, 1e-17, 2.0]), 4.0)
     assert merged.energies.tolist() == [4.0, 6.0]
@@ -303,15 +303,16 @@ def test_shift_moves_levels_and_defers_the_table():
 def test_level_model_validation():
     graph = models.IsingGraph(num_vertices=1, edges=())
     levels_of = {
-        "no state count": dict(levels=([-1.0, 0.0], [1.0, 1.0]), graph=graph),
         "descending": dict(levels=([0.0, -1.0], [1.0, 1.0]), num_states=2, graph=graph),
         "empty level": dict(levels=([-1.0, 0.0], [1.0, 0.0]), num_states=1, graph=graph),
         "ragged": dict(levels=([-1.0, 0.0], [2.0]), num_states=2, graph=graph),
-        "no table source": dict(levels=([-1.0, 0.0], [1.0, 1.0]), num_states=2),
     }
     for kwargs in levels_of.values():
         with pytest.raises(ValueError):
-            models.GibbsModel(None, **kwargs)
+            models.GibbsModel(**kwargs)
+    # The state count is a required argument.
+    with pytest.raises(TypeError):
+        models.GibbsModel(levels=([-1.0, 0.0], [1.0, 1.0]), graph=graph)
 
 
 PICKLED_SPECS = ["k2", "path-5", "cycle-4", "grid-3x3", "grid-10x10", "const-2", "mixed-5"]
@@ -328,17 +329,19 @@ def test_models_pickle_as_plain_data(spec, shifted, tmp_path):
     if shifted:
         model = shift_hamiltonian(model, -2.0 * model.n_bound)
     copy = pickle.loads(pickle.dumps(model))
-    for key in ("name", "num_states", "graph", "n_bound", "sign_class", "integer_valued"):
+    for key in ("num_states", "graph", "n_bound", "sign_class", "integer_valued"):
         assert getattr(copy, key) == getattr(model, key)
+    assert not any(hasattr(copy, key) for key in ("name", "source", "shift"))
     assert copy.energies.tobytes() == model.energies.tobytes()
     assert copy.counts.tobytes() == model.counts.tobytes()
     assert not copy.energies.flags.writeable and not copy.counts.flags.writeable
-    for part in filter(None, (model, model.source)):
-        assert not [key for key, value in vars(part).items() if callable(value)]
-    if model.num_states <= models.ENUMERATION_GUARD:
+    assert not [key for key, value in vars(model).items() if callable(value)]
+    if model.graph is None and model.table is None:
+        with pytest.raises(ValueError, match="levels only"):
+            copy.hamiltonian
+    elif model.num_states <= models.ENUMERATION_GUARD:
         assert copy.hamiltonian.tobytes() == model.hamiltonian.tobytes()
-        # The read above filled the table in, so this copy pickles it.
-        assert not pickle.loads(pickle.dumps(model)).hamiltonian.flags.writeable
+        assert model.table is None or not copy.table.flags.writeable
     else:
         with pytest.raises(EnumerationGuardError):
             copy.hamiltonian

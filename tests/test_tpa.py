@@ -32,9 +32,10 @@ def _scalar_walk(oracle, beta, rng):
     """Reference: one run walked a draw at a time, (H, U, b_next) per step."""
     down = oracle.model.sign_class == "nonpositive"
     b = beta if down else 0.0
+    h = oracle.model.hamiltonian
     steps = []
     while True:
-        hx = float(oracle.model.hamiltonian[draw_state(oracle, b, rng)])
+        hx = float(h[draw_state(oracle, b, rng)])
         u = rng.random()
         while u == 0.0:
             u = rng.random()
