@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -91,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError("tv_budget needs sampler mcmc")
         if self.boost < 1 or self.boost % 2 == 0:
             raise ConfigError("boost must be a positive odd integer")
+        if self.boost != 1 and self.method != "paired":
+            raise ConfigError("boost needs method paired")
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
         if (self.schedule_in or self.schedule_out) and self.method != "paired":
@@ -101,17 +104,18 @@ def build_model(spec: str) -> models.GibbsModel:
     """Resolve a model shorthand: k2 | path-N | cycle-N | grid-RxC | const-h | table:<file>."""
     if spec == "k2":
         return models.ising_model([(0, 1)], num_vertices=2)
-    if spec.startswith(("path-", "cycle-")):
-        kind, _, size = spec.partition("-")
+    kind, _, size = spec.partition("-")
+    if kind in ("path", "cycle", "grid"):
+        if not re.fullmatch("[0-9]+x[0-9]+" if kind == "grid" else "[0-9]+", size):
+            form = "RxC" if kind == "grid" else "N"
+            raise ConfigError(f"model spec {spec!r} is not of the form {kind}-{form}")
+        if kind == "grid":
+            return models.grid_model(*map(int, size.split("x")))
         n = int(size)
         # Guard before the edge list: a path of millions of sites costs GBs.
-        models.require_enumerable(2 ** n)
+        models.require_countable(n)
         edges = models.path_edges(n) if kind == "path" else models.cycle_edges(n)
         return models.ising_model(edges, num_vertices=n)
-    if spec.startswith("grid-"):
-        rows, cols = spec[len("grid-"):].split("x")
-        r, c = int(rows), int(cols)
-        return models.grid_model(r, c)
     if spec.startswith("const-"):
         return models.constant_model(float(spec[len("const-"):]))
     if spec.startswith("table:"):
@@ -383,7 +387,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--sampler", choices=["exact", "mcmc"], default="exact")
-    p.add_argument("--mcmc-steps", type=int, default=100)
+    p.add_argument("--mcmc-steps", type=int, default=None, help="default 100; needs --sampler mcmc")
     p.add_argument("--tv-budget", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=1)
@@ -400,13 +404,15 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    if args.mcmc_steps is not None and args.sampler != "mcmc":
+        raise ConfigError("mcmc_steps needs sampler mcmc")
     return ExperimentConfig(
         model=args.model,
         beta=args.beta,
         epsilon=args.epsilon,
         method=getattr(args, "method", "paired"),
         sampler=args.sampler,
-        mcmc_steps=args.mcmc_steps,
+        mcmc_steps=ExperimentConfig.mcmc_steps if args.mcmc_steps is None else args.mcmc_steps,
         tv_budget=args.tv_budget,
         seed=args.seed,
         reps=args.reps,

@@ -5,12 +5,12 @@ multiplicities m_l, which is all that the estimators, the exact sampler and
 the exact truth ln Z(b) = logsumexp(ln m_l - b E_l) read; its flags
 (``n_bound``, ``sign_class``, ``integer_valued``) are derived from the
 levels.  An Ising model also keeps its graph, which the MCMC sampler moves
-on, and a table model its table.  States are opaque integer indices
-0..num_states-1, and the state table H(x) serves only state-level consumers
-(kernel enumeration, tests), never a draw: the MCMC sampler sums energies
-from its spins.  Models are plain data, never changed after construction
-and holding no cache, so they are safe to share across concurrent workers
-and they pickle.
+on; every Ising model counts its levels over a front of sites, so no model
+construction holds a 2^n array, and a table model keeps only the levels of
+its table.  States are opaque integer indices 0..num_states-1, and only the
+MCMC kernel checks enumerate them, from the graph.  Models are plain data,
+never changed after construction and holding no cache, so they are safe to
+share across concurrent workers and they pickle.
 """
 
 from __future__ import annotations
@@ -58,13 +58,10 @@ class GibbsModel:
     level; ``sign_class``; and ``integer_valued``, whether all energies are
     integers, which is what the integer-regime parameter choices assume.
 
-    An Ising model keeps its ``graph`` for MCMC's local moves, and a table
-    model its ``table``.  ``hamiltonian`` serves state-level consumers only.
+    An Ising model keeps its ``graph`` for MCMC's local moves.
     """
 
-    def __init__(
-        self, levels: tuple, num_states: int, graph: IsingGraph | None = None, table=None
-    ):
+    def __init__(self, levels: tuple, num_states: int, graph: IsingGraph | None = None):
         energies, counts = (np.array(x, dtype=np.float64) for x in levels)
         if energies.ndim != 1 or energies.size < 1 or counts.shape != energies.shape:
             raise ValueError("levels must be two non-empty 1-d arrays of one length")
@@ -79,29 +76,16 @@ class GibbsModel:
         self.sign_class = _sign_class(energies)
         self.integer_valued = _is_integer(energies)
         self.graph = graph
-        self.table = table
         self._freeze()
 
     def _freeze(self) -> None:
-        for array in (self.energies, self.counts, self.table):
-            if array is not None:
-                array.flags.writeable = False
+        self.energies.flags.writeable = False
+        self.counts.flags.writeable = False
 
     def __setstate__(self, state: dict) -> None:
         # Unpickled arrays come back writable; models are not changed.
         self.__dict__.update(state)
         self._freeze()
-
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        """The state table H(x): the model's table, or the Ising table rebuilt
-        from ``graph`` on every read, under the guard.  A model made of levels
-        only has no state table and raises ValueError."""
-        if self.table is not None:
-            return self.table
-        if self.graph is None:
-            raise ValueError("a model made of levels only has no state table")
-        return _ising_table(self.graph.num_vertices, self.graph.edges)
 
 
 def _sign_class(h: np.ndarray) -> str:
@@ -152,22 +136,19 @@ def logsumexp(a) -> float:
 
 
 def table_model(values) -> GibbsModel:
-    """Build a model from an explicit energy table, counting its levels."""
+    """Build a model from an explicit energy table; it keeps only the table's levels."""
     h = np.array(values, dtype=np.float64)
     if h.ndim != 1 or h.size < 1:
         raise ValueError("hamiltonian must be a non-empty 1-d array")
-    return GibbsModel(np.unique(h, return_counts=True), h.size, table=h)
+    return GibbsModel(np.unique(h, return_counts=True), h.size)
 
 
-def _ising_table(num_vertices: int, edges) -> np.ndarray:
-    """H(x) = -#aligned edges for every state x; spin(v) = +1 iff bit v of x is set."""
-    require_enumerable(2 ** num_vertices)
-    idx = np.arange(2 ** num_vertices, dtype=np.int64)
-    h = np.zeros(idx.size, dtype=np.float64)
-    for i, j in edges:
-        aligned = ((idx >> i) & 1) == ((idx >> j) & 1)
-        h[aligned] -= 1.0
-    return h
+def require_countable(num_vertices: int) -> None:
+    """Refuse a spin model of 1,024 sites or more: its 2^n states pass float64."""
+    if num_vertices >= 1024:
+        raise EnumerationGuardError(
+            f"2^{num_vertices} states pass float64; the enumeration guard allows 1023 sites"
+        )
 
 
 def ising_model(edges, num_vertices: int) -> GibbsModel:
@@ -175,13 +156,13 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
 
     State index s encodes spins bitwise: spin(v) = +1 iff bit v of s is set.
     n_bound equals |E| (all edges aligned), sign class is nonpositive.  The
-    levels are counted from the full state table, so the enumeration
-    guard bounds num_vertices, checked before the edges are; the model keeps
-    the graph, not the table.
+    levels are counted over a front of sites visited in vertex order (see
+    ``_front_levels``), which refuses a front past the guard; 1,024 sites or
+    more are refused before the edges are read.  The model keeps the graph.
     """
     if num_vertices < 1:
         raise ValueError("num_vertices must be >= 1")
-    require_enumerable(2 ** num_vertices)
+    require_countable(num_vertices)
     seen = set()
     canon = []
     for i, j in edges:
@@ -194,84 +175,90 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
             raise ValueError(f"duplicate edge ({i},{j})")
         seen.add(key)
         canon.append(key)
-    return GibbsModel(
-        np.unique(_ising_table(num_vertices, canon), return_counts=True),
-        2 ** num_vertices,
-        graph=IsingGraph(num_vertices=num_vertices, edges=tuple(canon)),
-    )
+    graph = IsingGraph(num_vertices=num_vertices, edges=tuple(canon))
+    return GibbsModel(_front_levels(graph, range(num_vertices)), 2 ** num_vertices, graph)
 
 
 def grid_model(rows: int, cols: int) -> GibbsModel:
     """Free-boundary rows x cols Ising grid, levels counted by transfer matrix.
 
-    The same graph, n_bound, levels and state indexing as
-    ``ising_model(grid_edges(rows, cols), rows * cols)``, but the density of
-    states is counted site by site over the 2^w spin patterns of a front of
-    w = min(rows, cols) sites (Beale, PRL 76:78, 1996), so building it costs
-    O(2^w |E|) per site and no 2^n array.  The enumeration guard bounds the
-    count array, not the state space; the state table is built, under
-    the guard, only when ``hamiltonian`` is read.  Both guards are checked
-    from the grid's shape, before its edge list is built.
+    ``ising_model(grid_edges(rows, cols), rows * cols)`` with its sites
+    visited along the longer side, row-major when rows >= cols and
+    column-major otherwise, so the front holds w = min(rows, cols) sites
+    (Beale, PRL 76:78, 1996) and building it costs O(2^w |E|) per site.
     """
     if rows < 1 or cols < 1:
         raise ValueError("a grid needs at least one row and one column")
     num_vertices = rows * cols
-    if num_vertices >= 1024:
+    require_countable(num_vertices)
+    graph = IsingGraph(num_vertices=num_vertices, edges=tuple(grid_edges(rows, cols)))
+    sites = np.arange(num_vertices).reshape(rows, cols)
+    order = (sites if rows >= cols else sites.T).ravel().tolist()
+    return GibbsModel(_front_levels(graph, order), 2 ** num_vertices, graph)
+
+
+def _front_levels(graph: IsingGraph, order) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of H = -#aligned edges on ``graph``, its sites visited in ``order``.
+
+    count[p, k] counts the spin assignments of the visited sites with k
+    aligned edges whose front slots hold spins p, bit s set iff the site in
+    slot s has spin +1.  Visiting v shifts the counts by the number of its
+    visited neighbours, all in the front, aligned with it.  If some front
+    sites then have every neighbour visited, v takes the slot of the earliest
+    visited of them, whose bit is summed out as (bit 0 term) + (bit 1 term);
+    otherwise v takes a new slot.  The slot plan is made first, in O(V + E),
+    and a front past the enumeration guard is refused before any counting.
+    """
+    adj = graph.adjacency()
+    unvisited = [len(nbrs) for nbrs in adj]
+    slot = [-1] * graph.num_vertices
+    front: list[int] = []  # the sites that hold a slot, in visit order
+    plan = []
+    width = 0
+    for v in order:
+        for u in adj[v]:
+            unvisited[u] -= 1
+        gone = next((u for u in front if not unvisited[u]), -1)
+        if gone >= 0:
+            front.remove(gone)
+        s = slot[gone] if gone >= 0 else width
+        met = tuple(slot[u] for u in adj[v] if slot[u] >= 0 and u != gone)
+        plan.append((1 << width, s, gone >= 0, gone in adj[v], met))
+        width = max(width, s + 1)
+        slot[v] = s
+        front.append(v)
+    levels = len(graph.edges) + 1
+    if 2 ** width * levels > ENUMERATION_GUARD:
         raise EnumerationGuardError(
-            f"2^{num_vertices} states pass the float64 range of the level counts"
-        )
-    num_edges = rows * (cols - 1) + (rows - 1) * cols
-    width = min(rows, cols)
-    if 2 ** width * (num_edges + 1) > ENUMERATION_GUARD:
-        raise EnumerationGuardError(
-            f"a {rows}x{cols} grid needs 2^{width} x {num_edges + 1} level counts, "
+            f"a front of {width} sites needs 2^{width} x {levels} level counts, "
             f"past the enumeration guard ({ENUMERATION_GUARD})"
         )
-    return GibbsModel(
-        _grid_levels(width, num_vertices // width, num_edges),
-        2 ** num_vertices,
-        graph=IsingGraph(num_vertices=num_vertices, edges=tuple(grid_edges(rows, cols))),
-    )
-
-
-def _grid_levels(width: int, length: int, num_edges: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of H = -#aligned edges on a free-boundary length x width grid.
-
-    count[p, k] counts the spin assignments of the sites visited so far, in
-    line order, that have k aligned edges and whose front (the last visited
-    site of each of the width columns) has spins p, bit c set iff spin +1.
-    Visiting site (r, c) replaces bit c.  The new spin meets its left
-    neighbour, bit c - 1, visited just before, and the site above it, the
-    old bit c.  So each new pattern gathers the two old patterns that differ
-    from it in bit c, with their counts shifted by 0, 1 or 2 aligned edges.
-    """
+    pad = max(map(len, adj))  # no site shifts its counts further
+    row = pad + levels
     patterns = np.arange(2 ** width)
-    size = patterns.size
-    # Rows of shifted.reshape(3 * size, -1) each new pattern gathers, per
-    # column: one source in the first line, which has no site above, and
-    # the two sources (old bit c = 0, 1) after it.
-    first, later = [], []
-    for c in range(width):
-        spin = (patterns >> c) & 1
-        left = (((patterns >> (c - 1)) & 1) == spin).astype(np.int64) if c else 0
-        cleared = patterns & ~(1 << c)
-        first.append(left * size + cleared)
-        later.append([(left + (up == spin)) * size + (cleared | (up << c)) for up in (0, 1)])
-    count = np.zeros((size, num_edges + 1))
-    count[0, 0] = 1.0
-    # shifted[d, p, k] = count[p, k - d]; the first d columns stay zero.
-    shifted = np.zeros((3, size, num_edges + 1))
-    flat = shifted.reshape(3 * size, num_edges + 1)
-    for r in range(length):
-        for c in range(width):
-            shifted[0] = count
-            shifted[1, :, 1:] = count[:, :-1]
-            shifted[2, :, 2:] = count[:, :-2]
-            if r:
-                up0, up1 = later[c]
-                count = flat[up0] + flat[up1]
-            else:
-                count = flat[first[c]]
+    count = np.eye(1, levels)  # no site visited: one pattern, 0 aligned edges
+    padded = np.zeros((0, row))
+    gathers = {}  # sites that meet the front alike gather alike
+    for step in plan:
+        size, s, replaces, meets, met = step
+        if len(padded) != size:
+            # moved[i] is padded.flat[i : i + levels]: row q of the counts moved
+            # d places up the k axis starts at q * row + pad - d.
+            padded = np.zeros((size, row))
+            moved = np.ndarray((padded.size - levels + 1, levels), buffer=padded, strides=(8, 8))
+        if step not in gathers:
+            p = patterns[: size if replaces else 2 * size]
+            spin = (p >> s) & 1
+            start = p * row + pad - spin * (row << s)
+            for m in met:
+                start -= ((p >> m) & 1) == spin
+            # The bit 0 and bit 1 terms; v meets the site that left slot s in one.
+            gathers[step] = start - meets * (1 - spin), start + (row << s) - meets * spin
+        padded[:, pad:] = count
+        bit0, bit1 = gathers[step]
+        count = moved[bit0]
+        if replaces:
+            count += moved[bit1]
     totals = count.sum(axis=0)
     aligned = np.flatnonzero(totals)[::-1]
     return (-aligned).astype(np.float64), totals[aligned]
@@ -281,7 +268,7 @@ def constant_model(level: float, num_states: int = 4) -> GibbsModel:
     """Model with H identically equal to ``level``; Z(b)/Z(0) = exp(-b*level)."""
     if num_states < 1:
         raise ValueError("num_states must be >= 1")
-    return table_model(np.full(num_states, float(level)))
+    return GibbsModel(([float(level)], [num_states]), num_states)
 
 
 def path_edges(num_vertices: int) -> list[tuple[int, int]]:
@@ -336,8 +323,8 @@ def interval_length_exact(model: GibbsModel, beta: float) -> float:
 def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
     """Add a constant to every energy: pi_beta unchanged, ln Z'(b) = ln Z(b) - b*c.
 
-    The shifted model is its levels only, with no graph and no state
-    table.  Levels that round to one energy merge.
+    The shifted model is its levels only, with no graph.  Levels that
+    round to one energy merge.
     """
     if c == 0.0:
         return model

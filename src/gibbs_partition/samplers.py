@@ -3,18 +3,18 @@
 Every consumer of draws reads only the energy H(X), so the oracle contract
 is ``draw_energies(b, n, rng)`` for n independent draws at one b, or a
 (len(b), n) block for a 1-d array of b, and ``draw_energies_at(bs, rng)``
-for one draw at each b of an array; no draw path keeps a state index or
-reads the state table.  The exact oracle samples from the model's density
-of states (its distinct energy levels and their multiplicities), so building
-it and a draw at a fresh b cost O(levels), not O(states).  One builder,
-``_level_cdfs``, makes every level CDF, one column per b; one draw per b
-inverts by counting down the column, and a row of n draws at one b through
-a guide table over it, O(1) per draw on average.  The MCMC oracle runs
-restart chains in lockstep on one (nv, n) spin array with one (nv, n)
+for one draw at each b of an array; no draw path keeps a state index, and no
+model holds a state table.  The exact oracle samples from the model's
+density of states (its distinct energy levels and their multiplicities), so
+building it and a draw at a fresh b cost O(levels), not O(states).  One
+builder, ``_level_cdfs``, makes every level CDF, one column per b; one draw
+per b inverts by counting down the column, and a row of n draws at one b
+through a guide table over it, O(1) per draw on average.  The MCMC oracle
+runs restart chains in lockstep on one (nv, n) spin array with one (nv, n)
 block of uniforms per sweep, and sums each chain's energy from its spins.
 Every draw consumes a caller-supplied numpy Generator and is counted by the
-counter's one ``record`` method, whose running total is the ground truth
-for all sample counts.
+counter's one ``record`` method, whose running total is the ground truth for
+all sample counts.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def draw_mcmc_lockstep(
 
 def _spin_energies(model: GibbsModel, spins: np.ndarray) -> np.ndarray:
     """H of each column of an (nv, n) spin array: -1 per aligned edge, in
-    edge order, as the state table sums it, so the two agree bit for bit."""
+    edge order."""
     h = np.zeros(spins.shape[1])
     for i, j in model.graph.edges:
         h -= spins[i] == spins[j]
@@ -318,7 +318,13 @@ def mcmc_draw_distribution(model: GibbsModel, b: float, sweeps: int) -> np.ndarr
 
 
 def gibbs_distribution(model: GibbsModel, b: float) -> np.ndarray:
-    logw = -b * model.hamiltonian
+    """pi_b over every state of an Ising model, under the guard, each
+    state's energy summed from its spins: site v is bit v of its index."""
+    if model.graph is None:
+        raise ValueError("gibbs_distribution requires an Ising model")
+    require_enumerable(model.num_states)
+    spins = (np.arange(model.num_states) >> np.arange(model.graph.num_vertices)[:, None]) & 1
+    logw = -b * _spin_energies(model, spins)
     logw = logw - logw.max()
     w = np.exp(logw)
     return w / w.sum()

@@ -7,6 +7,7 @@ expected values computed from these oracles, never from the code they
 check.
 """
 
+import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -24,6 +25,7 @@ from gibbs_partition import (
     path_edges,
     table_model,
 )
+from gibbs_partition.models import require_enumerable
 from gibbs_partition.samplers import KIND_EXACT
 
 
@@ -45,6 +47,71 @@ def brute_ising_energies(edges, num_vertices):
         s = sum(1 << v for v, spin in enumerate(spins) if spin == 1)
         energies[s] = -float(sum(1 for i, j in edges if spins[i] == spins[j]))
     return energies
+
+
+@functools.lru_cache(maxsize=None)
+def _graph_energies(graph):
+    energies = np.array(brute_ising_energies(graph.edges, graph.num_vertices))
+    energies.flags.writeable = False
+    return energies
+
+
+def state_energies(model):
+    """H(x) for every state of ``model``, under the enumeration guard.
+
+    An Ising model's come from its graph by ``brute_ising_energies``, in
+    state-index order; any other model's are its levels expanded in
+    ascending energy order, which is the only state order its levels fix.
+    """
+    require_enumerable(model.num_states)
+    if model.graph is not None:
+        return _graph_energies(model.graph)
+    return np.repeat(model.energies, model.counts.astype(np.int64))
+
+
+# The byte reference for grid levels: a transfer matrix over the grid's
+# shorter side, whose sums grid_model must repeat in the same order.
+def _grid_levels(width: int, length: int, num_edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of H = -#aligned edges on a free-boundary length x width grid.
+
+    count[p, k] counts the spin assignments of the sites visited so far, in
+    line order, that have k aligned edges and whose front (the last visited
+    site of each of the width columns) has spins p, bit c set iff spin +1.
+    Visiting site (r, c) replaces bit c.  The new spin meets its left
+    neighbour, bit c - 1, visited just before, and the site above it, the
+    old bit c.  So each new pattern gathers the two old patterns that differ
+    from it in bit c, with their counts shifted by 0, 1 or 2 aligned edges.
+    """
+    patterns = np.arange(2 ** width)
+    size = patterns.size
+    # Rows of shifted.reshape(3 * size, -1) each new pattern gathers, per
+    # column: one source in the first line, which has no site above, and
+    # the two sources (old bit c = 0, 1) after it.
+    first, later = [], []
+    for c in range(width):
+        spin = (patterns >> c) & 1
+        left = (((patterns >> (c - 1)) & 1) == spin).astype(np.int64) if c else 0
+        cleared = patterns & ~(1 << c)
+        first.append(left * size + cleared)
+        later.append([(left + (up == spin)) * size + (cleared | (up << c)) for up in (0, 1)])
+    count = np.zeros((size, num_edges + 1))
+    count[0, 0] = 1.0
+    # shifted[d, p, k] = count[p, k - d]; the first d columns stay zero.
+    shifted = np.zeros((3, size, num_edges + 1))
+    flat = shifted.reshape(3 * size, num_edges + 1)
+    for r in range(length):
+        for c in range(width):
+            shifted[0] = count
+            shifted[1, :, 1:] = count[:, :-1]
+            shifted[2, :, 2:] = count[:, :-2]
+            if r:
+                up0, up1 = later[c]
+                count = flat[up0] + flat[up1]
+            else:
+                count = flat[first[c]]
+    totals = count.sum(axis=0)
+    aligned = np.flatnonzero(totals)[::-1]
+    return (-aligned).astype(np.float64), totals[aligned]
 
 
 def level_cdf(oracle, b):
@@ -76,7 +143,7 @@ def draw_exact(oracle, b, rng):
         raise ValueError("draw_exact needs an exact-enumeration oracle")
     if getattr(oracle, "_by_level", None) is None:
         counts = oracle.model.counts.astype(np.int64)
-        order = np.argsort(oracle.model.hamiltonian, kind="stable")
+        order = np.argsort(state_energies(oracle.model), kind="stable")
         oracle._by_level = order, np.cumsum(counts) - counts
     order, starts = oracle._by_level
     cw = level_cdf(oracle, b)
@@ -164,7 +231,7 @@ def paired_replicate(schedule, oracle, rng):
 
 
 def brute_z(model, beta):
-    return brute_log_partition(model.hamiltonian.tolist(), beta)
+    return brute_log_partition(state_energies(model).tolist(), beta)
 
 
 def row_transfer_log_partition(rows, cols, beta):

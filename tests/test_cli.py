@@ -35,7 +35,8 @@ def test_builtin_shorthands():
     assert build_model("cycle-4").num_states == 16
     assert build_model("grid-2x2").num_states == 16
     const = build_model("const--2")
-    assert const.hamiltonian.tolist() == [-2.0] * 4
+    assert const.energies.tolist() == [-2.0]
+    assert const.counts.tolist() == [4.0]
     with pytest.raises(ConfigError):
         build_model("moebius-5")
 
@@ -197,9 +198,24 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
     ):
         assert main(["run", "--model", "k2", "--beta", "1", *extra]) == 2
         assert "must be finite" in capsys.readouterr().err
-    # An exact sampler has no TV budget to declare.
-    assert main(["run", "--model", "k2", "--beta", "1", "--tv-budget", "0.5"]) == 2
-    assert "tv_budget needs sampler mcmc" in capsys.readouterr().err
+    # An exact sampler has no TV budget to declare and no sweeps to run,
+    # and only the paired method takes a median of boosted estimates.
+    for extra, message in (
+        (["--tv-budget", "0.5"], "tv_budget needs sampler mcmc"),
+        (["--mcmc-steps", "5"], "mcmc_steps needs sampler mcmc"),
+        (["--method", "product", "--boost", "3"], "boost needs method paired"),
+        (["--method", "single", "--boost", "3"], "boost needs method paired"),
+    ):
+        assert main(["run", "--model", "k2", "--beta", "1", *extra]) == 2
+        assert message in capsys.readouterr().err
+    for spec, form in (
+        ("grid-3", "grid-RxC"),
+        ("grid-2x2x2", "grid-RxC"),
+        ("cycle-x", "cycle-N"),
+        ("path-", "path-N"),
+    ):
+        assert main(["run", "--model", spec, "--beta", "1"]) == 2
+        assert f"not of the form {form}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -231,9 +247,16 @@ def test_main_exact_infeasible_exit_3(monkeypatch, capsys, tmp_path):
     # it as a power of two and checks it before building any edge list.
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"type": "ising", "num_vertices": 20000, "edges": []}))
-    for spec in ("path-20000", "cycle-20000", f"table:{path}"):
+    for spec in ("path-20000", "cycle-20000", f"table:{path}", "path-1024"):
         assert main(["run", "--model", spec, "--beta", "1", "--method", "exact"]) == 3
         assert "enumeration guard" in capsys.readouterr().err
+    # A dense file is refused by its front: K18 keeps 17 sites in it.
+    dense = tmp_path / "k18.json"
+    edges = [[i, j] for i in range(18) for j in range(i + 1, 18)]
+    dense.write_text(json.dumps({"type": "ising", "num_vertices": 18, "edges": edges}))
+    assert main(["run", "--model", f"table:{dense}", "--beta", "1", "--method", "exact"]) == 3
+    err = capsys.readouterr().err
+    assert "front of 17 sites needs 2^17 x 154 level counts" in err
     monkeypatch.setattr(models, "ENUMERATION_GUARD", 4)
     assert main(["run", "--model", "cycle-4", "--beta", "1", "--method", "exact"]) == 3
     assert "error" in capsys.readouterr().err
@@ -260,6 +283,10 @@ def test_main_mcmc_past_the_guard_exit_3(capsys):
     assert main(["run", "--model", "grid-5x5", "--beta", "0.5", "--sampler", "mcmc",
                  "--tv-budget", "0.001"]) == 3
     assert "error:" in capsys.readouterr().err
+    # path-30 counts its levels over a front of 2 sites; MCMC still needs 2^30.
+    assert main(["run", "--model", "path-30", "--beta", "0.5", "--sampler", "mcmc",
+                 "--tv-budget", "0.001"]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_grid_past_the_guard_runs_with_exact_truth(tmp_path):
@@ -270,6 +297,28 @@ def test_grid_past_the_guard_runs_with_exact_truth(tmp_path):
     truth = float(row["true_log_ratio"])
     assert truth == pytest.approx(row_transfer_log_partition(8, 8, 0.5) - 64 * math.log(2))
     assert abs(float(row["log_estimate"]) - truth) <= 5 * math.log(1.1)
+
+
+def test_path_past_24_sites_runs_with_exact_truth(tmp_path):
+    out = tmp_path / "path.csv"
+    assert main(["run", "--model", "path-200", "--beta", "0.5", "--seed", "3",
+                 "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    # Z(b) = 2 (1 + e^b)^(N-1), and Z(0) = 2^N.
+    truth = 199 * math.log1p(math.exp(0.5)) - 199 * math.log(2)
+    assert float(row["true_log_ratio"]) == pytest.approx(truth, rel=1e-12)
+    assert abs(float(row["log_estimate"]) - truth) <= 5 * math.log(1.1)
+
+
+def test_exact_method_on_cycle_1023(tmp_path):
+    out = tmp_path / "cycle.csv"
+    assert main(["run", "--model", "cycle-1023", "--beta", "1", "--method", "exact",
+                 "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    # Z(b) = (e^b + 1)^N + (e^b - 1)^N, in log form; Z(0) = 2^N.
+    e = math.e
+    truth = 1023 * math.log((e + 1) / 2) + math.log1p(((e - 1) / (e + 1)) ** 1023)
+    assert float(row["true_log_ratio"]) == pytest.approx(truth, rel=1e-12)
 
 
 def test_exact_method_on_grid_10x10(tmp_path):

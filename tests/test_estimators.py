@@ -37,7 +37,7 @@ from gibbs_partition.schedule import (
     regime_for_model,
 )
 
-from conftest import draw_exact, paired_replicate
+from conftest import draw_exact, paired_replicate, state_energies
 
 SEED = 4241
 
@@ -108,7 +108,7 @@ def test_batched_replicates_are_point_major_draws(label, model, request):
     batched, single = exact_oracle(model), exact_oracle(model)
     log_ws, log_vs = paired_replicate_logs(sched, batched, r, _rng(f"major-{label}"))
     g = _rng(f"major-{label}")
-    h = model.hamiltonian
+    h = state_energies(model)
     hs = [h[[draw_exact(single, b, g) for _ in range(r)]] for b in sched.betas]
     for j in range(r):
         log_w = log_v = 0.0
@@ -143,7 +143,7 @@ def test_unbiased_per_interval_on_audited_schedule(c4):
     oracle = exact_oracle(c4)
     rng = _rng("audit")
     n = 20_000
-    h = c4.hamiltonian
+    h = state_energies(c4)
     for lo, hi, mid, delta in zip(
         sched.betas, sched.betas[1:], sched.midpoints, sched.half_lengths
     ):
@@ -340,7 +340,7 @@ def test_baselines_match_one_draw_at_a_time(label, model, request):
     n = 400
     oracle = exact_oracle(model)
     g = _rng(f"single-ref-{label}")
-    h = model.hamiltonian
+    h = state_energies(model)
     ref = logsumexp([-1.3 * h[draw_exact(oracle, 0.0, g)] for _ in range(n)]) - math.log(n)
     got = single_shot_log_estimate(exact_oracle(model), 1.3, n, _rng(f"single-ref-{label}"))
     assert got == ref

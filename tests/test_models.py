@@ -14,6 +14,7 @@ import gibbs_partition.models as models
 from gibbs_partition import (
     EnumerationGuardError,
     constant_model,
+    gibbs_distribution,
     grid_edges,
     grid_model,
     ising_model,
@@ -23,6 +24,7 @@ from gibbs_partition import (
     mean_neg_energy,
     model_from_dict,
     model_to_dict,
+    path_edges,
     save_model,
     shift_hamiltonian,
     table_model,
@@ -30,10 +32,12 @@ from gibbs_partition import (
 from gibbs_partition.cli import build_model
 
 from conftest import (
+    _grid_levels,
     brute_ising_energies,
     brute_log_partition,
     brute_z,
     row_transfer_log_partition,
+    state_energies,
     tiny_models,
 )
 
@@ -42,22 +46,23 @@ BETA_GRID = [0.0, 0.25, 0.5, 1.0, 2.0]
 
 def test_k2_energy_table(k2):
     # Omega = {-1,1}^2, H = -1[x1 = x2]: two aligned states, two split ones.
-    assert sorted(k2.hamiltonian.tolist()) == [-1.0, -1.0, 0.0, 0.0]
+    assert k2.energies.tolist() == [-1.0, 0.0]
+    assert k2.counts.tolist() == [2.0, 2.0]
     assert k2.n_bound == 1
     assert k2.sign_class == "nonpositive"
     assert k2.integer_valued
 
 
 def test_c4_ground_states(c4):
-    h = c4.hamiltonian
-    assert h.size == 16
-    assert h.min() == -4.0
-    assert np.sum(h == -4.0) == 2  # all-up and all-down
+    assert c4.num_states == 16
+    assert c4.energies[0] == -4.0
+    assert c4.counts[0] == 2  # all-up and all-down
 
 
 def test_empty_edge_set_is_flat():
     model = ising_model([], num_vertices=3)
-    assert np.all(model.hamiltonian == 0.0)
+    assert model.energies.tolist() == [0.0]
+    assert model.counts.tolist() == [8.0]
     assert model.sign_class == "nonpositive"
 
 
@@ -66,7 +71,9 @@ def test_ising_tables_match_bruteforce(label, model):
     if model.graph is None:
         pytest.skip("table model")
     expected = brute_ising_energies(model.graph.edges, model.graph.num_vertices)
-    assert model.hamiltonian.tolist() == expected
+    energies, counts = np.unique(expected, return_counts=True)
+    assert model.energies.tolist() == energies.tolist()
+    assert model.counts.tolist() == counts.tolist()
 
 
 @pytest.mark.parametrize("bad_edges", [[(0, 0)], [(0, 1), (1, 0)], [(0, 2)]])
@@ -76,8 +83,52 @@ def test_ising_rejects_bad_edges(bad_edges):
 
 
 def test_ising_enumeration_guard():
-    with pytest.raises(EnumerationGuardError):
-        ising_model([(0, 1)], num_vertices=25)
+    # 2^1024 states pass the float64 range of the level counts.
+    with pytest.raises(EnumerationGuardError, match="allows 1023 sites"):
+        ising_model(path_edges(1024), num_vertices=1024)
+    # K18 keeps 17 sites in its front: 2^17 x 154 counts pass the guard.
+    k18 = [(i, j) for i in range(18) for j in range(i + 1, 18)]
+    with pytest.raises(EnumerationGuardError, match=r"front of 17 sites needs 2\^17 x 154"):
+        ising_model(k18, num_vertices=18)
+
+
+@pytest.mark.parametrize("n", [2, 5, 24, 25, 100, 1023])
+def test_path_levels_are_binomial(n):
+    # k aligned edges: 2 C(N - 1, k) states.  Counts past 2^53 carry rounding.
+    path = build_model(f"path-{n}")
+    aligned = list(range(n - 1, -1, -1))
+    expected = [2.0 * math.comb(n - 1, k) for k in aligned]
+    assert path.energies.tolist() == [-float(k) for k in aligned]
+    np.testing.assert_allclose(path.counts, expected, rtol=1e-12)
+    if n <= 53:
+        assert path.counts.tolist() == expected
+    assert path.num_states == 2 ** n
+
+
+@pytest.mark.parametrize("n", [3, 4, 24, 25, 1023])
+def test_cycle_levels_are_binomial(n):
+    # k aligned edges: 2 C(N, N - k) states when N - k is even, else none.
+    cycle = build_model(f"cycle-{n}")
+    aligned = [k for k in range(n, -1, -1) if (n - k) % 2 == 0]
+    expected = [2.0 * math.comb(n, n - k) for k in aligned]
+    assert cycle.energies.tolist() == [-float(k) for k in aligned]
+    np.testing.assert_allclose(cycle.counts, expected, rtol=1e-12)
+    if n <= 53:
+        assert cycle.counts.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [2, 5, 24, 25, 100, 1023])
+@pytest.mark.parametrize("beta", [0.25, 1.0])
+def test_path_and_cycle_truth_match_closed_forms(n, beta):
+    # Z = 2 (1 + e^b)^(N-1) on a path and (e^b + 1)^N + (e^b - 1)^N on a
+    # cycle, in log form: (e + 1)^1023 overflows float64.
+    e = math.exp(beta)
+    path = math.log(2.0) + (n - 1) * math.log1p(e)
+    assert log_partition_exact(build_model(f"path-{n}"), beta) == pytest.approx(path, rel=1e-12)
+    if n >= 3:
+        cycle = n * math.log(e + 1.0) + math.log1p(((e - 1.0) / (e + 1.0)) ** n)
+        got = log_partition_exact(build_model(f"cycle-{n}"), beta)
+        assert got == pytest.approx(cycle, rel=1e-12)
 
 
 def test_log_partition_reads_levels_past_the_guard(c4, monkeypatch):
@@ -185,7 +236,8 @@ def test_n_bound_dominates_energies_just_above_an_integer():
 
 
 def test_grid_2x2_equals_cycle(c4, grid22):
-    assert sorted(grid22.hamiltonian.tolist()) == sorted(c4.hamiltonian.tolist())
+    assert grid22.energies.tolist() == c4.energies.tolist()
+    assert grid22.counts.tolist() == c4.counts.tolist()
     assert len(grid_edges(2, 3)) == 7
 
 
@@ -199,7 +251,9 @@ def test_json_roundtrip(tmp_path, k2, mixed_table):
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.hamiltonian.tolist() == model.hamiltonian.tolist()
+        assert loaded.energies.tolist() == model.energies.tolist()
+        assert loaded.counts.tolist() == model.counts.tolist()
+        assert loaded.graph == model.graph
         assert loaded.sign_class == model.sign_class
 
 
@@ -236,9 +290,10 @@ GRID_SHAPES = [(r, c) for r in range(1, 17) for c in range(1, 17) if r * c <= 16
 def test_grid_model_levels_match_enumeration(rows, cols):
     grid = grid_model(rows, cols)
     enumerated = ising_model(grid_edges(rows, cols), rows * cols)
-    energies, counts = np.unique(enumerated.hamiltonian, return_counts=True)
-    assert grid.energies.tolist() == energies.tolist()
-    assert grid.counts.tolist() == counts.tolist()
+    brute = brute_ising_energies(grid_edges(rows, cols), rows * cols)
+    energies, counts = np.unique(brute, return_counts=True)
+    assert grid.energies.tolist() == enumerated.energies.tolist() == energies.tolist()
+    assert grid.counts.tolist() == enumerated.counts.tolist() == counts.tolist()
     assert grid.graph == enumerated.graph
     assert grid.n_bound == enumerated.n_bound
     assert grid.num_states == enumerated.num_states == 2 ** (rows * cols)
@@ -246,15 +301,31 @@ def test_grid_model_levels_match_enumeration(rows, cols):
 
 @pytest.mark.parametrize("rows,cols", [(3, 3), (2, 5), (5, 2)])
 def test_grid_model_state_table_is_built_on_first_read(rows, cols):
+    # gibbs_distribution sums each state's energy from its spins when read.
     grid = grid_model(rows, cols)
-    expected = brute_ising_energies(grid_edges(rows, cols), rows * cols)
-    assert grid.hamiltonian.tolist() == expected
+    logw = -0.7 * np.array(brute_ising_energies(grid_edges(rows, cols), rows * cols))
+    w = np.exp(logw - logw.max())
+    assert gibbs_distribution(grid, 0.7).tolist() == (w / w.sum()).tolist()
+
+
+BYTE_SHAPES = [(r, c) for r in range(1, 9) for c in range(1, 9)] + [(10, 10), (12, 12), (3, 40)]
+
+
+@pytest.mark.parametrize("rows,cols", BYTE_SHAPES)
+def test_grid_levels_are_the_transfer_matrix_bytes(rows, cols):
+    # Past 53 sites the counts carry rounding, so the sums must match in order.
+    width = min(rows, cols)
+    num_edges = len(grid_edges(rows, cols))
+    energies, counts = _grid_levels(width, rows * cols // width, num_edges)
+    grid = grid_model(rows, cols)
+    assert grid.energies.tobytes() == energies.tobytes()
+    assert grid.counts.tobytes() == counts.tobytes()
 
 
 @pytest.mark.parametrize("label,model", tiny_models())
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.0])
 def test_level_truth_matches_per_state_sum(label, model, beta):
-    per_state = float(scipy_logsumexp(-beta * model.hamiltonian))
+    per_state = float(scipy_logsumexp(-beta * state_energies(model)))
     assert log_partition_exact(model, beta) == pytest.approx(per_state, abs=1e-12)
 
 
@@ -273,7 +344,7 @@ def test_grid_8x8_counts_every_state():
     assert grid.num_states == 2 ** 64
     assert len(grid.energies) == 111
     with pytest.raises(EnumerationGuardError):
-        grid.hamiltonian
+        gibbs_distribution(grid, 0.5)
 
 
 def test_grid_model_refuses_fronts_past_the_guard():
@@ -290,10 +361,10 @@ def test_shift_moves_levels_and_defers_the_table():
     shifted = shift_hamiltonian(grid, -30.0)
     assert shifted.energies.tolist() == (grid.energies - 30.0).tolist()
     assert shifted.counts.tolist() == grid.counts.tolist()
-    # The shifted model is its levels only: no graph and no state table.
+    # The shifted model is its levels only: no graph and no states to list.
     assert shifted.graph is None
-    with pytest.raises(ValueError, match="levels only"):
-        shifted.hamiltonian
+    with pytest.raises(ValueError, match="requires an Ising model"):
+        gibbs_distribution(shifted, 1.0)
     # Levels that round to one energy merge, with their counts added.
     merged = shift_hamiltonian(table_model([0.0, 1e-17, 1e-17, 2.0]), 4.0)
     assert merged.energies.tolist() == [4.0, 6.0]
@@ -331,25 +402,20 @@ def test_models_pickle_as_plain_data(spec, shifted, tmp_path):
     copy = pickle.loads(pickle.dumps(model))
     for key in ("num_states", "graph", "n_bound", "sign_class", "integer_valued"):
         assert getattr(copy, key) == getattr(model, key)
-    assert not any(hasattr(copy, key) for key in ("name", "source", "shift"))
+    assert not any(hasattr(copy, key) for key in ("name", "source", "shift", "table", "hamiltonian"))
     assert copy.energies.tobytes() == model.energies.tobytes()
     assert copy.counts.tobytes() == model.counts.tobytes()
     assert not copy.energies.flags.writeable and not copy.counts.flags.writeable
     assert not [key for key, value in vars(model).items() if callable(value)]
-    if model.graph is None and model.table is None:
-        with pytest.raises(ValueError, match="levels only"):
-            copy.hamiltonian
-    elif model.num_states <= models.ENUMERATION_GUARD:
-        assert copy.hamiltonian.tobytes() == model.hamiltonian.tobytes()
-        assert model.table is None or not copy.table.flags.writeable
-    else:
-        with pytest.raises(EnumerationGuardError):
-            copy.hamiltonian
 
 
 def test_an_ising_model_pickles_without_its_state_table():
-    # path-20 counts its levels from a 2^20-entry table, 8 MB, and keeps its graph.
-    assert len(pickle.dumps(build_model("path-20"))) < 64 * 1024
+    # path-1000 has 2^1000 states and keeps its graph; a table of 2^20
+    # energies, 8 MB, keeps its 7 levels.
+    assert len(pickle.dumps(build_model("path-1000"))) < 64 * 1024
+    table = table_model(np.arange(2 ** 20) % 7)
+    assert len(table.energies) == 7
+    assert len(pickle.dumps(table)) < 4 * 1024
 
 
 @settings(max_examples=300, deadline=None)

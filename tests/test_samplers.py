@@ -33,6 +33,7 @@ from conftest import (
     draw_state,
     level_cdf,
     pack_states,
+    state_energies,
     tiny_models,
 )
 
@@ -43,6 +44,13 @@ def _rng(tag, index=0):
     from gibbs_partition import stage_stream
 
     return stage_stream(SEED, tag, index)
+
+
+def _pi(model, b):
+    """pi_b over the states of ``model``, from ``state_energies``."""
+    logw = -b * state_energies(model)
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
 
 
 def _draw_counts(oracle, b, rng, n):
@@ -73,7 +81,7 @@ def test_exact_sampler_chi_square(label, model, b):
     rng = _rng(f"chi-{label}", int(b * 10))
     n = 100_000
     counts = _draw_counts(oracle, b, rng, n)
-    expected = gibbs_distribution(model, b) * n
+    expected = _pi(model, b) * n
     res = stats.chisquare(counts, expected)
     assert res.pvalue > 0.001
 
@@ -102,6 +110,7 @@ def test_draw_energy_matches_draw(label, model, b):
     makers = [exact_oracle]
     if model.graph is not None:
         makers.append(lambda m: mcmc_oracle(m, mcmc_steps=3, tv_budget_per_draw=0.1))
+    h = state_energies(model)
     for make in makers:
         by_energy, by_draw, by_state = make(model), make(model), make(model)
         g1 = _rng(f"energy-{label}", int(b * 10))
@@ -110,7 +119,6 @@ def test_draw_energy_matches_draw(label, model, b):
         energies = [by_energy.draw_energies(b, 1, g1).item() for _ in range(1000)]
         drawn = [by_draw.draw(b, g2) for _ in range(1000)]
         states = [draw_state(by_state, b, g3) for _ in range(1000)]
-        h = model.hamiltonian
         assert energies == drawn == [float(h[x]) for x in states]
         assert by_energy.counter.total == by_draw.counter.total == by_state.counter.total == 1000
 
@@ -124,7 +132,7 @@ def test_draw_energies_matches_draw_energy(label, model, b):
     g2 = _rng(f"energies-{label}", int(b * 10))
     n = 1000
     energies = batched.draw_energies(b, n, g1)
-    assert energies.tolist() == model.hamiltonian[[draw_exact(single, b, g2) for _ in range(n)]].tolist()
+    assert energies.tolist() == state_energies(model)[[draw_exact(single, b, g2) for _ in range(n)]].tolist()
     assert batched.counter.total == n
     assert g1.random() == g2.random()
 
@@ -136,7 +144,7 @@ def test_draw_energies_at_matches_draw_energy(label, model):
     bs = _rng(f"fresh-b-{label}").random(500) * 2.0
     g1, g2 = _rng(f"energies-at-{label}"), _rng(f"energies-at-{label}")
     energies = per_b.draw_energies_at(bs, g1)
-    assert energies.tolist() == model.hamiltonian[[draw_exact(single, b, g2) for b in bs.tolist()]].tolist()
+    assert energies.tolist() == state_energies(model)[[draw_exact(single, b, g2) for b in bs.tolist()]].tolist()
     assert per_b.counter.total == single.counter.total == 500
     assert g1.random() == g2.random()
 
@@ -150,7 +158,7 @@ def test_draw_energies_at_in_blocks_matches_draw_energy():
     bs = _rng("blocks-b").random(60) * 2.0
     g1, g2 = _rng("blocks"), _rng("blocks")
     energies = per_b.draw_energies_at(bs, g1)
-    assert energies.tolist() == model.hamiltonian[[draw_exact(single, b, g2) for b in bs.tolist()]].tolist()
+    assert energies.tolist() == state_energies(model)[[draw_exact(single, b, g2) for b in bs.tolist()]].tolist()
     assert per_b.counter.total == single.counter.total == 60
 
 
@@ -186,7 +194,7 @@ def _row_by_row(oracle, b, n, rng):
     uniform each."""
     model = oracle.model
     if model.num_states <= ENUMERATION_GUARD:
-        return model.hamiltonian[[draw_exact(oracle, b, rng) for _ in range(n)]]
+        return state_energies(model)[[draw_exact(oracle, b, rng) for _ in range(n)]]
     cw = level_cdf(oracle, b)
     levels = [min(bisect_right(cw, rng.random() * cw[-1]), len(cw) - 1) for _ in range(n)]
     oracle.counter.record(b, n)
@@ -285,7 +293,7 @@ def test_draw_never_lands_on_underflowed_level():
     n = 20_000
     counts = _draw_counts(oracle, 1.0, _rng("underflow"), n)
     assert counts[3] == 0
-    expected = gibbs_distribution(oracle.model, 1.0)[:3] * n
+    expected = _pi(oracle.model, 1.0)[:3] * n
     assert stats.chisquare(counts[:3], expected).pvalue > 0.001
 
 
@@ -345,7 +353,7 @@ def test_importance_identity_k2(k2):
     oracle = exact_oracle(k2)
     rng = _rng("eq1")
     n = 100_000
-    h = k2.hamiltonian
+    h = state_energies(k2)
     w = np.array([math.exp(-1.0 * h[draw_exact(oracle, 0.0, rng)]) for _ in range(n)])
     truth = math.exp(log_ratio_exact(k2, 1.0))
     se = w.std(ddof=1) / math.sqrt(n)
@@ -358,7 +366,7 @@ def test_single_shot_relvar_matches_z_identity(label):
     oracle = exact_oracle(model)
     rng = _rng(f"eq2-{label}")
     beta, n = 1.0, 100_000
-    h = model.hamiltonian
+    h = state_energies(model)
     w = np.array(
         [math.exp(-beta * h[draw_exact(oracle, 0.0, rng)]) for _ in range(n)]
     )
@@ -422,6 +430,16 @@ def test_sweep_matrix_is_stochastic_and_invariant(k2, c4):
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
         pi = gibbs_distribution(model, b)
         np.testing.assert_allclose(pi @ m, pi, atol=1e-12)
+
+
+@pytest.mark.parametrize("label,model", tiny_models())
+def test_gibbs_distribution_is_ising_only(label, model):
+    # It sums each state's energy from its spins, so it needs a graph.
+    if model.graph is None:
+        with pytest.raises(ValueError, match="requires an Ising model"):
+            gibbs_distribution(model, 1.0)
+    else:
+        assert gibbs_distribution(model, 1.0).tolist() == _pi(model, 1.0).tolist()
 
 
 def test_mcmc_draws_match_exact_kernel(k2):
@@ -530,7 +548,7 @@ def test_mcmc_draw_energies_are_lockstep_energies(c4):
     by_state = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
     energies = by_energy.draw_energies(0.7, 500, _rng("mcmc-energies"))
     states = pack_states(draw_mcmc_lockstep(by_state, 0.7, 500, _rng("mcmc-energies")))
-    assert energies.tolist() == c4.hamiltonian[states].tolist()
+    assert energies.tolist() == state_energies(c4)[states].tolist()
     assert by_energy.counter.total == 500
 
 
@@ -540,22 +558,23 @@ def test_mcmc_draw_energies_at_are_per_chain_lockstep_energies(c4):
     bs = _rng("mcmc-energies-at-b").random(500)
     energies = by_energy.draw_energies_at(bs, _rng("mcmc-energies-at"))
     states = pack_states(draw_mcmc_lockstep(by_state, bs, 500, _rng("mcmc-energies-at")))
-    assert energies.tolist() == c4.hamiltonian[states].tolist()
+    assert energies.tolist() == state_energies(c4)[states].tolist()
     assert by_energy.counter.total == by_state.counter.total == 500
 
 
 @pytest.mark.parametrize("spec", ["cycle-4", "grid-3x3"])
 def test_paired_mcmc_estimate_never_builds_the_state_table(spec, monkeypatch):
-    from gibbs_partition import ParamOverrides, models, paired_product_estimate
+    from gibbs_partition import ParamOverrides, paired_product_estimate, samplers
     from gibbs_partition.cli import build_model
 
     model = build_model(spec)
     oracle = mcmc_oracle(model, mcmc_steps=2, tv_budget_per_draw=1e-4)
 
     def no_table(*args):
-        raise AssertionError("the estimate built the state table")
+        raise AssertionError("the estimate enumerated the states")
 
-    monkeypatch.setattr(models, "_ising_table", no_table)
+    # gibbs_distribution is the one state enumeration left in the library.
+    monkeypatch.setattr(samplers, "gibbs_distribution", no_table)
     est = paired_product_estimate(
         oracle, 1.0, 0.1, _rng(f"no-table-{spec}"), overrides=ParamOverrides(replicates=20)
     )

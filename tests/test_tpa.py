@@ -19,7 +19,7 @@ from gibbs_partition import (
     tpa_runs,
 )
 
-from conftest import draw_state
+from conftest import draw_state, state_energies
 
 SEED = 2717
 
@@ -32,7 +32,7 @@ def _scalar_walk(oracle, beta, rng):
     """Reference: one run walked a draw at a time, (H, U, b_next) per step."""
     down = oracle.model.sign_class == "nonpositive"
     b = beta if down else 0.0
-    h = oracle.model.hamiltonian
+    h = state_energies(oracle.model)
     steps = []
     while True:
         hx = float(h[draw_state(oracle, b, rng)])
