@@ -11,7 +11,9 @@ builder, ``_level_cdfs``, makes every level CDF, one column per b; one draw
 per b inverts by counting down the column, and a row of n draws at one b
 through a guide table over it, O(1) per draw on average.  The MCMC oracle
 runs restart chains in lockstep on one (nv, n) spin array with one (nv, n)
-block of uniforms per sweep, and sums each chain's energy from its spins.
+block of uniforms per sweep, drawn several sweeps per generator call, and
+sums each chain's energy from its spins; it runs any Ising model of at most
+63 sites, whose start states are int64 indices.
 Every draw consumes a caller-supplied numpy Generator and is counted by the
 counter's one ``record`` method, whose running total is the ground truth for
 all sample counts.
@@ -25,13 +27,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .models import GibbsModel, require_enumerable
+from .models import EnumerationGuardError, GibbsModel, require_enumerable
 
 KIND_EXACT = "exact-enumeration"
 KIND_MCMC = "mcmc"
 
 # Entries per block of level-CDF columns in a draw at many fresh b values.
 _MATRIX_CAP = 1 << 16
+# Entries per block of Metropolis uniforms, a whole number of sweeps each.
+_UNIFORM_CAP = 1 << 14
+# Sites of the largest model the MCMC oracle runs: one int64 start index each.
+_MCMC_MAX_SITES = 63
 
 
 class DrawCounter:
@@ -75,8 +81,13 @@ class SamplerOracle:
             if self.mcmc_steps < 0:
                 raise ValueError("mcmc_steps must be nonnegative")
             # Each chain starts from one rng.integers(0, 2**nv) state index,
-            # so the guard stays until the start-state stream changes.
-            require_enumerable(self.model.num_states)
+            # which numpy draws as an int64 up to nv = 63.
+            nv = self.model.graph.num_vertices
+            if nv > _MCMC_MAX_SITES:
+                raise EnumerationGuardError(
+                    f"mcmc start states are int64 indices below 2^nv: {nv} sites "
+                    f"exceed the {_MCMC_MAX_SITES}-site limit"
+                )
 
     def draw(self, b: float, rng: np.random.Generator) -> float:
         """H(X) for one X ~ pi_b: one row of one ``draw_energies`` draw.
@@ -135,7 +146,7 @@ def exact_oracle(model: GibbsModel) -> SamplerOracle:
 
 
 def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -> SamplerOracle:
-    """Restart-Metropolis draws; raises EnumerationGuardError past the guard."""
+    """Restart-Metropolis draws; raises EnumerationGuardError past 63 sites."""
     oracle = SamplerOracle(
         model=model,
         kind=KIND_MCMC,
@@ -232,8 +243,10 @@ def draw_mcmc_lockstep(
     uniform state, so draws are independent, at the cost of re-running the
     burn-in every time.  Row v holds site v of every chain, True for spin
     +1; ``rng`` gives the n start states as state indices, site v from bit
-    v, then one (nv, n) block of uniforms per sweep.  ``b`` is one value or
-    one per chain.
+    v, then one (nv, n) block of uniforms per sweep, in sweep order.  Those
+    are drawn m sweeps at a time as one (m, nv, n) block, m the most sweeps
+    that fit in _UNIFORM_CAP entries and at least 1, which reads the same
+    doubles in the same order.  ``b`` is one value or one per chain.
     """
     if oracle.kind != KIND_MCMC:
         raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
@@ -248,19 +261,36 @@ def draw_mcmc_lockstep(
     # exp(-b (2a - deg))).  That is 1 for a <= deg // 2 and past it
     # nonincreasing in a (or >= 1 for b < 0), so the flip happens exactly
     # when a < deg // 2 + 1 + #{thresholds above u}.  above[k][v] is site
-    # v's threshold at a = deg // 2 + 1 + k, or 0 (below every u) past deg.
+    # v's threshold at a = deg // 2 + 1 + k, or 0 (below every u) past deg,
+    # so a degree-0 site has limit 1 and always flips.  There is at least
+    # one threshold, so the limits fill the block even when no site has an edge.
     deg = np.array([len(nbrs) for nbrs in adj])[:, None]
     base = (deg // 2 + 1).astype(np.int8)
-    a = base + np.arange((deg - deg // 2).max())
+    a = base + np.arange(max(1, (deg - deg // 2).max()))
     delta = np.multiply.outer(np.minimum(2 * a - deg, deg), np.atleast_1d(b))
     above = list(np.where((a <= deg)[..., None], np.exp(-delta), 0.0).swapaxes(0, 1))
-    sites = [(spins[v], [spins[u] for u in nbrs]) for v, nbrs in enumerate(adj)]
-    for _ in range(oracle.mcmc_steps):
-        uniforms = rng.random((nv, n))
-        limits = sum((uniforms < t for t in above), base)
-        for (row, nbr_rows), limit in zip(sites, limits):
-            aligned = sum((nbr == row for nbr in nbr_rows), np.int8(0))
-            np.bitwise_xor(row, aligned < limit, out=row)
+    # Each site: its row, its first neighbour's row (None at degree 0), the rest.
+    nbr_rows = [[spins[u] for u in nbrs] for nbrs in adj]
+    sites = [(spins[v], rows[0] if rows else None, rows[1:]) for v, rows in enumerate(nbr_rows)]
+    # Aligned counts fit int8: the guard keeps a degree at most 62.  count
+    # and flip are reused by every site; flip is also the scratch row of
+    # each neighbour comparison, as bools viewed as 0/1 int8.
+    count, flip = np.empty(n, dtype=np.int8), np.empty(n, dtype=bool)
+    first, compared = count.view(bool), flip.view(np.int8)
+    per_block = max(1, _UNIFORM_CAP // max(1, nv * n))
+    for lo in range(0, oracle.mcmc_steps, per_block):
+        uniforms = rng.random((min(per_block, oracle.mcmc_steps - lo), nv, n))
+        for limits in sum((uniforms < t for t in above), base):
+            for (row, nbr0, rest), limit in zip(sites, limits):
+                if nbr0 is not None:
+                    np.equal(nbr0, row, out=first)
+                    for nbr in rest:
+                        np.equal(nbr, row, out=flip)
+                        count += compared
+                else:
+                    count.fill(0)
+                np.less(count, limit, out=flip)
+                row ^= flip
     oracle.counter.record(b, 1 if per_chain else n)
     return spins
 

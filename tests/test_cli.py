@@ -279,14 +279,23 @@ def test_main_unallocatable_block_exit_3(args, capsys):
 
 
 def test_main_mcmc_past_the_guard_exit_3(capsys):
-    # grid-5x5 counts its levels, but MCMC needs its 2^25-entry state table.
+    # Each chain starts from one int64 state index, so MCMC stops at 63 sites.
+    for spec in ("grid-8x8", "path-64"):
+        assert main(["run", "--model", spec, "--beta", "0.5", "--sampler", "mcmc",
+                     "--tv-budget", "0.001"]) == 3
+        assert "63-site limit" in capsys.readouterr().err
+
+
+def test_mcmc_runs_past_the_state_guard_with_front_truth(tmp_path):
+    # grid-5x5 has 2^25 states: its MCMC run is checked against its levels.
+    out = tmp_path / "grid-mcmc.csv"
     assert main(["run", "--model", "grid-5x5", "--beta", "0.5", "--sampler", "mcmc",
-                 "--tv-budget", "0.001"]) == 3
-    assert "error:" in capsys.readouterr().err
-    # path-30 counts its levels over a front of 2 sites; MCMC still needs 2^30.
-    assert main(["run", "--model", "path-30", "--beta", "0.5", "--sampler", "mcmc",
-                 "--tv-budget", "0.001"]) == 3
-    assert "error:" in capsys.readouterr().err
+                 "--mcmc-steps", "20", "--tv-budget", "1e-3", "--seed", "0",
+                 "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    truth = float(row["true_log_ratio"])
+    assert truth == models.log_ratio_exact(build_model("grid-5x5"), 0.5)
+    assert abs(float(row["log_estimate"]) - truth) <= 5 * math.log(1.1)
 
 
 def test_grid_past_the_guard_runs_with_exact_truth(tmp_path):

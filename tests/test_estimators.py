@@ -533,12 +533,15 @@ def test_run_experiment_draw_cost_is_pinned(spec, draws, tmp_path):
          [0.8432851171614075, 0.8577671891256511, 0.8179333372098716, 0.8492977561311736]),
         ("k2-mcmc", "paired", [22053, 14829, 22032, 22033],
          [0.6181543384215917, 0.6142851906935718, 0.6216745497282172, 0.6144267513896526]),
+        ("grid3x3-mcmc", "paired", [200328, 207525, 207738, 207441],
+         [7.609108331291318, 7.60497641643877, 7.60795452783478, 7.615381399708054]),
     ],
 )
 def test_run_experiment_baseline_rows_are_pinned(spec, method, draws, logs, tmp_path):
     # Rows per seed: the baselines at the default 10,000-draw budget, where a
     # change in the q estimate, the two-piece schedule or the per-stage split
-    # moves them, and paired rows, exact and at the k2-mcmc benchmark setting.
+    # moves them, and paired rows, exact, at the k2-mcmc benchmark setting and
+    # on grid-3x3, whose MCMC sites have degree 2 to 4.
     sampler = {}
     if spec == "mixed-5":
         path = tmp_path / "mixed-5.json"
@@ -546,6 +549,8 @@ def test_run_experiment_baseline_rows_are_pinned(spec, method, draws, logs, tmp_
         spec = f"table:{path}"
     elif spec == "k2-mcmc":
         spec, sampler = "k2", {"sampler": "mcmc", "mcmc_steps": 46, "tv_budget": 1e-3}
+    elif spec == "grid3x3-mcmc":
+        spec, sampler = "grid-3x3", {"sampler": "mcmc", "mcmc_steps": 5, "tv_budget": 1e-3}
     rows = [
         run_experiment(
             ExperimentConfig(model=spec, beta=1.0, seed=seed, method=method, **sampler)

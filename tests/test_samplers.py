@@ -25,6 +25,7 @@ from gibbs_partition import (
     metropolis_sweep_matrix,
     shift_hamiltonian,
 )
+from gibbs_partition.samplers import _UNIFORM_CAP
 
 from conftest import (
     draw_exact,
@@ -475,21 +476,37 @@ _REPLAY_MODELS = [
     ("star-5", ising_model([(0, leaf) for leaf in range(1, 6)], num_vertices=6)),
     ("isolated", ising_model([(0, 1)], num_vertices=3)),
     ("lone-site", ising_model([], num_vertices=1)),
+    # The MCMC limit: 63 sites, start indices up to 2^63 - 1, a degree-62 centre.
+    ("star-62", ising_model([(0, leaf) for leaf in range(1, 63)], num_vertices=63)),
 ]
 
 
+def _replay_shape(n, nv):
+    """(chains, sweeps) of a replay on nv sites: n chains for 3 sweeps, or a
+    shape set by the block cap on the sweeps' uniforms."""
+    per_block = _UNIFORM_CAP // (nv * 64)
+    shapes = {
+        "blocks": (64, 2 * per_block + 1),  # two whole blocks, then one sweep
+        "past-cap": (_UNIFORM_CAP // nv + 1, 2),  # one sweep per block
+        "no-sweeps": (5, 0),
+    }
+    return shapes.get(n, (n, 3))
+
+
 @pytest.mark.parametrize("label,model", _REPLAY_MODELS, ids=[m[0] for m in _REPLAY_MODELS])
-@pytest.mark.parametrize("n", [1, 5, 64])
+@pytest.mark.parametrize("n", [1, 5, 64, "blocks", "past-cap", "no-sweeps"])
 @pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.0, 50.0, -0.5, "per-chain"])
 def test_mcmc_lockstep_replays_the_stream_contract(label, model, n, b):
     # n chains in lockstep are n scalar chains, chain j reading column j of
     # each sweep's (nv, n) block of uniforms; degree-0 sites always flip.
-    oracle = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
+    nv = model.graph.num_vertices
+    n, sweeps = _replay_shape(n, nv)
+    oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     if b == "per-chain":
         b = _rng(f"replay-b-{label}", n).uniform(-0.5, 3.0, n)
     g1, g2 = _rng(f"replay-{label}", n), _rng(f"replay-{label}", n)
     spins = draw_mcmc_lockstep(oracle, b, n, g1)
-    assert spins.shape == (model.graph.num_vertices, n)
+    assert spins.shape == (nv, n)
     assert pack_states(spins).tolist() == draw_mcmc_chains(oracle, b, n, g2)
     assert g1.bit_generator.state == g2.bit_generator.state
 
@@ -654,8 +671,12 @@ def test_state_level_consumers_refuse_models_past_the_guard():
     from gibbs_partition import EnumerationGuardError, grid_model
 
     grid = grid_model(5, 5)  # 2^25 states, one past the guard
-    with pytest.raises(EnumerationGuardError):
-        mcmc_oracle(grid, mcmc_steps=5, tv_budget_per_draw=0.1)
+    # The MCMC oracle needs only one int64 start index per chain: 63 sites.
+    assert mcmc_oracle(grid, mcmc_steps=5, tv_budget_per_draw=0.1).draw_energies(
+        0.5, 10, _rng("past-guard-mcmc")
+    ).shape == (10,)
+    with pytest.raises(EnumerationGuardError, match="63-site limit"):
+        mcmc_oracle(grid_model(8, 8), mcmc_steps=5, tv_budget_per_draw=0.1)
     oracle = exact_oracle(grid)
     with pytest.raises(EnumerationGuardError):
         draw_exact(oracle, 0.5, _NoDraws())
