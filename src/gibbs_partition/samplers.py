@@ -7,13 +7,16 @@ for one draw at each b of an array; no draw path keeps a state index, and no
 model holds a state table.  The exact oracle samples from the model's
 density of states (its distinct energy levels and their multiplicities), so
 building it and a draw at a fresh b cost O(levels), not O(states).  One
-builder, ``_level_cdfs``, makes every level CDF, one column per b; one draw
-per b inverts by counting down the column, and a row of n draws at one b
-through a guide table over it, O(1) per draw on average.  The MCMC oracle
-runs restart chains in lockstep on one (nv, n) spin array with one (nv, n)
-block of uniforms per sweep, drawn several sweeps per generator call, and
-sums each chain's energy from its spins; it runs any Ising model of at most
-63 sites, whose start states are int64 indices.
+builder, ``_level_cdfs``, makes every level CDF in place, one column per b;
+one draw per b inverts by counting down the column, and a row of n draws at
+one b through a guide table over it, O(1) per draw on average.  The MCMC
+oracle runs restart chains in lockstep on one (nv, n) spin array with one
+(nv, n) block of 32-bit uniforms per sweep, the two halves of raw generator
+words, drawn several sweeps per generator call.  Each acceptance threshold
+splits exactly at 32 bits, and a uniform that ties it draws one double, so
+every acceptance is within 2^-85 of exact.  The oracle sums each chain's
+energy from its spins; it runs any Ising model of at most 63 sites, whose
+start states are int64 indices.
 Every draw consumes a caller-supplied numpy Generator and is counted by the
 counter's one ``record`` method, whose running total is the ground truth for
 all sample counts.
@@ -34,8 +37,9 @@ KIND_MCMC = "mcmc"
 
 # Entries per block of level-CDF columns in a draw at many fresh b values.
 _MATRIX_CAP = 1 << 16
-# Entries per block of Metropolis uniforms, a whole number of sweeps each.
-_UNIFORM_CAP = 1 << 14
+# 32-bit uniforms per block of Metropolis sweeps (128 KB), a whole number
+# of sweeps each.
+_UNIFORM_CAP = 1 << 15
 # Sites of the largest model the MCMC oracle runs: one int64 start index each.
 _MCMC_MAX_SITES = 63
 
@@ -166,35 +170,44 @@ def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -
 def _level_cdfs(model: GibbsModel, bs: np.ndarray):
     """Level CDFs at each b of ``bs``, one column per b, in column blocks.
 
-    Yields ``(cols, cw, top, last)`` for the b values bs[cols]: cw[l, j] is
+    Yields ``(cols, cw, top, below)`` for the b values bs[cols]: cw[l, j] is
     the sum over levels i <= l of m_i exp(-b_j E_i), scaled by column j's
-    largest term and added in level order; top = cw[-1]; and last is each
-    column's top drawable level, the first whose entry reaches top.  The
-    trailing levels after it have weights that underflowed to zero and are
-    never drawn.  A block holds at most _MATRIX_CAP entries, so a model
-    with many levels never holds a levels x len(bs) matrix at once.
+    largest term and added in level order; top = cw[-1]; and below is the
+    largest double under top.  A search key clamped at below counts down to
+    each column's top drawable level at most, the first whose entry reaches
+    top: the trailing levels after it have weights that underflowed to zero
+    and are never drawn.  A block holds at most _MATRIX_CAP entries and is
+    built in place in one buffer, so a model with many levels never holds a
+    levels x len(bs) matrix at once.  The yielded arrays are views into
+    that buffer, valid until the next block.
     """
     energies, counts = model.energies, model.counts
     width = max(1, _MATRIX_CAP // len(energies))
+    buffer = np.empty((len(energies), min(width, len(bs))))
     for lo in range(0, len(bs), width):
         cols = slice(lo, lo + width)
-        logw = np.multiply.outer(energies, -bs[cols])
+        cw = buffer[:, : len(bs[cols])]
+        np.multiply.outer(energies, -bs[cols], out=cw)
         # Energies ascend, so each column's largest log-weight is at an end.
-        top_logw = np.maximum(logw[0], logw[-1])
-        cw = np.cumsum(counts[:, None] * np.exp(logw - top_logw), axis=0)
+        np.subtract(cw, np.maximum(cw[0], cw[-1]), out=cw)
+        np.exp(cw, out=cw)
+        np.multiply(counts[:, None], cw, out=cw)
+        np.cumsum(cw, axis=0, out=cw)
         top = cw[-1]
-        yield cols, cw, top, (cw < top).sum(axis=0)
+        yield cols, cw, top, np.nextafter(top, -np.inf)
 
 
 def _count_levels(model: GibbsModel, bs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Energy of one draw at each b of ``bs``, bs[j] inverting uniform u[j].
 
     The drawn level is the first whose CDF entry passes u * top, counted
-    down its column, capped at last: u * top can round up to top.
+    down its column; the key is clamped at below, since u * top can round
+    up to top.
     """
     out = np.empty(len(bs))
-    for cols, cw, top, last in _level_cdfs(model, bs):
-        out[cols] = model.energies[np.minimum((cw <= u[cols] * top).sum(axis=0), last)]
+    for cols, cw, top, below in _level_cdfs(model, bs):
+        keys = np.minimum(u[cols] * top, below)
+        out[cols] = model.energies[np.count_nonzero(cw <= keys, axis=0)]
     return out
 
 
@@ -211,7 +224,8 @@ def _draw_levels(
     and fl(u * top) is monotone in u, so a uniform in bucket j = floor(u*g)
     inverts to a level in [lv[j], lv[j+1]]: where the two agree that is its
     level, and in the at most levels - 1 other buckets ``searchsorted`` over
-    the level CDF finds it.  Each row of energies overwrites its row of
+    the level CDF finds it.  Every key is clamped at the column's below, as
+    in ``_count_levels``.  Each row of energies overwrites its row of
     uniforms.
     """
     energies = oracle.model.energies
@@ -219,19 +233,54 @@ def _draw_levels(
     oracle.counter.record(bs, n)
     g = 1 << (n // 8).bit_length()
     edges = np.arange(g + 1) / g
-    for cols, cw, top, last in _level_cdfs(oracle.model, bs):
-        for row, col, t, cap in zip(block[cols], cw.T, top.tolist(), last.tolist()):
-            lv = np.minimum(np.searchsorted(col, edges * t, side="right"), cap)
+    for cols, cw, top, below in _level_cdfs(oracle.model, bs):
+        for row, col, t, key_max in zip(block[cols], cw.T, top.tolist(), below.tolist()):
+            lv = np.searchsorted(col, np.minimum(edges * t, key_max), side="right")
             # Energies are finite, so nan marks the buckets a boundary splits.
             guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
             drawn = guide[(row * g).astype(np.intp)]
             split = np.flatnonzero(np.isnan(drawn))
             if split.size:
-                drawn[split] = energies[
-                    np.minimum(np.searchsorted(col, row[split] * t, side="right"), cap)
-                ]
+                keys = np.minimum(row[split] * t, key_max)
+                drawn[split] = energies[np.searchsorted(col, keys, side="right")]
             row[:] = drawn
     return block
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """32-bit halves of 64-bit generator words, low half first, on any host."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _split_thresholds(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split acceptance thresholds min(1, t) into 32-bit whole and part, exactly.
+
+    ``whole`` = min(floor(min(1, t) 2^32), 2^32 - 1) as uint32 and ``part`` =
+    min(1, t) 2^32 - whole, in [0, 1]; scaling by 2^32 and taking the
+    fraction both round nothing.  A 32-bit uniform u passes when u < whole,
+    or when u == whole and a double V < part: probability (whole + P(V <
+    part)) / 2^32, within 2^-85 of min(1, t), since V is a 53-bit uniform.
+    """
+    scaled = np.minimum(t, 1.0) * 2.0**32
+    whole = np.minimum(np.floor(scaled), 2.0**32 - 1)
+    return whole.astype(np.uint32), scaled - whole
+
+
+def _settle_ties(u, limits, whole, part, real, rng) -> None:
+    """Add to ``limits`` each tied threshold that its cell's double passes.
+
+    ``whole`` and ``part`` are (nv, K, nb) and ``real`` (nv, K): threshold
+    k of each site.  A cell ties when its uniform equals the whole of one
+    of its site's real thresholds; it draws one double V, in C order over
+    the block, and V < part decides every threshold it ties.
+    """
+    hits = [(u == whole[:, k]) & real[:, k, None] for k in range(real.shape[1])]
+    cells = np.flatnonzero(np.logical_or.reduce(hits))
+    if cells.size:
+        v = rng.random(cells.size)
+        for k, hit in enumerate(hits):
+            passed = v < np.broadcast_to(part[:, k], u.shape).flat[cells]
+            limits.flat[cells] += hit.flat[cells] & passed
 
 
 def draw_mcmc_lockstep(
@@ -242,11 +291,19 @@ def draw_mcmc_lockstep(
     Each chain runs mcmc_steps systematic Metropolis sweeps from a fresh
     uniform state, so draws are independent, at the cost of re-running the
     burn-in every time.  Row v holds site v of every chain, True for spin
-    +1; ``rng`` gives the n start states as state indices, site v from bit
-    v, then one (nv, n) block of uniforms per sweep, in sweep order.  Those
-    are drawn m sweeps at a time as one (m, nv, n) block, m the most sweeps
-    that fit in _UNIFORM_CAP entries and at least 1, which reads the same
-    doubles in the same order.  ``b`` is one value or one per chain.
+    +1; ``b`` is one value or one per chain.  The stream contract:
+
+    - One ``rng.integers`` call gives the n start states as state indices,
+      site v from bit v.
+    - Each sweep reads one (nv, n) block of 32-bit uniforms from
+      ceil(nv n / 2) words of ``rng.bit_generator.random_raw``, split by
+      ``_halves`` low half first; an odd nv n drops the last high half.
+      Sweeps are read m at a time, m the most that fit in _UNIFORM_CAP
+      uniforms and at least 1, so the words read do not depend on m.
+    - Each acceptance threshold is split by ``_split_thresholds``.  A
+      uniform that equals the whole of one of its site's thresholds draws
+      one double with ``rng.random``; a block's doubles follow its words,
+      in C order over (sweep, site, chain).
     """
     if oracle.kind != KIND_MCMC:
         raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
@@ -259,16 +316,19 @@ def draw_mcmc_lockstep(
     spins = ((states >> np.arange(nv)[:, None]) & 1).astype(bool)
     # A flip of site v with a aligned neighbours passes if u < min(1,
     # exp(-b (2a - deg))).  That is 1 for a <= deg // 2 and past it
-    # nonincreasing in a (or >= 1 for b < 0), so the flip happens exactly
-    # when a < deg // 2 + 1 + #{thresholds above u}.  above[k][v] is site
-    # v's threshold at a = deg // 2 + 1 + k, or 0 (below every u) past deg,
-    # so a degree-0 site has limit 1 and always flips.  There is at least
-    # one threshold, so the limits fill the block even when no site has an edge.
+    # nonincreasing in a (or 1 for b < 0), so the flip happens exactly when
+    # a < deg // 2 + 1 + #{thresholds u passes}.  Threshold k of site v is
+    # the one at a = deg // 2 + 1 + k, real for a <= deg; past deg it is 0,
+    # which no u passes and whose ties are not counted, so a degree-0 site
+    # has limit 1 and always flips.  There is at least one threshold, so the
+    # limits fill the block even when no site has an edge.
     deg = np.array([len(nbrs) for nbrs in adj])[:, None]
     base = (deg // 2 + 1).astype(np.int8)
     a = base + np.arange(max(1, (deg - deg // 2).max()))
+    real = a <= deg
     delta = np.multiply.outer(np.minimum(2 * a - deg, deg), np.atleast_1d(b))
-    above = list(np.where((a <= deg)[..., None], np.exp(-delta), 0.0).swapaxes(0, 1))
+    whole, part = _split_thresholds(np.where(real[..., None], np.exp(-delta), 0.0))
+    thresholds = list(whole.swapaxes(0, 1))
     # Each site: its row, its first neighbour's row (None at degree 0), the rest.
     nbr_rows = [[spins[u] for u in nbrs] for nbrs in adj]
     sites = [(spins[v], rows[0] if rows else None, rows[1:]) for v, rows in enumerate(nbr_rows)]
@@ -277,11 +337,18 @@ def draw_mcmc_lockstep(
     # each neighbour comparison, as bools viewed as 0/1 int8.
     count, flip = np.empty(n, dtype=np.int8), np.empty(n, dtype=bool)
     first, compared = count.view(bool), flip.view(np.int8)
-    per_block = max(1, _UNIFORM_CAP // max(1, nv * n))
+    cells = nv * n
+    words = (cells + 1) // 2
+    per_block = max(1, _UNIFORM_CAP // max(1, cells))
     for lo in range(0, oracle.mcmc_steps, per_block):
-        uniforms = rng.random((min(per_block, oracle.mcmc_steps - lo), nv, n))
-        for limits in sum((uniforms < t for t in above), base):
-            for (row, nbr0, rest), limit in zip(sites, limits):
+        m = min(per_block, oracle.mcmc_steps - lo)
+        halves = _halves(rng.bit_generator.random_raw(m * words)).reshape(m, 2 * words)
+        u = halves[:, :cells].reshape(m, nv, n)
+        limits = sum((u < w for w in thresholds), base)
+        if any((u == w).any() for w in thresholds):
+            _settle_ties(u, limits, whole, part, real, rng)
+        for sweep in limits:
+            for (row, nbr0, rest), limit in zip(sites, sweep):
                 if nbr0 is not None:
                     np.equal(nbr0, row, out=first)
                     for nbr in rest:

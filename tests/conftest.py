@@ -26,7 +26,7 @@ from gibbs_partition import (
     table_model,
 )
 from gibbs_partition.models import require_enumerable
-from gibbs_partition.samplers import KIND_EXACT
+from gibbs_partition.samplers import _UNIFORM_CAP, KIND_EXACT
 
 
 def brute_log_partition(values, beta):
@@ -171,37 +171,49 @@ def pack_states(spins):
     return (spins.astype(np.int64) << np.arange(len(spins))[:, None]).sum(axis=0)
 
 
-def _metropolis_sweep(state, adj, b, us):
+def split_threshold(t):
+    """(whole, part) of min(1, t) * 2^32: whole = min(floor, 2^32 - 1) as a
+    Python int and part the float remainder, both exact."""
+    scaled = math.ldexp(min(t, 1.0), 32)
+    whole = min(math.floor(scaled), 2**32 - 1)
+    return whole, scaled - whole
+
+
+def _metropolis_sweep(state, adj, b, us, vs):
     """One systematic Metropolis sweep of one chain, site v reading us[v].
 
     Flipping site v with a currently-aligned neighbors is accepted with
     probability min(1, exp(-b * deltaH)), deltaH = 2a - deg(v), computed
-    with math.exp.
+    with math.exp and split at 32 bits: the 32-bit uniform us[v] accepts
+    below the whole, and at the whole the tie double vs[v] decides against
+    the part.
     """
     for v, nbrs in enumerate(adj):
         sv = (state >> v) & 1
         aligned = sum(1 for u in nbrs if ((state >> u) & 1) == sv)
         delta = 2 * aligned - len(nbrs)
-        if us[v] < (1.0 if delta <= 0 else math.exp(-b * delta)):
+        if delta <= 0:
+            state ^= 1 << v
+            continue
+        whole, part = split_threshold(math.exp(-b * delta))
+        if us[v] < whole or (us[v] == whole and vs[v] < part):
             state ^= 1 << v
     return state
 
 
-def draw_mcmc(oracle, b, rng):
-    """Reference restart-Metropolis draw: one chain, one site at a time.
+def _uniforms32(rng, count):
+    """count 32-bit uniforms from ceil(count / 2) raw generator words, each
+    word's low 32 bits first; an odd count drops the last high half."""
+    words = rng.bit_generator.random_raw((count + 1) // 2).tolist()
+    return [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)][:count]
 
-    The state after ``oracle.mcmc_steps`` systematic Metropolis sweeps from
-    a uniform start, with the sweeps' uniforms drawn as one block.  The draw
-    is recorded in the oracle's counter, as a library draw is.
+
+def draw_mcmc(oracle, b, rng):
+    """Reference restart-Metropolis draw: the lockstep reference at one chain.
+
+    The draw is recorded in the oracle's counter, as a library draw is.
     """
-    adj = oracle.model.graph.adjacency()
-    nv = len(adj)
-    state = int(rng.integers(0, 2 ** nv))
-    steps = oracle.mcmc_steps
-    if steps > 0:
-        us = rng.random(steps * nv)
-        for k in range(steps):
-            state = _metropolis_sweep(state, adj, b, us[k * nv : (k + 1) * nv])
+    state = draw_mcmc_chains(oracle, b, 1, rng)[0]
     oracle.counter.record(b)
     return state
 
@@ -210,17 +222,48 @@ def draw_mcmc_chains(oracle, b, n, rng):
     """Reference lockstep draw: n restart chains, each one site at a time.
 
     Replays the lockstep stream contract: n start states from one
-    ``rng.integers`` call, then one (nv, n) block of uniforms per sweep, and
-    chain j sweeps on column j of each block.  ``b`` is one value or one per
-    chain.  Returns the n states as a list of ints.
+    ``rng.integers`` call, then per sweep nv * n 32-bit uniforms from raw
+    generator words, site-major, chain j sweeping on entry v * n + j for
+    site v.  Sweeps come in blocks of as many as fit in ``_UNIFORM_CAP``
+    uniforms; after a block's words, each uniform that equals the 32-bit
+    whole of one of its site's thresholds (one per aligned count from
+    deg // 2 + 1 to deg) at its chain's b draws one double, in (sweep, site,
+    chain) order.  ``b`` is one value or one per chain.  Returns the n
+    states as a list of ints.
     """
     adj = oracle.model.graph.adjacency()
     nv = len(adj)
     bs = np.asarray(b, dtype=float).tolist() if np.ndim(b) else [b] * n
     states = rng.integers(0, 2 ** nv, size=n).tolist()
-    for _ in range(oracle.mcmc_steps):
-        us = rng.random((nv, n))
-        states = [_metropolis_sweep(s, adj, bs[j], us[:, j]) for j, s in enumerate(states)]
+
+    @functools.lru_cache(maxsize=None)
+    def wholes(bj):
+        return [
+            {split_threshold(math.exp(-bj * (2 * a - len(nbrs))))[0]
+             for a in range(len(nbrs) // 2 + 1, len(nbrs) + 1)}
+            for nbrs in adj
+        ]
+
+    per_block = max(1, _UNIFORM_CAP // max(1, nv * n))
+    for lo in range(0, oracle.mcmc_steps, per_block):
+        block = [_uniforms32(rng, nv * n) for _ in range(min(per_block, oracle.mcmc_steps - lo))]
+        tied = [
+            (k, v * n + j)
+            for k, us in enumerate(block)
+            for v in range(nv)
+            for j in range(n)
+            if us[v * n + j] in wholes(bs[j])[v]
+        ]
+        ties = [{} for _ in block]
+        for (k, cell), v in zip(tied, rng.random(len(tied)).tolist() if tied else []):
+            ties[k][cell] = v
+        for k, us in enumerate(block):
+            states = [
+                _metropolis_sweep(
+                    s, adj, bs[j], us[j::n], [ties[k].get(v * n + j) for v in range(nv)]
+                )
+                for j, s in enumerate(states)
+            ]
     return states
 
 

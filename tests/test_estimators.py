@@ -531,10 +531,10 @@ def test_run_experiment_draw_cost_is_pinned(spec, draws, tmp_path):
          [0.6211666640153517, 0.6193671991061862, 0.610909765705653, 0.6168902074703801]),
         ("mixed-5", "paired", [14962, 14966, 14973, 14932],
          [0.8432851171614075, 0.8577671891256511, 0.8179333372098716, 0.8492977561311736]),
-        ("k2-mcmc", "paired", [22053, 14829, 22032, 22033],
-         [0.6181543384215917, 0.6142851906935718, 0.6216745497282172, 0.6144267513896526]),
-        ("grid3x3-mcmc", "paired", [200328, 207525, 207738, 207441],
-         [7.609108331291318, 7.60497641643877, 7.60795452783478, 7.615381399708054]),
+        ("k2-mcmc", "paired", [22058, 22009, 22049, 22004],
+         [0.6189721731609641, 0.6236799226206937, 0.6235018239857588, 0.6198927330981796]),
+        ("grid3x3-mcmc", "paired", [207538, 207654, 207731, 200294],
+         [7.618154375317202, 7.609679819149681, 7.615841479801981, 7.61788158812076]),
     ],
 )
 def test_run_experiment_baseline_rows_are_pinned(spec, method, draws, logs, tmp_path):

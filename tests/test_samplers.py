@@ -1,7 +1,9 @@
 """Samplers: distributional correctness, draw accounting, coupling arithmetic."""
 
 import math
+import types
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from gibbs_partition import (
     metropolis_sweep_matrix,
     shift_hamiltonian,
 )
-from gibbs_partition.samplers import _UNIFORM_CAP
+from gibbs_partition.samplers import _UNIFORM_CAP, _halves, _split_thresholds
 
 from conftest import (
     draw_exact,
@@ -34,6 +36,7 @@ from conftest import (
     draw_state,
     level_cdf,
     pack_states,
+    split_threshold,
     state_energies,
     tiny_models,
 )
@@ -509,6 +512,164 @@ def test_mcmc_lockstep_replays_the_stream_contract(label, model, n, b):
     assert spins.shape == (nv, n)
     assert pack_states(spins).tolist() == draw_mcmc_chains(oracle, b, n, g2)
     assert g1.bit_generator.state == g2.bit_generator.state
+
+
+def _assert_exact_split(t, whole, part):
+    assert whole.dtype == np.uint32
+    assert 0.0 <= part <= 1.0
+    assert Fraction(int(whole)) + Fraction(float(part)) == Fraction(min(t, 1.0)) * 2**32
+
+
+@pytest.mark.parametrize(
+    "t", [0.0, 5e-324, 2.0**-33, 0.3, math.exp(-2), 1 - 2.0**-53, 1.0, math.exp(0.5)]
+)
+def test_threshold_split_is_exact(t):
+    # whole + part is min(1, t) * 2^32 with no rounding, from the smallest
+    # subnormal to a b < 0 threshold past 1.
+    whole, part = _split_thresholds(np.array([t]))
+    _assert_exact_split(t, whole[0], part[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-5.0, 60.0), st.integers(1, 62))
+def test_threshold_split_is_exact_for_any_b_and_delta(b, delta):
+    # The kernel's thresholds are exp(-(delta * b)).
+    t = np.exp(-np.multiply(delta, b))
+    whole, part = _split_thresholds(np.array([t]))
+    _assert_exact_split(float(t), whole[0], part[0])
+
+
+def test_halves_split_each_word_low_half_first():
+    # The same two uniforms on any host: a big-endian word splits alike.
+    word = 0x00000002_00000001
+    assert _halves(np.array([word], dtype=np.uint64)).tolist() == [1, 2]
+    assert _halves(np.array([word], dtype=">u8")).tolist() == [1, 2]
+
+
+# A star whose degree-4 centre carries two thresholds and whose leaves
+# carry one, past their degree in the second slot.
+_STAR4 = ising_model([(0, leaf) for leaf in range(1, 5)], num_vertices=5)
+
+
+class _TiedWords:
+    """Generator stand-in: start states and doubles come from a real
+    Generator, and the 32-bit uniforms, two to a raw word and low half
+    first, are taken in order from ``halves``.  ``doubles`` records the
+    size of every ``random`` call."""
+
+    def __init__(self, rng, halves):
+        self._rng, self._halves, self.doubles = rng, iter(halves), []
+        self.bit_generator = types.SimpleNamespace(random_raw=self._raw)
+
+    def _raw(self, size):
+        pairs = [(next(self._halves), next(self._halves)) for _ in range(size)]
+        return np.array([lo | hi << 32 for lo, hi in pairs], dtype=np.uint64)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size=None):
+        self.doubles.append(size)
+        return self._rng.random(size)
+
+
+def test_k2_tie_flips_an_aligned_site_exactly_when_its_double_is_below_part(k2):
+    # Every uniform sits on the whole of e^-b, so each of the 2n cells draws
+    # one double, in (site, chain) order, and an aligned site flips exactly
+    # when that double is below the part; a misaligned site always flips.
+    b, n = 1.0, 64
+    whole, part = split_threshold(math.exp(-b))
+    oracle = mcmc_oracle(k2, mcmc_steps=1, tv_budget_per_draw=0.1)
+    stub = _TiedWords(_rng("ties-k2"), [whole] * (2 * n))
+    spins = draw_mcmc_lockstep(oracle, b, n, stub)
+    assert stub.doubles == [2 * n]
+    twin = _rng("ties-k2")
+    starts = twin.integers(0, 4, size=n).tolist()
+    v = twin.random((2, n))
+    expected, tied_outcomes = [], set()
+    for j, s in enumerate(starts):
+        for site in (0, 1):
+            if (s & 1) == (s >> 1) & 1:
+                tied_outcomes.add(bool(v[site, j] < part))
+                if v[site, j] < part:
+                    s ^= 1 << site
+            else:
+                s ^= 1 << site
+        expected.append(s)
+    assert pack_states(spins).tolist() == expected
+    # Aligned sites both flip and stay, so a kernel that accepts ties fails.
+    assert tied_outcomes == {False, True}
+    assert stub.random() == twin.random()
+
+
+@pytest.mark.parametrize("b", [0.3, 12.0])
+def test_star_tie_draws_one_double_shared_by_both_centre_thresholds(b):
+    # The degree-4 centre has thresholds e^-2b (3 aligned) and e^-4b (4
+    # aligned).  At b = 0.3 even chains sit on the first's whole and odd
+    # chains on the second's; at b = 12 both wholes are 0, so one tie
+    # settles both.  The leaves sit on e^-b's whole.  Each cell draws one
+    # double, in (site, chain) order, and a tied threshold passes exactly
+    # when that double is below its part.
+    adj = _STAR4.graph.adjacency()
+    n = 512
+    centre = [split_threshold(math.exp(-b * (2 + 2 * (j % 2))))[0] for j in range(n)]
+    halves = centre + [split_threshold(math.exp(-b))[0]] * (4 * n)
+    oracle = mcmc_oracle(_STAR4, mcmc_steps=1, tv_budget_per_draw=0.1)
+    stub = _TiedWords(_rng("ties-star", int(b)), halves)
+    spins = draw_mcmc_lockstep(oracle, b, n, stub)
+    assert stub.doubles == [5 * n]
+    twin = _rng("ties-star", int(b))
+    starts = twin.integers(0, 32, size=n).tolist()
+    v = twin.random((5, n))
+    expected, centre_outcomes = [], set()
+    for j, s in enumerate(starts):
+        for site, nbrs in enumerate(adj):
+            aligned = sum(((s >> u) & 1) == ((s >> site) & 1) for u in nbrs)
+            delta = 2 * aligned - len(nbrs)
+            if delta > 0:
+                whole, part = split_threshold(math.exp(-b * delta))
+                u = halves[site * n + j]
+                if u > whole or (u == whole and v[site, j] >= part):
+                    continue
+                if site == 0 and u == whole:
+                    centre_outcomes.add(bool(v[site, j] < part))
+            s ^= 1 << site
+        expected.append(s)
+    assert pack_states(spins).tolist() == expected
+    assert True in centre_outcomes
+    assert stub.random() == twin.random()
+
+
+@pytest.mark.parametrize(
+    "label,model", [("star-4", _STAR4), ("lone-site", ising_model([], num_vertices=1))]
+)
+def test_a_uniform_on_a_threshold_past_the_degree_draws_no_double(label, model):
+    # Past its degree a site's threshold is 0 and never ties: every uniform
+    # is 0 here, below each real threshold at b = 0.3, so every site flips
+    # and no double is drawn.
+    nv, n = model.graph.num_vertices, 4
+    stub = _TiedWords(_rng(f"no-tie-{label}"), [0] * (nv * n))
+    spins = draw_mcmc_lockstep(mcmc_oracle(model, 1, 0.1), 0.3, n, stub)
+    assert stub.doubles == []
+    starts = _rng(f"no-tie-{label}").integers(0, 2**nv, size=n)
+    assert pack_states(spins).tolist() == (starts ^ (2**nv - 1)).tolist()
+
+
+@pytest.mark.parametrize("b", [1.0, "per-chain"])
+@pytest.mark.parametrize("sweeps", [1, 3])
+def test_mcmc_lockstep_two_thresholds_match_exact_kernel(b, sweeps):
+    # The degree-4 centre of a star carries two thresholds, e^-2b and e^-4b;
+    # per chain, chains alternate between b = 0.3 and b = 1.
+    n = 400_000
+    oracle = mcmc_oracle(_STAR4, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    bs = np.where(np.arange(n) % 2 == 0, 0.3, 1.0) if b == "per-chain" else b
+    states = pack_states(draw_mcmc_lockstep(oracle, bs, n, _rng(f"star4-chi-{b}", sweeps)))
+    assert oracle.counter.total == n
+    groups = [(0.3, states[0::2]), (1.0, states[1::2])] if b == "per-chain" else [(b, states)]
+    for b_value, group in groups:
+        counts = np.bincount(group, minlength=32)
+        expected = mcmc_draw_distribution(_STAR4, b_value, sweeps) * len(group)
+        assert stats.chisquare(counts, expected).pvalue > 0.001
 
 
 @pytest.mark.parametrize("label", ["k2", "cycle-4"])
