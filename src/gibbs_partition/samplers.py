@@ -14,9 +14,11 @@ oracle runs restart chains in lockstep on one (nv, n) spin array with one
 (nv, n) block of 32-bit uniforms per sweep, the two halves of raw generator
 words, drawn several sweeps per generator call.  Each acceptance threshold
 splits exactly at 32 bits, and a uniform that ties it draws one double, so
-every acceptance is within 2^-85 of exact.  The oracle sums each chain's
-energy from its spins; it runs any Ising model of at most 63 sites, whose
-start states are int64 indices.
+every acceptance is within 2^-85 of exact.  At b = 0 every proposal passes,
+so a call whose every b is 0 reads only its start states and its draws are
+exact; b < 0 is refused.  The oracle sums each chain's energy from its
+spins; it runs any Ising model of at most 63 sites, whose start states are
+int64 indices.
 Every draw consumes a caller-supplied numpy Generator and is counted by the
 counter's one ``record`` method, whose running total is the ground truth for
 all sample counts.
@@ -63,7 +65,9 @@ class SamplerOracle:
 
     ``tv_budget_per_draw`` is a declared upper bound on the total-variation
     distance of each draw from pi_b (0 for exact sampling); the library only
-    verifies the accounting arithmetic, not the bound itself.
+    verifies the accounting arithmetic, not the bound itself.  An MCMC
+    oracle's draws at b = 0, the start of every cooling schedule, are exact
+    and read only their start states; it refuses b < 0 and nan.
     """
 
     model: GibbsModel
@@ -304,19 +308,32 @@ def draw_mcmc_lockstep(
       uniform that equals the whole of one of its site's thresholds draws
       one double with ``rng.random``; a block's doubles follow its words,
       in C order over (sweep, site, chain).
+    - A call whose every b is 0 reads only its start states.  There every
+      threshold is min(1, e^0) = 1, whole 2^32 - 1 and part 1, so every
+      proposal passes and each sweep flips every site: the draws are the
+      starts flipped by the parity of mcmc_steps, exactly.
+
+    A b below 0 or nan raises ValueError: the flip rule below assumes each
+    threshold at a <= deg // 2 is 1, which holds only for b >= 0.
     """
     if oracle.kind != KIND_MCMC:
         raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
     per_chain = np.ndim(b) > 0
     if per_chain and np.shape(b) != (n,):
         raise ValueError("per-chain b needs one value per chain")
-    adj = oracle.model.graph.adjacency()
-    nv = len(adj)
+    _require_nonnegative(b)
+    nv = oracle.model.graph.num_vertices
     states = rng.integers(0, 2 ** nv, size=n)
     spins = ((states >> np.arange(nv)[:, None]) & 1).astype(bool)
+    oracle.counter.record(b, 1 if per_chain else n)
+    if not np.any(b):
+        if oracle.mcmc_steps % 2:
+            np.logical_not(spins, out=spins)
+        return spins
+    adj = oracle.model.graph.adjacency()
     # A flip of site v with a aligned neighbours passes if u < min(1,
     # exp(-b (2a - deg))).  That is 1 for a <= deg // 2 and past it
-    # nonincreasing in a (or 1 for b < 0), so the flip happens exactly when
+    # nonincreasing in a, so the flip happens exactly when
     # a < deg // 2 + 1 + #{thresholds u passes}.  Threshold k of site v is
     # the one at a = deg // 2 + 1 + k, real for a <= deg; past deg it is 0,
     # which no u passes and whose ties are not counted, so a degree-0 site
@@ -358,8 +375,13 @@ def draw_mcmc_lockstep(
                     count.fill(0)
                 np.less(count, limit, out=flip)
                 row ^= flip
-    oracle.counter.record(b, 1 if per_chain else n)
     return spins
+
+
+def _require_nonnegative(b: float | np.ndarray) -> None:
+    """Refuse a Metropolis b below 0 or nan, where the kernel's law is wrong."""
+    if not np.all(np.asarray(b) >= 0):
+        raise ValueError("restart-Metropolis draws need every b >= 0")
 
 
 def _spin_energies(model: GibbsModel, spins: np.ndarray) -> np.ndarray:
@@ -383,9 +405,11 @@ def metropolis_sweep_matrix(model: GibbsModel, b: float) -> np.ndarray:
 
     Row-stochastic over the whole state space; used to measure the MCMC
     sampler's true total-variation error by evolving the start distribution.
+    A b below 0 or nan raises ValueError, as in ``draw_mcmc_lockstep``.
     """
     if model.graph is None:
         raise ValueError("sweep matrix requires an Ising model")
+    _require_nonnegative(b)
     require_enumerable(model.num_states)
     nv = model.graph.num_vertices
     adj = model.graph.adjacency()
@@ -406,6 +430,7 @@ def metropolis_sweep_matrix(model: GibbsModel, b: float) -> np.ndarray:
 
 def mcmc_draw_distribution(model: GibbsModel, b: float, sweeps: int) -> np.ndarray:
     """Exact distribution of a restart-MCMC draw after the given sweep count."""
+    _require_nonnegative(b)
     require_enumerable(model.num_states)
     size = model.num_states
     dist = np.full(size, 1.0 / size)

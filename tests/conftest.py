@@ -228,13 +228,20 @@ def draw_mcmc_chains(oracle, b, n, rng):
     uniforms; after a block's words, each uniform that equals the 32-bit
     whole of one of its site's thresholds (one per aligned count from
     deg // 2 + 1 to deg) at its chain's b draws one double, in (sweep, site,
-    chain) order.  ``b`` is one value or one per chain.  Returns the n
-    states as a list of ints.
+    chain) order.  A call whose every b is 0 reads only its start states:
+    there every proposal passes whatever it reads, so its sweeps run on the
+    largest 32-bit uniform and the largest tie double below 1.  ``b`` is
+    one value or one per chain.  Returns the n states as a list of ints.
     """
     adj = oracle.model.graph.adjacency()
     nv = len(adj)
     bs = np.asarray(b, dtype=float).tolist() if np.ndim(b) else [b] * n
     states = rng.integers(0, 2 ** nv, size=n).tolist()
+    if not any(bs):
+        largest = [2**32 - 1] * nv, [1.0 - 2.0**-53] * nv
+        for _ in range(oracle.mcmc_steps):
+            states = [_metropolis_sweep(s, adj, 0.0, *largest) for s in states]
+        return states
 
     @functools.lru_cache(maxsize=None)
     def wholes(bj):

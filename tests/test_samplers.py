@@ -505,13 +505,59 @@ def test_mcmc_lockstep_replays_the_stream_contract(label, model, n, b):
     nv = model.graph.num_vertices
     n, sweeps = _replay_shape(n, nv)
     oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    if b == -0.5:
+        with pytest.raises(ValueError, match="b >= 0"):
+            draw_mcmc_lockstep(oracle, b, n, _NoDraws())
+        assert oracle.counter.total == 0
+        return
     if b == "per-chain":
-        b = _rng(f"replay-b-{label}", n).uniform(-0.5, 3.0, n)
+        # One chain at exactly 0 and the rest in (0, 3): a mixed call still
+        # runs the full kernel.
+        b = _rng(f"replay-b-{label}", n).uniform(0.0, 3.0, n)
+        b[0] = 0.0
     g1, g2 = _rng(f"replay-{label}", n), _rng(f"replay-{label}", n)
     spins = draw_mcmc_lockstep(oracle, b, n, g1)
     assert spins.shape == (nv, n)
     assert pack_states(spins).tolist() == draw_mcmc_chains(oracle, b, n, g2)
     assert g1.bit_generator.state == g2.bit_generator.state
+
+
+@pytest.mark.parametrize("label", ["k2", "star-62"])
+@pytest.mark.parametrize("sweeps", [0, 1, 46])
+@pytest.mark.parametrize("per_chain", [False, True], ids=["scalar", "per-chain"])
+def test_mcmc_at_b_zero_reads_only_its_start_states(label, sweeps, per_chain):
+    # At b = 0 every proposal passes, so each sweep flips every site: the
+    # draws are the starts flipped by the parity of the sweeps, and the
+    # generator moves exactly as one bare start-state call moves it.
+    model = dict(_REPLAY_MODELS)[label]
+    nv, n = model.graph.num_vertices, 300
+    oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    g1, g2 = _rng(f"b-zero-{label}", sweeps), _rng(f"b-zero-{label}", sweeps)
+    spins = draw_mcmc_lockstep(oracle, np.zeros(n) if per_chain else 0.0, n, g1)
+    starts = g2.integers(0, 2**nv, size=n)
+    assert g1.bit_generator.state == g2.bit_generator.state
+    assert pack_states(spins).tolist() == (starts ^ (2**nv - 1) * (sweeps % 2)).tolist()
+    assert oracle.counter.total == n
+
+
+@pytest.mark.parametrize("b", [-1.0, -1e-300, math.nan, "per-chain"])
+def test_mcmc_refuses_b_below_zero_and_nan(k2, b):
+    # The flip rule takes each threshold at a <= deg // 2 to be 1, true
+    # only for b >= 0: at b = -1 on k2 it drew uniform spins, not pi_b.
+    oracle = mcmc_oracle(k2, mcmc_steps=46, tv_budget_per_draw=0.1)
+    if b == "per-chain":
+        b = np.array([0.0, 1.0, -0.5])
+    with pytest.raises(ValueError, match="b >= 0"):
+        draw_mcmc_lockstep(oracle, b, np.size(b), _NoDraws())
+    assert oracle.counter.total == 0
+    if np.ndim(b) == 0:
+        for exact in (
+            lambda: metropolis_sweep_matrix(k2, b),
+            lambda: mcmc_draw_distribution(k2, b, 46),
+            lambda: mcmc_tv_error(k2, b, 46),
+        ):
+            with pytest.raises(ValueError, match="b >= 0"):
+                exact()
 
 
 def _assert_exact_split(t, whole, part):
