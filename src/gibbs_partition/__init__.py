@@ -37,7 +37,6 @@ from .samplers import (
     mcmc_draw_distribution,
     mcmc_oracle,
     mcmc_tv_error,
-    metropolis_sweep_matrix,
 )
 from .tpa import (
     thin,

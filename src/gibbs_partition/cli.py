@@ -246,6 +246,14 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     return _run_on(config, model, models.log_ratio_exact(model, config.beta))
 
 
+def _worker_count() -> int:
+    raw = os.environ.get(THREADS_ENV, "1") or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV} must be an integer, not {raw!r}") from None
+
+
 def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[dict]:
     reps = 1 if config.method == "exact" else config.reps
     rows: list[dict] = []
@@ -253,10 +261,11 @@ def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[d
         rows = [_run_repetition(config, model, truth, 0)]
         config = replace(config, schedule_in=config.schedule_out, schedule_out=None)
     todo = range(len(rows), reps)
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
+    threads = _worker_count()
     if threads > 1 and len(todo) > 1 and not config.trace:
         n = len(todo)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # A forked pool starts all its workers at once: no more than the repetitions left.
+        with ProcessPoolExecutor(max_workers=min(threads, n)) as pool:
             rows += pool.map(_run_repetition, [config] * n, [model] * n, [truth] * n, todo)
     else:
         rows += [_run_repetition(config, model, truth, rep) for rep in todo]

@@ -18,7 +18,8 @@ every acceptance is within 2^-85 of exact.  At b = 0 every proposal passes,
 so a call whose every b is 0 reads only its start states and its draws are
 exact; b < 0 is refused.  The oracle sums each chain's energy from its
 spins; it runs any Ising model of at most 63 sites, whose start states are
-int64 indices.
+int64 indices.  Under the guard, ``mcmc_draw_distribution`` gives the exact
+law of its draws as one 2^n vector updated site by site, no sweep matrix.
 Every draw consumes a caller-supplied numpy Generator and is counted by the
 counter's one ``record`` method, whose running total is the ground truth for
 all sample counts.
@@ -400,60 +401,58 @@ def coupling_failure_bound(tv_budget_per_draw: float, total_draws: int) -> float
     return min(1.0, total_draws * tv_budget_per_draw)
 
 
-def metropolis_sweep_matrix(model: GibbsModel, b: float) -> np.ndarray:
-    """Exact one-sweep transition matrix of the systematic Metropolis kernel.
-
-    Row-stochastic over the whole state space; used to measure the MCMC
-    sampler's true total-variation error by evolving the start distribution.
-    A b below 0 or nan raises ValueError, as in ``draw_mcmc_lockstep``.
-    """
+def _state_spins(model: GibbsModel) -> np.ndarray:
+    """Spins of every state of an Ising model, under the guard, as (nv, 2^n)
+    bools: row v is True where bit v of the state index is set, spin +1."""
     if model.graph is None:
-        raise ValueError("sweep matrix requires an Ising model")
-    _require_nonnegative(b)
+        raise ValueError("the law over states requires an Ising model")
     require_enumerable(model.num_states)
-    nv = model.graph.num_vertices
-    adj = model.graph.adjacency()
-    size = 2 ** nv
-    sweep = np.eye(size)
-    for v in range(nv):
-        site = np.zeros((size, size))
-        for s in range(size):
-            sv = (s >> v) & 1
-            aligned = sum(1 for u in adj[v] if ((s >> u) & 1) == sv)
-            delta = 2 * aligned - len(adj[v])
-            acc = 1.0 if delta <= 0 else math.exp(-b * delta)
-            site[s, s ^ (1 << v)] = acc
-            site[s, s] = 1.0 - acc
-        sweep = sweep @ site
-    return sweep
+    spins = np.zeros((model.graph.num_vertices, model.num_states), dtype=bool)
+    for v, row in enumerate(spins):
+        row.reshape(-1, 2, 1 << v)[:, 1] = True
+    return spins
 
 
 def mcmc_draw_distribution(model: GibbsModel, b: float, sweeps: int) -> np.ndarray:
-    """Exact distribution of a restart-MCMC draw after the given sweep count."""
+    """Exact law over states of a restart-MCMC draw after ``sweeps`` sweeps.
+
+    One 2^n vector: it starts uniform and each sweep updates it site by
+    site, as ``draw_mcmc_lockstep`` does.  Site v moves the mass dist[s]
+    accept_v[s] to s ^ 2^v, accept_v[s] = min(1, exp(-b (2a - deg))) for
+    the a neighbours aligned with v in s; in a (-1, 2, 2^v) view that
+    partner is the reversed middle axis.  A b below 0 or nan raises
+    ValueError, as in ``draw_mcmc_lockstep``.
+    """
     _require_nonnegative(b)
-    require_enumerable(model.num_states)
-    size = model.num_states
-    dist = np.full(size, 1.0 / size)
-    if sweeps > 0:
-        dist = dist @ np.linalg.matrix_power(metropolis_sweep_matrix(model, b), sweeps)
+    spins = _state_spins(model)
+    dist = np.full(model.num_states, 1.0 / model.num_states)
+    moved = np.empty_like(dist)
+    sites = []
+    for v, nbrs in enumerate(model.graph.adjacency()):
+        aligned = sum((spins[u] == spins[v] for u in nbrs), np.zeros(len(dist), np.int8))
+        deg = len(nbrs)
+        # One per aligned count, so that b = inf never multiplies 0 by inf.
+        accept = [math.exp(-b * (2 * a - deg)) if 2 * a > deg else 1.0 for a in range(deg + 1)]
+        shape = (-1, 2, 1 << v)
+        sites.append((np.array(accept)[aligned], dist.reshape(shape),
+                      moved.reshape(shape)[:, ::-1]))
+    for _ in range(sweeps):
+        for accept, pairs, partners in sites:
+            np.multiply(dist, accept, out=moved)
+            dist -= moved
+            pairs += partners
     return dist
 
 
 def gibbs_distribution(model: GibbsModel, b: float) -> np.ndarray:
     """pi_b over every state of an Ising model, under the guard, each
     state's energy summed from its spins: site v is bit v of its index."""
-    if model.graph is None:
-        raise ValueError("gibbs_distribution requires an Ising model")
-    require_enumerable(model.num_states)
-    spins = (np.arange(model.num_states) >> np.arange(model.graph.num_vertices)[:, None]) & 1
-    logw = -b * _spin_energies(model, spins)
-    logw = logw - logw.max()
-    w = np.exp(logw)
+    logw = -b * _spin_energies(model, _state_spins(model))
+    w = np.exp(logw - logw.max())
     return w / w.sum()
 
 
 def mcmc_tv_error(model: GibbsModel, b: float, sweeps: int) -> float:
     """TV distance between the restart-MCMC draw distribution and pi_b."""
-    return 0.5 * float(
-        np.abs(mcmc_draw_distribution(model, b, sweeps) - gibbs_distribution(model, b)).sum()
-    )
+    law = mcmc_draw_distribution(model, b, sweeps)
+    return 0.5 * float(np.abs(law - gibbs_distribution(model, b)).sum())

@@ -274,6 +274,40 @@ def draw_mcmc_chains(oracle, b, n, rng):
     return states
 
 
+def metropolis_sweep_matrix(model, b):
+    """Reference one-sweep transition matrix of the systematic Metropolis
+    kernel, dense over all 2^n states, built state by state.
+
+    Site v of state s flips with probability min(1, exp(-b deltaH)),
+    deltaH = 2a - deg(v) for a neighbours aligned with it; the sweep is the
+    product of the nv site matrices in site order.
+    """
+    require_enumerable(model.num_states)
+    adj = model.graph.adjacency()
+    size = 2 ** len(adj)
+    sweep = np.eye(size)
+    for v, nbrs in enumerate(adj):
+        site = np.zeros((size, size))
+        for s in range(size):
+            sv = (s >> v) & 1
+            aligned = sum(1 for u in nbrs if ((s >> u) & 1) == sv)
+            delta = 2 * aligned - len(nbrs)
+            acc = 1.0 if delta <= 0 else math.exp(-b * delta)
+            site[s, s ^ (1 << v)] = acc
+            site[s, s] = 1.0 - acc
+        sweep = sweep @ site
+    return sweep
+
+
+def matrix_draw_distribution(model, b, sweeps):
+    """Reference law of a restart-MCMC draw: the uniform start law times the
+    sweep matrix to the power ``sweeps``."""
+    size = model.num_states
+    return np.full(size, 1.0 / size) @ np.linalg.matrix_power(
+        metropolis_sweep_matrix(model, b), sweeps
+    )
+
+
 def paired_replicate(schedule, oracle, rng):
     """One (W, V) pair: the library's r = 1 replicate block, exponentiated."""
     log_ws, log_vs = paired_replicate_logs(schedule, oracle, 1, rng)

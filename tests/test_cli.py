@@ -185,6 +185,46 @@ def test_main_determinism_bytes(model_args, tmp_path, monkeypatch):
     assert a == b == c
 
 
+class _InProcessPool:
+    """ProcessPoolExecutor stand-in: records max_workers, starts no process."""
+
+    opened = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("threads,reps,workers", [("64", 2, 2), ("64", 5, 5), ("3", 5, 3)])
+def test_repetition_pool_starts_no_more_workers_than_reps(
+    threads, reps, workers, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "opened", [])
+    monkeypatch.setenv("GIBBS_PARTITION_THREADS", threads)
+    args = ["--method", "product", "--reps", str(reps), "--seed", "3"]
+    code, _ = _run_main(tmp_path, "t.csv", args)
+    assert code == 0 and _InProcessPool.opened == [workers]
+
+
+@pytest.mark.parametrize("threads", ["two", "1.5", "4x"])
+def test_main_non_integer_threads_exit_2(threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "opened", [])
+    monkeypatch.setenv("GIBBS_PARTITION_THREADS", threads)
+    code, _ = _run_main(tmp_path, "t.csv", ["--method", "product", "--reps", "2"])
+    assert code == 2 and _InProcessPool.opened == []
+    assert "GIBBS_PARTITION_THREADS must be an integer" in capsys.readouterr().err
+
+
 def test_main_invalid_config_exit_2(tmp_path, capsys):
     assert main(["run", "--model", "k2", "--beta", "-3"]) == 2
     assert main(["run", "--model", "unknown-99", "--beta", "1"]) == 2

@@ -14,18 +14,20 @@ from scipy import stats
 from gibbs_partition import (
     ENUMERATION_GUARD,
     coupling_failure_bound,
+    cycle_edges,
     draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,
     grid_edges,
+    grid_model,
     ising_model,
     log_partition_exact,
     log_ratio_exact,
     mcmc_draw_distribution,
     mcmc_oracle,
     mcmc_tv_error,
-    metropolis_sweep_matrix,
     shift_hamiltonian,
+    table_model,
 )
 from gibbs_partition.samplers import _UNIFORM_CAP, _halves, _split_thresholds
 
@@ -35,6 +37,8 @@ from conftest import (
     draw_mcmc_chains,
     draw_state,
     level_cdf,
+    matrix_draw_distribution,
+    metropolis_sweep_matrix,
     pack_states,
     split_threshold,
     state_energies,
@@ -429,11 +433,41 @@ def test_exact_kind_rejects_tv_budget(k2):
 
 
 def test_sweep_matrix_is_stochastic_and_invariant(k2, c4):
+    # The reference matrix in conftest: row-stochastic, and pi_b is invariant.
     for model, b in [(k2, 1.0), (c4, 0.7)]:
         m = metropolis_sweep_matrix(model, b)
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
-        pi = gibbs_distribution(model, b)
+        pi = _pi(model, b)
         np.testing.assert_allclose(pi @ m, pi, atol=1e-12)
+
+
+_LAW_MODELS = {
+    "k2": ising_model([(0, 1)], num_vertices=2),
+    "cycle-4": ising_model(cycle_edges(4), num_vertices=4),
+    "grid-3x3": ising_model(grid_edges(3, 3), num_vertices=9),
+    "star-5": ising_model([(0, leaf) for leaf in range(1, 6)], num_vertices=6),
+    "edgeless-3": ising_model([], num_vertices=3),
+}
+
+
+@pytest.mark.parametrize("sweeps", [0, 1, 3, 46])
+@pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 12.0, math.inf])
+@pytest.mark.parametrize("label", list(_LAW_MODELS))
+def test_mcmc_draw_distribution_is_the_sweep_matrix_law(label, b, sweeps):
+    # The site-by-site law against the dense reference: uniform start law
+    # times the sweep matrix to the power sweeps.
+    model = _LAW_MODELS[label]
+    law = mcmc_draw_distribution(model, b, sweeps)
+    np.testing.assert_allclose(law, matrix_draw_distribution(model, b, sweeps), rtol=0, atol=1e-12)
+
+
+def test_mcmc_draw_distribution_refuses_a_model_without_a_graph():
+    # At every sweep count, zero included: a table model has no sites to sweep.
+    for sweeps in (0, 1, 3):
+        with pytest.raises(ValueError, match="requires an Ising model"):
+            mcmc_draw_distribution(table_model([0.0, 1.0, 1.0, 2.0]), 1.0, sweeps)
+        with pytest.raises(ValueError, match="requires an Ising model"):
+            mcmc_tv_error(table_model([0.0, 1.0, 1.0, 2.0]), 1.0, sweeps)
 
 
 @pytest.mark.parametrize("label,model", tiny_models())
@@ -552,7 +586,6 @@ def test_mcmc_refuses_b_below_zero_and_nan(k2, b):
     assert oracle.counter.total == 0
     if np.ndim(b) == 0:
         for exact in (
-            lambda: metropolis_sweep_matrix(k2, b),
             lambda: mcmc_draw_distribution(k2, b, 46),
             lambda: mcmc_tv_error(k2, b, 46),
         ):
@@ -797,8 +830,9 @@ def test_paired_mcmc_estimate_never_builds_the_state_table(spec, monkeypatch):
     def no_table(*args):
         raise AssertionError("the estimate enumerated the states")
 
-    # gibbs_distribution is the one state enumeration left in the library.
-    monkeypatch.setattr(samplers, "gibbs_distribution", no_table)
+    # _state_spins is the one state enumeration left in the library; the
+    # exact laws of gibbs_distribution and mcmc_draw_distribution read it.
+    monkeypatch.setattr(samplers, "_state_spins", no_table)
     est = paired_product_estimate(
         oracle, 1.0, 0.1, _rng(f"no-table-{spec}"), overrides=ParamOverrides(replicates=20)
     )
@@ -809,6 +843,34 @@ def test_mcmc_tv_error_decreases(k2):
     tvs = [mcmc_tv_error(k2, 1.0, s) for s in (0, 2, 8, 32)]
     assert tvs[0] > tvs[1] > tvs[2] > tvs[3]
     assert tvs[3] < 1e-3
+
+
+def test_mcmc_law_on_grid_4x4_matches_draws_by_level():
+    # 2^16 states, past the reach of a dense sweep matrix.  At 2 sweeps the
+    # law is still far from pi_b, so the draws must follow the law itself.
+    grid, b, sweeps, n = grid_model(4, 4), 0.5, 2, 200_000
+    energies = state_energies(grid)
+    levels, at = np.unique(energies, return_inverse=True)
+    law = np.bincount(at, weights=mcmc_draw_distribution(grid, b, sweeps))
+    pi = np.bincount(at, weights=_pi(grid, b))
+    assert 0.5 * np.abs(law - pi).sum() > 0.05
+    oracle = mcmc_oracle(grid, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    drawn = oracle.draw_energies(b, n, _rng("grid-4x4-law"))
+    drawn_levels = np.searchsorted(levels, drawn)
+    assert (levels[drawn_levels] == drawn).all()
+    counts = np.bincount(drawn_levels, minlength=len(levels))
+    # Levels expected fewer than 5 times share one bin.
+    rare = law * n < 5
+    observed = np.append(counts[~rare], counts[rare].sum())
+    expected = np.append(law[~rare], law[rare].sum()) * n
+    assert stats.chisquare(observed, expected).pvalue > 0.001
+
+
+def test_mcmc_tv_error_decreases_on_grid_4x4():
+    grid = grid_model(4, 4)
+    tvs = [mcmc_tv_error(grid, 0.5, s) for s in (0, 2, 8, 16, 24)]
+    assert all(a > b for a, b in zip(tvs, tvs[1:]))
+    assert tvs[-1] < 1e-8
 
 
 # --- coupling accounting ---------------------------------------------------
@@ -890,8 +952,6 @@ def test_state_level_consumers_refuse_models_past_the_guard():
     assert oracle.counter.total == 0
     with pytest.raises(EnumerationGuardError):
         gibbs_distribution(grid, 0.5)
-    with pytest.raises(EnumerationGuardError):
-        metropolis_sweep_matrix(grid, 0.5)
     with pytest.raises(EnumerationGuardError):
         mcmc_draw_distribution(grid, 0.5, 3)
     # Draws that need only the levels still work.
