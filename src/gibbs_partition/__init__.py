@@ -14,16 +14,12 @@ from .models import (
     cycle_edges,
     grid_edges,
     grid_model,
-    interval_length_exact,
     ising_model,
     load_model,
     log_partition_exact,
     log_ratio_exact,
-    mean_neg_energy,
     model_from_dict,
-    model_to_dict,
     path_edges,
-    save_model,
     shift_hamiltonian,
     table_model,
 )

@@ -302,22 +302,9 @@ def log_partition_exact(model: GibbsModel, beta: float) -> float:
     return logsumexp(np.log(model.counts) - beta * model.energies)
 
 
-def mean_neg_energy(model: GibbsModel, beta: float) -> float:
-    """E[-H(X)] for X ~ pi_beta, i.e. the slope z'(beta), over the levels."""
-    h = model.energies
-    logw = np.log(model.counts) - beta * h
-    w = np.exp(logw - logw.max())
-    return float(np.sum(-h * w) / np.sum(w))
-
-
 def log_ratio_exact(model: GibbsModel, beta: float) -> float:
     """Signed ln(Z(beta)/Z(0)) from the exact oracle."""
     return log_partition_exact(model, beta) - log_partition_exact(model, 0.0)
-
-
-def interval_length_exact(model: GibbsModel, beta: float) -> float:
-    """q = |ln(Z(beta)/Z(0))|, the length of the z-interval TPA walks over."""
-    return abs(log_ratio_exact(model, beta))
 
 
 def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
@@ -336,20 +323,6 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
         raise ValueError(f"energies up to |H| = {top:g} shifted by {c:g} pass the float range")
     energies, level = np.unique(shifted, return_inverse=True)
     return GibbsModel((energies, np.bincount(level, weights=model.counts)), model.num_states)
-
-
-def model_to_dict(model: GibbsModel) -> dict:
-    """An Ising model as its graph; any other as its levels expanded to a
-    table in ascending energy order, under the guard."""
-    if model.graph is not None:
-        return {
-            "type": "ising",
-            "num_vertices": model.graph.num_vertices,
-            "edges": [list(e) for e in model.graph.edges],
-        }
-    require_enumerable(model.num_states)
-    table = np.repeat(model.energies, model.counts.astype(np.int64))
-    return {"type": "table", "hamiltonian": table.tolist()}
 
 
 def model_from_dict(spec: dict) -> GibbsModel:
@@ -387,9 +360,3 @@ def model_from_dict(spec: dict) -> GibbsModel:
 def load_model(path) -> GibbsModel:
     with open(path) as fh:
         return model_from_dict(json.load(fh))
-
-
-def save_model(model: GibbsModel, path) -> None:
-    spec = model_to_dict(model)  # may raise; then no file is opened
-    with open(path, "w") as fh:
-        json.dump(spec, fh)

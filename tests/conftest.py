@@ -36,6 +36,14 @@ def brute_log_partition(values, beta):
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
+def mean_neg_energy(model, beta):
+    """E[-H(X)] for X ~ pi_beta, the slope z'(beta), as fsum over the levels."""
+    logw = [math.log(m) - beta * float(e) for e, m in zip(model.energies, model.counts)]
+    top = max(logw)
+    w = [math.exp(t - top) for t in logw]
+    return math.fsum(-float(e) * x for e, x in zip(model.energies, w)) / math.fsum(w)
+
+
 def brute_ising_energies(edges, num_vertices):
     """H(x) for every state, recomputed from explicit spin tuples.
 

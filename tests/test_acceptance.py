@@ -19,7 +19,6 @@ from gibbs_partition import (
     coupling_failure_bound,
     exact_oracle,
     initial_estimate,
-    interval_length_exact,
     ising_model,
     log_partition_exact,
     log_ratio_exact,
@@ -234,7 +233,7 @@ def test_criterion_07_epsilon_three_quarters(criterion7_runs):
 
 
 def test_criterion_08_sample_count_bound(criterion7_runs):
-    q = interval_length_exact(K2, 1.0)
+    q = abs(log_ratio_exact(K2, 1.0))
     bound = sample_bound_integer(q, K2.n_bound, 0.1)
     mean_draws = float(np.mean([est.draws_total for est in criterion7_runs]))
     _report(

@@ -15,7 +15,6 @@ from gibbs_partition import (
     constant_model,
     exact_oracle,
     exp_or_inf,
-    interval_length_exact,
     log_partition_exact,
     log_ratio_exact,
     median_boosted_estimate,
@@ -565,7 +564,7 @@ def test_run_experiment_baseline_rows_are_pinned(spec, method, draws, logs, tmp_
 
 
 def test_sample_bound_values(k2):
-    q = interval_length_exact(k2, 1.0)
+    q = abs(log_ratio_exact(k2, 1.0))
     assert sample_bound_integer(q, 1, 0.1) == pytest.approx(21433.92357764558, rel=1e-9)
     # spec's comparison-table example at n=4, q=0.62
     val = sample_bound_integer(0.62, 4, 0.1)

@@ -21,11 +21,8 @@ from gibbs_partition import (
     load_model,
     log_partition_exact,
     log_ratio_exact,
-    mean_neg_energy,
     model_from_dict,
-    model_to_dict,
     path_edges,
-    save_model,
     shift_hamiltonian,
     table_model,
 )
@@ -36,6 +33,7 @@ from conftest import (
     brute_ising_energies,
     brute_log_partition,
     brute_z,
+    mean_neg_energy,
     row_transfer_log_partition,
     state_energies,
     tiny_models,
@@ -246,31 +244,31 @@ def test_model_validation_catches_inconsistency(k2):
         table_model([])
 
 
-def test_json_roundtrip(tmp_path, k2, mixed_table):
-    for model in (k2, mixed_table):
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.energies.tolist() == model.energies.tolist()
-        assert loaded.counts.tolist() == model.counts.tolist()
-        assert loaded.graph == model.graph
-        assert loaded.sign_class == model.sign_class
-
-
-def test_json_roundtrip_keeps_a_shift(tmp_path, k2):
-    path = tmp_path / "model.json"
-    save_model(shift_hamiltonian(k2, -2.0), path)
-    assert load_model(path).energies.tolist() == [-3.0, -2.0]
-    assert model_to_dict(k2)["type"] == "ising"
-    assert model_to_dict(grid_model(3, 3))["type"] == "ising"
-    # Past the guard a shifted grid has no table to write, and no file is written.
-    with pytest.raises(EnumerationGuardError):
-        save_model(shift_hamiltonian(grid_model(5, 5), -2.0), tmp_path / "grid.json")
-    assert not (tmp_path / "grid.json").exists()
+# Hand-written files, read back as the built-in constructors build the model.
+@pytest.mark.parametrize(
+    "spec,built",
+    [
+        ({"type": "ising", "num_vertices": 2, "edges": [[0, 1]]}, lambda: build_model("k2")),
+        (
+            {"type": "ising", "num_vertices": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]]},
+            lambda: grid_model(2, 2),
+        ),
+        ({"type": "table", "hamiltonian": [-2, -1, 0, 1, 2]}, lambda: table_model([-2.0, -1.0, 0.0, 1.0, 2.0])),
+    ],
+    ids=["k2", "grid-2x2", "mixed-5"],
+)
+def test_model_from_dict_reads_hand_written_specs(spec, built):
+    loaded, model = model_from_dict(spec), built()
+    assert loaded.energies.tolist() == model.energies.tolist()
+    assert loaded.counts.tolist() == model.counts.tolist()
+    assert loaded.graph == model.graph
+    assert loaded.num_states == model.num_states
+    assert (loaded.n_bound, loaded.sign_class, loaded.integer_valued) == (
+        model.n_bound, model.sign_class, model.integer_valued
+    )
 
 
 def test_json_loader_validates(tmp_path):
-    assert model_to_dict(table_model([1.0]))["type"] == "table"
     with pytest.raises(ValueError):
         model_from_dict({"type": "spin-glass"})
     with pytest.raises(ValueError):

@@ -38,6 +38,7 @@ from conftest import (
     draw_state,
     level_cdf,
     matrix_draw_distribution,
+    mean_neg_energy,
     metropolis_sweep_matrix,
     pack_states,
     split_threshold,
@@ -901,7 +902,7 @@ def test_coupling_failure_bound_rejects_negative():
 
 
 def test_exact_oracle_draws_from_levels_past_the_guard():
-    from gibbs_partition import grid_model, mean_neg_energy
+    from gibbs_partition import grid_model
 
     # 2^64 states: the oracle reads only the 111 levels.
     grid = grid_model(8, 8)

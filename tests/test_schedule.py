@@ -17,8 +17,8 @@ from gibbs_partition import (
     constant_model,
     exact_oracle,
     initial_estimate,
-    interval_length_exact,
     log_partition_exact,
+    log_ratio_exact,
     regime_for_model,
     select_params,
     stage_stream,
@@ -56,7 +56,7 @@ def test_initial_estimate_flat_model():
 
 
 def test_initial_estimate_k2_mean(k2):
-    q = interval_length_exact(k2, 1.0)
+    q = abs(log_ratio_exact(k2, 1.0))
     oracle = exact_oracle(k2)
     rng = _rng("qhat")
     estimates = [initial_estimate(oracle, 1.0, rng)[0] for _ in range(4000)]

@@ -9,8 +9,8 @@ from scipy import stats
 from gibbs_partition import (
     constant_model,
     exact_oracle,
-    interval_length_exact,
     log_partition_exact,
+    log_ratio_exact,
     mcmc_oracle,
     stage_stream,
     table_model,
@@ -98,7 +98,7 @@ def test_direction_dispatch(k2, const1, mixed_table):
 
 
 def test_k2_run_length_is_poisson_q(k2):
-    q = interval_length_exact(k2, 1.0)
+    q = abs(log_ratio_exact(k2, 1.0))
     oracle = exact_oracle(k2)
     rng = _rng("length")
     lengths = np.array([len(tpa_run(oracle, 1.0, rng)) for _ in range(6000)])
@@ -130,7 +130,7 @@ def test_upward_spacings_are_exponential():
 
 
 def test_merge_superposes_counts(k2):
-    q = interval_length_exact(k2, 1.0)
+    q = abs(log_ratio_exact(k2, 1.0))
     oracle = exact_oracle(k2)
     rng = _rng("merge5")
     totals = []
@@ -167,7 +167,7 @@ def test_thin_rejects_bad_rates():
 
 def test_thinned_counts_stay_poisson(k2):
     # |points| after thinning ~ Poisson(target_rate * q)
-    q = interval_length_exact(k2, 1.0)
+    q = abs(log_ratio_exact(k2, 1.0))
     oracle = exact_oracle(k2)
     rng = _rng("thin-poisson")
     target = 2.5
