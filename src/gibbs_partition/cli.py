@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError("draws must be >= 1")
         if (self.schedule_in or self.schedule_out) and self.method != "paired":
             raise ConfigError("schedule_in and schedule_out need method paired")
+        if self.schedule_in and {"d", "k", "eta"} & set(self.overrides):
+            raise ConfigError("schedule_in fixes the schedule: d, k and eta cannot be overridden")
 
 
 def build_model(spec: str) -> models.GibbsModel:

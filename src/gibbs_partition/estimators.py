@@ -97,10 +97,13 @@ def paired_replicate_logs(
     schedule: CoolingSchedule, oracle: SamplerOracle, r: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """ln W and ln V of r replicates, from one (points, r) block of energies,
-    row i drawn at schedule point i; X_{i+1} closes V_i and opens W_{i+1}."""
+    row i drawn at schedule point i; X_{i+1} closes V_i and opens W_{i+1}.
+    ``einsum`` adds the rows in order; BLAS threads would make the last bits
+    depend on the thread count."""
     energies = oracle.draw_energies(schedule.betas, r, rng)
     deltas = np.array(schedule.half_lengths)
-    return -(deltas @ energies[:-1]), deltas @ energies[1:]
+    log_ws = -np.einsum("i,ij->j", deltas, energies[:-1])
+    return log_ws, np.einsum("i,ij->j", deltas, energies[1:])
 
 
 def prepare(oracle: SamplerOracle, beta: float) -> tuple[SamplerOracle, str, float]:

@@ -181,7 +181,7 @@ def test_main_determinism_bytes(model_args, tmp_path, monkeypatch):
         _, out2 = _run_main(tmp_path, "b.csv", args)
         monkeypatch.setenv("GIBBS_PARTITION_THREADS", "2")
         _, out3 = _run_main(tmp_path, "c.csv", args)
-    a, b, c = (open(p, "rb").read() for p in (out1, out2, out3))
+    a, b, c = (p.read_bytes() for p in (out1, out2, out3))
     assert a == b == c
 
 
@@ -441,11 +441,13 @@ def test_schedule_out_saves_the_schedule_the_run_builds(tmp_path):
     args = ["--seed", "8", "--expert-overrides", "d=30,r=40"]
     code, plain = _run_main(tmp_path, "plain.csv", args)
     assert code == 0
+    # Repetition 1 reads the saved schedule after the d override was checked.
     code, saved = _run_main(
-        tmp_path, "saved.csv", args + ["--schedule-out", str(tmp_path / "s.json")]
+        tmp_path, "saved.csv", args + ["--reps", "2", "--schedule-out", str(tmp_path / "s.json")]
     )
     assert code == 0
     r1, r2 = _read_csv(plain), _read_csv(saved)
+    assert len(r2) == 2
     assert r1[0]["schedule_length"] == r2[0]["schedule_length"]
     assert r1[0]["log_estimate"] == r2[0]["log_estimate"]
 
@@ -498,6 +500,20 @@ def test_schedule_in_needs_the_paired_method_exit_2(tmp_path, capsys, method):
     code, out = _run_main(tmp_path, "b.csv", ["--method", method, "--schedule-in", str(sched)])
     assert code == 2
     assert "schedule_in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["d=3", "k=9", "eta=0.1", "d=3,k=9,eta=0.1,r=40"])
+def test_schedule_in_with_a_schedule_override_exit_2(tmp_path, capsys, override):
+    # A read schedule is not rebuilt, so d, k and eta would be dropped silently.
+    sched = tmp_path / "s.json"
+    code, _ = _run_main(tmp_path, "a.csv", ["--expert-overrides", "r=40",
+                                            "--schedule-out", str(sched)])
+    assert code == 0
+    code, out = _run_main(tmp_path, "b.csv", ["--expert-overrides", override,
+                                              "--schedule-in", str(sched)])
+    assert code == 2
+    assert "cannot be overridden" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -602,10 +618,12 @@ def test_compare_trace_is_the_paired_run_trace(tmp_path):
             "--reps", "2", "--expert-overrides", "r=5"]
     compared, run = tmp_path / "compare.jsonl", tmp_path / "run.jsonl"
     # Method names are stripped, as override chunks are.
-    assert main(["compare", *args, "--methods", "paired, product ,single", "--trace",
-                 str(compared), "--out", str(tmp_path / "c.csv")]) == 0
-    assert main(["run", "--method", "paired", *args, "--trace", str(run),
-                 "--out", str(tmp_path / "r.csv")]) == 0
+    with pytest.warns(UserWarning, match="analyzed for epsilon"):
+        assert main(["compare", *args, "--methods", "paired, product ,single", "--trace",
+                     str(compared), "--out", str(tmp_path / "c.csv")]) == 0
+    with pytest.warns(UserWarning, match="analyzed for epsilon"):
+        assert main(["run", "--method", "paired", *args, "--trace", str(run),
+                     "--out", str(tmp_path / "r.csv")]) == 0
     assert compared.read_bytes() and compared.read_bytes() == run.read_bytes()
     methods = [row["method"] for row in _read_csv(tmp_path / "c.csv")]
     assert methods == ["paired", "product", "single"]
@@ -631,7 +649,8 @@ def test_a_run_builds_its_model_and_truth_once(tmp_path, monkeypatch):
     }
     for label, run in runs.items():
         calls.clear()
-        run()
+        with pytest.warns(UserWarning, match="analyzed for epsilon"):
+            run()
         assert calls == {"build_model": 1, "log_ratio_exact": 1}, label
 
 

@@ -1,13 +1,18 @@
 """Paired product estimator and baselines against enumeration truths."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gibbs_partition
 from gibbs_partition import (
     CoolingSchedule,
     ParamOverrides,
@@ -117,6 +122,34 @@ def test_batched_replicates_are_point_major_draws(label, model, request):
         assert log_ws[j] == pytest.approx(log_w, rel=1e-12, abs=1e-15)
         assert log_vs[j] == pytest.approx(log_v, rel=1e-12, abs=1e-15)
     assert batched.counter.total == r * len(sched.betas)
+
+
+_BLAS_BLOCK = """
+import hashlib
+import numpy as np
+from gibbs_partition import CoolingSchedule, exact_oracle, grid_model, paired_replicate_logs, stage_stream
+schedule = CoolingSchedule(tuple(np.linspace(0.0, 0.5, 160).tolist()))
+logs = paired_replicate_logs(schedule, exact_oracle(grid_model(8, 8)), 7217, stage_stream(3, "blas", 0))
+print(*(hashlib.sha256(x.tobytes()).hexdigest() for x in logs))
+"""
+
+
+def test_replicate_logs_do_not_depend_on_blas_threads():
+    # 160 rows of 7,217 replicates on grid-8x8: a block this size is where
+    # OpenBLAS splits a matrix-vector product over threads, and the split
+    # changes its last bits.
+    src = str(Path(gibbs_partition.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_BLOCK], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        hashes.append(done.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
 
 
 def test_k2_paired_factor_means(k2):
