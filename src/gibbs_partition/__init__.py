@@ -32,6 +32,7 @@ from .samplers import (
     gibbs_distribution,
     mcmc_draw_distribution,
     mcmc_oracle,
+    mcmc_tv_curve,
     mcmc_tv_error,
 )
 from .tpa import (

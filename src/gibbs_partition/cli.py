@@ -17,7 +17,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 from . import estimators, models, samplers, schedule as sched_mod
@@ -265,6 +264,8 @@ def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[d
     todo = range(len(rows), reps)
     threads = _worker_count()
     if threads > 1 and len(todo) > 1 and not config.trace:
+        from concurrent.futures import ProcessPoolExecutor
+
         n = len(todo)
         # A forked pool starts all its workers at once: no more than the repetitions left.
         with ProcessPoolExecutor(max_workers=min(threads, n)) as pool:

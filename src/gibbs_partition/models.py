@@ -128,7 +128,7 @@ def logsumexp(a) -> float:
     at_top = a == top
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = np.sum(at_top, keepdims=True, dtype=np.float64)
-        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), keepdims=True) / m
+        s = np.sum(np.where(at_top, 0.0, np.exp(a - top)), keepdims=True) / m
         out = np.log1p(s) + np.log(m) + top
         if not np.isfinite(out[0]):
             out = np.log(np.sum(np.exp(a), keepdims=True))

@@ -11,22 +11,23 @@ builder, ``_level_cdfs``, makes every level CDF in place, one column per b;
 one draw per b inverts by counting down the column, and a row of n draws at
 one b through a guide table over it, O(1) per draw on average.  The MCMC
 oracle runs restart chains in lockstep on one (nv, n) spin array with one
-(nv, n) block of 32-bit uniforms per sweep, the two halves of raw generator
-words, drawn several sweeps per generator call.  Each acceptance threshold
-splits exactly at 32 bits, and a uniform that ties it draws one double, so
-every acceptance is within 2^-85 of exact.  At b = 0 every proposal passes,
-so a call whose every b is 0 reads only its start states and its draws are
-exact; b < 0 is refused.  The oracle sums each chain's energy from its
-spins; it runs any Ising model of at most 63 sites, whose start states are
-int64 indices.  Under the guard, ``mcmc_draw_distribution`` gives the exact
-law of its draws as one 2^n vector updated site by site, no sweep matrix.
-Every draw consumes a caller-supplied numpy Generator and is counted by the
-counter's one ``record`` method, whose running total is the ground truth for
-all sample counts.
+(nv, n) block of 32-bit uniforms per sweep, the halves of raw generator
+words, several sweeps per call; each block's site updates run in one flat
+loop, and the graph's part of every threshold comes from a kernel plan the
+oracle builds once.  Each acceptance threshold splits exactly at 32 bits,
+and a uniform that ties it draws one double, so every acceptance is within
+2^-85 of exact.  A call whose every b is 0 reads only its start states, its
+draws exact; b < 0 is refused.  Each chain's energy is summed from its
+spins, on any Ising model of at most 63 sites (int64 start indices).  Under
+the guard, ``mcmc_draw_distribution`` and ``mcmc_tv_curve`` evolve the
+exact law of its draws as one 2^n vector updated site by site.  Every draw
+consumes a caller-supplied numpy Generator and is counted by the counter's
+one ``record`` method, whose total is the ground truth for all sample counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -76,6 +77,7 @@ class SamplerOracle:
     tv_budget_per_draw: float = 0.0
     mcmc_steps: int = 0
     counter: DrawCounter = field(default_factory=DrawCounter)
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (KIND_EXACT, KIND_MCMC):
@@ -97,6 +99,20 @@ class SamplerOracle:
                     f"mcmc start states are int64 indices below 2^nv: {nv} sites "
                     f"exceed the {_MCMC_MAX_SITES}-site limit"
                 )
+            # The kernel plan, what draw_mcmc_lockstep reads of the graph.  Site
+            # v with a aligned neighbours flips if u < min(1, exp(-b (2a - deg))),
+            # 1 for a <= deg // 2 and past it nonincreasing in a: exactly when
+            # a < deg // 2 + 1 + #{thresholds u passes}.  Threshold k is the one
+            # at a = deg // 2 + 1 + k, real for a <= deg; past deg it is 0, which
+            # no u passes and whose ties are not counted, so a degree-0 site has
+            # limit 1 and always flips.  There is at least one threshold, so the
+            # limits fill the block even when no site has an edge.
+            adj = self.model.graph.adjacency()
+            deg = np.array([len(nbrs) for nbrs in adj])[:, None]
+            base = (deg // 2 + 1).astype(np.int8)
+            a = base + np.arange(max(1, (deg - deg // 2).max()))
+            neg_expo = -np.minimum(2 * a - deg, deg).astype(float)
+            self._plan = (adj, base, a <= deg, neg_expo, np.arange(nv)[:, None])
 
     def draw(self, b: float, rng: np.random.Generator) -> float:
         """H(X) for one X ~ pi_b: one row of one ``draw_energies`` draw.
@@ -314,38 +330,28 @@ def draw_mcmc_lockstep(
       proposal passes and each sweep flips every site: the draws are the
       starts flipped by the parity of mcmc_steps, exactly.
 
-    A b below 0 or nan raises ValueError: the flip rule below assumes each
-    threshold at a <= deg // 2 is 1, which holds only for b >= 0.
+    A b below 0 or nan raises ValueError: the oracle's kernel plan assumes
+    each threshold at a <= deg // 2 is 1, which holds only for b >= 0.
     """
     if oracle.kind != KIND_MCMC:
         raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
-    per_chain = np.ndim(b) > 0
-    if per_chain and np.shape(b) != (n,):
+    b = np.asarray(b, dtype=float)
+    per_chain = b.ndim > 0
+    if per_chain and b.shape != (n,):
         raise ValueError("per-chain b needs one value per chain")
     _require_nonnegative(b)
-    nv = oracle.model.graph.num_vertices
+    adj, base, real, neg_expo, shifts = oracle._plan
+    nv = len(adj)
     states = rng.integers(0, 2 ** nv, size=n)
-    spins = ((states >> np.arange(nv)[:, None]) & 1).astype(bool)
+    spins = ((states >> shifts) & 1).astype(bool)
     oracle.counter.record(b, 1 if per_chain else n)
-    if not np.any(b):
+    if not b.any():
         if oracle.mcmc_steps % 2:
             np.logical_not(spins, out=spins)
         return spins
-    adj = oracle.model.graph.adjacency()
-    # A flip of site v with a aligned neighbours passes if u < min(1,
-    # exp(-b (2a - deg))).  That is 1 for a <= deg // 2 and past it
-    # nonincreasing in a, so the flip happens exactly when
-    # a < deg // 2 + 1 + #{thresholds u passes}.  Threshold k of site v is
-    # the one at a = deg // 2 + 1 + k, real for a <= deg; past deg it is 0,
-    # which no u passes and whose ties are not counted, so a degree-0 site
-    # has limit 1 and always flips.  There is at least one threshold, so the
-    # limits fill the block even when no site has an edge.
-    deg = np.array([len(nbrs) for nbrs in adj])[:, None]
-    base = (deg // 2 + 1).astype(np.int8)
-    a = base + np.arange(max(1, (deg - deg // 2).max()))
-    real = a <= deg
-    delta = np.multiply.outer(np.minimum(2 * a - deg, deg), np.atleast_1d(b))
-    whole, part = _split_thresholds(np.where(real[..., None], np.exp(-delta), 0.0))
+    # Negation is exact, so t has the bits of exp(-(min(2a - deg, deg) b)).
+    t = np.exp(np.multiply.outer(neg_expo, np.atleast_1d(b)))
+    whole, part = _split_thresholds(np.where(real[..., None], t, 0.0))
     thresholds = list(whole.swapaxes(0, 1))
     # Each site: its row, its first neighbour's row (None at degree 0), the rest.
     nbr_rows = [[spins[u] for u in nbrs] for nbrs in adj]
@@ -355,6 +361,7 @@ def draw_mcmc_lockstep(
     # each neighbour comparison, as bools viewed as 0/1 int8.
     count, flip = np.empty(n, dtype=np.int8), np.empty(n, dtype=bool)
     first, compared = count.view(bool), flip.view(np.int8)
+    equal, less, xor = np.equal, np.less, np.bitwise_xor
     cells = nv * n
     words = (cells + 1) // 2
     per_block = max(1, _UNIFORM_CAP // max(1, cells))
@@ -365,17 +372,16 @@ def draw_mcmc_lockstep(
         limits = sum((u < w for w in thresholds), base)
         if any((u == w).any() for w in thresholds):
             _settle_ties(u, limits, whole, part, real, rng)
-        for sweep in limits:
-            for (row, nbr0, rest), limit in zip(sites, sweep):
-                if nbr0 is not None:
-                    np.equal(nbr0, row, out=first)
-                    for nbr in rest:
-                        np.equal(nbr, row, out=flip)
-                        count += compared
-                else:
-                    count.fill(0)
-                np.less(count, limit, out=flip)
-                row ^= flip
+        for (row, nbr0, rest), limit in zip(sites * m, limits.reshape(m * nv, n)):
+            if nbr0 is not None:
+                equal(nbr0, row, out=first)
+                for nbr in rest:
+                    equal(nbr, row, out=flip)
+                    count += compared
+            else:
+                count.fill(0)
+            less(count, limit, out=flip)
+            xor(row, flip, out=row)
     return spins
 
 
@@ -413,15 +419,15 @@ def _state_spins(model: GibbsModel) -> np.ndarray:
     return spins
 
 
-def mcmc_draw_distribution(model: GibbsModel, b: float, sweeps: int) -> np.ndarray:
-    """Exact law over states of a restart-MCMC draw after ``sweeps`` sweeps.
+def _sweep_laws(model: GibbsModel, b: float):
+    """Exact laws over states of a restart-MCMC draw after 0, 1, 2, ... sweeps.
 
-    One 2^n vector: it starts uniform and each sweep updates it site by
-    site, as ``draw_mcmc_lockstep`` does.  Site v moves the mass dist[s]
-    accept_v[s] to s ^ 2^v, accept_v[s] = min(1, exp(-b (2a - deg))) for
-    the a neighbours aligned with v in s; in a (-1, 2, 2^v) view that
-    partner is the reversed middle axis.  A b below 0 or nan raises
-    ValueError, as in ``draw_mcmc_lockstep``.
+    One 2^n vector, updated in place: it starts uniform and each sweep
+    updates it site by site, as ``draw_mcmc_lockstep`` does.  Site v moves
+    the mass dist[s] accept_v[s] to s ^ 2^v, accept_v[s] = min(1, exp(-b
+    (2a - deg))) for the a neighbours aligned with v in s; in a (-1, 2,
+    2^v) view that partner is the reversed middle axis.  A b below 0 or nan
+    raises ValueError, as in ``draw_mcmc_lockstep``.
     """
     _require_nonnegative(b)
     spins = _state_spins(model)
@@ -436,12 +442,17 @@ def mcmc_draw_distribution(model: GibbsModel, b: float, sweeps: int) -> np.ndarr
         shape = (-1, 2, 1 << v)
         sites.append((np.array(accept)[aligned], dist.reshape(shape),
                       moved.reshape(shape)[:, ::-1]))
-    for _ in range(sweeps):
+    while True:
+        yield dist
         for accept, pairs, partners in sites:
             np.multiply(dist, accept, out=moved)
             dist -= moved
             pairs += partners
-    return dist
+
+
+def mcmc_draw_distribution(model: GibbsModel, b: float, sweeps: int) -> np.ndarray:
+    """Exact law over states of a restart-MCMC draw after ``sweeps`` sweeps."""
+    return next(itertools.islice(_sweep_laws(model, b), sweeps, None))
 
 
 def gibbs_distribution(model: GibbsModel, b: float) -> np.ndarray:
@@ -456,3 +467,14 @@ def mcmc_tv_error(model: GibbsModel, b: float, sweeps: int) -> float:
     """TV distance between the restart-MCMC draw distribution and pi_b."""
     law = mcmc_draw_distribution(model, b, sweeps)
     return 0.5 * float(np.abs(law - gibbs_distribution(model, b)).sum())
+
+
+def mcmc_tv_curve(model: GibbsModel, bs, sweeps: int) -> np.ndarray:
+    """mcmc_tv_error(model, bs[i], s) bit for bit at [i, s], s = 0 to
+    ``sweeps``: one row per b of ``bs``, each running its sweeps once."""
+    curve = np.empty((len(bs), sweeps + 1))
+    for row, b in zip(curve, bs):
+        pi = gibbs_distribution(model, b)
+        for s, law in zip(range(sweeps + 1), _sweep_laws(model, b)):
+            row[s] = 0.5 * float(np.abs(law - pi).sum())
+    return curve

@@ -64,10 +64,11 @@ def tpa_runs(
                 zeros = u == 0.0
                 u[zeros] = rng.random(np.count_nonzero(zeros))
             b_next = np.where(hx == 0.0, jump, b - np.log(u) / hx)
+            inside = (0.0 < b_next) & (b_next < beta)
             if trace is not None:
                 steps.append((ids, b_next, hx, u))
-            inside = (0.0 < b_next) & (b_next < beta)
-            b, ids = b_next[inside], ids[inside]
+                ids = ids[inside]
+            b = b_next[inside]
             points.append(b)
     if trace is not None:
         columns = [np.concatenate(column) for column in zip(*steps)]

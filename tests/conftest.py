@@ -316,6 +316,21 @@ def matrix_draw_distribution(model, b, sweeps):
     )
 
 
+def logsumexp_exp_of_top(a) -> float:
+    """Reference ``models.logsumexp`` that exponentiates -inf in place of
+    each top entry, so exp(-inf - top) puts its 0 in the shifted sum."""
+    a = np.asarray(a, dtype=np.float64)
+    top = a.max(keepdims=True)
+    at_top = a == top
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = np.sum(at_top, keepdims=True, dtype=np.float64)
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out[0]):
+            out = np.log(np.sum(np.exp(a), keepdims=True))
+    return float(out[0])
+
+
 def paired_replicate(schedule, oracle, rng):
     """One (W, V) pair: the library's r = 1 replicate block, exponentiated."""
     log_ws, log_vs = paired_replicate_logs(schedule, oracle, 1, rng)

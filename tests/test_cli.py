@@ -1,5 +1,6 @@
 """CLI: shorthand parsing, table emission, determinism, exit codes."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -207,7 +208,7 @@ class _InProcessPool:
 def test_repetition_pool_starts_no_more_workers_than_reps(
     threads, reps, workers, tmp_path, monkeypatch
 ):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "opened", [])
     monkeypatch.setenv("GIBBS_PARTITION_THREADS", threads)
     args = ["--method", "product", "--reps", str(reps), "--seed", "3"]
@@ -217,7 +218,7 @@ def test_repetition_pool_starts_no_more_workers_than_reps(
 
 @pytest.mark.parametrize("threads", ["two", "1.5", "4x"])
 def test_main_non_integer_threads_exit_2(threads, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "opened", [])
     monkeypatch.setenv("GIBBS_PARTITION_THREADS", threads)
     code, _ = _run_main(tmp_path, "t.csv", ["--method", "product", "--reps", "2"])

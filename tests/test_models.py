@@ -33,6 +33,7 @@ from conftest import (
     brute_ising_energies,
     brute_log_partition,
     brute_z,
+    logsumexp_exp_of_top,
     mean_neg_energy,
     row_transfer_log_partition,
     state_energies,
@@ -447,3 +448,25 @@ def test_logsumexp_edge_cases_round_as_scipy(values):
     a = np.asarray(values, dtype=float)
     ours, scipys = models.logsumexp(a), float(scipy_logsumexp(a))
     assert ours == scipys or (math.isnan(ours) and math.isnan(scipys))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [2.5],
+        [-math.inf],
+        [math.inf],
+        [math.nan],
+        [-math.inf, -math.inf],
+        [math.inf, 1.0, math.inf],
+        [math.nan, 1.0, -math.inf],
+        [1.0, -math.inf, 1.0, 0.5],
+        [-3.0] * 5 + [-7.25, -math.inf],
+        # k2's ln W shape: most entries tie at the top.
+        np.r_[np.zeros(5_268), -np.random.default_rng(22).exponential(1.0, 1_949)],
+    ],
+)
+def test_logsumexp_matches_the_exp_of_top_formula_byte_for_byte(values):
+    a = np.asarray(values, dtype=float)
+    ours = np.float64(models.logsumexp(a)).tobytes()
+    assert ours == np.float64(logsumexp_exp_of_top(a)).tobytes()

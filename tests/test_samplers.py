@@ -2,6 +2,7 @@
 
 import math
 import types
+from dataclasses import replace
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -352,6 +353,30 @@ def test_with_model_shares_counter(k2):
     draw_exact(oracle, 1.0, rng)
     view.draw(1.0, rng)
     assert oracle.counter.total == 2
+
+
+@pytest.mark.parametrize("move", ["with_model", "replace"])
+@pytest.mark.parametrize(
+    "source,target",
+    [
+        (ising_model([(0, 1)], num_vertices=2), ising_model([(0, 1), (1, 2)], num_vertices=3)),
+        (ising_model([(0, 1), (1, 2)], num_vertices=3), ising_model(cycle_edges(3), num_vertices=3)),
+    ],
+    ids=["k2-to-path3", "path3-to-cycle3"],
+)
+def test_moved_mcmc_oracle_draws_as_a_fresh_oracle_on_its_model(source, target, move):
+    # The kernel plan is built from the graph, so an oracle moved onto
+    # another model must rebuild it: a stale plan runs the old graph's
+    # kernel, and draws other spins from the same generator.
+    oracle = mcmc_oracle(source, mcmc_steps=5, tv_budget_per_draw=0.1)
+    moved = oracle.with_model(target) if move == "with_model" else replace(oracle, model=target)
+    fresh = mcmc_oracle(target, mcmc_steps=5, tv_budget_per_draw=0.1)
+    for i, b in enumerate([0.7, np.linspace(0.05, 2.0, 64)]):
+        g1, g2 = _rng(f"moved-{move}", i), _rng(f"moved-{move}", i)
+        spins = draw_mcmc_lockstep(moved, b, 64, g1)
+        assert np.array_equal(spins, draw_mcmc_lockstep(fresh, b, 64, g2))
+        assert np.array_equal(moved.draw_energies(b, 9, g1), fresh.draw_energies(b, 9, g2))
+        assert g1.bit_generator.state == g2.bit_generator.state
 
 
 # --- importance identities (single-draw W) --------------------------------
