@@ -33,7 +33,6 @@ from .samplers import (
     mcmc_draw_distribution,
     mcmc_oracle,
     mcmc_tv_curve,
-    mcmc_tv_error,
 )
 from .tpa import (
     thin,

@@ -17,12 +17,15 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import estimators, models, samplers, schedule as sched_mod
 from .streams import stage_stream
 
 THREADS_ENV = "GIBBS_PARTITION_THREADS"
+
+METHODS = ("paired", "product", "single", "exact")  # compare runs all but the exact truth
+SAMPLERS = ("exact", "mcmc")
 
 CSV_FIELDS = [
     "rep",
@@ -83,9 +86,9 @@ class ExperimentConfig:
             raise ConfigError("epsilon must lie in (0, 1]")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        if self.method not in ("paired", "product", "single", "exact"):
+        if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.sampler not in ("exact", "mcmc"):
+        if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.tv_budget != 0.0 and self.sampler != "mcmc":
             raise ConfigError("tv_budget needs sampler mcmc")
@@ -156,15 +159,13 @@ def _load_schedule(path: str):
     with open(path) as fh:
         spec = json.load(fh)
     schedule = sched_mod.CoolingSchedule.from_dict(spec)
-    params = (
-        sched_mod.ScheduleParams.from_dict(spec["params"]) if spec.get("params") else None
-    )
-    return schedule, params
+    params = spec.get("params")
+    return schedule, sched_mod.ScheduleParams.from_dict(params) if params else None
 
 
 def _save_schedule(path: str, schedule: sched_mod.CoolingSchedule, params) -> None:
     spec = schedule.to_dict()
-    spec["params"] = params.to_dict() if params is not None else None
+    spec["params"] = asdict(params) if params is not None else None
     with open(path, "w") as fh:
         json.dump(spec, fh)
 
@@ -263,7 +264,7 @@ def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[d
         config = replace(config, schedule_in=config.schedule_out, schedule_out=None)
     todo = range(len(rows), reps)
     threads = _worker_count()
-    if threads > 1 and len(todo) > 1 and not config.trace:
+    if threads > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         n = len(todo)
@@ -286,7 +287,7 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
     if not methods:
         raise ConfigError("empty method list")
     for m in methods:
-        if m not in ("paired", "product", "single"):
+        if m not in METHODS[:-1]:
             raise ConfigError(f"compare does not support method {m!r}")
 
     model = build_model(config.model)
@@ -394,47 +395,38 @@ def _write_trace(rows: list[dict], path: str) -> None:
                 fh.write(_dumps(record) + "\n")
 
 
+class _Overrides(argparse.Action):
+    """Parses the overrides as read: a malformed one raises ConfigError, not a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, parse_overrides(values))
+
+
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="k2|path-N|cycle-N|grid-RxC|const-h|table:<file>")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--sampler", choices=["exact", "mcmc"], default="exact")
-    p.add_argument("--mcmc-steps", type=int, default=None, help="default 100; needs --sampler mcmc")
-    p.add_argument("--tv-budget", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--boost", type=int, default=1)
-    p.add_argument("--draws", type=int, default=10_000,
-                   help="draw budget for the single/product baselines")
-    p.add_argument("--expert-overrides", default="",
-                   help="expert mode: d=..,k=..,eta=..,r=..")
-    p.add_argument("--schedule-in", default=None)
-    p.add_argument("--schedule-out", default=None)
-    p.add_argument("--trace", default=None, help="write TPA step records (JSON lines)")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--sampler", choices=SAMPLERS)
+    p.add_argument("--mcmc-steps", type=int, help="needs --sampler mcmc")
+    p.add_argument("--tv-budget", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--reps", type=int)
+    p.add_argument("--boost", type=int)
+    p.add_argument("--draws", type=int, help="draw budget for the single/product baselines")
+    p.add_argument("--expert-overrides", dest="overrides", action=_Overrides,
+                   metavar="EXPERT_OVERRIDES", help="expert mode: d=..,k=..,eta=..,r=..")
+    p.add_argument("--schedule-in")
+    p.add_argument("--schedule-out")
+    p.add_argument("--trace", help="write TPA step records (JSON lines)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.mcmc_steps is not None and args.sampler != "mcmc":
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name in args}
+    if "mcmc_steps" in given and given.get("sampler") != "mcmc":
         raise ConfigError("mcmc_steps needs sampler mcmc")
-    return ExperimentConfig(
-        model=args.model,
-        beta=args.beta,
-        epsilon=args.epsilon,
-        method=getattr(args, "method", "paired"),
-        sampler=args.sampler,
-        mcmc_steps=ExperimentConfig.mcmc_steps if args.mcmc_steps is None else args.mcmc_steps,
-        tv_budget=args.tv_budget,
-        seed=args.seed,
-        reps=args.reps,
-        boost=args.boost,
-        draws=args.draws,
-        overrides=parse_overrides(args.expert_overrides),
-        schedule_in=args.schedule_in,
-        schedule_out=args.schedule_out,
-        trace=args.trace,
-    )
+    return ExperimentConfig(**given)
 
 
 def main(argv=None) -> int:
@@ -444,26 +436,27 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one estimation method")
-    run_p.add_argument("--method", choices=["paired", "product", "single", "exact"],
-                       default="paired")
+    unset = argparse.SUPPRESS  # a flag left out is absent: ExperimentConfig holds the defaults
+    run_p = sub.add_parser("run", help="run one estimation method", argument_default=unset)
+    run_p.add_argument("--method", choices=METHODS)
     _add_common_args(run_p)
 
-    cmp_p = sub.add_parser("compare", help="compare methods at matched draw budgets")
-    cmp_p.add_argument("--methods", default="paired,product,single",
-                       help="comma-separated subset of paired,product,single")
+    cmp_p = sub.add_parser("compare", help="compare methods at matched draw budgets",
+                           argument_default=unset)
+    cmp_p.add_argument("--methods", default=",".join(METHODS[:-1]),
+                       help="comma-separated subset of " + ",".join(METHODS[:-1]))
     _add_common_args(cmp_p)
 
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
     try:
+        args = parser.parse_args(argv)
+        start = time.perf_counter()
         config = _config_from_args(args)
         if args.command == "run":
-            rows, fields = run_experiment(config), CSV_FIELDS
+            rows, columns = run_experiment(config), CSV_FIELDS
         else:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-            rows, fields = compare_methods(config, methods), COMPARE_FIELDS
-        _emit(rows, fields, config, args.out, args.format, time.perf_counter() - start)
+            rows, columns = compare_methods(config, methods), COMPARE_FIELDS
+        _emit(rows, columns, config, args.out, args.format, time.perf_counter() - start)
     except (models.EnumerationGuardError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

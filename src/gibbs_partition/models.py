@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Keeps the exact oracle under seconds on desk hardware.
+# Bounds _front_levels' 2^w x (|E|+1) count array and _state_spins' 2^n state table.
 ENUMERATION_GUARD = 2 ** 24
 
 SIGN_NONPOSITIVE = "nonpositive"
@@ -111,7 +111,7 @@ def require_enumerable(num_states: int) -> None:
         # As a power of two: str() refuses 2^n in decimal past n = 14,000 or so.
         raise EnumerationGuardError(
             f"2^{math.log2(num_states):.10g} states exceed the enumeration guard "
-            f"(2^{math.log2(ENUMERATION_GUARD):.10g}); state-level oracles need a smaller model"
+            f"(2^{math.log2(ENUMERATION_GUARD):.10g}); exact laws over states need a smaller model"
         )
 
 

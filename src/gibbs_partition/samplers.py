@@ -463,15 +463,9 @@ def gibbs_distribution(model: GibbsModel, b: float) -> np.ndarray:
     return w / w.sum()
 
 
-def mcmc_tv_error(model: GibbsModel, b: float, sweeps: int) -> float:
-    """TV distance between the restart-MCMC draw distribution and pi_b."""
-    law = mcmc_draw_distribution(model, b, sweeps)
-    return 0.5 * float(np.abs(law - gibbs_distribution(model, b)).sum())
-
-
 def mcmc_tv_curve(model: GibbsModel, bs, sweeps: int) -> np.ndarray:
-    """mcmc_tv_error(model, bs[i], s) bit for bit at [i, s], s = 0 to
-    ``sweeps``: one row per b of ``bs``, each running its sweeps once."""
+    """TV distance between the restart-MCMC law after s sweeps and pi_b at
+    [i, s], b = bs[i] and s = 0 to ``sweeps``; each b runs its sweeps once."""
     curve = np.empty((len(bs), sweeps + 1))
     for row, b in zip(curve, bs):
         pi = gibbs_distribution(model, b)

@@ -21,9 +21,6 @@ REGIME_INTEGER_NONPOSITIVE = "integer-nonpositive"
 REGIME_INTEGER_NONNEGATIVE = "integer-nonnegative"
 REGIME_SHIFTED = "shifted-mixed"
 
-# Endpoint duplicate guard for kept points.
-_ENDPOINT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -46,15 +43,6 @@ class ScheduleParams:
             raise ValueError("eta and k must be positive, d >= 1")
         if self.q_hat1 < 0:
             raise ValueError("q_hat1 must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "d": self.d,
-            "k": self.k,
-            "q_hat1": self.q_hat1,
-            "regime": self.regime,
-        }
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ScheduleParams":
@@ -209,7 +197,6 @@ def well_balanced_schedule(
     if oracle.model.sign_class == SIGN_NONPOSITIVE:
         pts = pts[::-1]
     kept = np.sort(pts[params.d - 1::params.d])
-    kept = kept[(kept > _ENDPOINT_TOL) & (kept < beta - _ENDPOINT_TOL)]
     schedule = CoolingSchedule(
         betas=(0.0, *kept.tolist(), float(beta)), degenerate=not kept.size
     )

@@ -4,7 +4,7 @@ import concurrent.futures
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -151,6 +151,17 @@ def test_main_writes_csv_and_sidecar(tmp_path):
         sidecar = json.load(fh)
     assert sidecar["config"]["model"] == "k2"
     assert "wall_time" in sidecar
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_defaults_are_the_config_defaults(command, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main([command, "--model", "k2", "--beta", "1", "--out", str(out)]) == 0
+    with open(str(out) + ".config.json") as fh:
+        sidecar = json.load(fh)
+    assert sidecar["config"] == asdict(ExperimentConfig(model="k2", beta=1.0))
+    assert main([command, "--model", "k2", "--beta", "1", "--mcmc-steps", "5"]) == 2
+    assert "mcmc_steps needs sampler mcmc" in capsys.readouterr().err
 
 
 MIXED_5 = {"type": "table", "hamiltonian": [-2, -1, 0, 1, 2]}
@@ -408,6 +419,33 @@ def test_trace_output(tmp_path):
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert records
     assert set(records[0]) == {"run_id", "b", "H", "U"}
+
+
+class _CountingPool(concurrent.futures.ProcessPoolExecutor):
+    """A real process pool that records its max_workers."""
+
+    opened = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def test_trace_with_two_workers_matches_one(tmp_path, monkeypatch):
+    # Each row brings its trace back from its worker, and the file is
+    # written in repetition order.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "opened", [])
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GIBBS_PARTITION_THREADS", threads)
+        trace, out = tmp_path / f"trace-{threads}.jsonl", tmp_path / f"t-{threads}.csv"
+        code = main(["run", "--model", "cycle-4", "--beta", "1", "--seed", "3", "--reps", "4",
+                     "--trace", str(trace), "--out", str(out)])
+        assert code == 0
+        outputs.append((trace.read_bytes(), out.read_bytes()))
+    assert _CountingPool.opened == [2]
+    assert outputs[0][0] and outputs[0] == outputs[1]
 
 
 def test_schedule_roundtrip_through_files(tmp_path):

@@ -26,7 +26,8 @@ from gibbs_partition import (
     log_ratio_exact,
     mcmc_draw_distribution,
     mcmc_oracle,
-    mcmc_tv_error,
+    mcmc_tv_curve,
+    path_edges,
     shift_hamiltonian,
     table_model,
 )
@@ -493,7 +494,7 @@ def test_mcmc_draw_distribution_refuses_a_model_without_a_graph():
         with pytest.raises(ValueError, match="requires an Ising model"):
             mcmc_draw_distribution(table_model([0.0, 1.0, 1.0, 2.0]), 1.0, sweeps)
         with pytest.raises(ValueError, match="requires an Ising model"):
-            mcmc_tv_error(table_model([0.0, 1.0, 1.0, 2.0]), 1.0, sweeps)
+            mcmc_tv_curve(table_model([0.0, 1.0, 1.0, 2.0]), [1.0], sweeps)
 
 
 @pytest.mark.parametrize("label,model", tiny_models())
@@ -613,7 +614,7 @@ def test_mcmc_refuses_b_below_zero_and_nan(k2, b):
     if np.ndim(b) == 0:
         for exact in (
             lambda: mcmc_draw_distribution(k2, b, 46),
-            lambda: mcmc_tv_error(k2, b, 46),
+            lambda: mcmc_tv_curve(k2, [b], 46),
         ):
             with pytest.raises(ValueError, match="b >= 0"):
                 exact()
@@ -865,8 +866,28 @@ def test_paired_mcmc_estimate_never_builds_the_state_table(spec, monkeypatch):
     assert est.draws_total > 0 and math.isfinite(est.log_ratio_estimate)
 
 
+@pytest.mark.parametrize("label,model", [
+    ("k2", ising_model([(0, 1)], num_vertices=2)),
+    ("grid-3x3", ising_model(grid_edges(3, 3), num_vertices=9)),
+    ("path-3+isolated", ising_model(path_edges(3), num_vertices=4)),
+])
+def test_mcmc_tv_curve_is_the_tv_of_the_law(label, model):
+    # Entry [i, s] is the total variation between the law after s sweeps
+    # and pi_b, bit for bit.  At b = inf, pi_b reads nan on both sides.
+    bs, sweeps = [0.0, 0.3, 1.0, math.inf], 12
+    with np.errstate(invalid="ignore"):
+        curve = mcmc_tv_curve(model, bs, sweeps)
+        expected = [
+            [0.5 * np.abs(mcmc_draw_distribution(model, b, s) - gibbs_distribution(model, b)).sum()
+             for s in range(sweeps + 1)]
+            for b in bs
+        ]
+    assert curve.shape == (len(bs), sweeps + 1)
+    assert curve.tobytes() == np.array(expected).tobytes()
+
+
 def test_mcmc_tv_error_decreases(k2):
-    tvs = [mcmc_tv_error(k2, 1.0, s) for s in (0, 2, 8, 32)]
+    tvs = mcmc_tv_curve(k2, [1.0], 32)[0, [0, 2, 8, 32]]
     assert tvs[0] > tvs[1] > tvs[2] > tvs[3]
     assert tvs[3] < 1e-3
 
@@ -894,7 +915,7 @@ def test_mcmc_law_on_grid_4x4_matches_draws_by_level():
 
 def test_mcmc_tv_error_decreases_on_grid_4x4():
     grid = grid_model(4, 4)
-    tvs = [mcmc_tv_error(grid, 0.5, s) for s in (0, 2, 8, 16, 24)]
+    tvs = mcmc_tv_curve(grid, [0.5], 24)[0, [0, 2, 8, 16, 24]]
     assert all(a > b for a, b in zip(tvs, tvs[1:]))
     assert tvs[-1] < 1e-8
 

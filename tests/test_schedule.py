@@ -1,6 +1,7 @@
 """Schedule construction: the q estimate, parameter selection, gap laws."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ def test_schedule_roundtrip():
     again = CoolingSchedule.from_dict(sched.to_dict())
     assert again == sched
     params = select_params(1.0, 2, REGIME_INTEGER_NONPOSITIVE, beta=1.0)
-    assert ScheduleParams.from_dict(params.to_dict()) == params
+    assert ScheduleParams.from_dict(asdict(params)) == params
 
 
 def test_degenerate_schedule_when_too_few_points():
