@@ -46,7 +46,9 @@ from .schedule import (
     REGIME_SHIFTED,
     ScheduleParams,
     initial_estimate,
+    load_schedule,
     regime_for_model,
+    save_schedule,
     select_params,
     well_balanced_schedule,
 )
@@ -65,7 +67,6 @@ from .estimators import (
     replicate_count,
     sample_bound_integer,
     sample_bound_shifted,
-    single_shot_log_estimate,
 )
 from .streams import stage_stream
 

@@ -155,28 +155,16 @@ def parse_overrides(text: str) -> dict:
     return out
 
 
-def _load_schedule(path: str):
-    with open(path) as fh:
-        spec = json.load(fh)
-    schedule = sched_mod.CoolingSchedule.from_dict(spec)
-    params = spec.get("params")
-    return schedule, sched_mod.ScheduleParams.from_dict(params) if params else None
-
-
-def _save_schedule(path: str, schedule: sched_mod.CoolingSchedule, params) -> None:
-    spec = schedule.to_dict()
-    spec["params"] = asdict(params) if params is not None else None
-    with open(path, "w") as fh:
-        json.dump(spec, fh)
-
-
-def _run_repetition(config: ExperimentConfig, model: models.GibbsModel, truth, rep: int) -> dict:
+def _run_repetition(config: ExperimentConfig, model: models.GibbsModel, truth, rep: int,
+                    loaded: tuple | None = None) -> dict:
     """One independent repetition; safe to run in a worker process.
 
     ``truth`` is ``models.log_ratio_exact(model, config.beta)``.  Each method
     makes one library call on a fresh oracle, so ``draws_total`` is that
-    oracle's draw count.  With ``schedule_out`` the paired method saves the
-    schedule and params its estimate used.
+    oracle's draw count.  The paired method reuses ``loaded``, the
+    (schedule, params) pair of ``schedule.load_schedule``, when given; with
+    ``schedule_out``, its repetition 0 saves the schedule and params its
+    estimate used.
     """
     start = time.perf_counter()
     trace: list | None = [] if config.trace else None
@@ -187,9 +175,7 @@ def _run_repetition(config: ExperimentConfig, model: models.GibbsModel, truth, r
         oracle = build_oracle(model, config)
         rng = stage_stream(config.seed, f"{config.method}-rep", rep)
         if config.method == "paired":
-            schedule = params = None
-            if config.schedule_in:
-                schedule, params = _load_schedule(config.schedule_in)
+            schedule, params = loaded or (None, None)
             est = estimators.median_boosted_estimate(
                 oracle,
                 config.beta,
@@ -201,14 +187,14 @@ def _run_repetition(config: ExperimentConfig, model: models.GibbsModel, truth, r
                 schedule_params=params,
                 trace=trace,
             )
-            if config.schedule_out:
-                _save_schedule(config.schedule_out, est.schedule, est.params)
+            if config.schedule_out and rep == 0:
+                sched_mod.save_schedule(config.schedule_out, est.schedule, est.params)
             log_est, length, replicates = (
                 est.log_ratio_estimate, len(est.schedule.betas), est.replicates
             )
         elif config.method == "single":
-            log_est = estimators.single_shot_log_estimate(
-                oracle, config.beta, config.draws, rng
+            log_est = estimators.product_log_estimate(
+                sched_mod.CoolingSchedule((0.0, config.beta)), oracle, config.draws, rng
             )
             length = 2
         else:  # product
@@ -239,9 +225,10 @@ def _run_repetition(config: ExperimentConfig, model: models.GibbsModel, truth, r
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Execute `reps` independent estimates on one model; rows are in repetition order.
 
-    With ``schedule_out``, repetition 0 runs first and saves its schedule;
-    repetitions 1.. read that file back as their ``schedule_in``.  With
-    ``trace``, every repetition's TPA step records go to that file.
+    ``schedule_in`` is read once and reused by every repetition.  With
+    ``schedule_out``, repetition 0 runs first and saves its schedule, and
+    repetitions 1.. reuse that file, read once.  With ``trace``, every
+    repetition's TPA step records go to that file.
     """
     config.validate()
     model = build_model(config.model)
@@ -259,9 +246,10 @@ def _worker_count() -> int:
 def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[dict]:
     reps = 1 if config.method == "exact" else config.reps
     rows: list[dict] = []
+    loaded = sched_mod.load_schedule(config.schedule_in) if config.schedule_in else None
     if config.schedule_out:
-        rows = [_run_repetition(config, model, truth, 0)]
-        config = replace(config, schedule_in=config.schedule_out, schedule_out=None)
+        rows = [_run_repetition(config, model, truth, 0, loaded)]
+        loaded = sched_mod.load_schedule(config.schedule_out)
     todo = range(len(rows), reps)
     threads = _worker_count()
     if threads > 1 and len(todo) > 1:
@@ -270,9 +258,10 @@ def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[d
         n = len(todo)
         # A forked pool starts all its workers at once: no more than the repetitions left.
         with ProcessPoolExecutor(max_workers=min(threads, n)) as pool:
-            rows += pool.map(_run_repetition, [config] * n, [model] * n, [truth] * n, todo)
+            rows += pool.map(_run_repetition, [config] * n, [model] * n, [truth] * n, todo,
+                             [loaded] * n)
     else:
-        rows += [_run_repetition(config, model, truth, rep) for rep in todo]
+        rows += [_run_repetition(config, model, truth, rep, loaded) for rep in todo]
     if config.trace:
         _write_trace(rows, config.trace)
     return rows

@@ -9,8 +9,9 @@ are tilts toward the interval midpoint anchored at both endpoints
 E[V_i] = Z(m_i)/Z(beta_{i+1}) and each factor's relative variance only
 involves Z values inside the interval.  The full-run products W and V are
 averaged over replicates and the ratio of the two sample means estimates
-Z(beta)/Z(0).  Baselines: single-shot importance sampling, the multistage
-product estimator, and the fixed two-piece linear/geometric schedule.
+Z(beta)/Z(0).  Baselines: the multistage product estimator (on the
+one-interval schedule {0, beta} it is single-shot importance sampling) and
+the fixed two-piece linear/geometric schedule.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def paired_product_estimate(
 
     params = schedule_params
     if schedule is None:
-        q_hat1, _ = initial_estimate(work, beta, init_rng, runs=5, trace=trace)
+        q_hat1, _ = initial_estimate(work, beta, init_rng, trace=trace)
         params = select_params(q_hat1, oracle.model.n_bound, regime, beta)
         if overrides.eta is not None or overrides.d is not None or overrides.k is not None:
             eta = overrides.eta if overrides.eta is not None else params.eta
@@ -222,18 +223,6 @@ def median_boosted_estimate(
     ]
     runs.sort(key=lambda est: est.log_ratio_estimate)
     return replace(runs[boost // 2], draws_total=sum(est.draws_total for est in runs))
-
-
-def single_shot_log_estimate(
-    oracle: SamplerOracle, beta: float, num_draws: int, rng: np.random.Generator
-) -> float:
-    """Plain importance baseline, in logs: ln mean exp(-beta H(X)), X ~ pi_0."""
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
-    if num_draws < 1:
-        raise ValueError("num_draws must be >= 1")
-    logs = -beta * oracle.draw_energies(0.0, num_draws, rng)
-    return logsumexp(logs) - math.log(num_draws)
 
 
 def bezakova_schedule(q: float, n: int, beta: float) -> CoolingSchedule:

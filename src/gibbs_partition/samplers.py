@@ -457,8 +457,13 @@ def mcmc_draw_distribution(model: GibbsModel, b: float, sweeps: int) -> np.ndarr
 
 def gibbs_distribution(model: GibbsModel, b: float) -> np.ndarray:
     """pi_b over every state of an Ising model, under the guard, each
-    state's energy summed from its spins: site v is bit v of its index."""
-    logw = -b * _spin_energies(model, _state_spins(model))
+    state's energy summed from its spins: site v is bit v of its index.
+    At b = inf (-inf) it is uniform on the lowest (highest) energy states."""
+    energies = _spin_energies(model, _state_spins(model))
+    if math.isinf(b):
+        extreme = energies == (energies.min() if b > 0 else energies.max())
+        return extreme / extreme.sum()
+    logw = -b * energies
     w = np.exp(logw - logw.max())
     return w / w.sum()
 

@@ -3,13 +3,17 @@
 Step 1 of the approximation algorithm estimates q (the z-interval length)
 from a handful of TPA runs; step 2 runs TPA at a much higher rate, thins,
 and keeps every d-th point so that consecutive z-gaps concentrate as
-Gamma(d, k) variables below the target eta.
+Gamma(d, k) variables below the target eta.  ``save_schedule`` and
+``load_schedule`` write and read a built schedule with its params, so that
+later runs can skip steps 1-2.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from .tpa import thin, tpa_runs
 REGIME_INTEGER_NONPOSITIVE = "integer-nonpositive"
 REGIME_INTEGER_NONNEGATIVE = "integer-nonnegative"
 REGIME_SHIFTED = "shifted-mixed"
+REGIMES = (REGIME_INTEGER_NONPOSITIVE, REGIME_INTEGER_NONNEGATIVE, REGIME_SHIFTED)
 
 
 @dataclass(frozen=True)
@@ -44,32 +49,12 @@ class ScheduleParams:
         if self.q_hat1 < 0:
             raise ValueError("q_hat1 must be nonnegative")
 
-    @classmethod
-    def from_dict(cls, spec: dict) -> "ScheduleParams":
-        """Malformed specs (not an object, a missing field, a value that is
-        not a number) raise ValueError."""
-        if not isinstance(spec, dict):
-            raise ValueError("schedule params must be a JSON object")
-        try:
-            return cls(
-                eta=float(spec["eta"]),
-                d=int(spec["d"]),
-                k=float(spec["k"]),
-                q_hat1=float(spec["q_hat1"]),
-                regime=str(spec["regime"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"schedule params have no {exc} field") from None
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed schedule params: {exc}") from None
-
 
 @dataclass(frozen=True)
 class CoolingSchedule:
     """beta_0 = 0 < beta_1 < ... < beta_l = beta with midpoints and half-lengths."""
 
     betas: tuple[float, ...]
-    degenerate: bool = False
 
     def __post_init__(self):
         if len(self.betas) < 2:
@@ -98,20 +83,51 @@ class CoolingSchedule:
         """Parameter-space half-lengths delta_i = (beta_{i+1} - beta_i) / 2."""
         return tuple((hi - lo) / 2.0 for lo, hi in zip(self.betas, self.betas[1:]))
 
-    def to_dict(self) -> dict:
-        return {"betas": list(self.betas), "degenerate": self.degenerate}
 
-    @classmethod
-    def from_dict(cls, spec: dict) -> "CoolingSchedule":
-        """Malformed specs (not an object, no list of numbers as ``betas``)
-        raise ValueError."""
-        betas = spec.get("betas") if isinstance(spec, dict) else None
-        if not isinstance(betas, list) or not all(type(b) in (int, float) for b in betas):
-            raise ValueError("a schedule file needs a list of numbers as 'betas'")
-        return cls(
-            betas=tuple(float(b) for b in betas),
-            degenerate=bool(spec.get("degenerate", False)),
-        )
+def save_schedule(path: str, schedule: CoolingSchedule, params: ScheduleParams | None) -> None:
+    """Write ``{"betas": [...], "params": {...} or null}``."""
+    spec = {"betas": list(schedule.betas), "params": asdict(params) if params is not None else None}
+    with open(path, "w") as fh:
+        json.dump(spec, fh)
+
+
+def _is_number(value) -> bool:
+    """An int or float within the float range; not a bool, not a string."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def load_schedule(path: str) -> tuple[CoolingSchedule, ScheduleParams | None]:
+    """Read a ``save_schedule`` file; its ``params`` may be null or absent.
+
+    A malformed file raises ValueError: not an object, no list of numbers
+    as ``betas``, or params that are not an object with numbers as eta, k
+    and q_hat1, an integer as d and a ``REGIMES`` value as regime.  Other
+    keys are ignored.
+    """
+    with open(path) as fh:
+        spec = json.load(fh)
+    betas = spec.get("betas") if isinstance(spec, dict) else None
+    if not isinstance(betas, list) or not all(_is_number(b) for b in betas):
+        raise ValueError("a schedule file needs a list of numbers as 'betas'")
+    schedule = CoolingSchedule(tuple(float(b) for b in betas))
+    raw = spec.get("params")
+    if raw is None:
+        return schedule, None
+    if not isinstance(raw, dict):
+        raise ValueError("schedule params must be a JSON object")
+    for name in ("eta", "d", "k", "q_hat1", "regime"):
+        if name not in raw:
+            raise ValueError(f"schedule params have no {name!r} field")
+    for name in ("eta", "k", "q_hat1"):
+        if not _is_number(raw[name]):
+            raise ValueError(f"schedule params field {name!r} must be a number")
+    if type(raw["d"]) is not int:
+        raise ValueError("schedule params field 'd' must be an integer")
+    if raw["regime"] not in REGIMES:
+        raise ValueError(f"schedule params field 'regime' must be one of {', '.join(REGIMES)}")
+    params = ScheduleParams(eta=float(raw["eta"]), d=raw["d"], k=float(raw["k"]),
+                            q_hat1=float(raw["q_hat1"]), regime=raw["regime"])
+    return schedule, params
 
 
 def regime_for_model(model: GibbsModel) -> str:
@@ -128,21 +144,18 @@ def initial_estimate(
     oracle: SamplerOracle,
     beta: float,
     rng: np.random.Generator,
-    runs: int = 5,
     trace: list | None = None,
 ) -> tuple[float, int]:
-    """Estimate q from ``runs`` TPA runs walked together.
+    """Estimate q from 5 TPA runs walked together.
 
     Returns (q_hat1, draws_used).  q_hat1 is the runs' total point count
-    divided by the run count, so it estimates q itself; with the default 5
-    runs, q_hat1 + 1/2 >= q/2 with probability >= 99%.
+    divided by 5, so it estimates q itself, and q_hat1 + 1/2 >= q/2 with
+    probability >= 99%.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
     before = oracle.counter.total
-    points = tpa_runs(oracle, beta, runs, rng, trace=trace)
+    points = tpa_runs(oracle, beta, 5, rng, trace=trace)
     draws_used = oracle.counter.total - before
-    return len(points) / runs, draws_used
+    return len(points) / 5, draws_used
 
 
 def select_params(q_hat1: float, n: int, regime: str, beta: float) -> ScheduleParams:
@@ -187,7 +200,7 @@ def well_balanced_schedule(
     the 0 end when H >= 0), which is what makes consecutive kept z-gaps
     Gamma(d, k); the final partial block is absorbed into the interval
     touching the far endpoint.  Fewer than d points yield the legal
-    single-interval schedule {0, beta}, flagged degenerate.
+    single-interval schedule {0, beta}.
     """
     before = oracle.counter.total
     runs = math.ceil(params.k)
@@ -197,7 +210,4 @@ def well_balanced_schedule(
     if oracle.model.sign_class == SIGN_NONPOSITIVE:
         pts = pts[::-1]
     kept = np.sort(pts[params.d - 1::params.d])
-    schedule = CoolingSchedule(
-        betas=(0.0, *kept.tolist(), float(beta)), degenerate=not kept.size
-    )
-    return schedule, draws_used
+    return CoolingSchedule(betas=(0.0, *kept.tolist(), float(beta))), draws_used

@@ -4,12 +4,14 @@ import concurrent.futures
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, replace
 
 import pytest
 
 import gibbs_partition.cli as cli
 import gibbs_partition.models as models
+import gibbs_partition.schedule as sched_mod
 from conftest import row_transfer_log_partition
 from gibbs_partition.cli import (
     ConfigError,
@@ -556,6 +558,32 @@ def test_schedule_in_with_a_schedule_override_exit_2(tmp_path, capsys, override)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("flag", ["--schedule-in", "--schedule-out"])
+def test_a_run_reads_its_schedule_file_once(flag, threads, tmp_path, monkeypatch):
+    # Each read removes the file, so a second read, for a later repetition
+    # or a worker, would fail the run.
+    sched = tmp_path / "s.json"
+    code, _ = _run_main(tmp_path, "a.csv", ["--expert-overrides", "r=40",
+                                            "--schedule-out", str(sched)])
+    assert code == 0
+    load = sched_mod.load_schedule
+
+    def read_once(path):
+        loaded = load(path)
+        os.remove(path)
+        return loaded
+
+    monkeypatch.setattr(sched_mod, "load_schedule", read_once)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "opened", [])
+    monkeypatch.setenv("GIBBS_PARTITION_THREADS", threads)
+    code, out = _run_main(tmp_path, "b.csv", ["--expert-overrides", "r=40", "--reps", "3",
+                                              flag, str(sched)])
+    assert code == 0 and len(_read_csv(out)) == 3 and not sched.exists()
+    assert _InProcessPool.opened == ([] if threads == "1" else [2])
+
+
 def test_schedule_in_at_another_beta_exit_2(tmp_path, capsys):
     sched = tmp_path / "s.json"
     code, _ = _run_main(tmp_path, "a.csv", ["--expert-overrides", "r=40",
@@ -567,6 +595,12 @@ def test_schedule_in_at_another_beta_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _params_file(**bad) -> str:
+    """A k2 schedule file at beta 1 whose params are well formed but for ``bad``."""
+    params = {"eta": 0.5, "d": 2, "k": 3.0, "q_hat1": 1.0, "regime": "integer-nonpositive"}
+    return json.dumps({"betas": [0.0, 1.0], "params": {**params, **bad}})
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -576,8 +610,15 @@ def test_schedule_in_at_another_beta_exit_2(tmp_path, capsys):
         ('{"betas": [0, null, 1]}', "list of numbers as 'betas'"),
         # json reads NaN as a float nan.
         ('{"betas": [0, NaN, 1]}', "finite and strictly increasing"),
+        # An int past the float range is no float.
+        ('{"betas": [0, 1' + "0" * 400 + "]}", "list of numbers as 'betas'"),
+        (_params_file(eta="0.5"), "'eta' must be a number"),
+        (_params_file(d=2.7), "'d' must be an integer"),
+        (_params_file(k=True), "'k' must be a number"),
+        (_params_file(regime=5), "'regime' must be one of"),
     ],
-    ids=["empty-object", "top-level-list", "params-without-d", "null-point", "nan-point"],
+    ids=["empty-object", "top-level-list", "params-without-d", "null-point", "nan-point",
+         "huge-int-point", "string-eta", "float-d", "bool-k", "int-regime"],
 )
 def test_malformed_schedule_file_exit_2(text, message, tmp_path, capsys):
     sched = tmp_path / "s.json"

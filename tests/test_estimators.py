@@ -30,7 +30,6 @@ from gibbs_partition import (
     replicate_count,
     sample_bound_integer,
     sample_bound_shifted,
-    single_shot_log_estimate,
     stage_stream,
     table_model,
 )
@@ -272,19 +271,21 @@ def test_relvar_ceiling_on_balanced_schedules(c4):
         assert ws.var(ddof=1) / ws.mean() ** 2 <= ceiling
 
 
-# --- single-shot baseline --------------------------------------------------
+# --- single-shot baseline: the product estimator on {0, beta} --------------
 
 
 def test_single_shot_flat_model_is_exact():
     oracle = exact_oracle(table_model([0.0, 0.0, 0.0]))
-    est = exp_or_inf(single_shot_log_estimate(oracle, 3.0, 50, _rng("ss-flat")))
+    sched = CoolingSchedule(betas=(0.0, 3.0))
+    est = exp_or_inf(product_log_estimate(sched, oracle, 50, _rng("ss-flat")))
     assert est == pytest.approx(1.0, rel=1e-12)
 
 
 def test_single_shot_k2(k2):
     oracle = exact_oracle(k2)
     n = 100_000
-    est = exp_or_inf(single_shot_log_estimate(oracle, 1.0, n, _rng("ss-k2")))
+    sched = CoolingSchedule(betas=(0.0, 1.0))
+    est = exp_or_inf(product_log_estimate(sched, oracle, n, _rng("ss-k2")))
     truth = 1.8591409142295225
     # sd(W) = sqrt(relvar) * E[W]
     se = math.sqrt(0.2135522670340726) * truth / math.sqrt(n)
@@ -374,7 +375,8 @@ def test_baselines_match_one_draw_at_a_time(label, model, request):
     g = _rng(f"single-ref-{label}")
     h = state_energies(model)
     ref = logsumexp([-1.3 * h[draw_exact(oracle, 0.0, g)] for _ in range(n)]) - math.log(n)
-    got = single_shot_log_estimate(exact_oracle(model), 1.3, n, _rng(f"single-ref-{label}"))
+    got = product_log_estimate(CoolingSchedule(betas=(0.0, 1.3)), exact_oracle(model), n,
+                               _rng(f"single-ref-{label}"))
     assert got == ref
 
     sched = CoolingSchedule(betas=(0.0, 0.4, 1.0))
@@ -460,8 +462,8 @@ def test_nonfinite_beta_is_refused_before_any_draw(k2, beta):
         paired_product_estimate(oracle, beta, 0.1, _rng("beta"))
     with pytest.raises(ValueError, match="beta must be positive and finite"):
         product_baseline_log_estimate(oracle, beta, 100, _rng("beta"))
-    with pytest.raises(ValueError, match="beta must be finite"):
-        single_shot_log_estimate(oracle, beta, 10, _rng("beta"))
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        product_log_estimate(CoolingSchedule(betas=(0.0, beta)), oracle, 10, _rng("beta"))
     assert oracle.counter.total == 0
 
 

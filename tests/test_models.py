@@ -307,6 +307,15 @@ def test_grid_model_state_table_is_built_on_first_read(rows, cols):
     assert gibbs_distribution(grid, 0.7).tolist() == (w / w.sum()).tolist()
 
 
+def test_gibbs_distribution_at_infinite_b(k2):
+    # pi_inf is uniform on the lowest-energy states and pi_-inf on the
+    # highest, with no 0 * inf on the way (warnings are errors here).
+    assert gibbs_distribution(k2, math.inf).tolist() == [0.5, 0, 0, 0.5]
+    assert gibbs_distribution(k2, -math.inf).tolist() == [0, 0.5, 0.5, 0]
+    pi = gibbs_distribution(grid_model(3, 3), math.inf)
+    assert pi[0] == pi[-1] == 0.5 and pi.sum() == 1.0
+
+
 BYTE_SHAPES = [(r, c) for r in range(1, 9) for c in range(1, 9)] + [(10, 10), (12, 12), (3, 40)]
 
 

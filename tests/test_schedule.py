@@ -1,5 +1,6 @@
 """Schedule construction: the q estimate, parameter selection, gap laws."""
 
+import json
 import math
 from dataclasses import asdict
 
@@ -18,9 +19,11 @@ from gibbs_partition import (
     constant_model,
     exact_oracle,
     initial_estimate,
+    load_schedule,
     log_partition_exact,
     log_ratio_exact,
     regime_for_model,
+    save_schedule,
     select_params,
     stage_stream,
     table_model,
@@ -155,12 +158,20 @@ def test_schedule_validation():
         CoolingSchedule(betas=(0.0, 0.5, 0.5))
 
 
-def test_schedule_roundtrip():
-    sched = CoolingSchedule(betas=(0.0, 0.25, 1.0), degenerate=False)
-    again = CoolingSchedule.from_dict(sched.to_dict())
-    assert again == sched
+def test_schedule_roundtrip(tmp_path):
+    sched = CoolingSchedule(betas=(0.0, 0.25, 1.0))
     params = select_params(1.0, 2, REGIME_INTEGER_NONPOSITIVE, beta=1.0)
-    assert ScheduleParams.from_dict(asdict(params)) == params
+    path = tmp_path / "s.json"
+    save_schedule(path, sched, params)
+    assert json.loads(path.read_text()) == {"betas": [0.0, 0.25, 1.0], "params": asdict(params)}
+    assert load_schedule(path) == (sched, params)
+    save_schedule(path, sched, None)
+    assert load_schedule(path) == (sched, None)
+    # Files that still hold the "degenerate" flag, or no params, load as before.
+    path.write_text('{"betas": [0, 1], "degenerate": true, "params": null}')
+    assert load_schedule(path) == (CoolingSchedule(betas=(0.0, 1.0)), None)
+    path.write_text('{"betas": [0, 0.25, 1]}')
+    assert load_schedule(path) == (sched, None)
 
 
 def test_degenerate_schedule_when_too_few_points():
@@ -169,7 +180,6 @@ def test_degenerate_schedule_when_too_few_points():
     params = select_params(0.0, 1, REGIME_INTEGER_NONPOSITIVE, beta=2.0)
     sched, _ = well_balanced_schedule(oracle, 2.0, params, _rng("degenerate"))
     assert sched.betas == (0.0, 2.0)
-    assert sched.degenerate
 
 
 def test_schedule_endpoints_and_draw_accounting(c4):
@@ -215,7 +225,7 @@ def test_kept_gap_law_is_gamma_d_k(c4):
     for _ in range(400):
         oracle = exact_oracle(c4)
         sched, _ = well_balanced_schedule(oracle, 2.0, params, rng)
-        if sched.degenerate:
+        if sched.num_intervals == 1:
             continue
         gaps = _zgaps(c4, sched)[1:]  # drop the partial block touching 0
         pooled.extend(gaps[-10:])
@@ -238,7 +248,7 @@ def test_chernoff_sandwich_on_forced_small_d(c4):
     for _ in range(250):
         oracle = exact_oracle(c4)
         sched, _ = well_balanced_schedule(oracle, 2.0, params, rng)
-        if sched.degenerate:
+        if sched.num_intervals == 1:
             continue
         gaps.extend(_zgaps(c4, sched)[1:-1])  # interior intervals only
     gaps = np.array(gaps)
