@@ -11,18 +11,19 @@ builder, ``_level_cdfs``, makes every level CDF in place, one column per b;
 one draw per b inverts by counting down the column, and a row of n draws at
 one b through a guide table over it, O(1) per draw on average.  The MCMC
 oracle runs restart chains in lockstep on one (nv, n) spin array with one
-(nv, n) block of 32-bit uniforms per sweep, the halves of raw generator
+(nv, n) block of 8-bit uniforms per sweep, the bytes of raw generator
 words, several sweeps per call; each block's site updates run in one flat
 loop, and the graph's part of every threshold comes from a kernel plan the
-oracle builds once.  Each acceptance threshold splits exactly at 32 bits,
-and a uniform that ties it draws one double, so every acceptance is within
-2^-85 of exact.  A call whose every b is 0 reads only its start states, its
-draws exact; b < 0 is refused.  Each chain's energy is summed from its
-spins, on any Ising model of at most 63 sites (int64 start indices).  Under
-the guard, ``mcmc_draw_distribution`` and ``mcmc_tv_curve`` evolve the
-exact law of its draws as one 2^n vector updated site by site.  Every draw
-consumes a caller-supplied numpy Generator and is counted by the counter's
-one ``record`` method, whose total is the ground truth for all sample counts.
+oracle builds once.  Each acceptance threshold splits exactly at 8 bits,
+and a uniform that ties it, about 1 cell in 256 per threshold, draws one
+double, so every acceptance is within 2^-61 of exact.  A call whose every
+b is 0 reads only its start states, its draws exact; b < 0 is refused.
+Each chain's energy is summed from its spins, on any Ising model of at most
+63 sites (int64 start indices).  Under the guard, ``mcmc_draw_distribution``
+and ``mcmc_tv_curve`` evolve the exact law of its draws as one 2^n vector
+updated site by site.  Every draw consumes a caller-supplied numpy
+Generator and is counted by the counter's one ``record`` method, whose
+total is the ground truth for all sample counts.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ KIND_MCMC = "mcmc"
 
 # Entries per block of level-CDF columns in a draw at many fresh b values.
 _MATRIX_CAP = 1 << 16
-# 32-bit uniforms per block of Metropolis sweeps (128 KB), a whole number
+# 8-bit uniforms per block of Metropolis sweeps (128 KB), a whole number
 # of sweeps each.
-_UNIFORM_CAP = 1 << 15
+_UNIFORM_CAP = 1 << 17
 # Sites of the largest model the MCMC oracle runs: one int64 start index each.
 _MCMC_MAX_SITES = 63
 
@@ -102,17 +103,21 @@ class SamplerOracle:
             # The kernel plan, what draw_mcmc_lockstep reads of the graph.  Site
             # v with a aligned neighbours flips if u < min(1, exp(-b (2a - deg))),
             # 1 for a <= deg // 2 and past it nonincreasing in a: exactly when
-            # a < deg // 2 + 1 + #{thresholds u passes}.  Threshold k is the one
-            # at a = deg // 2 + 1 + k, real for a <= deg; past deg it is 0, which
-            # no u passes and whose ties are not counted, so a degree-0 site has
-            # limit 1 and always flips.  There is at least one threshold, so the
-            # limits fill the block even when no site has an edge.
+            # a < deg // 2 + 1 + #{thresholds u passes}.  Threshold k, row k of
+            # neg_expo, is the one at a = deg // 2 + 1 + k, real for a <= deg.
+            # Past deg it is padded: it repeats the last real one, so it passes
+            # and ties exactly when that one does, and then the limit passes
+            # deg, which no count reaches, as it should.  A degree-0 site, in
+            # lone, has no real threshold: it flips whatever its limit, and
+            # it never ties.  There is at least one threshold, so the limits
+            # fill the block even when no site has an edge.
             adj = self.model.graph.adjacency()
-            deg = np.array([len(nbrs) for nbrs in adj])[:, None]
-            base = (deg // 2 + 1).astype(np.int8)
-            a = base + np.arange(max(1, (deg - deg // 2).max()))
-            neg_expo = -np.minimum(2 * a - deg, deg).astype(float)
-            self._plan = (adj, base, a <= deg, neg_expo, np.arange(nv)[:, None])
+            deg = np.array([len(nbrs) for nbrs in adj])
+            a = deg // 2 + 1 + np.arange(max(1, (deg - deg // 2).max()))[:, None]
+            neg_expo = -np.minimum(2 * a - deg, np.maximum(deg, 1)).astype(float)
+            base = (deg // 2 + 1).astype(np.int8)[:, None]
+            lone = np.flatnonzero(deg == 0)
+            self._plan = (adj, base, neg_expo, np.arange(nv)[:, None], lone)
 
     def draw(self, b: float, rng: np.random.Generator) -> float:
         """H(X) for one X ~ pi_b: one row of one ``draw_energies`` draw.
@@ -268,40 +273,54 @@ def _draw_levels(
     return block
 
 
-def _halves(words: np.ndarray) -> np.ndarray:
-    """32-bit halves of 64-bit generator words, low half first, on any host."""
-    return words.astype("<u8", copy=False).view("<u4")
+def _bytes(words: np.ndarray) -> np.ndarray:
+    """8-bit bytes of 64-bit generator words, low byte first, on any host."""
+    return words.astype("<u8", copy=False).view(np.uint8)
 
 
 def _split_thresholds(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split acceptance thresholds min(1, t) into 32-bit whole and part, exactly.
+    """Split acceptance thresholds min(1, t) into 8-bit whole and part, exactly.
 
-    ``whole`` = min(floor(min(1, t) 2^32), 2^32 - 1) as uint32 and ``part`` =
-    min(1, t) 2^32 - whole, in [0, 1]; scaling by 2^32 and taking the
-    fraction both round nothing.  A 32-bit uniform u passes when u < whole,
+    ``whole`` = min(floor(min(1, t) 2^8), 2^8 - 1) as uint8 and ``part`` =
+    min(1, t) 2^8 - whole, in [0, 1]; scaling by 2^8 and taking the
+    fraction both round nothing.  An 8-bit uniform u passes when u < whole,
     or when u == whole and a double V < part: probability (whole + P(V <
-    part)) / 2^32, within 2^-85 of min(1, t), since V is a 53-bit uniform.
+    part)) / 2^8, within 2^-61 of min(1, t), since V is a 53-bit uniform.
     """
-    scaled = np.minimum(t, 1.0) * 2.0**32
-    whole = np.minimum(np.floor(scaled), 2.0**32 - 1)
-    return whole.astype(np.uint32), scaled - whole
+    scaled = np.minimum(t, 1.0) * 2.0**8
+    whole = np.minimum(np.floor(scaled), 2.0**8 - 1)
+    return whole.astype(np.uint8), scaled - whole
 
 
-def _settle_ties(u, limits, whole, part, real, rng) -> None:
+def _settle_ties(u, limits, tied, whole, part, lone, rng) -> None:
     """Add to ``limits`` each tied threshold that its cell's double passes.
 
-    ``whole`` and ``part`` are (nv, K, nb) and ``real`` (nv, K): threshold
-    k of each site.  A cell ties when its uniform equals the whole of one
-    of its site's real thresholds; it draws one double V, in C order over
-    the block, and V < part decides every threshold it ties.
+    ``u`` and ``limits`` are (m, nv, n) blocks and ``tied`` a scratch mask
+    of their shape.  ``whole`` and ``part`` are (K, nv, nb): threshold k of
+    site v at chain j's b, nb = 1 for one b and n for one b per chain.  A
+    cell ties when its uniform equals the whole of one of its site's
+    thresholds, unless its site is one of ``lone``, which have no real
+    threshold.  Each tied cell, in C order, draws one double V, and V <
+    part decides every threshold it ties.  One pass over the block finds
+    the tied cells; past it, each is read through its site and chain only.
     """
-    hits = [(u == whole[:, k]) & real[:, k, None] for k in range(real.shape[1])]
-    cells = np.flatnonzero(np.logical_or.reduce(hits))
+    np.equal(u, whole[0], tied)
+    for w in whole[1:]:
+        tied |= u == w
+    if lone.size:
+        tied[:, lone] = False
+    cells = np.flatnonzero(tied)
     if cells.size:
+        nv, n = u.shape[1:]
+        # Column v nb + j of cell i: site v = i // n % nv, chain j = i % n per chain.
+        cols = cells % (nv * n) // (n // whole.shape[2])
         v = rng.random(cells.size)
-        for k, hit in enumerate(hits):
-            passed = v < np.broadcast_to(part[:, k], u.shape).flat[cells]
-            limits.flat[cells] += hit.flat[cells] & passed
+        flat = limits.reshape(-1)
+        passes = flat[cells]
+        uc = u.reshape(-1)[cells]
+        for w, p in zip(whole.reshape(len(whole), -1), part.reshape(len(part), -1)):
+            passes += (w[cols] == uc) & (v < p[cols])
+        flat[cells] = passes
 
 
 def draw_mcmc_lockstep(
@@ -316,17 +335,19 @@ def draw_mcmc_lockstep(
 
     - One ``rng.integers`` call gives the n start states as state indices,
       site v from bit v.
-    - Each sweep reads one (nv, n) block of 32-bit uniforms from
-      ceil(nv n / 2) words of ``rng.bit_generator.random_raw``, split by
-      ``_halves`` low half first; an odd nv n drops the last high half.
-      Sweeps are read m at a time, m the most that fit in _UNIFORM_CAP
-      uniforms and at least 1, so the words read do not depend on m.
+    - Each sweep reads one (nv, n) block of 8-bit uniforms from
+      ceil(nv n / 8) words of ``rng.bit_generator.random_raw``, split by
+      ``_bytes`` low byte first; the unused bytes of a sweep's last word
+      are dropped.  Sweeps are read m at a time, m the most that fit in
+      _UNIFORM_CAP uniforms and at least 1, so the words read do not
+      depend on m.
     - Each acceptance threshold is split by ``_split_thresholds``.  A
-      uniform that equals the whole of one of its site's thresholds draws
-      one double with ``rng.random``; a block's doubles follow its words,
-      in C order over (sweep, site, chain).
+      uniform that equals the whole of one of its site's real thresholds
+      draws one double with ``rng.random``, and that double decides every
+      threshold it ties; a block's doubles follow its words, in C order
+      over (sweep, site, chain).  Padded thresholds never tie.
     - A call whose every b is 0 reads only its start states.  There every
-      threshold is min(1, e^0) = 1, whole 2^32 - 1 and part 1, so every
+      threshold is min(1, e^0) = 1, whole 2^8 - 1 and part 1, so every
       proposal passes and each sweep flips every site: the draws are the
       starts flipped by the parity of mcmc_steps, exactly.
 
@@ -340,7 +361,7 @@ def draw_mcmc_lockstep(
     if per_chain and b.shape != (n,):
         raise ValueError("per-chain b needs one value per chain")
     _require_nonnegative(b)
-    adj, base, real, neg_expo, shifts = oracle._plan
+    adj, base, neg_expo, shifts, lone = oracle._plan
     nv = len(adj)
     states = rng.integers(0, 2 ** nv, size=n)
     spins = ((states >> shifts) & 1).astype(bool)
@@ -349,10 +370,9 @@ def draw_mcmc_lockstep(
         if oracle.mcmc_steps % 2:
             np.logical_not(spins, out=spins)
         return spins
-    # Negation is exact, so t has the bits of exp(-(min(2a - deg, deg) b)).
+    # Negation is exact, so t has the bits of exp(-(min(2a - deg, max(deg, 1)) b)).
     t = np.exp(np.multiply.outer(neg_expo, np.atleast_1d(b)))
-    whole, part = _split_thresholds(np.where(real[..., None], t, 0.0))
-    thresholds = list(whole.swapaxes(0, 1))
+    whole, part = _split_thresholds(t)
     # Each site: its row, its first neighbour's row (None at degree 0), the rest.
     nbr_rows = [[spins[u] for u in nbrs] for nbrs in adj]
     sites = [(spins[v], rows[0] if rows else None, rows[1:]) for v, rows in enumerate(nbr_rows)]
@@ -361,27 +381,34 @@ def draw_mcmc_lockstep(
     # each neighbour comparison, as bools viewed as 0/1 int8.
     count, flip = np.empty(n, dtype=np.int8), np.empty(n, dtype=bool)
     first, compared = count.view(bool), flip.view(np.int8)
-    equal, less, xor = np.equal, np.less, np.bitwise_xor
+    equal, less, xor, add = np.equal, np.less, np.bitwise_xor, np.add
     cells = nv * n
-    words = (cells + 1) // 2
+    width = 8 * ((cells + 7) // 8)
     per_block = max(1, _UNIFORM_CAP // max(1, cells))
+    # One limits block and one tie mask, reused by every block of sweeps.
+    shape = (min(per_block, oracle.mcmc_steps), nv, n)
+    limits_buffer, tied_buffer = np.empty(shape, np.int8), np.empty(shape, bool)
     for lo in range(0, oracle.mcmc_steps, per_block):
         m = min(per_block, oracle.mcmc_steps - lo)
-        halves = _halves(rng.bit_generator.random_raw(m * words)).reshape(m, 2 * words)
-        u = halves[:, :cells].reshape(m, nv, n)
-        limits = sum((u < w for w in thresholds), base)
-        if any((u == w).any() for w in thresholds):
-            _settle_ties(u, limits, whole, part, real, rng)
+        u = _bytes(rng.bit_generator.random_raw(m * width // 8)).reshape(m, width)
+        u = np.ascontiguousarray(u[:, :cells]).reshape(m, nv, n)
+        limits, tied = limits_buffer[:m], tied_buffer[:m]
+        less(u, whole[0], limits.view(bool))
+        for w in whole[1:]:
+            limits += u < w
+        limits += base
+        _settle_ties(u, limits, tied, whole, part, lone, rng)
+        # Outputs are passed by position, which costs less than out=.
         for (row, nbr0, rest), limit in zip(sites * m, limits.reshape(m * nv, n)):
             if nbr0 is not None:
-                equal(nbr0, row, out=first)
+                equal(nbr0, row, first)
                 for nbr in rest:
-                    equal(nbr, row, out=flip)
-                    count += compared
+                    equal(nbr, row, flip)
+                    add(count, compared, count)
             else:
                 count.fill(0)
-            less(count, limit, out=flip)
-            xor(row, flip, out=row)
+            less(count, limit, flip)
+            xor(row, flip, row)
     return spins
 
 

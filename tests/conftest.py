@@ -180,21 +180,21 @@ def pack_states(spins):
 
 
 def split_threshold(t):
-    """(whole, part) of min(1, t) * 2^32: whole = min(floor, 2^32 - 1) as a
+    """(whole, part) of min(1, t) * 2^8: whole = min(floor, 2^8 - 1) as a
     Python int and part the float remainder, both exact."""
-    scaled = math.ldexp(min(t, 1.0), 32)
-    whole = min(math.floor(scaled), 2**32 - 1)
+    scaled = math.ldexp(min(t, 1.0), 8)
+    whole = min(math.floor(scaled), 2**8 - 1)
     return whole, scaled - whole
 
 
-def _metropolis_sweep(state, adj, b, us, vs):
+def _metropolis_sweep(state, adj, splits, us, vs):
     """One systematic Metropolis sweep of one chain, site v reading us[v].
 
     Flipping site v with a currently-aligned neighbors is accepted with
-    probability min(1, exp(-b * deltaH)), deltaH = 2a - deg(v), computed
-    with math.exp and split at 32 bits: the 32-bit uniform us[v] accepts
-    below the whole, and at the whole the tie double vs[v] decides against
-    the part.
+    probability min(1, exp(-b * deltaH)), deltaH = 2a - deg(v); for
+    deltaH > 0 ``splits[deltaH]`` is that threshold split at 8 bits: the
+    8-bit uniform us[v] accepts below the whole, and at the whole the tie
+    double vs[v] decides against the part.
     """
     for v, nbrs in enumerate(adj):
         sv = (state >> v) & 1
@@ -203,17 +203,18 @@ def _metropolis_sweep(state, adj, b, us, vs):
         if delta <= 0:
             state ^= 1 << v
             continue
-        whole, part = split_threshold(math.exp(-b * delta))
+        whole, part = splits[delta]
         if us[v] < whole or (us[v] == whole and vs[v] < part):
             state ^= 1 << v
     return state
 
 
-def _uniforms32(rng, count):
-    """count 32-bit uniforms from ceil(count / 2) raw generator words, each
-    word's low 32 bits first; an odd count drops the last high half."""
-    words = rng.bit_generator.random_raw((count + 1) // 2).tolist()
-    return [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)][:count]
+def _uniforms8(rng, count):
+    """count 8-bit uniforms from ceil(count / 8) raw generator words, each
+    word's bytes low byte first; the unused bytes of the last word are
+    dropped."""
+    words = rng.bit_generator.random_raw((count + 7) // 8).tolist()
+    return [(w >> shift) & 0xFF for w in words for shift in range(0, 64, 8)][:count]
 
 
 def draw_mcmc(oracle, b, rng):
@@ -230,38 +231,44 @@ def draw_mcmc_chains(oracle, b, n, rng):
     """Reference lockstep draw: n restart chains, each one site at a time.
 
     Replays the lockstep stream contract: n start states from one
-    ``rng.integers`` call, then per sweep nv * n 32-bit uniforms from raw
+    ``rng.integers`` call, then per sweep nv * n 8-bit uniforms from raw
     generator words, site-major, chain j sweeping on entry v * n + j for
     site v.  Sweeps come in blocks of as many as fit in ``_UNIFORM_CAP``
-    uniforms; after a block's words, each uniform that equals the 32-bit
+    uniforms; after a block's words, each uniform that equals the 8-bit
     whole of one of its site's thresholds (one per aligned count from
     deg // 2 + 1 to deg) at its chain's b draws one double, in (sweep, site,
     chain) order.  A call whose every b is 0 reads only its start states:
     there every proposal passes whatever it reads, so its sweeps run on the
-    largest 32-bit uniform and the largest tie double below 1.  ``b`` is
+    largest 8-bit uniform and the largest tie double below 1.  ``b`` is
     one value or one per chain.  Returns the n states as a list of ints.
     """
     adj = oracle.model.graph.adjacency()
     nv = len(adj)
     bs = np.asarray(b, dtype=float).tolist() if np.ndim(b) else [b] * n
+    deltas = {2 * a - len(nbrs) for nbrs in adj for a in range(len(nbrs) // 2 + 1, len(nbrs) + 1)}
+
+    @functools.lru_cache(maxsize=None)
+    def splits(bj):
+        """split_threshold(math.exp(-bj * deltaH)) for each deltaH > 0 of the graph."""
+        return {d: split_threshold(math.exp(-bj * d)) for d in deltas}
+
     states = rng.integers(0, 2 ** nv, size=n).tolist()
     if not any(bs):
-        largest = [2**32 - 1] * nv, [1.0 - 2.0**-53] * nv
+        largest = [2**8 - 1] * nv, [1.0 - 2.0**-53] * nv
         for _ in range(oracle.mcmc_steps):
-            states = [_metropolis_sweep(s, adj, 0.0, *largest) for s in states]
+            states = [_metropolis_sweep(s, adj, splits(0.0), *largest) for s in states]
         return states
 
     @functools.lru_cache(maxsize=None)
     def wholes(bj):
         return [
-            {split_threshold(math.exp(-bj * (2 * a - len(nbrs))))[0]
-             for a in range(len(nbrs) // 2 + 1, len(nbrs) + 1)}
+            {splits(bj)[2 * a - len(nbrs)][0] for a in range(len(nbrs) // 2 + 1, len(nbrs) + 1)}
             for nbrs in adj
         ]
 
     per_block = max(1, _UNIFORM_CAP // max(1, nv * n))
     for lo in range(0, oracle.mcmc_steps, per_block):
-        block = [_uniforms32(rng, nv * n) for _ in range(min(per_block, oracle.mcmc_steps - lo))]
+        block = [_uniforms8(rng, nv * n) for _ in range(min(per_block, oracle.mcmc_steps - lo))]
         tied = [
             (k, v * n + j)
             for k, us in enumerate(block)
@@ -275,7 +282,7 @@ def draw_mcmc_chains(oracle, b, n, rng):
         for k, us in enumerate(block):
             states = [
                 _metropolis_sweep(
-                    s, adj, bs[j], us[j::n], [ties[k].get(v * n + j) for v in range(nv)]
+                    s, adj, splits(bs[j]), us[j::n], [ties[k].get(v * n + j) for v in range(nv)]
                 )
                 for j, s in enumerate(states)
             ]

@@ -450,6 +450,24 @@ def test_trace_with_two_workers_matches_one(tmp_path, monkeypatch):
     assert outputs[0][0] and outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("spec,sweeps", [("k2", 46), ("grid-3x3", 5)])
+def test_mcmc_rows_do_not_depend_on_worker_count(spec, sweeps, monkeypatch):
+    # Each repetition draws from its own stream, so a real 2-worker pool
+    # gives the rows that one process gives, wall time aside.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "opened", [])
+    config = ExperimentConfig(model=spec, beta=1.0, seed=4, reps=3, sampler="mcmc",
+                              mcmc_steps=sweeps, tv_budget=1e-3)
+    rows = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GIBBS_PARTITION_THREADS", threads)
+        rows.append([{k: v for k, v in row.items() if k != "_wall_time"}
+                     for row in run_experiment(config)])
+    assert _CountingPool.opened == [2]
+    assert [row["rep"] for row in rows[0]] == [0, 1, 2]
+    assert rows[0] == rows[1]
+
+
 def test_schedule_roundtrip_through_files(tmp_path):
     sched_path = tmp_path / "sched.json"
     out1 = tmp_path / "o1.csv"

@@ -31,7 +31,7 @@ from gibbs_partition import (
     shift_hamiltonian,
     table_model,
 )
-from gibbs_partition.samplers import _UNIFORM_CAP, _halves, _split_thresholds
+from gibbs_partition.samplers import _UNIFORM_CAP, _bytes, _split_thresholds
 
 from conftest import (
     draw_exact,
@@ -621,16 +621,17 @@ def test_mcmc_refuses_b_below_zero_and_nan(k2, b):
 
 
 def _assert_exact_split(t, whole, part):
-    assert whole.dtype == np.uint32
+    assert whole.dtype == np.uint8
     assert 0.0 <= part <= 1.0
-    assert Fraction(int(whole)) + Fraction(float(part)) == Fraction(min(t, 1.0)) * 2**32
+    assert Fraction(int(whole)) + Fraction(float(part)) == Fraction(min(t, 1.0)) * 2**8
 
 
 @pytest.mark.parametrize(
-    "t", [0.0, 5e-324, 2.0**-33, 0.3, math.exp(-2), 1 - 2.0**-53, 1.0, math.exp(0.5)]
+    "t",
+    [0.0, 5e-324, 2.0**-33, 2.0**-9, 2.0**-8, 0.3, math.exp(-2), 1 - 2.0**-53, 1.0, math.exp(0.5)],
 )
 def test_threshold_split_is_exact(t):
-    # whole + part is min(1, t) * 2^32 with no rounding, from the smallest
+    # whole + part is min(1, t) * 2^8 with no rounding, from the smallest
     # subnormal to a b < 0 threshold past 1.
     whole, part = _split_thresholds(np.array([t]))
     _assert_exact_split(t, whole[0], part[0])
@@ -645,11 +646,11 @@ def test_threshold_split_is_exact_for_any_b_and_delta(b, delta):
     _assert_exact_split(float(t), whole[0], part[0])
 
 
-def test_halves_split_each_word_low_half_first():
-    # The same two uniforms on any host: a big-endian word splits alike.
-    word = 0x00000002_00000001
-    assert _halves(np.array([word], dtype=np.uint64)).tolist() == [1, 2]
-    assert _halves(np.array([word], dtype=">u8")).tolist() == [1, 2]
+def test_bytes_split_each_word_low_byte_first():
+    # The same eight uniforms on any host: a big-endian word splits alike.
+    word = 0x08070605_04030201
+    assert _bytes(np.array([word], dtype=np.uint64)).tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert _bytes(np.array([word], dtype=">u8")).tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 # A star whose degree-4 centre carries two thresholds and whose leaves
@@ -659,17 +660,19 @@ _STAR4 = ising_model([(0, leaf) for leaf in range(1, 5)], num_vertices=5)
 
 class _TiedWords:
     """Generator stand-in: start states and doubles come from a real
-    Generator, and the 32-bit uniforms, two to a raw word and low half
-    first, are taken in order from ``halves``.  ``doubles`` records the
-    size of every ``random`` call."""
+    Generator, and the 8-bit uniforms, eight to a raw word and low byte
+    first, are taken in order from ``uniforms``, 0 past its end.
+    ``doubles`` records the size of every ``random`` call."""
 
-    def __init__(self, rng, halves):
-        self._rng, self._halves, self.doubles = rng, iter(halves), []
+    def __init__(self, rng, uniforms):
+        self._rng, self._uniforms, self.doubles = rng, iter(uniforms), []
         self.bit_generator = types.SimpleNamespace(random_raw=self._raw)
 
     def _raw(self, size):
-        pairs = [(next(self._halves), next(self._halves)) for _ in range(size)]
-        return np.array([lo | hi << 32 for lo, hi in pairs], dtype=np.uint64)
+        words = [[next(self._uniforms, 0) for _ in range(8)] for _ in range(size)]
+        return np.array(
+            [sum(byte << 8 * i for i, byte in enumerate(w)) for w in words], dtype=np.uint64
+        )
 
     def integers(self, *args, **kwargs):
         return self._rng.integers(*args, **kwargs)
@@ -708,20 +711,20 @@ def test_k2_tie_flips_an_aligned_site_exactly_when_its_double_is_below_part(k2):
     assert stub.random() == twin.random()
 
 
-@pytest.mark.parametrize("b", [0.3, 12.0])
+@pytest.mark.parametrize("b", [0.3, 3.0])
 def test_star_tie_draws_one_double_shared_by_both_centre_thresholds(b):
     # The degree-4 centre has thresholds e^-2b (3 aligned) and e^-4b (4
     # aligned).  At b = 0.3 even chains sit on the first's whole and odd
-    # chains on the second's; at b = 12 both wholes are 0, so one tie
+    # chains on the second's; at b = 3 both wholes are 0, so one tie
     # settles both.  The leaves sit on e^-b's whole.  Each cell draws one
     # double, in (site, chain) order, and a tied threshold passes exactly
     # when that double is below its part.
     adj = _STAR4.graph.adjacency()
     n = 512
     centre = [split_threshold(math.exp(-b * (2 + 2 * (j % 2))))[0] for j in range(n)]
-    halves = centre + [split_threshold(math.exp(-b))[0]] * (4 * n)
+    uniforms = centre + [split_threshold(math.exp(-b))[0]] * (4 * n)
     oracle = mcmc_oracle(_STAR4, mcmc_steps=1, tv_budget_per_draw=0.1)
-    stub = _TiedWords(_rng("ties-star", int(b)), halves)
+    stub = _TiedWords(_rng("ties-star", int(b)), uniforms)
     spins = draw_mcmc_lockstep(oracle, b, n, stub)
     assert stub.doubles == [5 * n]
     twin = _rng("ties-star", int(b))
@@ -734,7 +737,7 @@ def test_star_tie_draws_one_double_shared_by_both_centre_thresholds(b):
             delta = 2 * aligned - len(nbrs)
             if delta > 0:
                 whole, part = split_threshold(math.exp(-b * delta))
-                u = halves[site * n + j]
+                u = uniforms[site * n + j]
                 if u > whole or (u == whole and v[site, j] >= part):
                     continue
                 if site == 0 and u == whole:
@@ -747,14 +750,65 @@ def test_star_tie_draws_one_double_shared_by_both_centre_thresholds(b):
 
 
 @pytest.mark.parametrize(
+    "label,model",
+    [("star-4", _STAR4), ("grid-3x3", ising_model(grid_edges(3, 3), num_vertices=9))],
+)
+def test_per_chain_ties_draw_one_double_per_tied_cell_in_cell_order(label, model):
+    # The star's leaves and the grid's corners carry one real threshold and
+    # one padded past their degree, which stands for 0; the star's centre
+    # and the grid's other sites carry two real ones.  Chains cycle through
+    # three b values, and each cell's byte is one of its site's real wholes
+    # at its own chain's b, 0, or another byte; the bytes past each sweep's
+    # cells would tie if read.  Exactly the cells on a real whole at their
+    # chain's b draw a double, one each, and the spins and the generator
+    # end as the replay's, which takes the doubles in (sweep, site, chain)
+    # order.
+    adj = model.graph.adjacency()
+    nv, n, sweeps = len(adj), 12, 3
+    bs = np.array([0.3, 1.0, 2.5] * (n // 3))
+
+    def real_wholes(v, j):
+        deg = len(adj[v])
+        return [
+            split_threshold(math.exp(-bs[j] * (2 * a - deg)))[0]
+            for a in range(deg // 2 + 1, deg + 1)
+        ]
+
+    pick = _rng(f"per-chain-ties-{label}")
+    uniforms, tied, padded = [], 0, 0
+    for _ in range(sweeps):
+        for v in range(nv):
+            for j in range(n):
+                wholes = real_wholes(v, j)
+                choice = pick.integers(4)
+                byte = (wholes + [0, int(pick.integers(256))])[min(choice, len(wholes) + 1)]
+                uniforms.append(byte)
+                tied += byte in wholes
+                padded += len(wholes) == 1 and byte == 0 and 0 not in wholes
+        uniforms += [real_wholes(0, 0)[0]] * (-(nv * n) % 8)
+    assert nv * n % 8 and padded and tied
+    oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    stub = _TiedWords(_rng(f"per-chain-ties-rng-{label}"), uniforms)
+    spins = draw_mcmc_lockstep(oracle, bs, n, stub)
+    twin = _TiedWords(_rng(f"per-chain-ties-rng-{label}"), uniforms)
+    replay = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
+    assert pack_states(spins).tolist() == draw_mcmc_chains(replay, bs, n, twin)
+    assert stub.doubles == twin.doubles == [tied]
+    assert stub._rng.bit_generator.state == twin._rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
     "label,model", [("star-4", _STAR4), ("lone-site", ising_model([], num_vertices=1))]
 )
 def test_a_uniform_on_a_threshold_past_the_degree_draws_no_double(label, model):
-    # Past its degree a site's threshold is 0 and never ties: every uniform
-    # is 0 here, below each real threshold at b = 0.3, so every site flips
-    # and no double is drawn.
-    nv, n = model.graph.num_vertices, 4
-    stub = _TiedWords(_rng(f"no-tie-{label}"), [0] * (nv * n))
+    # Only a site's real thresholds tie.  On the star every uniform is 0,
+    # the whole of a threshold past the degree were it the 0 it stands
+    # for, and below each real threshold at b = 0.3; the lone site has no
+    # real threshold, so it reads every byte value and none ties.  Every
+    # site flips and no double is drawn.
+    nv = model.graph.num_vertices
+    n, uniforms = (256, range(256)) if nv == 1 else (4, [0] * (nv * 4))
+    stub = _TiedWords(_rng(f"no-tie-{label}"), uniforms)
     spins = draw_mcmc_lockstep(mcmc_oracle(model, 1, 0.1), 0.3, n, stub)
     assert stub.doubles == []
     starts = _rng(f"no-tie-{label}").integers(0, 2**nv, size=n)
