@@ -25,6 +25,8 @@ from .models import (
 )
 from .samplers import (
     DrawCounter,
+    ExactOracle,
+    RestartOracle,
     SamplerOracle,
     coupling_failure_bound,
     draw_mcmc_lockstep,

@@ -4,19 +4,19 @@ Every consumer of draws reads only the energy H(X), so the oracle contract
 is ``draw_energies(b, n, rng)`` for n independent draws at one b, or a
 (len(b), n) block for a 1-d array of b, and ``draw_energies_at(bs, rng)``
 for one draw at each b of an array; no draw path keeps a state index, and no
-model holds a state table.  The exact oracle samples from the model's
+model holds a state table.  ``ExactOracle`` samples from the model's
 density of states (its distinct energy levels and their multiplicities), so
 building it and a draw at a fresh b cost O(levels), not O(states).  One
 builder, ``_level_cdfs``, makes every level CDF in place, one column per b;
 one draw per b inverts by counting down the column, and a row of n draws at
-one b through a guide table over it, O(1) per draw on average.  The MCMC
-oracle runs restart chains in lockstep on one (nv, n) spin array with one
-(nv, n) block of 8-bit uniforms per sweep, the bytes of raw generator
-words, several sweeps per call; each block's site updates run in one flat
-loop, and the graph's part of every threshold comes from a kernel plan the
-oracle builds once.  Each acceptance threshold splits exactly at 8 bits,
-and a uniform that ties it, about 1 cell in 256 per threshold, draws one
-double, so every acceptance is within 2^-61 of exact.  A call whose every
+one b through a guide table over it, O(1) per draw on average.
+``RestartOracle`` runs restart chains in lockstep on one (nv, n) spin
+array with one (nv, n) block of 8-bit uniforms per sweep, the bytes of raw
+generator words, several sweeps per call; each block's site updates run in
+one flat loop, and the graph's part of every threshold comes from a kernel
+plan the oracle builds once.  Each acceptance threshold splits exactly at 8
+bits, and a uniform that ties it, about 1 cell in 256 per threshold, draws
+one double, so every acceptance is within 2^-61 of exact.  A call whose every
 b is 0 reads only its start states, its draws exact; b < 0 is refused.
 Each chain's energy is summed from its spins, on any Ising model of at most
 63 sites (int64 start indices).  Under the guard, ``mcmc_draw_distribution``
@@ -32,13 +32,11 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .models import EnumerationGuardError, GibbsModel, require_enumerable
-
-KIND_EXACT = "exact-enumeration"
-KIND_MCMC = "mcmc"
 
 # Entries per block of level-CDF columns in a draw at many fresh b values.
 _MATRIX_CAP = 1 << 16
@@ -64,60 +62,17 @@ class DrawCounter:
 
 @dataclass
 class SamplerOracle:
-    """Source of draws from pi_b for b in [0, beta].
+    """Source of draws from pi_b for b in [0, beta], as their energies.
 
     ``tv_budget_per_draw`` is a declared upper bound on the total-variation
     distance of each draw from pi_b (0 for exact sampling); the library only
-    verifies the accounting arithmetic, not the bound itself.  An MCMC
-    oracle's draws at b = 0, the start of every cooling schedule, are exact
-    and read only their start states; it refuses b < 0 and nan.
+    verifies the accounting arithmetic, not the bound itself.  A subclass
+    defines ``_draw_rows(bs, n, rng)``, the (len(bs), n) block of
+    ``draw_energies``, and ``draw_energies_at``.
     """
 
     model: GibbsModel
-    kind: str
-    tv_budget_per_draw: float = 0.0
-    mcmc_steps: int = 0
-    counter: DrawCounter = field(default_factory=DrawCounter)
-    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in (KIND_EXACT, KIND_MCMC):
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.kind == KIND_EXACT and self.tv_budget_per_draw != 0.0:
-            raise ValueError("exact-enumeration oracles must declare tv budget 0")
-        if not 0 <= self.tv_budget_per_draw < math.inf:
-            raise ValueError("tv_budget_per_draw must be finite and nonnegative")
-        if self.kind == KIND_MCMC:
-            if self.model.graph is None:
-                raise ValueError("mcmc sampling requires an Ising model")
-            if self.mcmc_steps < 0:
-                raise ValueError("mcmc_steps must be nonnegative")
-            # Each chain starts from one rng.integers(0, 2**nv) state index,
-            # which numpy draws as an int64 up to nv = 63.
-            nv = self.model.graph.num_vertices
-            if nv > _MCMC_MAX_SITES:
-                raise EnumerationGuardError(
-                    f"mcmc start states are int64 indices below 2^nv: {nv} sites "
-                    f"exceed the {_MCMC_MAX_SITES}-site limit"
-                )
-            # The kernel plan, what draw_mcmc_lockstep reads of the graph.  Site
-            # v with a aligned neighbours flips if u < min(1, exp(-b (2a - deg))),
-            # 1 for a <= deg // 2 and past it nonincreasing in a: exactly when
-            # a < deg // 2 + 1 + #{thresholds u passes}.  Threshold k, row k of
-            # neg_expo, is the one at a = deg // 2 + 1 + k, real for a <= deg.
-            # Past deg it is padded: it repeats the last real one, so it passes
-            # and ties exactly when that one does, and then the limit passes
-            # deg, which no count reaches, as it should.  A degree-0 site, in
-            # lone, has no real threshold: it flips whatever its limit, and
-            # it never ties.  There is at least one threshold, so the limits
-            # fill the block even when no site has an edge.
-            adj = self.model.graph.adjacency()
-            deg = np.array([len(nbrs) for nbrs in adj])
-            a = deg // 2 + 1 + np.arange(max(1, (deg - deg // 2).max()))[:, None]
-            neg_expo = -np.minimum(2 * a - deg, np.maximum(deg, 1)).astype(float)
-            base = (deg // 2 + 1).astype(np.int8)[:, None]
-            lone = np.flatnonzero(deg == 0)
-            self._plan = (adj, base, neg_expo, np.arange(nv)[:, None], lone)
+    counter: DrawCounter = field(default_factory=DrawCounter, kw_only=True)
 
     def draw(self, b: float, rng: np.random.Generator) -> float:
         """H(X) for one X ~ pi_b: one row of one ``draw_energies`` draw.
@@ -126,63 +81,140 @@ class SamplerOracle:
         """
         return float(self.draw_energies(b, 1, rng)[0])
 
-    def draw_energies(
-        self, b: float | np.ndarray, n: int, rng: np.random.Generator
-    ) -> np.ndarray:
+    def draw_energies(self, b: float | np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         """H(X) for n independent X ~ pi_b; a 1-d array of b gives one row per b.
 
         A scalar b returns n energies, and an array ``b`` a (len(b), n) block
         that consumes ``rng`` exactly as one call per entry, in order, would;
-        the counter records n draws at each b.  For exact oracles the
-        uniforms are one (len(b), n) block inverted through a guide table
-        per row (see ``_draw_levels``); MCMC oracles run n restart chains
-        in lockstep per row.
+        the counter records n draws at each b.
         """
-        bs = np.atleast_1d(np.asarray(b, dtype=float))
-        if self.kind == KIND_EXACT:
-            block = _draw_levels(self, bs, n, rng)
-        else:
-            block = np.empty((len(bs), n))
-            for row, row_b in zip(block, bs.tolist()):
-                row[:] = _spin_energies(self.model, draw_mcmc_lockstep(self, row_b, n, rng))
+        block = self._draw_rows(np.atleast_1d(np.asarray(b, dtype=float)), n, rng)
         return block if np.ndim(b) else block[0]
 
-    def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """H(X_j) for independent X_j ~ pi_{bs[j]}, one per entry of ``bs``.
 
-        For exact oracles this equals ``[draw(b, rng) for b in bs]`` draw
-        for draw; MCMC oracles run one restart chain per entry, each at its
-        own b, in lockstep.
+@dataclass
+class ExactOracle(SamplerOracle):
+    """Exact draws from the model's levels; it needs no state table."""
+
+    tv_budget_per_draw: ClassVar[float] = 0.0
+
+    def _draw_rows(self, bs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Energies of n draws at each b of ``bs``, one row per b.
+
+        One (len(bs), n) block of uniforms; uniform u of row i draws the
+        level ``_count_levels`` would for bs[i], found through a guide table
+        (Chen and Asau, AIIE Trans. 6(2), 1974) of g = 2^k buckets over the
+        row's level CDF column, k derived from n, so g = 1 below 8 draws.
+        lv[j] is the level that u = j/g inverts to.  For a power of two g,
+        u*g and j/g are exact and fl(u * top) is monotone in u, so a uniform
+        in bucket j = floor(u*g) inverts to a level in [lv[j], lv[j+1]]:
+        where the two agree that is its level, and in the at most levels - 1
+        other buckets ``searchsorted`` over the level CDF finds it.  Every
+        key is clamped at the column's below, as in ``_count_levels``.  Each
+        row of energies overwrites its row of uniforms.
         """
-        bs = np.asarray(bs, dtype=float)
-        if self.kind == KIND_EXACT:
-            self.counter.record(bs)
-            return _count_levels(self.model, bs, rng.random(len(bs)))
-        return _spin_energies(self.model, draw_mcmc_lockstep(self, bs, len(bs), rng))
+        energies = self.model.energies
+        block = rng.random((len(bs), n))
+        self.counter.record(bs, n)
+        g = 1 << (n // 8).bit_length()
+        edges = np.arange(g + 1) / g
+        for cols, cw, top, below in _level_cdfs(self.model, bs):
+            for row, col, t, key_max in zip(block[cols], cw.T, top.tolist(), below.tolist()):
+                lv = np.searchsorted(col, np.minimum(edges * t, key_max), side="right")
+                # Energies are finite, so nan marks the buckets a boundary splits.
+                guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
+                drawn = guide[(row * g).astype(np.intp)]
+                split = np.flatnonzero(np.isnan(drawn))
+                if split.size:
+                    keys = np.minimum(row[split] * t, key_max)
+                    drawn[split] = energies[np.searchsorted(col, keys, side="right")]
+                row[:] = drawn
+        return block
 
-    def with_model(self, model: GibbsModel) -> "SamplerOracle":
+    def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """H(X_j) for independent X_j ~ pi_{bs[j]}, one per entry of ``bs``;
+        it equals ``[draw(b, rng) for b in bs]`` draw for draw."""
+        bs = np.asarray(bs, dtype=float)
+        self.counter.record(bs)
+        return _count_levels(self.model, bs, rng.random(len(bs)))
+
+    def with_model(self, model: GibbsModel) -> "ExactOracle":
         """View of this oracle on another model, sharing the draw counter.
 
         Shifting H by a constant leaves pi_b unchanged, so the shifted
-        pipeline draws through a view and all draws land in one tally.  The
-        view is checked as a new oracle is.
+        pipeline draws through a view and all draws land in one tally.
         """
         return replace(self, model=model)
 
 
-def exact_oracle(model: GibbsModel) -> SamplerOracle:
-    """Exact draws from the model's levels; it needs no state table."""
-    return SamplerOracle(model=model, kind=KIND_EXACT)
+@dataclass
+class RestartOracle(SamplerOracle):
+    """Restart-Metropolis draws: ``mcmc_steps`` sweeps from a fresh uniform
+    state per draw, on an Ising model of at most 63 sites.
+
+    Its draws at b = 0, the start of every cooling schedule, are exact and
+    read only their start states; it refuses b < 0 and nan.
+    """
+
+    mcmc_steps: int
+    tv_budget_per_draw: float
+    _plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 0 <= self.tv_budget_per_draw < math.inf:
+            raise ValueError("tv_budget_per_draw must be finite and nonnegative")
+        if self.model.graph is None:
+            raise ValueError("mcmc sampling requires an Ising model")
+        if self.mcmc_steps < 0:
+            raise ValueError("mcmc_steps must be nonnegative")
+        # Each chain starts from one rng.integers(0, 2**nv) state index,
+        # which numpy draws as an int64 up to nv = 63.
+        nv = self.model.graph.num_vertices
+        if nv > _MCMC_MAX_SITES:
+            raise EnumerationGuardError(
+                f"mcmc start states are int64 indices below 2^nv: {nv} sites "
+                f"exceed the {_MCMC_MAX_SITES}-site limit"
+            )
+        # The kernel plan, what draw_mcmc_lockstep reads of the graph.  Site
+        # v with a aligned neighbours flips if u < min(1, exp(-b (2a - deg))),
+        # 1 for a <= deg // 2 and past it nonincreasing in a: exactly when
+        # a < deg // 2 + 1 + #{thresholds u passes}.  Threshold k, row k of
+        # neg_expo, is the one at a = deg // 2 + 1 + k, real for a <= deg.
+        # Past deg it is padded: it repeats the last real one, so it passes
+        # and ties exactly when that one does, and then the limit passes
+        # deg, which no count reaches, as it should.  A degree-0 site, in
+        # lone, has no real threshold: it flips whatever its limit, and
+        # it never ties.  There is at least one threshold, so the limits
+        # fill the block even when no site has an edge.
+        adj = self.model.graph.adjacency()
+        deg = np.array([len(nbrs) for nbrs in adj])
+        a = deg // 2 + 1 + np.arange(max(1, (deg - deg // 2).max()))[:, None]
+        neg_expo = -np.minimum(2 * a - deg, np.maximum(deg, 1)).astype(float)
+        base = (deg // 2 + 1).astype(np.int8)[:, None]
+        lone = np.flatnonzero(deg == 0)
+        self._plan = (adj, base, neg_expo, np.arange(nv)[:, None], lone)
+
+    def _draw_rows(self, bs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n restart chains in lockstep per row, the energies of their spins."""
+        block = np.empty((len(bs), n))
+        for row, row_b in zip(block, bs.tolist()):
+            row[:] = _spin_energies(self.model, draw_mcmc_lockstep(self, row_b, n, rng))
+        return block
+
+    def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """H(X_j) for independent X_j ~ pi_{bs[j]}: one restart chain per entry
+        of ``bs``, each at its own b, in lockstep."""
+        return _spin_energies(self.model, draw_mcmc_lockstep(self, bs, len(bs), rng))
 
 
-def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -> SamplerOracle:
+def exact_oracle(model: GibbsModel) -> ExactOracle:
+    """An ``ExactOracle`` on ``model``."""
+    return ExactOracle(model)
+
+
+def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -> RestartOracle:
     """Restart-Metropolis draws; raises EnumerationGuardError past 63 sites."""
-    oracle = SamplerOracle(
-        model=model,
-        kind=KIND_MCMC,
-        tv_budget_per_draw=tv_budget_per_draw,
-        mcmc_steps=mcmc_steps,
-    )
+    oracle = RestartOracle(model, mcmc_steps, tv_budget_per_draw)
     if tv_budget_per_draw == 0.0:
         warnings.warn(
             "mcmc oracle declares no total-variation budget per draw, so the "
@@ -237,42 +269,6 @@ def _count_levels(model: GibbsModel, bs: np.ndarray, u: np.ndarray) -> np.ndarra
     return out
 
 
-def _draw_levels(
-    oracle: SamplerOracle, bs: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Energies of n draws at each b of ``bs``, one row per b.
-
-    One (len(bs), n) block of uniforms; uniform u of row i draws the level
-    ``_count_levels`` would for bs[i], found through a guide table (Chen and
-    Asau, AIIE Trans. 6(2), 1974) of g = 2^k buckets over the row's level
-    CDF column, k derived from n, so g = 1 below 8 draws.  lv[j] is the level
-    that u = j/g inverts to.  For a power of two g, u*g and j/g are exact
-    and fl(u * top) is monotone in u, so a uniform in bucket j = floor(u*g)
-    inverts to a level in [lv[j], lv[j+1]]: where the two agree that is its
-    level, and in the at most levels - 1 other buckets ``searchsorted`` over
-    the level CDF finds it.  Every key is clamped at the column's below, as
-    in ``_count_levels``.  Each row of energies overwrites its row of
-    uniforms.
-    """
-    energies = oracle.model.energies
-    block = rng.random((len(bs), n))
-    oracle.counter.record(bs, n)
-    g = 1 << (n // 8).bit_length()
-    edges = np.arange(g + 1) / g
-    for cols, cw, top, below in _level_cdfs(oracle.model, bs):
-        for row, col, t, key_max in zip(block[cols], cw.T, top.tolist(), below.tolist()):
-            lv = np.searchsorted(col, np.minimum(edges * t, key_max), side="right")
-            # Energies are finite, so nan marks the buckets a boundary splits.
-            guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
-            drawn = guide[(row * g).astype(np.intp)]
-            split = np.flatnonzero(np.isnan(drawn))
-            if split.size:
-                keys = np.minimum(row[split] * t, key_max)
-                drawn[split] = energies[np.searchsorted(col, keys, side="right")]
-            row[:] = drawn
-    return block
-
-
 def _bytes(words: np.ndarray) -> np.ndarray:
     """8-bit bytes of 64-bit generator words, low byte first, on any host."""
     return words.astype("<u8", copy=False).view(np.uint8)
@@ -324,7 +320,7 @@ def _settle_ties(u, limits, tied, whole, part, lone, rng) -> None:
 
 
 def draw_mcmc_lockstep(
-    oracle: SamplerOracle, b: float | np.ndarray, n: int, rng: np.random.Generator
+    oracle: RestartOracle, b: float | np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Spins of n independent restart chains run in lockstep, as (nv, n) bools.
 
@@ -352,10 +348,11 @@ def draw_mcmc_lockstep(
       starts flipped by the parity of mcmc_steps, exactly.
 
     A b below 0 or nan raises ValueError: the oracle's kernel plan assumes
-    each threshold at a <= deg // 2 is 1, which holds only for b >= 0.
+    each threshold at a <= deg // 2 is 1, which holds only for b >= 0.  An
+    oracle that is not a ``RestartOracle`` raises TypeError.
     """
-    if oracle.kind != KIND_MCMC:
-        raise ValueError("draw_mcmc_lockstep needs an mcmc oracle")
+    if not isinstance(oracle, RestartOracle):
+        raise TypeError("draw_mcmc_lockstep needs a restart-Metropolis oracle")
     b = np.asarray(b, dtype=float)
     per_chain = b.ndim > 0
     if per_chain and b.shape != (n,):

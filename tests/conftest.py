@@ -26,7 +26,7 @@ from gibbs_partition import (
     table_model,
 )
 from gibbs_partition.models import require_enumerable
-from gibbs_partition.samplers import _UNIFORM_CAP, KIND_EXACT
+from gibbs_partition import samplers
 
 
 def brute_log_partition(values, beta):
@@ -147,8 +147,8 @@ def draw_exact(oracle, b, rng):
     are kept on the oracle as ``_by_level``, built on first use.  The draw
     is recorded in the oracle's counter, as a library draw is.
     """
-    if oracle.kind != KIND_EXACT:
-        raise ValueError("draw_exact needs an exact-enumeration oracle")
+    if not isinstance(oracle, samplers.ExactOracle):
+        raise ValueError("draw_exact needs an exact oracle")
     if getattr(oracle, "_by_level", None) is None:
         counts = oracle.model.counts.astype(np.int64)
         order = np.argsort(state_energies(oracle.model), kind="stable")
@@ -166,9 +166,9 @@ def draw_exact(oracle, b, rng):
 
 
 def draw_state(oracle, b, rng):
-    """One state index from the reference draw for the oracle's kind; it
+    """One state index from the reference draw for the oracle's class; it
     consumes ``rng`` as one library draw at b does."""
-    if oracle.kind == KIND_EXACT:
+    if isinstance(oracle, samplers.ExactOracle):
         return draw_exact(oracle, b, rng)
     return draw_mcmc(oracle, b, rng)
 
@@ -233,8 +233,9 @@ def draw_mcmc_chains(oracle, b, n, rng):
     Replays the lockstep stream contract: n start states from one
     ``rng.integers`` call, then per sweep nv * n 8-bit uniforms from raw
     generator words, site-major, chain j sweeping on entry v * n + j for
-    site v.  Sweeps come in blocks of as many as fit in ``_UNIFORM_CAP``
-    uniforms; after a block's words, each uniform that equals the 8-bit
+    site v.  Sweeps come in blocks of as many as fit in
+    ``samplers._UNIFORM_CAP`` uniforms, read at call time as the kernel
+    reads it; after a block's words, each uniform that equals the 8-bit
     whole of one of its site's thresholds (one per aligned count from
     deg // 2 + 1 to deg) at its chain's b draws one double, in (sweep, site,
     chain) order.  A call whose every b is 0 reads only its start states:
@@ -266,7 +267,7 @@ def draw_mcmc_chains(oracle, b, n, rng):
             for nbrs in adj
         ]
 
-    per_block = max(1, _UNIFORM_CAP // max(1, nv * n))
+    per_block = max(1, samplers._UNIFORM_CAP // max(1, nv * n))
     for lo in range(0, oracle.mcmc_steps, per_block):
         block = [_uniforms8(rng, nv * n) for _ in range(min(per_block, oracle.mcmc_steps - lo))]
         tied = [

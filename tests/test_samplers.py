@@ -14,6 +14,7 @@ from scipy import stats
 
 from gibbs_partition import (
     ENUMERATION_GUARD,
+    ExactOracle,
     coupling_failure_bound,
     cycle_edges,
     draw_mcmc_lockstep,
@@ -31,7 +32,8 @@ from gibbs_partition import (
     shift_hamiltonian,
     table_model,
 )
-from gibbs_partition.samplers import _UNIFORM_CAP, _bytes, _split_thresholds
+from gibbs_partition import samplers
+from gibbs_partition.samplers import _bytes, _split_thresholds
 
 from conftest import (
     draw_exact,
@@ -356,24 +358,24 @@ def test_with_model_shares_counter(k2):
     assert oracle.counter.total == 2
 
 
-@pytest.mark.parametrize("move", ["with_model", "replace"])
 @pytest.mark.parametrize(
     "source,target",
     [
         (ising_model([(0, 1)], num_vertices=2), ising_model([(0, 1), (1, 2)], num_vertices=3)),
         (ising_model([(0, 1), (1, 2)], num_vertices=3), ising_model(cycle_edges(3), num_vertices=3)),
     ],
-    ids=["k2-to-path3", "path3-to-cycle3"],
+    ids=["k2-to-path3-replace", "path3-to-cycle3-replace"],
 )
-def test_moved_mcmc_oracle_draws_as_a_fresh_oracle_on_its_model(source, target, move):
+def test_moved_mcmc_oracle_draws_as_a_fresh_oracle_on_its_model(source, target):
     # The kernel plan is built from the graph, so an oracle moved onto
-    # another model must rebuild it: a stale plan runs the old graph's
-    # kernel, and draws other spins from the same generator.
+    # another model by dataclasses.replace must rebuild it: a stale plan
+    # runs the old graph's kernel, and draws other spins from the same
+    # generator.
     oracle = mcmc_oracle(source, mcmc_steps=5, tv_budget_per_draw=0.1)
-    moved = oracle.with_model(target) if move == "with_model" else replace(oracle, model=target)
+    moved = replace(oracle, model=target)
     fresh = mcmc_oracle(target, mcmc_steps=5, tv_budget_per_draw=0.1)
     for i, b in enumerate([0.7, np.linspace(0.05, 2.0, 64)]):
-        g1, g2 = _rng(f"moved-{move}", i), _rng(f"moved-{move}", i)
+        g1, g2 = _rng("moved-replace", i), _rng("moved-replace", i)
         spins = draw_mcmc_lockstep(moved, b, 64, g1)
         assert np.array_equal(spins, draw_mcmc_lockstep(fresh, b, 64, g2))
         assert np.array_equal(moved.draw_energies(b, 9, g1), fresh.draw_energies(b, 9, g2))
@@ -453,10 +455,17 @@ def test_mcmc_requires_ising(mixed_table, c4):
 
 
 def test_exact_kind_rejects_tv_budget(k2):
-    from gibbs_partition.samplers import SamplerOracle
+    # An exact oracle's budget is a class constant, not a field.
+    with pytest.raises(TypeError):
+        ExactOracle(k2, tv_budget_per_draw=0.1)
+    assert exact_oracle(k2).tv_budget_per_draw == 0.0
 
-    with pytest.raises(ValueError):
-        SamplerOracle(model=k2, kind="exact-enumeration", tv_budget_per_draw=0.1)
+
+def test_lockstep_refuses_an_exact_oracle_before_any_draw(k2):
+    oracle = exact_oracle(k2)
+    with pytest.raises(TypeError):
+        draw_mcmc_lockstep(oracle, 0.5, 4, _NoDraws())
+    assert oracle.counter.total == 0
 
 
 def test_sweep_matrix_is_stochastic_and_invariant(k2, c4):
@@ -548,19 +557,37 @@ _REPLAY_MODELS = [
 def _replay_shape(n, nv):
     """(chains, sweeps) of a replay on nv sites: n chains for 3 sweeps, or a
     shape set by the block cap on the sweeps' uniforms."""
-    per_block = _UNIFORM_CAP // (nv * 64)
+    cap = samplers._UNIFORM_CAP
+    per_block = cap // (nv * 64)
     shapes = {
         "blocks": (64, 2 * per_block + 1),  # two whole blocks, then one sweep
-        "past-cap": (_UNIFORM_CAP // nv + 1, 2),  # one sweep per block
+        "past-cap": (cap // nv + 1, 2),  # one sweep per block
         "no-sweeps": (5, 0),
     }
     return shapes.get(n, (n, 3))
 
 
+@pytest.fixture
+def small_uniform_cap(monkeypatch):
+    """A 2^15-uniform block cap, read by the kernel and its replay alike:
+    each cap-derived shape keeps its class at a quarter of the cells."""
+    monkeypatch.setattr(samplers, "_UNIFORM_CAP", 1 << 15)
+
+
+@pytest.mark.usefixtures("small_uniform_cap")
 @pytest.mark.parametrize("label,model", _REPLAY_MODELS, ids=[m[0] for m in _REPLAY_MODELS])
 @pytest.mark.parametrize("n", [1, 5, 64, "blocks", "past-cap", "no-sweeps"])
 @pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.0, 50.0, -0.5, "per-chain"])
 def test_mcmc_lockstep_replays_the_stream_contract(label, model, n, b):
+    _assert_replays(label, model, n, b)
+
+
+def test_mcmc_lockstep_replays_blocks_at_the_kernel_cap():
+    # One blocks case at the kernel's own cap, not the replay test's.
+    _assert_replays("k2", dict(_REPLAY_MODELS)["k2"], "blocks", 1.0)
+
+
+def _assert_replays(label, model, n, b):
     # n chains in lockstep are n scalar chains, chain j reading column j of
     # each sweep's (nv, n) block of uniforms; degree-0 sites always flip.
     nv = model.graph.num_vertices
@@ -902,7 +929,7 @@ def test_mcmc_draw_energies_at_are_per_chain_lockstep_energies(c4):
 
 @pytest.mark.parametrize("spec", ["cycle-4", "grid-3x3"])
 def test_paired_mcmc_estimate_never_builds_the_state_table(spec, monkeypatch):
-    from gibbs_partition import ParamOverrides, paired_product_estimate, samplers
+    from gibbs_partition import ParamOverrides, paired_product_estimate
     from gibbs_partition.cli import build_model
 
     model = build_model(spec)
