@@ -57,8 +57,19 @@ COMPARE_FIELDS = [
 ]
 
 
+# The most expected draws of a run that walks TPA: const-1000's paired run,
+# the largest of any documented command, makes about 48M exact draws in 2 s,
+# so this is about half a day of draws, past any run one would wait for.
+# It refuses a run that could never finish: const-1e308's bound is inf.
+MAX_SAMPLE_BOUND = 1e12
+
+
 class ConfigError(ValueError):
     pass
+
+
+class DrawLimitError(Exception):
+    """A valid run whose draw bound passes MAX_SAMPLE_BOUND."""
 
 
 @dataclass
@@ -232,7 +243,43 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """
     config.validate()
     model = build_model(config.model)
-    return _run_on(config, model, models.log_ratio_exact(model, config.beta))
+    truth = models.log_ratio_exact(model, config.beta)
+    if config.method in ("paired", "product"):
+        _check_draw_limit(config, model, truth)
+    return _run_on(config, model, truth)
+
+
+def _sample_bound(config: ExperimentConfig, model: models.GibbsModel, truth) -> float:
+    """The paired pipeline's average-draw bound at q = |truth|, compare's ``sample_bound``."""
+    q = abs(truth)
+    if sched_mod.regime_for_model(model) == sched_mod.REGIME_SHIFTED:
+        return estimators.sample_bound_shifted(q, model.n_bound, config.beta, config.epsilon)
+    return estimators.sample_bound_integer(q, model.n_bound, config.epsilon)
+
+
+def _check_draw_limit(config: ExperimentConfig, model: models.GibbsModel, truth) -> None:
+    """Refuse a paired or product run whose draw bound passes MAX_SAMPLE_BOUND.
+
+    It is called before any draw.  A paired run's bound is the instance
+    bound times the boost.  A product run walks 5 TPA runs for its q, each
+    about q + 1 draws (q + 2 n beta + 1 on a shifted model), and then makes
+    ``draws`` draws; epsilon does not enter it.
+    """
+    if config.method == "product":
+        q = abs(truth)
+        if sched_mod.regime_for_model(model) == sched_mod.REGIME_SHIFTED:
+            q += 2.0 * model.n_bound * config.beta
+        bound = 5.0 * (q + 1.0) + config.draws
+    else:
+        bound = _sample_bound(config, model, truth) * config.boost
+    if not bound <= MAX_SAMPLE_BOUND:
+        # A model whose shifted energies pass the float range stays a
+        # ValueError (exit 2): the run would meet it before its first draw.
+        estimators.prepare(samplers.exact_oracle(model), config.beta)
+        raise DrawLimitError(
+            f"the run's draw bound is {bound:.4g}, past the "
+            f"{MAX_SAMPLE_BOUND:.4g}-draw limit of a run that walks TPA"
+        )
 
 
 def _worker_count() -> int:
@@ -282,14 +329,8 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
     model = build_model(config.model)
     truth = models.log_ratio_exact(model, config.beta)
     band = math.log(1.0 + config.epsilon)
-    regime = sched_mod.regime_for_model(model)
-    q = abs(truth)
-    if regime == sched_mod.REGIME_SHIFTED:
-        bound = estimators.sample_bound_shifted(
-            q, model.n_bound, config.beta, config.epsilon
-        )
-    else:
-        bound = estimators.sample_bound_integer(q, model.n_bound, config.epsilon)
+    _check_draw_limit(replace(config, method="paired"), model, truth)
+    bound = _sample_bound(config, model, truth)
 
     paired_rows = _run_on(replace(config, method="paired"), model, truth)
     mean_paired_draws = sum(r["draws_total"] for r in paired_rows) / len(paired_rows)
@@ -446,7 +487,7 @@ def main(argv=None) -> int:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
             rows, columns = compare_methods(config, methods), COMPARE_FIELDS
         _emit(rows, columns, config, args.out, args.format, time.perf_counter() - start)
-    except (models.EnumerationGuardError, MemoryError) as exc:
+    except (models.EnumerationGuardError, DrawLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as exc:

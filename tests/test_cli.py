@@ -340,6 +340,64 @@ def test_main_mcmc_past_the_guard_exit_3(capsys):
         assert "63-site limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--method", "paired"], ["run", "--method", "product"], ["compare"]],
+    ids=["paired", "product", "compare"],
+)
+def test_a_run_that_could_never_finish_exit_3_before_any_draw(command, monkeypatch, capsys):
+    # const-1e308 has q = 1e308, and TPA steps 1e-308 at a time.  Its bound
+    # overflows to inf, and the run is refused before it builds an oracle.
+    def no_oracle(*args):
+        raise AssertionError("no oracle past the draw limit")
+
+    monkeypatch.setattr(cli, "build_oracle", no_oracle)
+    assert main([*command, "--model", "const-1e308", "--beta", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: the run's draw bound is inf, past the 1e+12-draw limit of a run that walks TPA\n"
+
+
+@pytest.mark.parametrize("method", ["single", "exact"])
+def test_methods_that_walk_no_tpa_run_past_the_draw_limit(method, tmp_path):
+    out = tmp_path / "o.csv"
+    args = ["run", "--model", "const-1e308", "--beta", "1", "--method", method, "--draws", "10"]
+    assert main([*args, "--out", str(out)]) == 0
+    assert float(_read_csv(out)[0]["log_estimate"]) == -1e308
+
+
+def test_the_draw_limit_reads_the_bound_times_the_boost():
+    # The k2 bound at epsilon 0.1 is 21,433.9 draws: 46,655,013 boosted
+    # estimates stay under 1e12 draws, and 46,655,015 pass it.
+    model = build_model("k2")
+    truth = models.log_ratio_exact(model, 1.0)
+    config = ExperimentConfig(model="k2", beta=1.0, boost=46_655_013)
+    assert cli._sample_bound(config, model, truth) == pytest.approx(21433.92357764558)
+    cli._check_draw_limit(config, model, truth)
+    with pytest.raises(cli.DrawLimitError, match="past the 1e\\+12-draw limit"):
+        cli._check_draw_limit(replace(config, boost=46_655_015), model, truth)
+    # const-1000 at epsilon 0.05 has a bound of 187M draws, far under it.
+    const = build_model("const-1000")
+    config = ExperimentConfig(model="const-1000", beta=1.0, epsilon=0.05)
+    const_truth = models.log_ratio_exact(const, 1.0)
+    assert 1.8e8 < cli._sample_bound(config, const, const_truth) < cli.MAX_SAMPLE_BOUND / 1000
+    cli._check_draw_limit(config, const, const_truth)
+
+
+def test_a_product_run_is_limited_by_its_tpa_walk_and_draws_not_epsilon(tmp_path):
+    # Product reads no epsilon: const-1000 walks 5 TPA runs of about 1,001
+    # draws and then makes --draws, whatever the paired bound at epsilon.
+    out = tmp_path / "o.csv"
+    args = ["run", "--method", "product", "--model", "const-1000", "--beta", "1"]
+    assert main([*args, "--epsilon", "0.05", "--draws", "100", "--out", str(out)]) == 0
+    assert float(_read_csv(out)[0]["log_estimate"]) == pytest.approx(-1000.0)
+    model = build_model("const-1000")
+    truth = models.log_ratio_exact(model, 1.0)
+    config = ExperimentConfig(model="const-1000", beta=1.0, method="product", draws=10**12 - 5005)
+    cli._check_draw_limit(config, model, truth)
+    with pytest.raises(cli.DrawLimitError, match="draw bound is 1e\\+12"):
+        cli._check_draw_limit(replace(config, draws=10**12 - 5004), model, truth)
+
+
 def test_mcmc_runs_past_the_state_guard_with_front_truth(tmp_path):
     # grid-5x5 has 2^25 states: its MCMC run is checked against its levels.
     out = tmp_path / "grid-mcmc.csv"
@@ -675,10 +733,12 @@ def test_compare_methods_table():
         warnings.simplefilter("ignore")
         table = compare_methods(cfg, ["paired", "product", "single"])
     assert [row["method"] for row in table] == ["paired", "product", "single"]
+    model = build_model("k2")
+    bound = cli._sample_bound(cfg, model, models.log_ratio_exact(model, 1.0))
     for row in table:
         assert 0.0 <= row["coverage"] <= 1.0
         assert row["mean_draws"] > 0
-        assert row["sample_bound"] > 0
+        assert row["sample_bound"] == bound > 0
     # matched budgets: baselines land near the paired draw count
     paired = table[0]["mean_draws"]
     assert table[2]["mean_draws"] == pytest.approx(paired, rel=0.05)

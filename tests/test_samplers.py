@@ -1,5 +1,6 @@
 """Samplers: distributional correctness, draw accounting, coupling arithmetic."""
 
+import itertools
 import math
 import types
 from dataclasses import replace
@@ -33,7 +34,7 @@ from gibbs_partition import (
     table_model,
 )
 from gibbs_partition import samplers
-from gibbs_partition.samplers import _bytes, _split_thresholds
+from gibbs_partition.samplers import _bytes, _site_flips, _split_thresholds
 
 from conftest import (
     draw_exact,
@@ -576,10 +577,28 @@ def small_uniform_cap(monkeypatch):
 
 @pytest.mark.usefixtures("small_uniform_cap")
 @pytest.mark.parametrize("label,model", _REPLAY_MODELS, ids=[m[0] for m in _REPLAY_MODELS])
-@pytest.mark.parametrize("n", [1, 5, 64, "blocks", "past-cap", "no-sweeps"])
+@pytest.mark.parametrize("n", [1, 5, 64, 65, "blocks", "past-cap", "no-sweeps"])
 @pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.0, 50.0, -0.5, "per-chain"])
 def test_mcmc_lockstep_replays_the_stream_contract(label, model, n, b):
     _assert_replays(label, model, n, b)
+
+
+@pytest.mark.parametrize("deg", range(9))
+def test_site_flips_is_the_metropolis_rule_by_its_truth_table(deg):
+    # One chain, so every int is one bit: for every own spin, neighbour
+    # spin pattern and L from 0 to c + 1, the site flips exactly when
+    # aligned < deg // 2 + 1 + L.  The site is site 1 of nv = deg + 2, so
+    # its plane k sits at 1 + k nv among set planes of the other sites;
+    # its padded planes, k >= c, are there too, and must not be read.
+    c, nv = deg - deg // 2, deg + 2
+    for own, pattern, limit in itertools.product((0, 1), range(2**deg), range(c + 2)):
+        nbr_spins = [(pattern >> i) & 1 for i in range(deg)]
+        aligned = nbr_spins.count(own)
+        planes = [1] * ((c + 2) * nv)
+        planes[1::nv] = [int(limit > k) for k in range(c + 2)]
+        rows = [1, own, *nbr_spins]
+        flips = _site_flips(rows, 1, range(2, nv), c, planes, 1, 1)
+        assert flips == int(aligned < deg // 2 + 1 + limit), (own, pattern, limit)
 
 
 def test_mcmc_lockstep_replays_blocks_at_the_kernel_cap():
