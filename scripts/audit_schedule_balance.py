@@ -12,6 +12,7 @@ Usage: python3 scripts/audit_schedule_balance.py [--model cycle-4] [--beta 1.0]
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -34,6 +35,10 @@ def main():
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    if not 0 < args.beta < math.inf:
+        parser.error("--beta must be positive and finite")
 
     model = build_model(args.model)
     balanced = 0

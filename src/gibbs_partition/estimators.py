@@ -93,14 +93,19 @@ class PairedEstimate:
 def paired_replicate_logs(
     schedule: CoolingSchedule, oracle: SamplerOracle, r: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ln W and ln V of r replicates, from one (points, r) block of energies,
-    row i drawn at schedule point i; X_{i+1} closes V_i and opens W_{i+1}.
-    ``einsum`` adds the rows in order; BLAS threads would make the last bits
-    depend on the thread count."""
-    energies = oracle.draw_energies(schedule.betas, r, rng)
-    deltas = np.array(schedule.half_lengths)
-    log_ws = -np.einsum("i,ij->j", deltas, energies[:-1])
-    return log_ws, np.einsum("i,ij->j", deltas, energies[1:])
+    """ln W and ln V of r replicates, from r energies at each schedule point
+    in turn; X_{i+1} closes V_i and opens W_{i+1}.  Each row of energies is
+    added into two running sums of r as it is drawn, in row order, so the
+    stage never holds the (points, r) block, and no BLAS thread count
+    reaches the last bits."""
+    rows = oracle.energy_rows(schedule.betas, r, rng)
+    sum_w, log_vs = np.zeros(r), np.zeros(r)
+    previous = next(rows)
+    for delta, energies in zip(schedule.half_lengths, rows):
+        sum_w += delta * previous
+        log_vs += delta * energies
+        previous = energies
+    return np.negative(sum_w, out=sum_w), log_vs
 
 
 def prepare(oracle: SamplerOracle, beta: float) -> tuple[SamplerOracle, str, float]:
@@ -269,7 +274,7 @@ def product_log_estimate(
     if draws_per_stage < 1:
         raise ValueError("draws_per_stage must be >= 1")
     betas = schedule.betas
-    energies = oracle.draw_energies(betas[:-1], draws_per_stage, rng)
+    energies = oracle.energy_rows(betas[:-1], draws_per_stage, rng)
     log_total = 0.0
     for lo, hi, row in zip(betas, betas[1:], energies):
         log_total += logsumexp(-(hi - lo) * row) - math.log(draws_per_stage)

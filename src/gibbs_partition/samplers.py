@@ -1,10 +1,12 @@
 """Sampling oracles for pi_b: exact enumeration and restart-Metropolis MCMC.
 
 Every consumer of draws reads only the energy H(X), so the oracle contract
-is ``draw_energies(b, n, rng)`` for n independent draws at one b, or a
-(len(b), n) block for a 1-d array of b, and ``draw_energies_at(bs, rng)``
-for one draw at each b of an array; no draw path keeps a state index, and no
-model holds a state table.  ``ExactOracle`` samples from the model's
+is ``energy_rows(bs, n, rng)``, which yields n independent draws at each b
+of an array in order, drawing and counting each row only when it is asked
+for, and ``draw_energies_at(bs, rng)`` for one draw at each b of an array;
+``draw_energies(b, n, rng)`` gathers the rows into one (len(b), n) block,
+or one row for a scalar b.  No draw path keeps a state index, and no model
+holds a state table.  ``ExactOracle`` samples from the model's
 density of states (its distinct energy levels and their multiplicities), so
 building it and a draw at a fresh b cost O(levels), not O(states).  One
 builder, ``_level_cdfs``, makes every level CDF in place, one column per b;
@@ -33,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -69,8 +72,10 @@ class SamplerOracle:
     ``tv_budget_per_draw`` is a declared upper bound on the total-variation
     distance of each draw from pi_b (0 for exact sampling); the library only
     verifies the accounting arithmetic, not the bound itself.  A subclass
-    defines ``_draw_rows(bs, n, rng)``, the (len(bs), n) block of
-    ``draw_energies``, and ``draw_energies_at``.
+    defines ``draw_energies_at`` and the generator ``energy_rows(bs, n,
+    rng)``: for each b of ``bs`` in order it draws one row of n energies
+    from ``rng``, records those n draws and yields the row, a fresh array,
+    so a caller that stops early has drawn and counted only the rows it took.
     """
 
     model: GibbsModel
@@ -88,9 +93,12 @@ class SamplerOracle:
 
         A scalar b returns n energies, and an array ``b`` a (len(b), n) block
         that consumes ``rng`` exactly as one call per entry, in order, would;
-        the counter records n draws at each b.
+        the counter records n draws at each b.  It gathers ``energy_rows``.
         """
-        block = self._draw_rows(np.atleast_1d(np.asarray(b, dtype=float)), n, rng)
+        bs = np.atleast_1d(np.asarray(b, dtype=float))
+        block = np.empty((len(bs), n))
+        for row, energies in zip(block, self.energy_rows(bs, n, rng)):
+            row[:] = energies
         return block if np.ndim(b) else block[0]
 
 
@@ -100,10 +108,11 @@ class ExactOracle(SamplerOracle):
 
     tv_budget_per_draw: ClassVar[float] = 0.0
 
-    def _draw_rows(self, bs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    def energy_rows(self, bs: np.ndarray, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
         """Energies of n draws at each b of ``bs``, one row per b.
 
-        One (len(bs), n) block of uniforms; uniform u of row i draws the
+        Each row reads ``rng.random(n)``, as the rows of one (len(bs), n)
+        ``rng.random`` call would; uniform u of row i draws the
         level ``_count_levels`` would for bs[i], found through a guide table
         (Chen and Asau, AIIE Trans. 6(2), 1974) of g = 2^k buckets over the
         row's level CDF column, k derived from n, so g = 1 below 8 draws.
@@ -112,16 +121,16 @@ class ExactOracle(SamplerOracle):
         in bucket j = floor(u*g) inverts to a level in [lv[j], lv[j+1]]:
         where the two agree that is its level, and in the at most levels - 1
         other buckets ``searchsorted`` over the level CDF finds it.  Every
-        key is clamped at the column's below, as in ``_count_levels``.  Each
-        row of energies overwrites its row of uniforms.
+        key is clamped at the column's below, as in ``_count_levels``.
         """
         energies = self.model.energies
-        block = rng.random((len(bs), n))
-        self.counter.record(bs, n)
+        bs = np.asarray(bs, dtype=float)
         g = 1 << (n // 8).bit_length()
         edges = np.arange(g + 1) / g
         for cols, cw, top, below in _level_cdfs(self.model, bs):
-            for row, col, t, key_max in zip(block[cols], cw.T, top.tolist(), below.tolist()):
+            for b, col, t, key_max in zip(bs[cols].tolist(), cw.T, top.tolist(), below.tolist()):
+                row = rng.random(n)
+                self.counter.record(b, n)
                 lv = np.searchsorted(col, np.minimum(edges * t, key_max), side="right")
                 # Energies are finite, so nan marks the buckets a boundary splits.
                 guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
@@ -130,8 +139,7 @@ class ExactOracle(SamplerOracle):
                 if split.size:
                     keys = np.minimum(row[split] * t, key_max)
                     drawn[split] = energies[np.searchsorted(col, keys, side="right")]
-                row[:] = drawn
-        return block
+                yield drawn
 
     def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """H(X_j) for independent X_j ~ pi_{bs[j]}, one per entry of ``bs``;
@@ -199,12 +207,10 @@ class RestartOracle(SamplerOracle):
         lone = np.flatnonzero(deg == 0)
         self._plan = (sites, neg_expo, np.arange(nv)[:, None], lone, ks)
 
-    def _draw_rows(self, bs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    def energy_rows(self, bs: np.ndarray, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
         """n restart chains in lockstep per row, the energies of their spins."""
-        block = np.empty((len(bs), n))
-        for row, row_b in zip(block, bs.tolist()):
-            row[:] = _spin_energies(self.model, draw_mcmc_lockstep(self, row_b, n, rng))
-        return block
+        for b in np.asarray(bs, dtype=float).tolist():
+            yield _spin_energies(self.model, draw_mcmc_lockstep(self, b, n, rng))
 
     def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """H(X_j) for independent X_j ~ pi_{bs[j]}: one restart chain per entry

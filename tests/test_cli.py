@@ -325,7 +325,7 @@ def test_main_exact_infeasible_exit_3(monkeypatch, capsys, tmp_path):
     ids=["replicates", "single-draws"],
 )
 def test_main_unallocatable_block_exit_3(args, capsys):
-    # Draw blocks of 2 and 7 EiB: past any address space, below numpy's
+    # Rows of draws of 0.7 and 7 EiB: past any address space, below numpy's
     # 2^63-byte limit, so the allocation fails without touching memory.
     assert main(["run", "--model", "k2", "--beta", "1", *args]) == 3
     err = capsys.readouterr().err

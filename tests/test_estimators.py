@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,11 +21,14 @@ from gibbs_partition import (
     constant_model,
     exact_oracle,
     exp_or_inf,
+    grid_model,
     log_partition_exact,
     log_ratio_exact,
+    mcmc_oracle,
     median_boosted_estimate,
     paired_product_estimate,
     paired_replicate_logs,
+    prepare,
     product_baseline_log_estimate,
     product_log_estimate,
     replicate_count,
@@ -33,6 +37,7 @@ from gibbs_partition import (
     stage_stream,
     table_model,
 )
+from gibbs_partition import samplers
 from gibbs_partition.cli import ExperimentConfig, run_experiment
 from gibbs_partition.schedule import (
     REGIME_INTEGER_NONPOSITIVE,
@@ -149,6 +154,53 @@ def test_replicate_logs_do_not_depend_on_blas_threads():
         hashes.append(done.stdout.split())
     assert len(hashes[0]) == 2
     assert hashes[0] == hashes[1]
+
+
+def _streamed_case(label, request):
+    """(oracle, schedule) of one streamed-sum case."""
+    if label == "5000-levels":
+        # Width 13 columns per level-CDF block, so 20 points span two blocks.
+        many = table_model(np.arange(5000.0) / 100.0)
+        assert samplers._MATRIX_CAP // len(many.energies) < 20
+        return exact_oracle(many), CoolingSchedule(tuple(np.linspace(0.0, 1.0, 20).tolist()))
+    schedule = CoolingSchedule(betas=(0.0, 0.2, 0.55, 0.7, 1.0))
+    if label == "mixed-5":
+        work, regime, _ = prepare(exact_oracle(request.getfixturevalue("mixed_table")), 1.0)
+        assert regime == REGIME_SHIFTED
+        return work, schedule
+    if label == "mcmc-k2":
+        return mcmc_oracle(request.getfixturevalue("k2"), 46, 1e-3), schedule
+    model = request.getfixturevalue("k2") if label == "k2" else grid_model(4, 4)
+    return exact_oracle(model), schedule
+
+
+@pytest.mark.parametrize("label", ["k2", "grid-4x4", "mixed-5", "5000-levels", "mcmc-k2"])
+def test_streamed_replicate_sums_are_the_row_order_einsum_bytes(label, request):
+    # The running sums add the rows in row order, exactly as a row-order
+    # einsum over the whole (points, r) block does, down to the last bit.
+    oracle, schedule = _streamed_case(label, request)
+    r = 301
+    block = oracle.draw_energies(np.array(schedule.betas), r, _rng(f"streamed-{label}"))
+    log_ws, log_vs = paired_replicate_logs(schedule, oracle, r, _rng(f"streamed-{label}"))
+    deltas = np.array(schedule.half_lengths)
+    assert log_ws.tobytes() == (-np.einsum("i,ij->j", deltas, block[:-1])).tobytes()
+    assert log_vs.tobytes() == np.einsum("i,ij->j", deltas, block[1:]).tobytes()
+    assert oracle.counter.total == 2 * r * len(schedule.betas)
+
+
+def test_replicate_memory_does_not_grow_with_the_schedule():
+    # 400 points of 7,217 replicates on grid-8x8: the whole energy block
+    # would be 23 MB; the running sums keep the stage to a few rows.
+    schedule = CoolingSchedule(tuple(np.linspace(0.0, 0.5, 400).tolist()))
+    oracle, r = exact_oracle(grid_model(8, 8)), 7217
+    tracemalloc.start()
+    try:
+        paired_replicate_logs(schedule, oracle, r, _rng("replicate-memory"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(schedule.betas) * r * 8 / 4
+    assert oracle.counter.total == len(schedule.betas) * r
 
 
 def test_k2_paired_factor_means(k2):

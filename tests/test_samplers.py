@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -227,6 +227,21 @@ def test_draw_energies_block_is_row_by_row_draws(n, label, model, bs):
     assert block.tolist() == [row.tolist() for row in rows]
     assert g1.bit_generator.state == g2.bit_generator.state
     assert by_block.counter.total == by_row.counter.total == len(bs) * n
+
+
+@pytest.mark.parametrize("kind", ["exact", "mcmc"])
+def test_energy_rows_draw_and_count_each_row_when_it_is_taken(kind, c4):
+    # A generator taken for its first row only has drawn that row's n
+    # uniforms and recorded its n draws, and nothing of the rows after it.
+    def oracle():
+        return exact_oracle(c4) if kind == "exact" else mcmc_oracle(c4, 3, 0.1)
+
+    streamed, one_row = oracle(), oracle()
+    g1, g2 = _rng(f"rows-{kind}"), _rng(f"rows-{kind}")
+    first = next(streamed.energy_rows(BLOCK_BS, 64, g1))
+    assert streamed.counter.total == 64
+    assert first.tolist() == one_row.draw_energies(BLOCK_BS[0], 64, g2).tolist()
+    assert g1.bit_generator.state == g2.bit_generator.state
 
 
 def _guide_levels(oracle, b, n):
@@ -690,6 +705,42 @@ def test_threshold_split_is_exact_for_any_b_and_delta(b, delta):
     t = np.exp(-np.multiply(delta, b))
     whole, part = _split_thresholds(np.array([t]))
     _assert_exact_split(float(t), whole[0], part[0])
+
+
+def _degree_plan_thresholds():
+    """The kernel plan's threshold exponents, (K, nv), on a graph with one
+    site of each degree 0 to 8, each joined to leaves of its own."""
+    edges, nv = [], 9
+    for hub in range(9):
+        edges += [(hub, leaf) for leaf in range(nv, nv + hub)]
+        nv += hub
+    oracle = mcmc_oracle(ising_model(edges, num_vertices=nv), 1, 0.1)
+    return oracle._plan[1]
+
+
+_DEGREE_PLAN = _degree_plan_thresholds()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0))
+@example(0.0)
+@example(5e-324)
+@example(1e-16)
+@example(50.0)
+@example(math.inf)
+def test_split_thresholds_never_increase_with_k(b):
+    # The flip rule aligned < deg // 2 + 1 + L counts the thresholds a
+    # uniform passes; that is the reference's one-threshold decision only
+    # if, at every site, whole is nonincreasing in k and part is where the
+    # wholes are equal.  Padded rows count too: they must not pass where a
+    # real one fails.  Past b ~ 2.2e307 the largest exponent, -8 b,
+    # overflows to -inf, as it does in the kernel, and its threshold is 0.
+    assert _DEGREE_PLAN.shape == (4, 45)
+    with np.errstate(over="ignore"):
+        t = np.exp(np.multiply.outer(_DEGREE_PLAN, [b]))
+    whole, part = _split_thresholds(t)
+    assert (whole[:-1] >= whole[1:]).all()
+    assert (part[:-1] >= part[1:])[whole[:-1] == whole[1:]].all()
 
 
 def test_bytes_split_each_word_low_byte_first():

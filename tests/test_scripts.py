@@ -49,3 +49,12 @@ def test_audit_schedule_balance_runs(spec, tmp_path):
     assert lines[0].startswith(f"model {spec}  beta 1.0  regime ")
     assert lines[1].startswith("eta target")
     assert lines[2].startswith("balanced schedules  ") and lines[2].endswith("/3")
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--beta"])
+def test_audit_schedule_balance_refuses_a_zero_with_a_usage_error(flag):
+    # --trials 0 would report on no schedule and --beta 0 on no walk.
+    done = _run_script("audit_schedule_balance.py", flag, "0")
+    assert done.returncode == 2
+    assert "usage:" in done.stderr and flag in done.stderr
+    assert "Traceback" not in done.stderr
