@@ -295,11 +295,12 @@ def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
 
 
 def log_partition_exact(model: GibbsModel, beta: float) -> float:
-    """ln Z(beta) = logsumexp(ln m_l - beta E_l) over the model's levels;
-    raw Z is never materialized."""
+    """ln Z(beta) = logsumexp(ln m_l - beta E_l) over the model's levels, each
+    beta E_l past the float range taken as +-inf; raw Z is never materialized."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    return logsumexp(np.log(model.counts) - beta * model.energies)
+    with np.errstate(over="ignore"):
+        return logsumexp(np.log(model.counts) - beta * model.energies)
 
 
 def log_ratio_exact(model: GibbsModel, beta: float) -> float:

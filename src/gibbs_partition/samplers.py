@@ -1,17 +1,18 @@
 """Sampling oracles for pi_b: exact enumeration and restart-Metropolis MCMC.
 
 Every consumer of draws reads only the energy H(X), so the oracle contract
-is ``energy_rows(bs, n, rng)``, which yields n independent draws at each b
-of an array in order, drawing and counting each row only when it is asked
-for, and ``draw_energies_at(bs, rng)`` for one draw at each b of an array;
-``draw_energies(b, n, rng)`` gathers the rows into one (len(b), n) block,
-or one row for a scalar b.  No draw path keeps a state index, and no model
-holds a state table.  ``ExactOracle`` samples from the model's
-density of states (its distinct energy levels and their multiplicities), so
-building it and a draw at a fresh b cost O(levels), not O(states).  One
-builder, ``_level_cdfs``, makes every level CDF in place, one column per b;
-one draw per b inverts by counting down the column, and a row of n draws at
-one b through a guide table over it, O(1) per draw on average.
+is its two draw shapes: ``energy_rows(bs, n, rng)`` yields n independent
+draws at each b of an array in order, drawing and counting each row only
+when it is taken, as the paired product reads them, and
+``draw_energies_at(bs, rng)`` makes one draw at each b, as TPA reads them;
+``draw(b, rng)`` is a one-entry ``draw_energies_at``.  No draw path keeps a
+state index, and no model holds a state table.  ``ExactOracle`` samples from
+the model's density of states (its distinct energy levels and their
+multiplicities), so building it and a draw at a fresh b cost O(levels), not
+O(states).  One builder, ``_level_cdfs``, makes every level CDF in place,
+one column per b; one draw per b inverts by counting down the column, and a
+row of n draws at one b through a guide table over it, O(1) per draw on
+average.
 ``RestartOracle`` runs n restart chains in lockstep with one (nv, n) block
 of 8-bit uniforms per sweep, the bytes of raw generator words, several
 sweeps per call; the graph's part of every threshold comes from a kernel
@@ -26,7 +27,7 @@ Each chain's energy is summed from its spins, on any Ising model of at most
 63 sites (int64 start indices).  Under the guard, ``mcmc_draw_distribution``
 and ``mcmc_tv_curve`` evolve the exact law of its draws as one 2^n vector
 updated site by site.  Every draw consumes a caller-supplied numpy
-Generator and is counted by the counter's one ``record`` method, whose
+Generator and is counted by the counter's one ``record(n)`` method, whose
 total is the ground truth for all sample counts.
 """
 
@@ -60,9 +61,9 @@ class DrawCounter:
     def __init__(self):
         self.total = 0
 
-    def record(self, b: float | np.ndarray, n: int = 1) -> None:
-        """n draws at b, or n at each entry of a 1-d array b."""
-        self.total += n * np.asarray(b).size
+    def record(self, n: int) -> None:
+        """n more draws."""
+        self.total += n
 
 
 @dataclass
@@ -82,24 +83,11 @@ class SamplerOracle:
     counter: DrawCounter = field(default_factory=DrawCounter, kw_only=True)
 
     def draw(self, b: float, rng: np.random.Generator) -> float:
-        """H(X) for one X ~ pi_b: one row of one ``draw_energies`` draw.
+        """H(X) for one X ~ pi_b: a one-entry ``draw_energies_at``.
 
         No estimate calls it; the per-layer probes in ``perfbench`` do.
         """
-        return float(self.draw_energies(b, 1, rng)[0])
-
-    def draw_energies(self, b: float | np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        """H(X) for n independent X ~ pi_b; a 1-d array of b gives one row per b.
-
-        A scalar b returns n energies, and an array ``b`` a (len(b), n) block
-        that consumes ``rng`` exactly as one call per entry, in order, would;
-        the counter records n draws at each b.  It gathers ``energy_rows``.
-        """
-        bs = np.atleast_1d(np.asarray(b, dtype=float))
-        block = np.empty((len(bs), n))
-        for row, energies in zip(block, self.energy_rows(bs, n, rng)):
-            row[:] = energies
-        return block if np.ndim(b) else block[0]
+        return float(self.draw_energies_at(np.array([b], dtype=float), rng)[0])
 
 
 @dataclass
@@ -128,9 +116,9 @@ class ExactOracle(SamplerOracle):
         g = 1 << (n // 8).bit_length()
         edges = np.arange(g + 1) / g
         for cols, cw, top, below in _level_cdfs(self.model, bs):
-            for b, col, t, key_max in zip(bs[cols].tolist(), cw.T, top.tolist(), below.tolist()):
+            for col, t, key_max in zip(cw.T, top.tolist(), below.tolist()):
                 row = rng.random(n)
-                self.counter.record(b, n)
+                self.counter.record(n)
                 lv = np.searchsorted(col, np.minimum(edges * t, key_max), side="right")
                 # Energies are finite, so nan marks the buckets a boundary splits.
                 guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
@@ -145,7 +133,7 @@ class ExactOracle(SamplerOracle):
         """H(X_j) for independent X_j ~ pi_{bs[j]}, one per entry of ``bs``;
         it equals ``[draw(b, rng) for b in bs]`` draw for draw."""
         bs = np.asarray(bs, dtype=float)
-        self.counter.record(bs)
+        self.counter.record(len(bs))
         return _count_levels(self.model, bs, rng.random(len(bs)))
 
     def with_model(self, model: GibbsModel) -> "ExactOracle":
@@ -256,9 +244,19 @@ def _level_cdfs(model: GibbsModel, bs: np.ndarray):
     for lo in range(0, len(bs), width):
         cols = slice(lo, lo + width)
         cw = buffer[:, : len(bs[cols])]
-        np.multiply.outer(energies, -bs[cols], out=cw)
         # Energies ascend, so each column's largest log-weight is at an end.
-        np.subtract(cw, np.maximum(cw[0], cw[-1]), out=cw)
+        with np.errstate(over="ignore"):
+            np.multiply.outer(energies, -bs[cols], out=cw)
+            peak = np.maximum(cw[0], cw[-1])
+            if math.isinf(peak.min()) or math.isinf(peak.max()):
+                # Past the float range every other level weighs under
+                # exp(-4e292) of an end level: the column is that level's
+                # point mass, the lowest for b > 0.
+                hot = np.flatnonzero(np.isinf(peak))
+                cw[:, hot] = -np.inf
+                cw[np.where(bs[cols][hot] > 0, 0, -1), hot] = 0.0
+                peak[hot] = 0.0
+            np.subtract(cw, peak, out=cw)
         np.exp(cw, out=cw)
         np.multiply(counts[:, None], cw, out=cw)
         np.cumsum(cw, axis=0, out=cw)
@@ -372,21 +370,22 @@ def draw_mcmc_lockstep(
     if not isinstance(oracle, RestartOracle):
         raise TypeError("draw_mcmc_lockstep needs a restart-Metropolis oracle")
     b = np.asarray(b, dtype=float)
-    per_chain = b.ndim > 0
-    if per_chain and b.shape != (n,):
+    if b.ndim and b.shape != (n,):
         raise ValueError("per-chain b needs one value per chain")
     _require_nonnegative(b)
     sites, neg_expo, shifts, lone, ks = oracle._plan
     nv = len(sites)
     states = rng.integers(0, 2 ** nv, size=n)
     spins = ((states >> shifts) & 1).astype(bool)
-    oracle.counter.record(b, 1 if per_chain else n)
+    oracle.counter.record(n)
     if not b.any():
         if oracle.mcmc_steps % 2:
             np.logical_not(spins, out=spins)
         return spins
-    # Negation is exact, so t has the bits of exp(-(min(2a - deg, max(deg, 1)) b)).
-    t = np.exp(np.multiply.outer(neg_expo, np.atleast_1d(b)))
+    # Negation is exact, so t has the bits of exp(-(min(2a - deg, max(deg, 1)) b)),
+    # exactly 0 where the product passes the float range.
+    with np.errstate(over="ignore"):
+        t = np.exp(np.multiply.outer(neg_expo, np.atleast_1d(b)))
     whole, part = _split_thresholds(t)
     rows, ones = _pack_rows(spins), (1 << n) - 1
     cells = nv * n

@@ -17,10 +17,8 @@ def _stage_key(stage: str) -> int:
     return int.from_bytes(hashlib.blake2b(stage.encode(), digest_size=8).digest(), "big")
 
 
-def seed_sequence(master_seed: int, stage: str, index: int = 0) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(_stage_key(stage), index))
-
-
 def stage_stream(master_seed: int, stage: str, index: int = 0) -> np.random.Generator:
     """Generator for the given (seed, stage, index) coordinate."""
-    return np.random.default_rng(seed_sequence(master_seed, stage, index))
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(_stage_key(stage), index))
+    )

@@ -156,7 +156,7 @@ def draw_exact(oracle, b, rng):
     order, starts = oracle._by_level
     cw = level_cdf(oracle, b)
     t = rng.random() * cw[-1]
-    oracle.counter.record(b)
+    oracle.counter.record(1)
     # t can round up to cw[-1], where bisect_right runs past the top level.
     level = min(bisect_right(cw, t), len(cw) - 1)
     lo = cw[level - 1] if level else 0.0
@@ -223,7 +223,7 @@ def draw_mcmc(oracle, b, rng):
     The draw is recorded in the oracle's counter, as a library draw is.
     """
     state = draw_mcmc_chains(oracle, b, 1, rng)[0]
-    oracle.counter.record(b)
+    oracle.counter.record(1)
     return state
 
 

@@ -180,7 +180,7 @@ def test_streamed_replicate_sums_are_the_row_order_einsum_bytes(label, request):
     # einsum over the whole (points, r) block does, down to the last bit.
     oracle, schedule = _streamed_case(label, request)
     r = 301
-    block = oracle.draw_energies(np.array(schedule.betas), r, _rng(f"streamed-{label}"))
+    block = np.array(list(oracle.energy_rows(schedule.betas, r, _rng(f"streamed-{label}"))))
     log_ws, log_vs = paired_replicate_logs(schedule, oracle, r, _rng(f"streamed-{label}"))
     deltas = np.array(schedule.half_lengths)
     assert log_ws.tobytes() == (-np.einsum("i,ij->j", deltas, block[:-1])).tobytes()

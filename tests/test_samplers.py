@@ -130,11 +130,27 @@ def test_draw_energy_matches_draw(label, model, b):
         g1 = _rng(f"energy-{label}", int(b * 10))
         g2 = _rng(f"energy-{label}", int(b * 10))
         g3 = _rng(f"energy-{label}", int(b * 10))
-        energies = [by_energy.draw_energies(b, 1, g1).item() for _ in range(1000)]
+        energies = [next(by_energy.energy_rows([b], 1, g1)).item() for _ in range(1000)]
         drawn = [by_draw.draw(b, g2) for _ in range(1000)]
         states = [draw_state(by_state, b, g3) for _ in range(1000)]
         assert energies == drawn == [float(h[x]) for x in states]
         assert by_energy.counter.total == by_draw.counter.total == by_state.counter.total == 1000
+
+
+@pytest.mark.parametrize("kind", ["exact", "mcmc"])
+@pytest.mark.parametrize("b", [0.0, 0.7])
+def test_draw_is_a_one_entry_draw_energies_at(kind, b, c4):
+    # Draw for draw, count for count and word for word of the generator.
+    def oracle():
+        return exact_oracle(c4) if kind == "exact" else mcmc_oracle(c4, 3, 0.1)
+
+    by_draw, by_entry = oracle(), oracle()
+    g1, g2 = _rng(f"one-entry-{kind}"), _rng(f"one-entry-{kind}")
+    drawn = [by_draw.draw(b, g1) for _ in range(200)]
+    assert all(type(h) is float for h in drawn)
+    assert drawn == [by_entry.draw_energies_at(np.array([b]), g2)[0] for _ in range(200)]
+    assert by_draw.counter.total == by_entry.counter.total == 200
+    assert g1.bit_generator.state == g2.bit_generator.state
 
 
 @pytest.mark.parametrize("label,model", tiny_models())
@@ -145,7 +161,7 @@ def test_draw_energies_matches_draw_energy(label, model, b):
     g1 = _rng(f"energies-{label}", int(b * 10))
     g2 = _rng(f"energies-{label}", int(b * 10))
     n = 1000
-    energies = batched.draw_energies(b, n, g1)
+    energies = next(batched.energy_rows([b], n, g1))
     assert energies.tolist() == state_energies(model)[[draw_exact(single, b, g2) for _ in range(n)]].tolist()
     assert batched.counter.total == n
     assert g1.random() == g2.random()
@@ -211,7 +227,7 @@ def _row_by_row(oracle, b, n, rng):
         return state_energies(model)[[draw_exact(oracle, b, rng) for _ in range(n)]]
     cw = level_cdf(oracle, b)
     levels = [min(bisect_right(cw, rng.random() * cw[-1]), len(cw) - 1) for _ in range(n)]
-    oracle.counter.record(b, n)
+    oracle.counter.record(n)
     return model.energies[levels]
 
 
@@ -221,7 +237,7 @@ def test_draw_energies_block_is_row_by_row_draws(n, label, model, bs):
     # n = 8 is the smallest guide table, of g = 2 buckets.
     by_block, by_row = exact_oracle(model), exact_oracle(model)
     g1, g2 = _rng(f"block-{label}", n), _rng(f"block-{label}", n)
-    block = by_block.draw_energies(bs, n, g1)
+    block = np.array(list(by_block.energy_rows(bs, n, g1)))
     rows = [_row_by_row(by_row, b, n, g2) for b in bs]
     assert block.shape == (len(bs), n)
     assert block.tolist() == [row.tolist() for row in rows]
@@ -240,7 +256,7 @@ def test_energy_rows_draw_and_count_each_row_when_it_is_taken(kind, c4):
     g1, g2 = _rng(f"rows-{kind}"), _rng(f"rows-{kind}")
     first = next(streamed.energy_rows(BLOCK_BS, 64, g1))
     assert streamed.counter.total == 64
-    assert first.tolist() == one_row.draw_energies(BLOCK_BS[0], 64, g2).tolist()
+    assert first.tolist() == next(one_row.energy_rows(BLOCK_BS[:1], 64, g2)).tolist()
     assert g1.bit_generator.state == g2.bit_generator.state
 
 
@@ -264,7 +280,7 @@ def test_guide_table_falls_back_where_levels_crowd_one_bucket():
     j = (np.random.default_rng(0).random(n) * g).astype(int)
     split = lv[j] != lv[j + 1]
     assert split.sum() == 48
-    energies = oracle.draw_energies(2.0, n, np.random.default_rng(0))
+    energies = next(oracle.energy_rows([2.0], n, np.random.default_rng(0)))
     reference = _row_by_row(exact_oracle(oracle.model), 2.0, n, np.random.default_rng(0))
     assert energies.tolist() == reference.tolist()
 
@@ -276,7 +292,7 @@ def test_guide_table_with_one_level_left_never_falls_back():
     oracle = exact_oracle(table_model([0.0, 1.0, 1.0, 2000.0]))
     cw, _, lv = _guide_levels(oracle, 50.0, 7217)
     assert len(cw) == 1 and not lv.any()
-    assert oracle.draw_energies(50.0, 7217, _rng("one-level")).tolist() == [0.0] * 7217
+    assert next(oracle.energy_rows([50.0], 7217, _rng("one-level"))).tolist() == [0.0] * 7217
 
 
 @pytest.mark.parametrize("label", ["k2", "cycle-4", "grid-2x2"])
@@ -285,8 +301,8 @@ def test_mcmc_draw_energies_block_is_row_by_row_calls(label):
     by_block = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
     by_row = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
     g1, g2 = _rng(f"mcmc-block-{label}"), _rng(f"mcmc-block-{label}")
-    block = by_block.draw_energies(BLOCK_BS, 64, g1)
-    rows = [by_row.draw_energies(b, 64, g2) for b in BLOCK_BS]
+    block = np.array(list(by_block.energy_rows(BLOCK_BS, 64, g1)))
+    rows = [next(by_row.energy_rows([b], 64, g2)) for b in BLOCK_BS]
     assert block.tolist() == [row.tolist() for row in rows]
     assert g1.bit_generator.state == g2.bit_generator.state
     assert by_block.counter.total == by_row.counter.total == len(BLOCK_BS) * 64
@@ -307,9 +323,9 @@ def test_draw_never_lands_on_underflowed_level():
     oracle = exact_oracle(table_model([0.0, 1.0, 1.0, 2000.0]))
     assert draw_exact(oracle, 1.0, _TopUniform()) == 2
     assert oracle.draw(1.0, _TopUniform()) == 1.0
-    assert oracle.draw_energies(1.0, 3, _TopUniform()).tolist() == [1.0] * 3
+    assert next(oracle.energy_rows([1.0], 3, _TopUniform())).tolist() == [1.0] * 3
     # A block's rows each cap at their own top level.
-    assert oracle.draw_energies([1.0, 0.0], 3, _TopUniform()).tolist() == [
+    assert np.array(list(oracle.energy_rows([1.0, 0.0], 3, _TopUniform()))).tolist() == [
         [1.0] * 3,
         [2000.0] * 3,
     ]
@@ -324,6 +340,33 @@ def test_draw_never_lands_on_underflowed_level():
     assert counts[3] == 0
     expected = _pi(oracle.model, 1.0)[:3] * n
     assert stats.chisquare(counts[:3], expected).pvalue > 0.001
+
+
+@pytest.mark.parametrize("b", [6e307, 1e308])
+def test_draws_and_truth_past_the_float_range(b):
+    # Past about 4.5e307, -b E passes the float range on grid-2x2 (levels -4,
+    # -2 and 0) and on a table of levels -4 and 4.  The law there is the
+    # point mass at the lowest level for b > 0 and at the highest for b < 0,
+    # as at +-4e307, where nothing overflows.  ln Z is inf, or ln 2 where
+    # grid-2x2's two states of energy 0 outweigh the rest.  A warning fails
+    # the test.
+    for model, log_z in [(grid_model(2, 2), math.log(2.0)), (table_model([-4.0, 4.0]), math.inf)]:
+        far, near = exact_oracle(model), exact_oracle(model)
+        g1, g2 = _rng("past-float-range"), _rng("past-float-range")
+        block = np.array(list(far.energy_rows([b, 0.5, -b], 64, g1)))
+        assert block[[0, 2]].tolist() == [[-4.0] * 64, [model.energies[-1]] * 64]
+        assert block.tolist() == np.array(list(near.energy_rows([4e307, 0.5, -4e307], 64, g2))).tolist()
+        drawn = far.draw_energies_at(np.array([b, 0.5, -b]), g1)
+        assert drawn.tolist() == near.draw_energies_at(np.array([4e307, 0.5, -4e307]), g2).tolist()
+        assert log_partition_exact(model, b) == math.inf
+        assert log_partition_exact(model, -b) == log_z
+    # Each Metropolis threshold is 0 there, as at any b where exp(-b) underflows.
+    c4 = ising_model(cycle_edges(4), 4)
+    g1, g2 = _rng("past-float-range-mcmc"), _rng("past-float-range-mcmc")
+    far, near = mcmc_oracle(c4, 3, 0.1), mcmc_oracle(c4, 3, 0.1)
+    far_rows, near_rows = far.energy_rows([b], 64, g1), near.energy_rows([1e4], 64, g2)
+    assert next(far_rows).tolist() == next(near_rows).tolist()
+    assert g1.bit_generator.state == g2.bit_generator.state
 
 
 def test_draw_exact_requires_exact_kind(k2):
@@ -341,28 +384,13 @@ def test_counter_tracks_every_draw(k2):
     assert oracle.counter.total == 20
 
 
-def test_counter_total_sums_batched_and_single_records():
+def test_counter_total_sums_the_recorded_counts():
     from gibbs_partition import DrawCounter
 
     counter = DrawCounter()
-    for b, n in [(0.0, 1), (0.5, 7217), (0.0, 3), (1.0, 1), (0.5, 2)]:
-        counter.record(b, n)
-    counter.record(0.25)
-    assert counter.total == 7225
-
-
-def test_counter_total_is_the_same_however_draws_are_recorded():
-    from gibbs_partition import DrawCounter
-
-    bs = [0.0, 0.5, 0.5, 1.0, 0.25, 0.5, 0.0]
-    one_by_one, batched, each = DrawCounter(), DrawCounter(), DrawCounter()
-    for b in bs:
-        one_by_one.record(b)
-    for b in sorted(set(bs)):
-        batched.record(b, bs.count(b))
-    each.record(np.array(bs[:3]))
-    each.record(np.array(bs[3:]))
-    assert one_by_one.total == batched.total == each.total == len(bs)
+    for n in [1, 7217, 3, 0, 1, 2]:
+        counter.record(n)
+    assert counter.total == 7224
 
 
 def test_with_model_shares_counter(k2):
@@ -394,7 +422,9 @@ def test_moved_mcmc_oracle_draws_as_a_fresh_oracle_on_its_model(source, target):
         g1, g2 = _rng("moved-replace", i), _rng("moved-replace", i)
         spins = draw_mcmc_lockstep(moved, b, 64, g1)
         assert np.array_equal(spins, draw_mcmc_lockstep(fresh, b, 64, g2))
-        assert np.array_equal(moved.draw_energies(b, 9, g1), fresh.draw_energies(b, 9, g2))
+        bs = np.atleast_1d(b)
+        rows = list(moved.energy_rows(bs, 9, g1))
+        assert np.array_equal(rows, list(fresh.energy_rows(bs, 9, g2)))
         assert g1.bit_generator.state == g2.bit_generator.state
 
 
@@ -981,7 +1011,7 @@ def test_mcmc_lockstep_rejects_misshapen_b(k2):
 def test_mcmc_draw_energies_are_lockstep_energies(c4):
     by_energy = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
     by_state = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
-    energies = by_energy.draw_energies(0.7, 500, _rng("mcmc-energies"))
+    energies = next(by_energy.energy_rows([0.7], 500, _rng("mcmc-energies")))
     states = pack_states(draw_mcmc_lockstep(by_state, 0.7, 500, _rng("mcmc-energies")))
     assert energies.tolist() == state_energies(c4)[states].tolist()
     assert by_energy.counter.total == 500
@@ -1052,7 +1082,7 @@ def test_mcmc_law_on_grid_4x4_matches_draws_by_level():
     pi = np.bincount(at, weights=_pi(grid, b))
     assert 0.5 * np.abs(law - pi).sum() > 0.05
     oracle = mcmc_oracle(grid, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
-    drawn = oracle.draw_energies(b, n, _rng("grid-4x4-law"))
+    drawn = next(oracle.energy_rows([b], n, _rng("grid-4x4-law")))
     drawn_levels = np.searchsorted(levels, drawn)
     assert (levels[drawn_levels] == drawn).all()
     counts = np.bincount(drawn_levels, minlength=len(levels))
@@ -1104,7 +1134,7 @@ def test_exact_oracle_draws_from_levels_past_the_guard():
     grid = grid_model(8, 8)
     oracle = exact_oracle(grid)
     n = 20_000
-    energies = oracle.draw_energies(0.5, n, _rng("grid-8x8"))
+    energies = next(oracle.energy_rows([0.5], n, _rng("grid-8x8")))
     assert set(energies.tolist()) <= set(grid.energies.tolist())
     assert oracle.counter.total == n
     se = energies.std(ddof=1) / math.sqrt(n)
@@ -1119,7 +1149,8 @@ def test_grid_levels_and_enumerated_table_draw_alike():
     bs = _rng("grid-alike-b").random(300) * 2.0
     g1, g2 = _rng("grid-alike"), _rng("grid-alike")
     assert by_levels.draw_energies_at(bs, g1).tolist() == by_table.draw_energies_at(bs, g2).tolist()
-    assert by_levels.draw_energies(0.7, 500, g1).tolist() == by_table.draw_energies(0.7, 500, g2).tolist()
+    rows = next(by_levels.energy_rows([0.7], 500, g1))
+    assert rows.tolist() == next(by_table.energy_rows([0.7], 500, g2)).tolist()
     assert [by_levels.draw(1.3, g1) for _ in range(500)] == [by_table.draw(1.3, g2) for _ in range(500)]
     g1, g2 = _rng("grid-alike-states"), _rng("grid-alike-states")
     states = [draw_exact(by_levels, 1.3, g1) for _ in range(500)]
@@ -1138,9 +1169,8 @@ def test_state_level_consumers_refuse_models_past_the_guard():
 
     grid = grid_model(5, 5)  # 2^25 states, one past the guard
     # The MCMC oracle needs only one int64 start index per chain: 63 sites.
-    assert mcmc_oracle(grid, mcmc_steps=5, tv_budget_per_draw=0.1).draw_energies(
-        0.5, 10, _rng("past-guard-mcmc")
-    ).shape == (10,)
+    past_guard = mcmc_oracle(grid, mcmc_steps=5, tv_budget_per_draw=0.1)
+    assert next(past_guard.energy_rows([0.5], 10, _rng("past-guard-mcmc"))).shape == (10,)
     with pytest.raises(EnumerationGuardError, match="63-site limit"):
         mcmc_oracle(grid_model(8, 8), mcmc_steps=5, tv_budget_per_draw=0.1)
     oracle = exact_oracle(grid)
@@ -1152,7 +1182,7 @@ def test_state_level_consumers_refuse_models_past_the_guard():
     with pytest.raises(EnumerationGuardError):
         mcmc_draw_distribution(grid, 0.5, 3)
     # Draws that need only the levels still work.
-    assert oracle.draw_energies(0.5, 10, _rng("past-guard")).shape == (10,)
+    assert next(oracle.energy_rows([0.5], 10, _rng("past-guard"))).shape == (10,)
     assert oracle.draw(0.5, _rng("past-guard")) in grid.energies
 
 
@@ -1161,6 +1191,6 @@ def test_mcmc_oracle_draws_alike_on_a_grid_model_and_its_ising_model():
 
     by_levels = mcmc_oracle(grid_model(2, 3), mcmc_steps=3, tv_budget_per_draw=0.1)
     by_table = mcmc_oracle(ising_model(grid_edges(2, 3), 6), mcmc_steps=3, tv_budget_per_draw=0.1)
-    e1 = by_levels.draw_energies(0.8, 300, _rng("mcmc-grid"))
-    e2 = by_table.draw_energies(0.8, 300, _rng("mcmc-grid"))
+    e1 = next(by_levels.energy_rows([0.8], 300, _rng("mcmc-grid")))
+    e2 = next(by_table.energy_rows([0.8], 300, _rng("mcmc-grid")))
     assert e1.tolist() == e2.tolist()
