@@ -49,6 +49,11 @@ def exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
+def _inverse_square(x: float) -> float:
+    """x ** -2, or inf where that passes the float range (x <= 2^-512)."""
+    return x ** -2 if x > 2.0 ** -512 else math.inf
+
+
 def epsilon_tilde(epsilon: float) -> float:
     """Per-mean accuracy target: the ratio of two means within (1+eps_tilde)^2."""
     return math.sqrt(1.0 + epsilon) - 1.0
@@ -179,6 +184,8 @@ def paired_product_estimate(
         if overrides.eta is not None or overrides.d is not None or overrides.k is not None:
             eta = overrides.eta if overrides.eta is not None else params.eta
             d = overrides.d if overrides.d is not None else params.d
+            if overrides.k is None and eta == 0:
+                raise ValueError("eta must be positive")
             k = overrides.k if overrides.k is not None else (4.0 / 3.0) * d / eta
             params = ScheduleParams(eta=eta, d=d, k=k, q_hat1=q_hat1, regime=regime)
         schedule, _ = well_balanced_schedule(work, beta, params, sched_rng, trace=trace)
@@ -310,11 +317,11 @@ def sample_bound_integer(q: float, n: int, epsilon: float) -> float:
     """Average-draw bound for the integer regimes, evaluated for an instance."""
     scale = 2.0 + math.log(2.0 * n)
     return (q + 1.0) * (
-        5.0 + scale * (14.9 * math.log(100.0 * scale * (q + 1.0)) + 48.2 * epsilon ** -2)
+        5.0 + scale * (14.9 * math.log(100.0 * scale * (q + 1.0)) + 48.2 * _inverse_square(epsilon))
     )
 
 
 def sample_bound_shifted(q: float, n: int, beta: float, epsilon: float) -> float:
     """Average-draw bound for the shifted pipeline, evaluated for an instance."""
     x = q + 2.0 * n * beta + 1.0
-    return x * (5.0 + 10.7 * math.log(69.4 * x) + 16.7 * epsilon ** -2)
+    return x * (5.0 + 10.7 * math.log(69.4 * x) + 16.7 * _inverse_square(epsilon))

@@ -7,8 +7,8 @@ the exact truth ln Z(b) = logsumexp(ln m_l - b E_l) read; its flags
 levels.  An Ising model also keeps its graph, which the MCMC sampler moves
 on; every Ising model counts its levels over a front of sites, so no model
 construction holds a 2^n array, and a table model keeps only the levels of
-its table.  States are opaque integer indices 0..num_states-1, and only the
-MCMC kernel checks enumerate them, from the graph.  Models are plain data,
+its table.  A model's state count is the sum of its level counts; only the
+MCMC kernel checks enumerate states, from the graph.  Models are plain data,
 never changed after construction and holding no cache, so they are safe to
 share across concurrent workers and they pickle.
 """
@@ -61,7 +61,7 @@ class GibbsModel:
     An Ising model keeps its ``graph`` for MCMC's local moves.
     """
 
-    def __init__(self, levels: tuple, num_states: int, graph: IsingGraph | None = None):
+    def __init__(self, levels: tuple, graph: IsingGraph | None = None):
         energies, counts = (np.array(x, dtype=np.float64) for x in levels)
         if energies.ndim != 1 or energies.size < 1 or counts.shape != energies.shape:
             raise ValueError("levels must be two non-empty 1-d arrays of one length")
@@ -71,7 +71,6 @@ class GibbsModel:
             raise ValueError("level energies must ascend strictly, with positive counts")
         self.energies = energies
         self.counts = counts
-        self.num_states = int(num_states)
         self.n_bound = _bound_for(energies)
         self.sign_class = _sign_class(energies)
         self.integer_valued = _is_integer(energies)
@@ -105,12 +104,13 @@ def _is_integer(h: np.ndarray) -> bool:
     return bool(np.all(h == np.round(h)))
 
 
-def require_enumerable(num_states: int) -> None:
+def require_enumerable(model: GibbsModel) -> None:
     """Raise EnumerationGuardError for a state space past the enumeration guard."""
-    if num_states > ENUMERATION_GUARD:
+    states = model.counts.sum()
+    if states > ENUMERATION_GUARD:
         # As a power of two: str() refuses 2^n in decimal past n = 14,000 or so.
         raise EnumerationGuardError(
-            f"2^{math.log2(num_states):.10g} states exceed the enumeration guard "
+            f"2^{math.log2(states):.10g} states exceed the enumeration guard "
             f"(2^{math.log2(ENUMERATION_GUARD):.10g}); exact laws over states need a smaller model"
         )
 
@@ -140,7 +140,7 @@ def table_model(values) -> GibbsModel:
     h = np.array(values, dtype=np.float64)
     if h.ndim != 1 or h.size < 1:
         raise ValueError("hamiltonian must be a non-empty 1-d array")
-    return GibbsModel(np.unique(h, return_counts=True), h.size)
+    return GibbsModel(np.unique(h, return_counts=True))
 
 
 def require_countable(num_vertices: int) -> None:
@@ -176,7 +176,7 @@ def ising_model(edges, num_vertices: int) -> GibbsModel:
         seen.add(key)
         canon.append(key)
     graph = IsingGraph(num_vertices=num_vertices, edges=tuple(canon))
-    return GibbsModel(_front_levels(graph, range(num_vertices)), 2 ** num_vertices, graph)
+    return GibbsModel(_front_levels(graph, range(num_vertices)), graph)
 
 
 def grid_model(rows: int, cols: int) -> GibbsModel:
@@ -194,7 +194,7 @@ def grid_model(rows: int, cols: int) -> GibbsModel:
     graph = IsingGraph(num_vertices=num_vertices, edges=tuple(grid_edges(rows, cols)))
     sites = np.arange(num_vertices).reshape(rows, cols)
     order = (sites if rows >= cols else sites.T).ravel().tolist()
-    return GibbsModel(_front_levels(graph, order), 2 ** num_vertices, graph)
+    return GibbsModel(_front_levels(graph, order), graph)
 
 
 def _front_levels(graph: IsingGraph, order) -> tuple[np.ndarray, np.ndarray]:
@@ -264,11 +264,9 @@ def _front_levels(graph: IsingGraph, order) -> tuple[np.ndarray, np.ndarray]:
     return (-aligned).astype(np.float64), totals[aligned]
 
 
-def constant_model(level: float, num_states: int = 4) -> GibbsModel:
-    """Model with H identically equal to ``level``; Z(b)/Z(0) = exp(-b*level)."""
-    if num_states < 1:
-        raise ValueError("num_states must be >= 1")
-    return GibbsModel(([float(level)], [num_states]), num_states)
+def constant_model(level: float) -> GibbsModel:
+    """Four states, each with H = ``level``; Z(b)/Z(0) = exp(-b*level)."""
+    return GibbsModel(([float(level)], [4]))
 
 
 def path_edges(num_vertices: int) -> list[tuple[int, int]]:
@@ -323,7 +321,7 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
         top = float(np.max(np.abs(model.energies)))
         raise ValueError(f"energies up to |H| = {top:g} shifted by {c:g} pass the float range")
     energies, level = np.unique(shifted, return_inverse=True)
-    return GibbsModel((energies, np.bincount(level, weights=model.counts)), model.num_states)
+    return GibbsModel((energies, np.bincount(level, weights=model.counts)))
 
 
 def model_from_dict(spec: dict) -> GibbsModel:

@@ -498,8 +498,8 @@ def _state_spins(model: GibbsModel) -> np.ndarray:
     bools: row v is True where bit v of the state index is set, spin +1."""
     if model.graph is None:
         raise ValueError("the law over states requires an Ising model")
-    require_enumerable(model.num_states)
-    spins = np.zeros((model.graph.num_vertices, model.num_states), dtype=bool)
+    require_enumerable(model)
+    spins = np.zeros((model.graph.num_vertices, 1 << model.graph.num_vertices), dtype=bool)
     for v, row in enumerate(spins):
         row.reshape(-1, 2, 1 << v)[:, 1] = True
     return spins
@@ -517,7 +517,7 @@ def _sweep_laws(model: GibbsModel, b: float):
     """
     _require_nonnegative(b)
     spins = _state_spins(model)
-    dist = np.full(model.num_states, 1.0 / model.num_states)
+    dist = np.full(spins.shape[1], 1.0 / spins.shape[1])
     moved = np.empty_like(dist)
     sites = []
     for v, nbrs in enumerate(model.graph.adjacency()):
@@ -544,12 +544,14 @@ def mcmc_draw_distribution(model: GibbsModel, b: float, sweeps: int) -> np.ndarr
 def gibbs_distribution(model: GibbsModel, b: float) -> np.ndarray:
     """pi_b over every state of an Ising model, under the guard, each
     state's energy summed from its spins: site v is bit v of its index.
-    At b = inf (-inf) it is uniform on the lowest (highest) energy states."""
+    At b = inf (-inf), and at a finite b whose largest log-weight passes
+    the float range, it is uniform on the lowest (highest) energy states."""
     energies = _spin_energies(model, _state_spins(model))
-    if math.isinf(b):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan
+        logw = -b * energies
+    if math.isinf(b) or math.isinf(logw.max()):
         extreme = energies == (energies.min() if b > 0 else energies.max())
         return extreme / extreme.sum()
-    logw = -b * energies
     w = np.exp(logw - logw.max())
     return w / w.sum()
 

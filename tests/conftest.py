@@ -71,7 +71,7 @@ def state_energies(model):
     state-index order; any other model's are its levels expanded in
     ascending energy order, which is the only state order its levels fix.
     """
-    require_enumerable(model.num_states)
+    require_enumerable(model)
     if model.graph is not None:
         return _graph_energies(model.graph)
     return np.repeat(model.energies, model.counts.astype(np.int64))
@@ -298,7 +298,7 @@ def metropolis_sweep_matrix(model, b):
     deltaH = 2a - deg(v) for a neighbours aligned with it; the sweep is the
     product of the nv site matrices in site order.
     """
-    require_enumerable(model.num_states)
+    require_enumerable(model)
     adj = model.graph.adjacency()
     size = 2 ** len(adj)
     sweep = np.eye(size)
@@ -318,7 +318,7 @@ def metropolis_sweep_matrix(model, b):
 def matrix_draw_distribution(model, b, sweeps):
     """Reference law of a restart-MCMC draw: the uniform start law times the
     sweep matrix to the power ``sweeps``."""
-    size = model.num_states
+    size = 1 << model.graph.num_vertices
     return np.full(size, 1.0 / size) @ np.linalg.matrix_power(
         metropolis_sweep_matrix(model, b), sweeps
     )

@@ -33,10 +33,10 @@ def _read_csv(path):
 
 
 def test_builtin_shorthands():
-    assert build_model("k2").num_states == 4
-    assert build_model("path-3").num_states == 8
-    assert build_model("cycle-4").num_states == 16
-    assert build_model("grid-2x2").num_states == 16
+    assert build_model("k2").counts.sum() == 4
+    assert build_model("path-3").counts.sum() == 8
+    assert build_model("cycle-4").counts.sum() == 16
+    assert build_model("grid-2x2").counts.sum() == 16
     const = build_model("const--2")
     assert const.energies.tolist() == [-2.0]
     assert const.counts.tolist() == [4.0]
@@ -357,6 +357,24 @@ def test_a_run_that_could_never_finish_exit_3_before_any_draw(command, monkeypat
     assert err == "error: the run's draw bound is inf, past the 1e+12-draw limit of a run that walks TPA\n"
 
 
+@pytest.mark.parametrize("epsilon", ["1e-154", "7e-155", "1e-300", "5e-324"])
+@pytest.mark.parametrize(
+    "command,spec",
+    [(["run"], "k2"), (["run"], "table:{mixed}"), (["compare"], "k2")],
+    ids=["run-k2", "run-mixed-5", "compare-k2"],
+)
+def test_an_epsilon_whose_bound_passes_the_float_range_exit_3(command, spec, epsilon,
+                                                              tmp_path, capsys):
+    # epsilon^-2 passes the float range below 2^-512, about 7.5e-155: the
+    # bound saturates to inf, as it already does just above that epsilon.
+    mixed = tmp_path / "mixed-5.json"
+    mixed.write_text(json.dumps(MIXED_5))
+    args = [*command, "--model", spec.format(mixed=mixed), "--beta", "1", "--epsilon", epsilon]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == "error: the run's draw bound is inf, past the 1e+12-draw limit of a run that walks TPA\n"
+
+
 @pytest.mark.parametrize("method", ["single", "exact"])
 def test_methods_that_walk_no_tpa_run_past_the_draw_limit(method, tmp_path):
     out = tmp_path / "o.csv"
@@ -631,6 +649,19 @@ def test_schedule_in_with_a_schedule_override_exit_2(tmp_path, capsys, override)
                                               "--schedule-in", str(sched)])
     assert code == 2
     assert "cannot be overridden" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "eta,message",
+    [("0", "eta must be positive"), ("-0.0", "eta must be positive"),
+     ("-1", "eta and k must be positive"), ("nan", "must be finite")],
+)
+def test_a_nonpositive_eta_override_exit_2(tmp_path, capsys, eta, message):
+    # k = (4/3) d / eta is derived from eta, so eta = 0 is refused before it.
+    code, out = _run_main(tmp_path, "a.csv", ["--expert-overrides", f"eta={eta}"])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -68,7 +68,7 @@ def _pi(model, b):
 
 
 def _draw_counts(oracle, b, rng, n):
-    counts = np.zeros(oracle.model.num_states)
+    counts = np.zeros(int(oracle.model.counts.sum()))
     for _ in range(n):
         counts[draw_state(oracle, b, rng)] += 1
     return counts
@@ -223,7 +223,7 @@ def _row_by_row(oracle, b, n, rng):
     where it needs a state table, of n draws by its level inversion, one
     uniform each."""
     model = oracle.model
-    if model.num_states <= ENUMERATION_GUARD:
+    if model.counts.sum() <= ENUMERATION_GUARD:
         return state_energies(model)[[draw_exact(oracle, b, rng) for _ in range(n)]]
     cw = level_cdf(oracle, b)
     levels = [min(bisect_right(cw, rng.random() * cw[-1]), len(cw) - 1) for _ in range(n)]
@@ -967,7 +967,7 @@ def test_mcmc_lockstep_matches_exact_kernel(label, sweeps):
     n = 400_000
     states = pack_states(draw_mcmc_lockstep(oracle, 1.0, n, _rng(f"lockstep-chi-{label}", sweeps)))
     assert oracle.counter.total == n
-    counts = np.bincount(states, minlength=model.num_states)
+    counts = np.bincount(states, minlength=1 << model.graph.num_vertices)
     expected = mcmc_draw_distribution(model, 1.0, sweeps)
     assert stats.chisquare(counts, expected * n).pvalue > 0.001
     assert np.abs(counts / n - expected).max() < 5e-3
@@ -997,7 +997,7 @@ def test_mcmc_lockstep_per_chain_b_matches_exact_kernel(label, sweeps):
     states = pack_states(draw_mcmc_lockstep(oracle, bs, n, _rng(f"per-chain-chi-{label}", sweeps)))
     assert oracle.counter.total == n
     for b, half in [(0.3, states[0::2]), (1.0, states[1::2])]:
-        counts = np.bincount(half, minlength=model.num_states)
+        counts = np.bincount(half, minlength=1 << model.graph.num_vertices)
         expected = mcmc_draw_distribution(model, b, sweeps) * len(half)
         assert stats.chisquare(counts, expected).pvalue > 0.001
 
