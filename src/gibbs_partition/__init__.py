@@ -29,7 +29,6 @@ from .samplers import (
     RestartOracle,
     SamplerOracle,
     coupling_failure_bound,
-    draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,
     mcmc_draw_distribution,

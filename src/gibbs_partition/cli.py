@@ -111,8 +111,6 @@ class ExperimentConfig:
             raise ConfigError("draws must be >= 1")
         if (self.schedule_in or self.schedule_out) and self.method != "paired":
             raise ConfigError("schedule_in and schedule_out need method paired")
-        if self.schedule_in and {"d", "k", "eta"} & set(self.overrides):
-            raise ConfigError("schedule_in fixes the schedule: d, k and eta cannot be overridden")
 
 
 def build_model(spec: str) -> models.GibbsModel:
@@ -297,6 +295,9 @@ def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[d
     if config.schedule_out:
         rows = [_run_repetition(config, model, truth, 0, loaded)]
         loaded = sched_mod.load_schedule(config.schedule_out)
+        # That schedule was built under the d, k and eta overrides; r still applies.
+        kept = {key: value for key, value in config.overrides.items() if key == "replicates"}
+        config = replace(config, overrides=kept)
     todo = range(len(rows), reps)
     threads = _worker_count()
     if threads > 1 and len(todo) > 1:

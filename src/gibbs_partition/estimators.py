@@ -55,15 +55,18 @@ def _inverse_square(x: float) -> float:
 
 
 def epsilon_tilde(epsilon: float) -> float:
-    """Per-mean accuracy target: the ratio of two means within (1+eps_tilde)^2."""
-    return math.sqrt(1.0 + epsilon) - 1.0
+    """Per-mean accuracy target: the ratio of two means within (1+eps_tilde)^2.
+
+    It is sqrt(1 + epsilon) - 1, written so that no subtraction cancels:
+    the difference rounds to 0 for epsilon below about 3.3e-16."""
+    return epsilon / (math.sqrt(1.0 + epsilon) + 1.0)
 
 
 def replicate_count(epsilon: float, regime: str) -> int:
     coeff = (
         REPLICATE_COEFF_SHIFTED if regime == REGIME_SHIFTED else REPLICATE_COEFF_INTEGER
     )
-    return math.ceil(coeff * epsilon_tilde(epsilon) ** -2)
+    return math.ceil(coeff * _inverse_square(epsilon_tilde(epsilon)))
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,8 @@ def paired_product_estimate(
     oracles the output is within a factor 1+epsilon of the truth with
     probability >= 3/4.  Mixed-sign or non-integer models are routed through
     the shifted pipeline automatically (H - 2n, same pi_b, ratio corrected
-    back).  A pre-built ``schedule`` skips steps 1-2; it must end at ``beta``.
+    back).  A pre-built ``schedule`` skips steps 1-2; it must end at ``beta``
+    and takes no d, k or eta override.
 
     Args:
         oracle: sampler for pi_b on the caller's model.
@@ -172,24 +176,11 @@ def paired_product_estimate(
     if schedule is not None and schedule.beta != beta:
         raise ValueError(f"the schedule ends at beta={schedule.beta}, not at beta={beta}")
     overrides = overrides or ParamOverrides()
+    reparam = any(x is not None for x in (overrides.d, overrides.k, overrides.eta))
+    if schedule is not None and reparam:
+        raise ValueError("a given schedule fixes d, k and eta: they cannot be overridden")
 
     work, regime, log_shift = prepare(oracle, beta)
-    start = oracle.counter.total
-    init_rng, sched_rng, rep_rng = rng.spawn(3)
-
-    params = schedule_params
-    if schedule is None:
-        q_hat1, _ = initial_estimate(work, beta, init_rng, trace=trace)
-        params = select_params(q_hat1, oracle.model.n_bound, regime, beta)
-        if overrides.eta is not None or overrides.d is not None or overrides.k is not None:
-            eta = overrides.eta if overrides.eta is not None else params.eta
-            d = overrides.d if overrides.d is not None else params.d
-            if overrides.k is None and eta == 0:
-                raise ValueError("eta must be positive")
-            k = overrides.k if overrides.k is not None else (4.0 / 3.0) * d / eta
-            params = ScheduleParams(eta=eta, d=d, k=k, q_hat1=q_hat1, regime=regime)
-        schedule, _ = well_balanced_schedule(work, beta, params, sched_rng, trace=trace)
-
     r = (
         overrides.replicates
         if overrides.replicates is not None
@@ -197,6 +188,21 @@ def paired_product_estimate(
     )
     if r < 1:
         raise ValueError("replicates must be >= 1")
+    start = oracle.counter.total
+    init_rng, sched_rng, rep_rng = rng.spawn(3)
+
+    params = schedule_params
+    if schedule is None:
+        q_hat1, _ = initial_estimate(work, beta, init_rng, trace=trace)
+        params = select_params(q_hat1, oracle.model.n_bound, regime, beta)
+        if reparam:
+            eta = overrides.eta if overrides.eta is not None else params.eta
+            d = overrides.d if overrides.d is not None else params.d
+            if overrides.k is None and eta == 0:
+                raise ValueError("eta must be positive")
+            k = overrides.k if overrides.k is not None else (4.0 / 3.0) * d / eta
+            params = ScheduleParams(eta=eta, d=d, k=k, q_hat1=q_hat1, regime=regime)
+        schedule, _ = well_balanced_schedule(work, beta, params, sched_rng, trace=trace)
 
     log_ws, log_vs = paired_replicate_logs(schedule, work, r, rep_rng)
     log_w_bar = logsumexp(log_ws) - math.log(r)

@@ -67,8 +67,8 @@ class GibbsModel:
             raise ValueError("levels must be two non-empty 1-d arrays of one length")
         if not np.all(np.isfinite(energies)):
             raise ValueError("hamiltonian values must be finite")
-        if np.any(np.diff(energies) <= 0) or np.any(counts < 1):
-            raise ValueError("level energies must ascend strictly, with positive counts")
+        if np.any(np.diff(energies) <= 0) or not np.all((counts >= 1) & (counts < np.inf)):
+            raise ValueError("level energies must ascend strictly, with finite positive counts")
         self.energies = energies
         self.counts = counts
         self.n_bound = _bound_for(energies)

@@ -13,22 +13,14 @@ O(states).  One builder, ``_level_cdfs``, makes every level CDF in place,
 one column per b; one draw per b inverts by counting down the column, and a
 row of n draws at one b through a guide table over it, O(1) per draw on
 average.
-``RestartOracle`` runs n restart chains in lockstep with one (nv, n) block
-of 8-bit uniforms per sweep, the bytes of raw generator words, several
-sweeps per call; the graph's part of every threshold comes from a kernel
-plan the oracle builds once.  Its site loop is multi-spin coded: each
-site's spins in all n chains are the bits of one Python int, so a site
-update is a few integer bit operations for every chain at once.  Each
-acceptance threshold splits exactly at 8 bits, and a uniform that ties it,
-about 1 cell in 256 per threshold, draws one double, so every acceptance is
-within 2^-61 of exact.  A call whose every b is 0 reads only its start
-states, its draws exact; b < 0 is refused.
-Each chain's energy is summed from its spins, on any Ising model of at most
-63 sites (int64 start indices).  Under the guard, ``mcmc_draw_distribution``
-and ``mcmc_tv_curve`` evolve the exact law of its draws as one 2^n vector
-updated site by site.  Every draw consumes a caller-supplied numpy
-Generator and is counted by the counter's one ``record(n)`` method, whose
-total is the ground truth for all sample counts.
+``RestartOracle`` runs n restart chains in lockstep on any Ising model of
+at most 63 sites (int64 start indices), from a kernel plan of the graph it
+builds once; ``RestartOracle.spins`` states its kernel and stream contract,
+and each chain's energy is summed from its spins.  Under the guard,
+``mcmc_draw_distribution`` and ``mcmc_tv_curve`` evolve the exact law of
+its draws as one 2^n vector updated site by site.  Every draw consumes a
+caller-supplied numpy Generator and is counted by the counter's one
+``record(n)`` method, whose total is the ground truth for all sample counts.
 """
 
 from __future__ import annotations
@@ -151,12 +143,13 @@ class RestartOracle(SamplerOracle):
     state per draw, on an Ising model of at most 63 sites.
 
     Its draws at b = 0, the start of every cooling schedule, are exact and
-    read only their start states; it refuses b < 0 and nan.
+    read only their start states; it refuses b < 0 and nan.  Every
+    construction with a zero ``tv_budget_per_draw`` warns, since the
+    (epsilon, 3/4) guarantee does not apply to its estimates.
     """
 
     mcmc_steps: int
     tv_budget_per_draw: float
-    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.tv_budget_per_draw < math.inf:
@@ -173,37 +166,119 @@ class RestartOracle(SamplerOracle):
                 f"mcmc start states are int64 indices below 2^nv: {nv} sites "
                 f"exceed the {_MCMC_MAX_SITES}-site limit"
             )
-        # The kernel plan, what draw_mcmc_lockstep reads of the graph.  Site
-        # v with a aligned neighbours flips if u < min(1, exp(-b (2a - deg))),
-        # 1 for a <= deg // 2 and past it nonincreasing in a: exactly when
-        # a < deg // 2 + 1 + L, L = #{thresholds u passes}.  Threshold k, row
-        # k of neg_expo, is the one at a = deg // 2 + 1 + k, real for k < c =
+        if self.tv_budget_per_draw == 0.0:
+            warnings.warn(
+                "mcmc oracle declares no total-variation budget per draw, so the "
+                "(epsilon, 3/4) guarantee does not apply to its estimates",
+                UserWarning,
+                stacklevel=3,
+            )
+        # The kernel plan, what ``spins`` reads of the graph.  Site v with a
+        # aligned neighbours flips if u < min(1, exp(-b (2a - deg))), 1 for
+        # a <= deg // 2 and past it nonincreasing in a: exactly when a <
+        # deg // 2 + 1 + L, L = #{thresholds u passes}.  Threshold k, row k
+        # of _neg_expo, is the one at a = deg // 2 + 1 + k, real for k < c =
         # deg - deg // 2.  Past that it is padded: it repeats the last real
         # one, so it passes and ties exactly when that one does, and the
-        # flip rule never reads it.  A degree-0 site, in lone, has no real
+        # flip rule never reads it.  A degree-0 site, in _lone, has no real
         # threshold: it flips whatever its L, and it never ties.  There is
         # at least one threshold, so L fills the block even when no site
-        # has an edge.  Each site keeps its neighbours and its c, and ks
-        # holds each threshold's k, to compare L with.
+        # has an edge.  Each site of _sites keeps its neighbours and its c.
         adj = self.model.graph.adjacency()
         deg = np.array([len(nbrs) for nbrs in adj])
         c = deg - deg // 2
         a = deg // 2 + 1 + np.arange(max(1, c.max()))[:, None]
-        neg_expo = -np.minimum(2 * a - deg, np.maximum(deg, 1)).astype(float)
-        ks = np.arange(len(neg_expo), dtype=np.int8)[:, None, None]
-        sites = [(v, nbrs, int(c_v)) for v, (nbrs, c_v) in enumerate(zip(adj, c))]
-        lone = np.flatnonzero(deg == 0)
-        self._plan = (sites, neg_expo, np.arange(nv)[:, None], lone, ks)
+        self._neg_expo = -np.minimum(2 * a - deg, np.maximum(deg, 1)).astype(float)
+        self._sites = [(v, nbrs, int(c_v)) for v, (nbrs, c_v) in enumerate(zip(adj, c))]
+        self._lone = np.flatnonzero(deg == 0)
 
     def energy_rows(self, bs: np.ndarray, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
         """n restart chains in lockstep per row, the energies of their spins."""
         for b in np.asarray(bs, dtype=float).tolist():
-            yield _spin_energies(self.model, draw_mcmc_lockstep(self, b, n, rng))
+            yield _spin_energies(self.model, self.spins(b, n, rng))
 
     def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """H(X_j) for independent X_j ~ pi_{bs[j]}: one restart chain per entry
         of ``bs``, each at its own b, in lockstep."""
-        return _spin_energies(self.model, draw_mcmc_lockstep(self, bs, len(bs), rng))
+        return _spin_energies(self.model, self.spins(bs, len(bs), rng))
+
+    def spins(self, b: float | np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Spins of n independent restart chains run in lockstep, as (nv, n) bools.
+
+        Each chain runs mcmc_steps systematic Metropolis sweeps from a fresh
+        uniform state, so draws are independent, at the cost of re-running the
+        burn-in every time.  Row v holds site v of every chain, True for spin
+        +1; ``b`` is one value or one per chain.  The stream contract:
+
+        - One ``rng.integers`` call gives the n start states as state indices,
+          site v from bit v.
+        - Each sweep reads one (nv, n) block of 8-bit uniforms from
+          ceil(nv n / 8) words of ``rng.bit_generator.random_raw``, split by
+          ``_bytes`` low byte first; the unused bytes of a sweep's last word
+          are dropped.  Sweeps are read m at a time, m the most that fit in
+          _UNIFORM_CAP uniforms and at least 1, so the words read do not
+          depend on m.
+        - Each acceptance threshold is split by ``_split_thresholds``.  A
+          uniform that equals the whole of one of its site's real thresholds
+          draws one double with ``rng.random``, and that double decides every
+          threshold it ties; a block's doubles follow its words, in C order
+          over (sweep, site, chain).  Padded thresholds never tie.
+        - A call whose every b is 0 reads only its start states.  There every
+          threshold is min(1, e^0) = 1, whole 2^8 - 1 and part 1, so every
+          proposal passes and each sweep flips every site: the draws are the
+          starts flipped by the parity of mcmc_steps, exactly.
+
+        The site loop is multi-spin coded (Zorn, Herrmann and Rebbi, Comput.
+        Phys. Commun. 23:337, 1981): site v of every chain is one Python int,
+        bit j for chain j, and so is each plane L > k of a sweep's cells at
+        site v, L the number of thresholds a cell's uniform passes.  Both are
+        packed by ``np.packbits``, and ``_site_flips`` updates a site in every
+        chain at once with a few integer bit operations.
+
+        A b below 0 or nan raises ValueError: the oracle's kernel plan assumes
+        each threshold at a <= deg // 2 is 1, which holds only for b >= 0.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.ndim and b.shape != (n,):
+            raise ValueError("per-chain b needs one value per chain")
+        _require_nonnegative(b)
+        nv = len(self._sites)
+        states = rng.integers(0, 2 ** nv, size=n)
+        spins = ((states >> np.arange(nv)[:, None]) & 1).astype(bool)
+        self.counter.record(n)
+        if not b.any():
+            if self.mcmc_steps % 2:
+                np.logical_not(spins, out=spins)
+            return spins
+        # Negation is exact, so t has the bits of exp(-(min(2a - deg, max(deg, 1)) b)),
+        # exactly 0 where the product passes the float range.
+        with np.errstate(over="ignore"):
+            t = np.exp(np.multiply.outer(self._neg_expo, np.atleast_1d(b)))
+        whole, part = _split_thresholds(t)
+        ks = np.arange(len(self._neg_expo), dtype=np.int8)[:, None, None]
+        rows, ones = _pack_rows(spins), (1 << n) - 1
+        cells = nv * n
+        width = 8 * ((cells + 7) // 8)
+        per_block = max(1, _UNIFORM_CAP // max(1, cells))
+        # One L block and one tie mask, reused by every block of sweeps.
+        shape = (min(per_block, self.mcmc_steps), nv, n)
+        limits_buffer, tied_buffer = np.empty(shape, np.int8), np.empty(shape, bool)
+        for lo in range(0, self.mcmc_steps, per_block):
+            m = min(per_block, self.mcmc_steps - lo)
+            u = _bytes(rng.bit_generator.random_raw(m * width // 8)).reshape(m, width)
+            u = np.ascontiguousarray(u[:, :cells]).reshape(m, nv, n)
+            limits, tied = limits_buffer[:m], tied_buffer[:m]
+            np.less(u, whole[0], limits.view(bool))
+            for w in whole[1:]:
+                limits += u < w
+            _settle_ties(u, limits, tied, whole, part, self._lone, rng)
+            # Plane k of L, L > k, in (sweep, k, site) order.
+            planes = _pack_rows(limits[:, None] > ks)
+            stride = len(ks) * nv
+            for o in range(0, m * stride, stride):
+                for v, nbrs, c in self._sites:
+                    rows[v] ^= _site_flips(rows, v, nbrs, c, planes, o + v, ones)
+        return _unpack_rows(rows, n)
 
 
 def exact_oracle(model: GibbsModel) -> ExactOracle:
@@ -213,15 +288,7 @@ def exact_oracle(model: GibbsModel) -> ExactOracle:
 
 def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -> RestartOracle:
     """Restart-Metropolis draws; raises EnumerationGuardError past 63 sites."""
-    oracle = RestartOracle(model, mcmc_steps, tv_budget_per_draw)
-    if tv_budget_per_draw == 0.0:
-        warnings.warn(
-            "mcmc oracle declares no total-variation budget per draw, so the "
-            "(epsilon, 3/4) guarantee does not apply to its estimates",
-            UserWarning,
-            stacklevel=2,
-        )
-    return oracle
+    return RestartOracle(model, mcmc_steps, tv_budget_per_draw)
 
 
 def _level_cdfs(model: GibbsModel, bs: np.ndarray):
@@ -328,90 +395,6 @@ def _settle_ties(u, limits, tied, whole, part, lone, rng) -> None:
         flat[cells] = passes
 
 
-def draw_mcmc_lockstep(
-    oracle: RestartOracle, b: float | np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Spins of n independent restart chains run in lockstep, as (nv, n) bools.
-
-    Each chain runs mcmc_steps systematic Metropolis sweeps from a fresh
-    uniform state, so draws are independent, at the cost of re-running the
-    burn-in every time.  Row v holds site v of every chain, True for spin
-    +1; ``b`` is one value or one per chain.  The stream contract:
-
-    - One ``rng.integers`` call gives the n start states as state indices,
-      site v from bit v.
-    - Each sweep reads one (nv, n) block of 8-bit uniforms from
-      ceil(nv n / 8) words of ``rng.bit_generator.random_raw``, split by
-      ``_bytes`` low byte first; the unused bytes of a sweep's last word
-      are dropped.  Sweeps are read m at a time, m the most that fit in
-      _UNIFORM_CAP uniforms and at least 1, so the words read do not
-      depend on m.
-    - Each acceptance threshold is split by ``_split_thresholds``.  A
-      uniform that equals the whole of one of its site's real thresholds
-      draws one double with ``rng.random``, and that double decides every
-      threshold it ties; a block's doubles follow its words, in C order
-      over (sweep, site, chain).  Padded thresholds never tie.
-    - A call whose every b is 0 reads only its start states.  There every
-      threshold is min(1, e^0) = 1, whole 2^8 - 1 and part 1, so every
-      proposal passes and each sweep flips every site: the draws are the
-      starts flipped by the parity of mcmc_steps, exactly.
-
-    The site loop is multi-spin coded (Zorn, Herrmann and Rebbi, Comput.
-    Phys. Commun. 23:337, 1981): site v of every chain is one Python int,
-    bit j for chain j, and so is each plane L > k of a sweep's cells at
-    site v, L the number of thresholds a cell's uniform passes.  Both are
-    packed by ``np.packbits``, and ``_site_flips`` updates a site in every
-    chain at once with a few integer bit operations.
-
-    A b below 0 or nan raises ValueError: the oracle's kernel plan assumes
-    each threshold at a <= deg // 2 is 1, which holds only for b >= 0.  An
-    oracle that is not a ``RestartOracle`` raises TypeError.
-    """
-    if not isinstance(oracle, RestartOracle):
-        raise TypeError("draw_mcmc_lockstep needs a restart-Metropolis oracle")
-    b = np.asarray(b, dtype=float)
-    if b.ndim and b.shape != (n,):
-        raise ValueError("per-chain b needs one value per chain")
-    _require_nonnegative(b)
-    sites, neg_expo, shifts, lone, ks = oracle._plan
-    nv = len(sites)
-    states = rng.integers(0, 2 ** nv, size=n)
-    spins = ((states >> shifts) & 1).astype(bool)
-    oracle.counter.record(n)
-    if not b.any():
-        if oracle.mcmc_steps % 2:
-            np.logical_not(spins, out=spins)
-        return spins
-    # Negation is exact, so t has the bits of exp(-(min(2a - deg, max(deg, 1)) b)),
-    # exactly 0 where the product passes the float range.
-    with np.errstate(over="ignore"):
-        t = np.exp(np.multiply.outer(neg_expo, np.atleast_1d(b)))
-    whole, part = _split_thresholds(t)
-    rows, ones = _pack_rows(spins), (1 << n) - 1
-    cells = nv * n
-    width = 8 * ((cells + 7) // 8)
-    per_block = max(1, _UNIFORM_CAP // max(1, cells))
-    # One L block and one tie mask, reused by every block of sweeps.
-    shape = (min(per_block, oracle.mcmc_steps), nv, n)
-    limits_buffer, tied_buffer = np.empty(shape, np.int8), np.empty(shape, bool)
-    for lo in range(0, oracle.mcmc_steps, per_block):
-        m = min(per_block, oracle.mcmc_steps - lo)
-        u = _bytes(rng.bit_generator.random_raw(m * width // 8)).reshape(m, width)
-        u = np.ascontiguousarray(u[:, :cells]).reshape(m, nv, n)
-        limits, tied = limits_buffer[:m], tied_buffer[:m]
-        np.less(u, whole[0], limits.view(bool))
-        for w in whole[1:]:
-            limits += u < w
-        _settle_ties(u, limits, tied, whole, part, lone, rng)
-        # Plane k of L, L > k, in (sweep, k, site) order.
-        planes = _pack_rows(limits[:, None] > ks)
-        stride = len(ks) * nv
-        for o in range(0, m * stride, stride):
-            for v, nbrs, c in sites:
-                rows[v] ^= _site_flips(rows, v, nbrs, c, planes, o + v, ones)
-    return _unpack_rows(rows, n)
-
-
 def _pack_rows(bits: np.ndarray) -> list[int]:
     """The rows of a bool array, in C order, each as one Python int whose
     bit j is set where column j is True.
@@ -509,11 +492,11 @@ def _sweep_laws(model: GibbsModel, b: float):
     """Exact laws over states of a restart-MCMC draw after 0, 1, 2, ... sweeps.
 
     One 2^n vector, updated in place: it starts uniform and each sweep
-    updates it site by site, as ``draw_mcmc_lockstep`` does.  Site v moves
+    updates it site by site, as ``RestartOracle.spins`` does.  Site v moves
     the mass dist[s] accept_v[s] to s ^ 2^v, accept_v[s] = min(1, exp(-b
     (2a - deg))) for the a neighbours aligned with v in s; in a (-1, 2,
     2^v) view that partner is the reversed middle axis.  A b below 0 or nan
-    raises ValueError, as in ``draw_mcmc_lockstep``.
+    raises ValueError, as in ``RestartOracle.spins``.
     """
     _require_nonnegative(b)
     spins = _state_spins(model)

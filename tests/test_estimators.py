@@ -19,6 +19,7 @@ from gibbs_partition import (
     ParamOverrides,
     bezakova_schedule,
     constant_model,
+    epsilon_tilde,
     exact_oracle,
     exp_or_inf,
     grid_model,
@@ -38,6 +39,7 @@ from gibbs_partition import (
     table_model,
 )
 from gibbs_partition import samplers
+from gibbs_partition.estimators import REPLICATE_COEFF_INTEGER
 from gibbs_partition.cli import ExperimentConfig, run_experiment
 from gibbs_partition.schedule import (
     REGIME_INTEGER_NONPOSITIVE,
@@ -84,6 +86,24 @@ def test_replicate_count_decreases_with_epsilon():
     assert replicate_count(0.5, REGIME_INTEGER_NONPOSITIVE) < replicate_count(
         0.1, REGIME_INTEGER_NONPOSITIVE
     )
+
+
+@pytest.mark.parametrize("epsilon", [1e-17, 1e-100])
+def test_replicate_count_does_not_cancel_for_a_tiny_epsilon(epsilon):
+    # sqrt(1 + epsilon) - 1 rounds to 0 below about 3.3e-16; epsilon_tilde
+    # is epsilon / 2 to first order.
+    assert epsilon_tilde(epsilon) == pytest.approx(epsilon / 2, rel=1e-15)
+    r = replicate_count(epsilon, REGIME_INTEGER_NONPOSITIVE)
+    assert r == pytest.approx(4 * REPLICATE_COEFF_INTEGER / epsilon**2, rel=1e-12)
+
+
+def test_zero_replicates_are_refused_before_any_draw(k2):
+    oracle = exact_oracle(k2)
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        paired_product_estimate(
+            oracle, 1.0, 0.1, _rng("r0"), overrides=ParamOverrides(replicates=0)
+        )
+    assert oracle.counter.total == 0
 
 
 # --- paired replicates -----------------------------------------------------
@@ -548,6 +568,18 @@ def test_reused_schedule_skips_construction(k2):
     assert est.schedule is sched
     assert est.params is None
     assert est.draws_total == 100 * 3  # replicates x schedule points only
+
+
+@pytest.mark.parametrize("overrides", [dict(d=3, k=7.0), dict(eta=0.5), dict(k=7.0, replicates=10)])
+def test_reused_schedule_refuses_schedule_overrides_before_any_draw(k2, overrides):
+    # A given schedule is not rebuilt, so d, k and eta would be dropped silently.
+    oracle = exact_oracle(k2)
+    sched = CoolingSchedule(betas=(0.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match="cannot be overridden"):
+        paired_product_estimate(
+            oracle, 1.0, 0.1, _rng("reuse"), overrides=ParamOverrides(**overrides), schedule=sched
+        )
+    assert oracle.counter.total == 0
 
 
 def test_reused_schedule_must_end_at_beta(k2):

@@ -401,6 +401,8 @@ def test_level_model_validation():
         "descending": dict(levels=([0.0, -1.0], [1.0, 1.0]), graph=graph),
         "empty level": dict(levels=([-1.0, 0.0], [1.0, 0.0]), graph=graph),
         "ragged": dict(levels=([-1.0, 0.0], [2.0]), graph=graph),
+        "nan count": dict(levels=([0.0], [math.nan])),
+        "inf count": dict(levels=([-1.0, 0.0], [2.0, math.inf])),
     }
     for kwargs in levels_of.values():
         with pytest.raises(ValueError):

@@ -16,9 +16,9 @@ from scipy import stats
 from gibbs_partition import (
     ENUMERATION_GUARD,
     ExactOracle,
+    RestartOracle,
     coupling_failure_bound,
     cycle_edges,
-    draw_mcmc_lockstep,
     exact_oracle,
     gibbs_distribution,
     grid_edges,
@@ -420,8 +420,8 @@ def test_moved_mcmc_oracle_draws_as_a_fresh_oracle_on_its_model(source, target):
     fresh = mcmc_oracle(target, mcmc_steps=5, tv_budget_per_draw=0.1)
     for i, b in enumerate([0.7, np.linspace(0.05, 2.0, 64)]):
         g1, g2 = _rng("moved-replace", i), _rng("moved-replace", i)
-        spins = draw_mcmc_lockstep(moved, b, 64, g1)
-        assert np.array_equal(spins, draw_mcmc_lockstep(fresh, b, 64, g2))
+        spins = moved.spins(b, 64, g1)
+        assert np.array_equal(spins, fresh.spins(b, 64, g2))
         bs = np.atleast_1d(b)
         rows = list(moved.energy_rows(bs, 9, g1))
         assert np.array_equal(rows, list(fresh.energy_rows(bs, 9, g2)))
@@ -466,7 +466,7 @@ def test_single_shot_relvar_matches_z_identity(label):
 
 def test_mcmc_zero_steps_is_uniform(k2):
     oracle = mcmc_oracle(k2, mcmc_steps=0, tv_budget_per_draw=0.5)
-    spins = draw_mcmc_lockstep(oracle, 1.0, 40_000, _rng("mcmc0"))
+    spins = oracle.spins(1.0, 40_000, _rng("mcmc0"))
     counts = np.bincount(pack_states(spins), minlength=4)
     assert stats.chisquare(counts).pvalue > 0.001
     assert oracle.counter.total == 40_000
@@ -474,7 +474,7 @@ def test_mcmc_zero_steps_is_uniform(k2):
 
 def test_mcmc_b_zero_is_uniform(c4):
     oracle = mcmc_oracle(c4, mcmc_steps=5, tv_budget_per_draw=0.5)
-    spins = draw_mcmc_lockstep(oracle, 0.0, 40_000, _rng("mcmc-b0"))
+    spins = oracle.spins(0.0, 40_000, _rng("mcmc-b0"))
     counts = np.bincount(pack_states(spins), minlength=16)
     assert stats.chisquare(counts).pvalue > 0.001
 
@@ -483,7 +483,7 @@ def test_mcmc_k2_converges_to_gibbs(k2):
     # spec example: 50 sweeps, empirical aligned probability within 0.01
     oracle = mcmc_oracle(k2, mcmc_steps=50, tv_budget_per_draw=0.01)
     n = 100_000
-    counts = np.bincount(pack_states(draw_mcmc_lockstep(oracle, 1.0, n, _rng("mcmc50"))), minlength=4)
+    counts = np.bincount(pack_states(oracle.spins(1.0, n, _rng("mcmc50"))), minlength=4)
     aligned = (counts[0] + counts[3]) / n
     assert aligned == pytest.approx(0.7310585786300049, abs=0.01)
 
@@ -491,6 +491,23 @@ def test_mcmc_k2_converges_to_gibbs(k2):
 def test_mcmc_without_tv_budget_warns(k2):
     with pytest.warns(UserWarning, match="guarantee does not apply"):
         mcmc_oracle(k2, mcmc_steps=5, tv_budget_per_draw=0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda model, tv: RestartOracle(model, 5, tv),
+        lambda model, tv: mcmc_oracle(model, 5, tv),
+        lambda model, tv: replace(mcmc_oracle(model, 5, 0.1), tv_budget_per_draw=tv),
+    ],
+    ids=["class", "factory", "replace"],
+)
+def test_every_construction_without_tv_budget_warns_once(k2, build):
+    # A zero budget claims exact draws, however the oracle is built.
+    with pytest.warns(UserWarning, match="guarantee does not apply") as record:
+        build(k2, 0.0)
+    assert len(record) == 1
+    build(k2, 0.1)  # filterwarnings = error: a nonzero budget never warns
 
 
 def test_mcmc_requires_ising(mixed_table, c4):
@@ -505,13 +522,6 @@ def test_exact_kind_rejects_tv_budget(k2):
     with pytest.raises(TypeError):
         ExactOracle(k2, tv_budget_per_draw=0.1)
     assert exact_oracle(k2).tv_budget_per_draw == 0.0
-
-
-def test_lockstep_refuses_an_exact_oracle_before_any_draw(k2):
-    oracle = exact_oracle(k2)
-    with pytest.raises(TypeError):
-        draw_mcmc_lockstep(oracle, 0.5, 4, _NoDraws())
-    assert oracle.counter.total == 0
 
 
 def test_sweep_matrix_is_stochastic_and_invariant(k2, c4):
@@ -583,7 +593,7 @@ def test_mcmc_lockstep_one_chain_is_draw_mcmc(label, sweeps):
     scalar = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     g1, g2 = _rng(f"lockstep-{label}"), _rng(f"lockstep-{label}")
     bs = [0.0, 0.3, 1.0, 2.0] * 250
-    states = [pack_states(draw_mcmc_lockstep(lockstep, b, 1, g1)).item() for b in bs]
+    states = [pack_states(lockstep.spins(b, 1, g1)).item() for b in bs]
     assert states == [draw_mcmc(scalar, b, g2) for b in bs]
     assert lockstep.counter.total == scalar.counter.total == 1000
     assert g1.random() == g2.random()
@@ -659,7 +669,7 @@ def _assert_replays(label, model, n, b):
     oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     if b == -0.5:
         with pytest.raises(ValueError, match="b >= 0"):
-            draw_mcmc_lockstep(oracle, b, n, _NoDraws())
+            oracle.spins(b, n, _NoDraws())
         assert oracle.counter.total == 0
         return
     if b == "per-chain":
@@ -668,7 +678,7 @@ def _assert_replays(label, model, n, b):
         b = _rng(f"replay-b-{label}", n).uniform(0.0, 3.0, n)
         b[0] = 0.0
     g1, g2 = _rng(f"replay-{label}", n), _rng(f"replay-{label}", n)
-    spins = draw_mcmc_lockstep(oracle, b, n, g1)
+    spins = oracle.spins(b, n, g1)
     assert spins.shape == (nv, n)
     assert pack_states(spins).tolist() == draw_mcmc_chains(oracle, b, n, g2)
     assert g1.bit_generator.state == g2.bit_generator.state
@@ -685,7 +695,7 @@ def test_mcmc_at_b_zero_reads_only_its_start_states(label, sweeps, per_chain):
     nv, n = model.graph.num_vertices, 300
     oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     g1, g2 = _rng(f"b-zero-{label}", sweeps), _rng(f"b-zero-{label}", sweeps)
-    spins = draw_mcmc_lockstep(oracle, np.zeros(n) if per_chain else 0.0, n, g1)
+    spins = oracle.spins(np.zeros(n) if per_chain else 0.0, n, g1)
     starts = g2.integers(0, 2**nv, size=n)
     assert g1.bit_generator.state == g2.bit_generator.state
     assert pack_states(spins).tolist() == (starts ^ (2**nv - 1) * (sweeps % 2)).tolist()
@@ -700,7 +710,7 @@ def test_mcmc_refuses_b_below_zero_and_nan(k2, b):
     if b == "per-chain":
         b = np.array([0.0, 1.0, -0.5])
     with pytest.raises(ValueError, match="b >= 0"):
-        draw_mcmc_lockstep(oracle, b, np.size(b), _NoDraws())
+        oracle.spins(b, np.size(b), _NoDraws())
     assert oracle.counter.total == 0
     if np.ndim(b) == 0:
         for exact in (
@@ -745,7 +755,7 @@ def _degree_plan_thresholds():
         edges += [(hub, leaf) for leaf in range(nv, nv + hub)]
         nv += hub
     oracle = mcmc_oracle(ising_model(edges, num_vertices=nv), 1, 0.1)
-    return oracle._plan[1]
+    return oracle._neg_expo
 
 
 _DEGREE_PLAN = _degree_plan_thresholds()
@@ -817,7 +827,7 @@ def test_k2_tie_flips_an_aligned_site_exactly_when_its_double_is_below_part(k2):
     whole, part = split_threshold(math.exp(-b))
     oracle = mcmc_oracle(k2, mcmc_steps=1, tv_budget_per_draw=0.1)
     stub = _TiedWords(_rng("ties-k2"), [whole] * (2 * n))
-    spins = draw_mcmc_lockstep(oracle, b, n, stub)
+    spins = oracle.spins(b, n, stub)
     assert stub.doubles == [2 * n]
     twin = _rng("ties-k2")
     starts = twin.integers(0, 4, size=n).tolist()
@@ -852,7 +862,7 @@ def test_star_tie_draws_one_double_shared_by_both_centre_thresholds(b):
     uniforms = centre + [split_threshold(math.exp(-b))[0]] * (4 * n)
     oracle = mcmc_oracle(_STAR4, mcmc_steps=1, tv_budget_per_draw=0.1)
     stub = _TiedWords(_rng("ties-star", int(b)), uniforms)
-    spins = draw_mcmc_lockstep(oracle, b, n, stub)
+    spins = oracle.spins(b, n, stub)
     assert stub.doubles == [5 * n]
     twin = _rng("ties-star", int(b))
     starts = twin.integers(0, 32, size=n).tolist()
@@ -916,7 +926,7 @@ def test_per_chain_ties_draw_one_double_per_tied_cell_in_cell_order(label, model
     assert nv * n % 8 and padded and tied
     oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     stub = _TiedWords(_rng(f"per-chain-ties-rng-{label}"), uniforms)
-    spins = draw_mcmc_lockstep(oracle, bs, n, stub)
+    spins = oracle.spins(bs, n, stub)
     twin = _TiedWords(_rng(f"per-chain-ties-rng-{label}"), uniforms)
     replay = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     assert pack_states(spins).tolist() == draw_mcmc_chains(replay, bs, n, twin)
@@ -936,7 +946,7 @@ def test_a_uniform_on_a_threshold_past_the_degree_draws_no_double(label, model):
     nv = model.graph.num_vertices
     n, uniforms = (256, range(256)) if nv == 1 else (4, [0] * (nv * 4))
     stub = _TiedWords(_rng(f"no-tie-{label}"), uniforms)
-    spins = draw_mcmc_lockstep(mcmc_oracle(model, 1, 0.1), 0.3, n, stub)
+    spins = mcmc_oracle(model, 1, 0.1).spins(0.3, n, stub)
     assert stub.doubles == []
     starts = _rng(f"no-tie-{label}").integers(0, 2**nv, size=n)
     assert pack_states(spins).tolist() == (starts ^ (2**nv - 1)).tolist()
@@ -950,7 +960,7 @@ def test_mcmc_lockstep_two_thresholds_match_exact_kernel(b, sweeps):
     n = 400_000
     oracle = mcmc_oracle(_STAR4, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     bs = np.where(np.arange(n) % 2 == 0, 0.3, 1.0) if b == "per-chain" else b
-    states = pack_states(draw_mcmc_lockstep(oracle, bs, n, _rng(f"star4-chi-{b}", sweeps)))
+    states = pack_states(oracle.spins(bs, n, _rng(f"star4-chi-{b}", sweeps)))
     assert oracle.counter.total == n
     groups = [(0.3, states[0::2]), (1.0, states[1::2])] if b == "per-chain" else [(b, states)]
     for b_value, group in groups:
@@ -965,7 +975,7 @@ def test_mcmc_lockstep_matches_exact_kernel(label, sweeps):
     model = dict(tiny_models())[label]
     oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     n = 400_000
-    states = pack_states(draw_mcmc_lockstep(oracle, 1.0, n, _rng(f"lockstep-chi-{label}", sweeps)))
+    states = pack_states(oracle.spins(1.0, n, _rng(f"lockstep-chi-{label}", sweeps)))
     assert oracle.counter.total == n
     counts = np.bincount(states, minlength=1 << model.graph.num_vertices)
     expected = mcmc_draw_distribution(model, 1.0, sweeps)
@@ -980,7 +990,7 @@ def test_mcmc_lockstep_per_chain_b_one_chain_is_draw_mcmc(label):
     scalar = mcmc_oracle(model, mcmc_steps=3, tv_budget_per_draw=0.1)
     g1, g2 = _rng(f"per-chain-{label}"), _rng(f"per-chain-{label}")
     bs = _rng(f"per-chain-b-{label}").random(1000) * 2.0
-    states = [pack_states(draw_mcmc_lockstep(lockstep, bs[i : i + 1], 1, g1)).item() for i in range(1000)]
+    states = [pack_states(lockstep.spins(bs[i : i + 1], 1, g1)).item() for i in range(1000)]
     assert states == [draw_mcmc(scalar, b, g2) for b in bs.tolist()]
     assert lockstep.counter.total == scalar.counter.total == 1000
     assert g1.random() == g2.random()
@@ -994,7 +1004,7 @@ def test_mcmc_lockstep_per_chain_b_matches_exact_kernel(label, sweeps):
     oracle = mcmc_oracle(model, mcmc_steps=sweeps, tv_budget_per_draw=0.1)
     n = 400_000
     bs = np.where(np.arange(n) % 2 == 0, 0.3, 1.0)
-    states = pack_states(draw_mcmc_lockstep(oracle, bs, n, _rng(f"per-chain-chi-{label}", sweeps)))
+    states = pack_states(oracle.spins(bs, n, _rng(f"per-chain-chi-{label}", sweeps)))
     assert oracle.counter.total == n
     for b, half in [(0.3, states[0::2]), (1.0, states[1::2])]:
         counts = np.bincount(half, minlength=1 << model.graph.num_vertices)
@@ -1005,14 +1015,14 @@ def test_mcmc_lockstep_per_chain_b_matches_exact_kernel(label, sweeps):
 def test_mcmc_lockstep_rejects_misshapen_b(k2):
     oracle = mcmc_oracle(k2, mcmc_steps=1, tv_budget_per_draw=0.1)
     with pytest.raises(ValueError):
-        draw_mcmc_lockstep(oracle, np.array([0.3, 1.0]), 3, _rng("misshapen"))
+        oracle.spins(np.array([0.3, 1.0]), 3, _rng("misshapen"))
 
 
 def test_mcmc_draw_energies_are_lockstep_energies(c4):
     by_energy = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
     by_state = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
     energies = next(by_energy.energy_rows([0.7], 500, _rng("mcmc-energies")))
-    states = pack_states(draw_mcmc_lockstep(by_state, 0.7, 500, _rng("mcmc-energies")))
+    states = pack_states(by_state.spins(0.7, 500, _rng("mcmc-energies")))
     assert energies.tolist() == state_energies(c4)[states].tolist()
     assert by_energy.counter.total == 500
 
@@ -1022,7 +1032,7 @@ def test_mcmc_draw_energies_at_are_per_chain_lockstep_energies(c4):
     by_state = mcmc_oracle(c4, mcmc_steps=2, tv_budget_per_draw=0.1)
     bs = _rng("mcmc-energies-at-b").random(500)
     energies = by_energy.draw_energies_at(bs, _rng("mcmc-energies-at"))
-    states = pack_states(draw_mcmc_lockstep(by_state, bs, 500, _rng("mcmc-energies-at")))
+    states = pack_states(by_state.spins(bs, 500, _rng("mcmc-energies-at")))
     assert energies.tolist() == state_energies(c4)[states].tolist()
     assert by_energy.counter.total == by_state.counter.total == 500
 
