@@ -63,10 +63,28 @@ def epsilon_tilde(epsilon: float) -> float:
 
 
 def replicate_count(epsilon: float, regime: str) -> int:
+    """Step 3's replicates, coeff * epsilon_tilde^-2 rounded up.
+
+    Below about epsilon = 1.5e-154 the count passes the float range, so no
+    row of draws could hold it: that raises MemoryError."""
     coeff = (
         REPLICATE_COEFF_SHIFTED if regime == REGIME_SHIFTED else REPLICATE_COEFF_INTEGER
     )
-    return math.ceil(coeff * _inverse_square(epsilon_tilde(epsilon)))
+    count = coeff * _inverse_square(epsilon_tilde(epsilon))
+    if count == math.inf:
+        raise MemoryError(f"epsilon={epsilon} needs more replicates than the float range holds")
+    return math.ceil(count)
+
+
+def _require_row(n: int) -> None:
+    """Refuse n draws per row, before any draw, when no row of n can be allocated.
+
+    A row is n doubles.  The allocation is tried and freed at once; one past
+    numpy's largest array, 2^63 - 1 bytes, raises MemoryError as well."""
+    try:
+        np.empty(n)
+    except ValueError as exc:
+        raise MemoryError(f"cannot allocate a row of {n:.4g} draws: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -110,7 +128,9 @@ def paired_replicate_logs(
     sum_w, log_vs = np.zeros(r), np.zeros(r)
     previous = next(rows)
     for delta, energies in zip(schedule.half_lengths, rows):
-        sum_w += delta * previous
+        # A row closes its V factor before it opens the next W factor, its
+        # last read, so that read scales it in place.
+        sum_w += np.multiply(previous, delta, out=previous)
         log_vs += delta * energies
         previous = energies
     return np.negative(sum_w, out=sum_w), log_vs
@@ -188,6 +208,7 @@ def paired_product_estimate(
     )
     if r < 1:
         raise ValueError("replicates must be >= 1")
+    _require_row(r)
     start = oracle.counter.total
     init_rng, sched_rng, rep_rng = rng.spawn(3)
 
@@ -286,6 +307,7 @@ def product_log_estimate(
     of exp(-(beta_{i+1} - beta_i) H(X)) with X ~ pi_{beta_i}; stages add."""
     if draws_per_stage < 1:
         raise ValueError("draws_per_stage must be >= 1")
+    _require_row(draws_per_stage)
     betas = schedule.betas
     energies = oracle.energy_rows(betas[:-1], draws_per_stage, rng)
     log_total = 0.0

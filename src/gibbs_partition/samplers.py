@@ -10,9 +10,11 @@ state index, and no model holds a state table.  ``ExactOracle`` samples from
 the model's density of states (its distinct energy levels and their
 multiplicities), so building it and a draw at a fresh b cost O(levels), not
 O(states).  One builder, ``_level_cdfs``, makes every level CDF in place,
-one column per b; one draw per b inverts by counting down the column, and a
-row of n draws at one b through a guide table over it, O(1) per draw on
-average.
+one column per b, summing each in level order as ``np.cumsum(axis=0)``
+does, row by row in a wide block, so a column's bits never depend on the
+block it is built in; one draw per b inverts by counting down its column,
+a call whose every b is one value through one column, and a row of n draws
+at one b through a guide table over it, O(1) per draw on average.
 ``RestartOracle`` runs n restart chains in lockstep on any Ising model of
 at most 63 sites (int64 start indices), from a kernel plan of the graph it
 builds once; ``RestartOracle.spins`` states its kernel and stream contract,
@@ -38,6 +40,10 @@ from .models import EnumerationGuardError, GibbsModel, require_enumerable
 
 # Entries per block of level-CDF columns in a draw at many fresh b values.
 _MATRIX_CAP = 1 << 16
+# Columns from which a level-CDF block is summed row by row.  Measured on 2
+# to 50 levels, that beats one np.add.accumulate down the columns from
+# between 100 and 180 columns on; below, a Python step per level costs more.
+_ROW_SUM_COLUMNS = 160
 # 8-bit uniforms per block of Metropolis sweeps (128 KB), a whole number
 # of sweeps each.
 _UNIFORM_CAP = 1 << 17
@@ -107,18 +113,20 @@ class ExactOracle(SamplerOracle):
         bs = np.asarray(bs, dtype=float)
         g = 1 << (n // 8).bit_length()
         edges = np.arange(g + 1) / g
+        buckets = np.empty(n, np.intp)
         for cols, cw, top, below in _level_cdfs(self.model, bs):
             for col, t, key_max in zip(cw.T, top.tolist(), below.tolist()):
                 row = rng.random(n)
                 self.counter.record(n)
-                lv = np.searchsorted(col, np.minimum(edges * t, key_max), side="right")
+                lv = col.searchsorted(np.minimum(edges * t, key_max), side="right")
                 # Energies are finite, so nan marks the buckets a boundary splits.
-                guide = np.where(lv[:-1] == lv[1:], energies[lv[:-1]], np.nan)
-                drawn = guide[(row * g).astype(np.intp)]
-                split = np.flatnonzero(np.isnan(drawn))
+                guide = np.where(lv[:-1] == lv[1:], energies.take(lv[:-1]), np.nan)
+                np.multiply(row, g, out=buckets, casting="unsafe")
+                drawn = guide.take(buckets)
+                split = np.isnan(drawn).nonzero()[0]
                 if split.size:
                     keys = np.minimum(row[split] * t, key_max)
-                    drawn[split] = energies[np.searchsorted(col, keys, side="right")]
+                    drawn[split] = energies.take(col.searchsorted(keys, side="right"))
                 yield drawn
 
     def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -304,29 +312,42 @@ def _level_cdfs(model: GibbsModel, bs: np.ndarray):
     built in place in one buffer, so a model with many levels never holds a
     levels x len(bs) matrix at once.  The yielded arrays are views into
     that buffer, valid until the next block.
+
+    The sums run in level order: entry l is entry l - 1 plus its own term,
+    one rounding each, as ``np.cumsum(axis=0)`` adds them.  A block of
+    _ROW_SUM_COLUMNS columns or more adds level l - 1 into level l one row
+    at a time, and a narrower one is one ``np.add.accumulate``.  Both make
+    the same sums, so a column's bits do not depend on the block it is
+    built in, and a call that needs one b builds one column.
     """
     energies, counts = model.energies, model.counts
     width = max(1, _MATRIX_CAP // len(energies))
     buffer = np.empty((len(energies), min(width, len(bs))))
     for lo in range(0, len(bs), width):
         cols = slice(lo, lo + width)
-        cw = buffer[:, : len(bs[cols])]
+        b = bs[cols]
+        cw = buffer[:, : len(b)]
         # Energies ascend, so each column's largest log-weight is at an end.
-        with np.errstate(over="ignore"):
-            np.multiply.outer(energies, -bs[cols], out=cw)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(energies[:, None], -b, out=cw)
             peak = np.maximum(cw[0], cw[-1])
-            if math.isinf(peak.min()) or math.isinf(peak.max()):
+            # The sum is inf or nan whenever a peak is inf.
+            if not math.isfinite(peak.sum()):
                 # Past the float range every other level weighs under
                 # exp(-4e292) of an end level: the column is that level's
                 # point mass, the lowest for b > 0.
                 hot = np.flatnonzero(np.isinf(peak))
                 cw[:, hot] = -np.inf
-                cw[np.where(bs[cols][hot] > 0, 0, -1), hot] = 0.0
+                cw[np.where(b[hot] > 0, 0, -1), hot] = 0.0
                 peak[hot] = 0.0
             np.subtract(cw, peak, out=cw)
         np.exp(cw, out=cw)
         np.multiply(counts[:, None], cw, out=cw)
-        np.cumsum(cw, axis=0, out=cw)
+        if len(b) < _ROW_SUM_COLUMNS:
+            np.add.accumulate(cw, axis=0, out=cw)
+        else:
+            for previous, row in zip(cw, cw[1:]):
+                np.add(previous, row, out=row)
         top = cw[-1]
         yield cols, cw, top, np.nextafter(top, -np.inf)
 
@@ -334,15 +355,19 @@ def _level_cdfs(model: GibbsModel, bs: np.ndarray):
 def _count_levels(model: GibbsModel, bs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Energy of one draw at each b of ``bs``, bs[j] inverting uniform u[j].
 
-    The drawn level is the first whose CDF entry passes u * top, counted
-    down its column; the key is clamped at below, since u * top can round
-    up to top.
+    The drawn level is the number of CDF entries at or below u * top in its
+    column, the first whose entry passes it; the key is clamped at below,
+    since u * top can round up to top.  When every b is one value, one
+    column serves them all, and ``searchsorted(side="right")`` over it
+    counts the same entries, since a column never decreases.
     """
-    out = np.empty(len(bs))
+    if bs.size and bs[0] == bs[-1] and (bs == bs[0]).all():
+        [(_, cw, top, below)] = _level_cdfs(model, bs[:1])
+        return model.energies.take(cw[:, 0].searchsorted(np.minimum(u * top, below), side="right"))
+    levels = np.empty(len(bs), np.intp)
     for cols, cw, top, below in _level_cdfs(model, bs):
-        keys = np.minimum(u[cols] * top, below)
-        out[cols] = model.energies[np.count_nonzero(cw <= keys, axis=0)]
-    return out
+        (cw <= np.minimum(u[cols] * top, below)).sum(axis=0, out=levels[cols])
+    return model.energies.take(levels)
 
 
 def _bytes(words: np.ndarray) -> np.ndarray:

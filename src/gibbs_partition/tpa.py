@@ -60,10 +60,10 @@ def tpa_runs(
         while b.size:
             hx = oracle.draw_energies_at(b, rng)
             u = rng.random(b.size)
-            while not u.all():
+            while np.count_nonzero(u) < u.size:
                 zeros = u == 0.0
                 u[zeros] = rng.random(np.count_nonzero(zeros))
-            b_next = np.where(hx == 0.0, jump, b - np.log(u) / hx)
+            b_next = np.where(hx, b - np.log(u) / hx, jump)
             inside = (0.0 < b_next) & (b_next < beta)
             if trace is not None:
                 steps.append((ids, b_next, hx, u))

@@ -11,6 +11,7 @@ import pytest
 
 import gibbs_partition.cli as cli
 import gibbs_partition.models as models
+import gibbs_partition.samplers as samplers
 import gibbs_partition.schedule as sched_mod
 from conftest import row_transfer_log_partition
 from gibbs_partition.cli import (
@@ -327,6 +328,28 @@ def test_main_exact_infeasible_exit_3(monkeypatch, capsys, tmp_path):
 def test_main_unallocatable_block_exit_3(args, capsys):
     # Rows of draws of 0.7 and 7 EiB: past any address space, below numpy's
     # 2^63-byte limit, so the allocation fails without touching memory.
+    assert main(["run", "--model", "k2", "--beta", "1", *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "allocate" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--expert-overrides", f"r={10**40}"],
+        ["--expert-overrides", "r=100000000000000000"],
+        ["--method", "single", "--draws", f"{10**40}"],
+    ],
+    ids=["replicates-1e40", "replicates-1e17", "single-draws-1e40"],
+)
+def test_a_row_no_array_can_hold_exit_3_before_any_draw(args, monkeypatch, capsys):
+    # A row past numpy's largest array, and one past any address space, are
+    # refused before step 1: the run never walks TPA.
+    def no_draw(*args):
+        raise AssertionError("no draw before the row is refused")
+
+    monkeypatch.setattr(samplers.ExactOracle, "draw_energies_at", no_draw)
+    monkeypatch.setattr(samplers.ExactOracle, "energy_rows", no_draw)
     assert main(["run", "--model", "k2", "--beta", "1", *args]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "allocate" in err

@@ -106,6 +106,29 @@ def test_zero_replicates_are_refused_before_any_draw(k2):
     assert oracle.counter.total == 0
 
 
+@pytest.mark.parametrize(
+    "epsilon,replicates,message",
+    [
+        (1e-17, None, "cannot allocate a row of 6.877e\\+35 draws"),
+        (1e-160, None, "epsilon=1e-160 needs more replicates than the float range holds"),
+        (0.1, 10**40, "cannot allocate a row of 1e\\+40 draws"),
+        (0.1, 2**61, "cannot allocate a row of 2.306e\\+18 draws"),
+        (0.1, 10**17, "Unable to allocate"),
+    ],
+    ids=["epsilon-1e-17", "epsilon-1e-160", "r-1e40", "r-2^61", "r-1e17"],
+)
+def test_replicates_no_row_can_hold_are_refused_before_any_draw(k2, epsilon, replicates, message):
+    # Step 3 draws rows of r doubles.  An r past numpy's largest array, one
+    # past the float range and one that cannot be allocated are each refused
+    # with MemoryError before step 1, not after TPA has walked.
+    oracle = exact_oracle(k2)
+    with pytest.raises(MemoryError, match=message):
+        paired_product_estimate(
+            oracle, 1.0, epsilon, _rng("no-row"), overrides=ParamOverrides(replicates=replicates)
+        )
+    assert oracle.counter.total == 0
+
+
 # --- paired replicates -----------------------------------------------------
 
 
@@ -674,6 +697,27 @@ def test_run_experiment_baseline_rows_are_pinned(spec, method, draws, logs, tmp_
     ]
     assert [row["draws_total"] for row in rows] == draws
     assert [row["log_estimate"] for row in rows] == pytest.approx(logs, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec,beta,draws,logs",
+    [
+        ("cycle-4", 1.0, [59129, 59321, 59160, 59217],
+         [2.521184942322125, 2.52654311429232, 2.5248326299416766, 2.5260668266463746]),
+        ("grid-3x3", 1.0, [207626, 200325, 207646, 200308],
+         [7.654688235142281, 7.656247408329685, 7.650527173289007, 7.656985481170057]),
+        ("grid-4x4", 0.5, [207764, 207826, 207713, 207844],
+         [6.779513045072006, 6.778842087399303, 6.776300233662504, 6.780996903771488]),
+    ],
+)
+def test_many_level_exact_rows_are_pinned_bit_for_bit(spec, beta, draws, logs):
+    # Paired rows per seed on models of 3, 11 and 23 levels, whose step-2
+    # TPA calls are wide enough to sum their level CDFs row by row and
+    # whose first lockstep steps draw every run at one b.
+    rows = [run_experiment(ExperimentConfig(model=spec, beta=beta, seed=seed))[0]
+            for seed in range(4)]
+    assert [row["draws_total"] for row in rows] == draws
+    assert [row["log_estimate"] for row in rows] == logs
 
 
 # --- instance bounds --------------------------------------------------------

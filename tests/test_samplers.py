@@ -192,6 +192,48 @@ def test_draw_energies_at_in_blocks_matches_draw_energy():
     assert per_b.counter.total == single.counter.total == 60
 
 
+def _fresh_b_cases():
+    wide = samplers._ROW_SUM_COLUMNS
+    assert 736 >= wide
+    fresh = _rng("summing-b").random(736)
+    return [
+        pytest.param(fresh, id="wide-736"),
+        pytest.param(fresh[: wide - 1], id="narrow"),
+        pytest.param(np.full(736, 0.5), id="one-b-736"),
+    ]
+
+
+@pytest.mark.parametrize("bs", _fresh_b_cases())
+def test_draw_energies_at_every_summing_branch_matches_draw_exact(bs):
+    # grid-4x4 has 23 levels.  A block of 736 fresh b is summed row by row,
+    # one just under the shape rule by np.add.accumulate, and 736 equal b
+    # build one column; each is draw_exact draw for draw.
+    model = grid_model(4, 4)
+    per_b, single = exact_oracle(model), exact_oracle(model)
+    g1, g2 = _rng("summing-branches"), _rng("summing-branches")
+    energies = per_b.draw_energies_at(bs, g1)
+    assert energies.tolist() == state_energies(model)[[draw_exact(single, b, g2) for b in bs.tolist()]].tolist()
+    assert per_b.counter.total == single.counter.total == len(bs)
+    assert g1.bit_generator.state == g2.bit_generator.state
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["accumulate", "row-by-row"])
+def test_level_cdf_columns_are_the_cumsum_bytes(offset):
+    # On either side of the shape rule the sums are np.cumsum(axis=0)'s,
+    # and each column has the bits of the same column built alone.
+    model = grid_model(4, 4)
+    bs = _rng("cumsum-b").random(samplers._ROW_SUM_COLUMNS + offset) * 2.0
+    [(_, cw, top, below)] = samplers._level_cdfs(model, bs)
+    logw = np.multiply.outer(model.energies, -bs)
+    terms = model.counts[:, None] * np.exp(logw - np.maximum(logw[0], logw[-1]))
+    assert cw.tobytes() == np.cumsum(terms, axis=0).tobytes()
+    assert top.tobytes() == cw[-1].tobytes()
+    assert below.tobytes() == np.nextafter(top, -np.inf).tobytes()
+    for j in (0, len(bs) // 2, len(bs) - 1):
+        [(_, alone, _, _)] = samplers._level_cdfs(model, bs[j : j + 1])
+        assert alone[:, 0].tobytes() == cw[:, j].tobytes()
+
+
 # --- draw blocks: one row per b -------------------------------------------
 
 BLOCK_BS = [0.0, 0.3, 1.0, 5.0, 50.0]
