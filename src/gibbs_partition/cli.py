@@ -4,6 +4,10 @@ Repetition r of a run derives all of its randomness from (seed, stage, r),
 so tables are byte-identical across reruns and worker counts.  CSV rows
 deliberately exclude wall-clock time (it lives in the JSON sidecar) to keep
 the determinism contract checkable by byte comparison.
+
+Each input is settable only where a run reads it, and exits 2 before any
+draw elsewhere: ``--draws`` needs method product or single (``compare``'s
+baselines run at the paired mean draws), and ``--expert-overrides`` paired.
 """
 
 from __future__ import annotations
@@ -107,6 +111,8 @@ class ExperimentConfig:
             raise ConfigError("boost must be a positive odd integer")
         if self.boost != 1 and self.method != "paired":
             raise ConfigError("boost needs method paired")
+        if self.overrides and self.method != "paired":
+            raise ConfigError("overrides need method paired")
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
         if (self.schedule_in or self.schedule_out) and self.method != "paired":
@@ -247,37 +253,37 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     return _run_on(config, model, truth)
 
 
-def _sample_bound(config: ExperimentConfig, model: models.GibbsModel, truth) -> float:
-    """The paired pipeline's average-draw bound at q = |truth|, compare's ``sample_bound``."""
-    q = abs(truth)
-    if sched_mod.regime_for_model(model) == sched_mod.REGIME_SHIFTED:
-        return estimators.sample_bound_shifted(q, model.n_bound, config.beta, config.epsilon)
-    return estimators.sample_bound_integer(q, model.n_bound, config.epsilon)
-
-
-def _check_draw_limit(config: ExperimentConfig, model: models.GibbsModel, truth) -> None:
+def _check_draw_limit(config: ExperimentConfig, model: models.GibbsModel, truth) -> float:
     """Refuse a paired or product run whose draw bound passes MAX_SAMPLE_BOUND.
 
-    It is called before any draw.  A paired run's bound is the instance
-    bound times the boost.  A product run walks 5 TPA runs for its q, each
-    about q + 1 draws (q + 2 n beta + 1 on a shifted model), and then makes
-    ``draws`` draws; epsilon does not enter it.
+    It is called before any draw, and returns the bound of one estimate.  A
+    paired estimate's is the instance bound, ``sample_bound_integer`` or
+    ``sample_bound_shifted`` at q = |truth|, which is compare's
+    ``sample_bound``; the run's bound is that times the boost.  A product
+    run walks 5 TPA runs for its q, each about q + 1 draws (q + 2 n beta + 1
+    on a shifted model), and then makes ``draws`` draws; epsilon does not
+    enter it.
     """
+    q = abs(truth)
+    shifted = sched_mod.regime_for_model(model) == sched_mod.REGIME_SHIFTED
     if config.method == "product":
-        q = abs(truth)
-        if sched_mod.regime_for_model(model) == sched_mod.REGIME_SHIFTED:
+        if shifted:
             q += 2.0 * model.n_bound * config.beta
         bound = 5.0 * (q + 1.0) + config.draws
+    elif shifted:
+        bound = estimators.sample_bound_shifted(q, model.n_bound, config.beta, config.epsilon)
     else:
-        bound = _sample_bound(config, model, truth) * config.boost
-    if not bound <= MAX_SAMPLE_BOUND:
+        bound = estimators.sample_bound_integer(q, model.n_bound, config.epsilon)
+    run_bound = bound * config.boost
+    if not run_bound <= MAX_SAMPLE_BOUND:
         # A model whose shifted energies pass the float range stays a
         # ValueError (exit 2): the run would meet it before its first draw.
         estimators.prepare(samplers.exact_oracle(model), config.beta)
         raise DrawLimitError(
-            f"the run's draw bound is {bound:.4g}, past the "
+            f"the run's draw bound is {run_bound:.4g}, past the "
             f"{MAX_SAMPLE_BOUND:.4g}-draw limit of a run that walks TPA"
         )
+    return bound
 
 
 def _worker_count() -> int:
@@ -330,8 +336,7 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
     model = build_model(config.model)
     truth = models.log_ratio_exact(model, config.beta)
     band = math.log(1.0 + config.epsilon)
-    _check_draw_limit(replace(config, method="paired"), model, truth)
-    bound = _sample_bound(config, model, truth)
+    bound = _check_draw_limit(replace(config, method="paired"), model, truth)
 
     paired_rows = _run_on(replace(config, method="paired"), model, truth)
     mean_paired_draws = sum(r["draws_total"] for r in paired_rows) / len(paired_rows)
@@ -443,7 +448,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--reps", type=int)
     p.add_argument("--boost", type=int)
-    p.add_argument("--draws", type=int, help="draw budget for the single/product baselines")
     p.add_argument("--expert-overrides", dest="overrides", action=_Overrides,
                    metavar="EXPERT_OVERRIDES", help="expert mode: d=..,k=..,eta=..,r=..")
     p.add_argument("--schedule-in")
@@ -455,9 +459,13 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> ExperimentConfig:
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name in args}
-    if "mcmc_steps" in given and given.get("sampler") != "mcmc":
+    config = ExperimentConfig(**given)
+    # Every config carries these defaults; only a flag given names an input no run reads.
+    if "mcmc_steps" in given and config.sampler != "mcmc":
         raise ConfigError("mcmc_steps needs sampler mcmc")
-    return ExperimentConfig(**given)
+    if "draws" in given and config.method not in ("product", "single"):
+        raise ConfigError("draws needs method product or single")
+    return config
 
 
 def main(argv=None) -> int:
@@ -470,6 +478,7 @@ def main(argv=None) -> int:
     unset = argparse.SUPPRESS  # a flag left out is absent: ExperimentConfig holds the defaults
     run_p = sub.add_parser("run", help="run one estimation method", argument_default=unset)
     run_p.add_argument("--method", choices=METHODS)
+    run_p.add_argument("--draws", type=int, help="draw budget of --method product or single")
     _add_common_args(run_p)
 
     cmp_p = sub.add_parser("compare", help="compare methods at matched draw budgets",

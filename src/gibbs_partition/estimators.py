@@ -329,8 +329,11 @@ def product_baseline_log_estimate(
     ``bezakova_schedule`` at that q, or {0, beta} when q_hat is 0, and each
     of its stages gets ``max(1, draws // intervals)`` draws.  Models are
     routed through ``prepare`` as in the paired pipeline.  Returns the log
-    estimate of Z(beta)/Z(0) and the schedule.
+    estimate of Z(beta)/Z(0) and the schedule.  A budget below one draw
+    raises ValueError before any draw.
     """
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
     work, _, log_shift = prepare(oracle, beta)
     q_hat1, _ = initial_estimate(work, beta, rng, trace=trace)
     if q_hat1 > 0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,12 +325,18 @@ def shift_hamiltonian(model: GibbsModel, c: float) -> GibbsModel:
     return GibbsModel((energies, np.bincount(level, weights=model.counts)))
 
 
+def _is_number(value) -> bool:
+    """An int or float within the float range; not a bool, not a string."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def model_from_dict(spec: dict) -> GibbsModel:
     """Load a model from the JSON schema, validating invariants.
 
     Malformed specs raise ValueError: a spec that is not an object, a
     missing field, ising fields that are not an integer vertex count and a
-    list of integer pairs, or a table that is not a non-empty list of numbers.
+    list of integer pairs, or a table that is not a non-empty list of
+    numbers within the float range.
     """
     if not isinstance(spec, dict):
         raise ValueError("a model spec must be a JSON object")
@@ -350,8 +357,8 @@ def model_from_dict(spec: dict) -> GibbsModel:
         values = spec["hamiltonian"]
         if not isinstance(values, list) or len(values) < 1:
             raise ValueError("table model needs a non-empty list of energies")
-        if not all(type(v) in (int, float) for v in values):
-            raise ValueError("table model energies must be numbers")
+        if not all(_is_number(v) for v in values):
+            raise ValueError("table model energies must be numbers within the float range")
         return table_model(values)
     raise ValueError(f"unknown model type {kind!r}")
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import GibbsModel, SIGN_NONNEGATIVE, SIGN_NONPOSITIVE
+from .models import GibbsModel, SIGN_NONNEGATIVE, SIGN_NONPOSITIVE, _is_number
 from .samplers import SamplerOracle
 from .tpa import thin, tpa_runs
 
@@ -89,11 +88,6 @@ def save_schedule(path: str, schedule: CoolingSchedule, params: ScheduleParams |
     spec = {"betas": list(schedule.betas), "params": asdict(params) if params is not None else None}
     with open(path, "w") as fh:
         json.dump(spec, fh)
-
-
-def _is_number(value) -> bool:
-    """An int or float within the float range; not a bool, not a string."""
-    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def load_schedule(path: str) -> tuple[CoolingSchedule, ScheduleParams | None]:

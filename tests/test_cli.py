@@ -273,6 +273,51 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
         assert f"not of the form {form}" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    """main's exit code, also when argparse exits on a flag it does not know."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _no_oracle(*args):
+    raise AssertionError("no oracle for a refused input")
+
+
+@pytest.mark.parametrize(
+    "refused,accepted,flag",
+    [
+        (["compare", "--draws", "5"], ["compare", "--expert-overrides", "r=5"], "--draws"),
+        (["run", "--method", "paired", "--draws", "5"],
+         ["run", "--method", "product", "--draws", "5"], "draws"),
+        (["run", "--method", "exact", "--draws", "5"],
+         ["run", "--method", "single", "--draws", "5"], "draws"),
+        (["run", "--method", "product", "--expert-overrides", "r=5"],
+         ["run", "--method", "paired", "--expert-overrides", "r=5"], "overrides"),
+        (["run", "--method", "single", "--expert-overrides", "d=3"],
+         ["run", "--method", "paired", "--expert-overrides", "d=3"], "overrides"),
+        (["run", "--method", "exact", "--expert-overrides", "k=40,eta=0.5"],
+         ["run", "--method", "paired", "--expert-overrides", "k=40,eta=0.5"], "overrides"),
+    ],
+    ids=["compare-draws", "paired-draws", "exact-draws", "product-overrides",
+         "single-overrides", "exact-overrides"],
+)
+def test_an_input_no_run_reads_exit_2_before_any_draw(refused, accepted, flag, tmp_path,
+                                                       monkeypatch, capsys):
+    # Only product and single read --draws (compare's baselines run at the
+    # paired mean draws), and only the paired method reads the overrides.
+    args = ["--model", "k2", "--beta", "1", "--seed", "2", "--out", str(tmp_path / "o.csv")]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "build_oracle", _no_oracle)
+        assert _exit_code([*refused, *args]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err
+    assert not os.listdir(tmp_path)
+    assert main([*accepted, *args]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["o.csv", "o.csv.config.json"]
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -295,6 +340,21 @@ def test_malformed_table_file_exit_2(text, message, tmp_path, capsys):
     assert main(["run", "--model", f"table:{path}", "--beta", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+def test_a_table_energy_past_the_float_range_exit_2(sign, tmp_path, capsys):
+    # json reads 1e400 as inf, but 10^400 as an int that no float holds:
+    # one number rule, the schedule file's, refuses it before numpy sees it.
+    text = '{"type": "table", "hamiltonian": [0, %s1%s]}' % (sign, "0" * 400)
+    with pytest.raises(ValueError, match="numbers within the float range"):
+        models.model_from_dict(json.loads(text))
+    path, out = tmp_path / "m.json", tmp_path / "o.csv"
+    path.write_text(text)
+    assert main(["run", "--model", f"table:{path}", "--beta", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: table model energies must be numbers within the float range\n"
+    assert not out.exists()
 
 
 def test_main_exact_infeasible_exit_3(monkeypatch, capsys, tmp_path):
@@ -398,10 +458,11 @@ def test_an_epsilon_whose_bound_passes_the_float_range_exit_3(command, spec, eps
     assert err == "error: the run's draw bound is inf, past the 1e+12-draw limit of a run that walks TPA\n"
 
 
-@pytest.mark.parametrize("method", ["single", "exact"])
-def test_methods_that_walk_no_tpa_run_past_the_draw_limit(method, tmp_path):
+@pytest.mark.parametrize("method,extra", [("single", ["--draws", "10"]), ("exact", [])],
+                         ids=["single", "exact"])
+def test_methods_that_walk_no_tpa_run_past_the_draw_limit(method, extra, tmp_path):
     out = tmp_path / "o.csv"
-    args = ["run", "--model", "const-1e308", "--beta", "1", "--method", method, "--draws", "10"]
+    args = ["run", "--model", "const-1e308", "--beta", "1", "--method", method, *extra]
     assert main([*args, "--out", str(out)]) == 0
     assert float(_read_csv(out)[0]["log_estimate"]) == -1e308
 
@@ -412,16 +473,14 @@ def test_the_draw_limit_reads_the_bound_times_the_boost():
     model = build_model("k2")
     truth = models.log_ratio_exact(model, 1.0)
     config = ExperimentConfig(model="k2", beta=1.0, boost=46_655_013)
-    assert cli._sample_bound(config, model, truth) == pytest.approx(21433.92357764558)
-    cli._check_draw_limit(config, model, truth)
+    assert cli._check_draw_limit(config, model, truth) == pytest.approx(21433.92357764558)
     with pytest.raises(cli.DrawLimitError, match="past the 1e\\+12-draw limit"):
         cli._check_draw_limit(replace(config, boost=46_655_015), model, truth)
     # const-1000 at epsilon 0.05 has a bound of 187M draws, far under it.
     const = build_model("const-1000")
     config = ExperimentConfig(model="const-1000", beta=1.0, epsilon=0.05)
     const_truth = models.log_ratio_exact(const, 1.0)
-    assert 1.8e8 < cli._sample_bound(config, const, const_truth) < cli.MAX_SAMPLE_BOUND / 1000
-    cli._check_draw_limit(config, const, const_truth)
+    assert 1.8e8 < cli._check_draw_limit(config, const, const_truth) < cli.MAX_SAMPLE_BOUND / 1000
 
 
 def test_a_product_run_is_limited_by_its_tpa_walk_and_draws_not_epsilon(tmp_path):
@@ -760,15 +819,22 @@ def test_malformed_schedule_file_exit_2(text, message, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["paired", "exact", "product", "single"])
-def test_log_ratio_past_float_range_reports_inf(tmp_path, method):
+@pytest.mark.parametrize(
+    "method,extra",
+    [
+        ("paired", ["--expert-overrides", "d=1,k=2,r=10"]),
+        ("exact", []),
+        ("product", ["--draws", "100"]),
+        ("single", ["--draws", "100"]),
+    ],
+    ids=["paired", "exact", "product", "single"],
+)
+def test_log_ratio_past_float_range_reports_inf(tmp_path, method, extra):
     # ln Z(1)/Z(0) = 800 for H == -800; exp(800) is past the float range.
     out = tmp_path / "o.csv"
     code = main(
-        [
-            "run", "--model", "const--800", "--beta", "1", "--method", method,
-            "--expert-overrides", "d=1,k=2,r=10", "--draws", "100", "--out", str(out),
-        ]
+        ["run", "--model", "const--800", "--beta", "1", "--method", method, *extra,
+         "--out", str(out)]
     )
     assert code == 0
     row = _read_csv(out)[0]
@@ -788,7 +854,7 @@ def test_compare_methods_table():
         table = compare_methods(cfg, ["paired", "product", "single"])
     assert [row["method"] for row in table] == ["paired", "product", "single"]
     model = build_model("k2")
-    bound = cli._sample_bound(cfg, model, models.log_ratio_exact(model, 1.0))
+    bound = cli._check_draw_limit(cfg, model, models.log_ratio_exact(model, 1.0))
     for row in table:
         assert 0.0 <= row["coverage"] <= 1.0
         assert row["mean_draws"] > 0
@@ -796,6 +862,33 @@ def test_compare_methods_table():
     # matched budgets: baselines land near the paired draw count
     paired = table[0]["mean_draws"]
     assert table[2]["mean_draws"] == pytest.approx(paired, rel=0.05)
+
+
+# `compare --reps 2 --seed 3` at beta 1 and epsilon 0.1; MODEL is the --model value.
+COMPARE_ROWS = {
+    "cycle-4": """method,model,beta,epsilon,reps,coverage,mean_draws,mean_abs_log_error,sample_bound,seed
+paired,MODEL,1.0,0.1,2,1.0,62829.0,0.0026021254085160095,70888.35596339153,3
+product,MODEL,1.0,0.1,2,1.0,62850.0,0.004871930033919281,70888.35596339153,3
+single,MODEL,1.0,0.1,2,1.0,62829.0,0.0021444128261522977,70888.35596339153,3
+""",
+    "mixed-5": """method,model,beta,epsilon,reps,coverage,mean_draws,mean_abs_log_error,sample_bound,seed
+paired,MODEL,1.0,0.1,2,1.0,14942.0,0.007534348523487111,10161.550275071033,3
+product,MODEL,1.0,0.1,2,1.0,14968.0,0.002538082301361655,10161.550275071033,3
+single,MODEL,1.0,0.1,2,1.0,14942.0,0.004988794013265574,10161.550275071033,3
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_ROWS))
+def test_compare_rows_are_pinned(name, tmp_path):
+    # Pins every column, sample_bound included, of an integer and a shifted model.
+    mixed = tmp_path / "mixed-5.json"
+    mixed.write_text(json.dumps(MIXED_5))
+    spec = f"table:{mixed}" if name == "mixed-5" else name
+    out = tmp_path / "c.csv"
+    assert main(["compare", "--model", spec, "--beta", "1", "--reps", "2", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == COMPARE_ROWS[name].replace("MODEL", spec)
 
 
 def test_compare_schedule_out_acts_on_the_paired_rows(tmp_path):

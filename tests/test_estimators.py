@@ -562,6 +562,15 @@ def test_nonfinite_beta_is_refused_before_any_draw(k2, beta):
     assert oracle.counter.total == 0
 
 
+@pytest.mark.parametrize("draws", [0, -7])
+def test_a_product_budget_below_one_draw_is_refused_before_any_draw(k2, draws):
+    # The per-stage count is known only after the TPA walk; the budget is not.
+    oracle = exact_oracle(k2)
+    with pytest.raises(ValueError, match="draws must be >= 1"):
+        product_baseline_log_estimate(oracle, 1.0, draws, _rng("pb-none"))
+    assert oracle.counter.total == 0
+
+
 def test_overrides_are_honored(k2):
     oracle = exact_oracle(k2)
     est = paired_product_estimate(
