@@ -403,7 +403,19 @@ def _dumps(value, **kwargs) -> str:
     return json.dumps(_json_safe(value), allow_nan=False, **kwargs)
 
 
-def _emit(rows, fields, config, out, fmt, elapsed):
+def _inputs_read(config: ExperimentConfig, methods: list[str] | None = None) -> dict:
+    """``config`` as the sidecar records it: the inputs its command reads, and
+    for ``compare`` the ``methods`` it ran in place of ``method``."""
+    command = "compare" if methods is not None else config.method
+    unread = {"method"} if methods is not None else set()
+    unread |= set() if command in ("product", "single") else {"draws"}
+    unread |= set() if command in ("paired", "compare") else {"overrides", "boost"}
+    unread |= set() if config.sampler == "mcmc" else {"mcmc_steps", "tv_budget"}
+    record = {key: value for key, value in asdict(config).items() if key not in unread}
+    return record if methods is None else {"methods": methods, **record}
+
+
+def _emit(rows, fields, inputs, out, fmt, elapsed):
     if fmt == "json":
         payload = []
         for row in rows:
@@ -419,7 +431,7 @@ def _emit(rows, fields, config, out, fmt, elapsed):
             fh.write(text)
         sidecar = out + ".config.json"
         with open(sidecar, "w") as fh:
-            fh.write(_dumps({"config": asdict(config), "wall_time": elapsed}, indent=2))
+            fh.write(_dumps({"config": inputs, "wall_time": elapsed}, indent=2))
     else:
         sys.stdout.write(text)
 
@@ -492,11 +504,12 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         config = _config_from_args(args)
         if args.command == "run":
-            rows, columns = run_experiment(config), CSV_FIELDS
+            rows, columns, inputs = run_experiment(config), CSV_FIELDS, _inputs_read(config)
         else:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
             rows, columns = compare_methods(config, methods), COMPARE_FIELDS
-        _emit(rows, columns, config, args.out, args.format, time.perf_counter() - start)
+            inputs = _inputs_read(config, methods)
+        _emit(rows, columns, inputs, args.out, args.format, time.perf_counter() - start)
     except (models.EnumerationGuardError, DrawLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -286,7 +286,7 @@ def bezakova_schedule(q: float, n: int, beta: float) -> CoolingSchedule:
         points.append(nxt)
         t += 1
         nxt = kk * gamma ** t / n
-    betas = [p for p in points if p < beta - 1e-12]
+    betas = [0.0, *(p for p in points[1:] if p < beta - 1e-12)]
     if nxt < beta:
         warnings.warn(
             "bezakova_schedule stopped after 10,000 geometric steps short of "

@@ -17,7 +17,8 @@ a call whose every b is one value through one column, and a row of n draws
 at one b through a guide table over it, O(1) per draw on average.
 ``RestartOracle`` runs n restart chains in lockstep on any Ising model of
 at most 63 sites (int64 start indices), from a kernel plan of the graph it
-builds once; ``RestartOracle.spins`` states its kernel and stream contract,
+builds once, each acceptance plane one compare of a block of uniforms with
+a threshold; ``RestartOracle.spins`` states its kernel and stream contract,
 and each chain's energy is summed from its spins.  Under the guard,
 ``mcmc_draw_distribution`` and ``mcmc_tv_curve`` evolve the exact law of
 its draws as one 2^n vector updated site by site.  Every draw consumes a
@@ -190,8 +191,8 @@ class RestartOracle(SamplerOracle):
         # one, so it passes and ties exactly when that one does, and the
         # flip rule never reads it.  A degree-0 site, in _lone, has no real
         # threshold: it flips whatever its L, and it never ties.  There is
-        # at least one threshold, so L fills the block even when no site
-        # has an edge.  Each site of _sites keeps its neighbours and its c.
+        # at least one threshold, so a plane fills each sweep even when no
+        # site has an edge.  Each site of _sites keeps its neighbours and its c.
         adj = self.model.graph.adjacency()
         deg = np.array([len(nbrs) for nbrs in adj])
         c = deg - deg // 2
@@ -238,10 +239,10 @@ class RestartOracle(SamplerOracle):
 
         The site loop is multi-spin coded (Zorn, Herrmann and Rebbi, Comput.
         Phys. Commun. 23:337, 1981): site v of every chain is one Python int,
-        bit j for chain j, and so is each plane L > k of a sweep's cells at
-        site v, L the number of thresholds a cell's uniform passes.  Both are
-        packed by ``np.packbits``, and ``_site_flips`` updates a site in every
-        chain at once with a few integer bit operations.
+        bit j for chain j, and so is plane k of a sweep's cells at site v, one
+        ``np.less`` with threshold k's wholes, its ties set by ``_settle_ties``;
+        thresholds do not increase with k, so plane k is L > k.  ``_site_flips``
+        updates a site in every chain at once with a few integer bit operations.
 
         A b below 0 or nan raises ValueError: the oracle's kernel plan assumes
         each threshold at a <= deg // 2 is 1, which holds only for b >= 0.
@@ -263,26 +264,22 @@ class RestartOracle(SamplerOracle):
         with np.errstate(over="ignore"):
             t = np.exp(np.multiply.outer(self._neg_expo, np.atleast_1d(b)))
         whole, part = _split_thresholds(t)
-        ks = np.arange(len(self._neg_expo), dtype=np.int8)[:, None, None]
         rows, ones = _pack_rows(spins), (1 << n) - 1
         cells = nv * n
         width = 8 * ((cells + 7) // 8)
         per_block = max(1, _UNIFORM_CAP // max(1, cells))
-        # One L block and one tie mask, reused by every block of sweeps.
-        shape = (min(per_block, self.mcmc_steps), nv, n)
-        limits_buffer, tied_buffer = np.empty(shape, np.int8), np.empty(shape, bool)
+        # One (k, sweep, site, chain) plane block, reused by every block of sweeps.
+        buffer = np.empty((len(whole), min(per_block, self.mcmc_steps), nv, n), bool)
+        stride = len(whole) * nv
         for lo in range(0, self.mcmc_steps, per_block):
             m = min(per_block, self.mcmc_steps - lo)
             u = _bytes(rng.bit_generator.random_raw(m * width // 8)).reshape(m, width)
-            u = np.ascontiguousarray(u[:, :cells]).reshape(m, nv, n)
-            limits, tied = limits_buffer[:m], tied_buffer[:m]
-            np.less(u, whole[0], limits.view(bool))
-            for w in whole[1:]:
-                limits += u < w
-            _settle_ties(u, limits, tied, whole, part, self._lone, rng)
-            # Plane k of L, L > k, in (sweep, k, site) order.
-            planes = _pack_rows(limits[:, None] > ks)
-            stride = len(ks) * nv
+            u = u[:, :cells].reshape(m, nv, n)
+            for k, w in enumerate(whole):
+                np.less(u, w, out=buffer[k, :m])
+            _settle_ties(u, buffer[:, :m], whole, part, self._lone, rng)
+            # Plane k of each sweep's sites, in (sweep, k, site) order.
+            planes = _pack_rows(buffer[:, :m].transpose(1, 0, 2, 3))
             for o in range(0, m * stride, stride):
                 for v, nbrs, c in self._sites:
                     rows[v] ^= _site_flips(rows, v, nbrs, c, planes, o + v, ones)
@@ -389,19 +386,20 @@ def _split_thresholds(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return whole.astype(np.uint8), scaled - whole
 
 
-def _settle_ties(u, limits, tied, whole, part, lone, rng) -> None:
-    """Add to ``limits`` each tied threshold that its cell's double passes.
+def _settle_ties(u, planes, whole, part, lone, rng) -> None:
+    """Set each tied cell's bit in every plane whose threshold it ties.
 
-    ``u`` and ``limits`` are (m, nv, n) blocks and ``tied`` a scratch mask
-    of their shape.  ``whole`` and ``part`` are (K, nv, nb): threshold k of
-    site v at chain j's b, nb = 1 for one b and n for one b per chain.  A
-    cell ties when its uniform equals the whole of one of its site's
-    thresholds, unless its site is one of ``lone``, which have no real
-    threshold.  Each tied cell, in C order, draws one double V, and V <
-    part decides every threshold it ties.  One pass over the block finds
-    the tied cells; past it, each is read through its site and chain only.
+    ``u`` is an (m, nv, n) block of uniforms and ``planes`` its (K, m, nv,
+    n) planes, each contiguous, plane k holding u < whole[k].  ``whole`` and
+    ``part`` are (K, nv, nb): threshold k of site v at chain j's b, nb = 1
+    for one b and n for one b per chain.  A cell ties when its uniform
+    equals the whole of one of its site's thresholds, unless its site is one
+    of ``lone``, which have no real threshold.  Each tied cell, in C order,
+    draws one double V, and V < part is its bit in every plane it ties.  One
+    pass over the block finds the tied cells; past it, each is read through
+    its site and chain only.
     """
-    np.equal(u, whole[0], tied)
+    tied = u == whole[0]
     for w in whole[1:]:
         tied |= u == w
     if lone.size:
@@ -412,12 +410,13 @@ def _settle_ties(u, limits, tied, whole, part, lone, rng) -> None:
         # Column v nb + j of cell i: site v = i // n % nv, chain j = i % n per chain.
         cols = cells % (nv * n) // (n // whole.shape[2])
         v = rng.random(cells.size)
-        flat = limits.reshape(-1)
-        passes = flat[cells]
-        uc = u.reshape(-1)[cells]
-        for w, p in zip(whole.reshape(len(whole), -1), part.reshape(len(part), -1)):
-            passes += (w[cols] == uc) & (v < p[cols])
-        flat[cells] = passes
+        if len(whole) == 1:
+            planes[0].reshape(-1)[cells] = v < part.reshape(-1)[cols]
+            return
+        uc = u.reshape(len(u), -1)[np.divmod(cells, nv * n)]
+        for plane, w, p in zip(planes, whole.reshape(len(whole), -1), part.reshape(len(part), -1)):
+            hit = (w[cols] == uc).nonzero()[0]
+            plane.reshape(-1)[cells[hit]] = v[hit] < p[cols[hit]]
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:

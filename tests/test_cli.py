@@ -162,9 +162,40 @@ def test_cli_defaults_are_the_config_defaults(command, tmp_path, capsys):
     assert main([command, "--model", "k2", "--beta", "1", "--out", str(out)]) == 0
     with open(str(out) + ".config.json") as fh:
         sidecar = json.load(fh)
-    assert sidecar["config"] == asdict(ExperimentConfig(model="k2", beta=1.0))
+    # The defaults of the inputs each command reads: paired, exact rows.
+    unread = {"draws", "mcmc_steps", "tv_budget"} | ({"method"} if command == "compare" else set())
+    read = {k: v for k, v in asdict(ExperimentConfig(model="k2", beta=1.0)).items()
+            if k not in unread}
+    if command == "compare":
+        read["methods"] = ["paired", "product", "single"]
+    assert sidecar["config"] == read
     assert main([command, "--model", "k2", "--beta", "1", "--mcmc-steps", "5"]) == 2
     assert "mcmc_steps needs sampler mcmc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,recorded,unrecorded",
+    [
+        (["compare", "--methods", "paired,single"], {"methods": ["paired", "single"]},
+         {"method", "draws", "mcmc_steps", "tv_budget"}),
+        (["run", "--method", "product", "--draws", "50"], {"method": "product", "draws": 50},
+         {"overrides", "boost", "mcmc_steps", "tv_budget"}),
+        (["run", "--method", "single", "--draws", "50"], {"draws": 50}, {"overrides", "boost"}),
+        (["run", "--method", "exact"], {"method": "exact"},
+         {"draws", "overrides", "boost", "mcmc_steps", "tv_budget"}),
+        (["run", "--expert-overrides", "r=20"], {"overrides": {"replicates": 20}, "boost": 1},
+         {"draws", "mcmc_steps"}),
+        (["run", "--sampler", "mcmc", "--mcmc-steps", "3", "--tv-budget", "0.01"],
+         {"mcmc_steps": 3, "tv_budget": 0.01}, {"draws"}),
+    ],
+    ids=["compare", "product", "single", "exact", "paired", "mcmc"],
+)
+def test_the_sidecar_records_only_inputs_its_command_reads(args, recorded, unrecorded, tmp_path):
+    out = tmp_path / "t.csv"
+    assert main([*args, "--model", "k2", "--beta", "1", "--reps", "1", "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "t.csv.config.json").read_text())["config"]
+    assert {key: config[key] for key in recorded} == recorded
+    assert not unrecorded & config.keys()
 
 
 MIXED_5 = {"type": "table", "hamiltonian": [-2, -1, 0, 1, 2]}
@@ -606,6 +637,15 @@ def test_trace_with_two_workers_matches_one(tmp_path, monkeypatch):
         outputs.append((trace.read_bytes(), out.read_bytes()))
     assert _CountingPool.opened == [2]
     assert outputs[0][0] and outputs[0] == outputs[1]
+
+
+def test_a_product_run_at_a_beta_within_the_schedule_cut_exit_0(tmp_path):
+    # The two-piece schedule keeps its start 0 at beta <= 1e-12.
+    out = tmp_path / "t.csv"
+    assert main(["run", "--model", "const-1e15", "--beta", "1e-12", "--method", "product",
+                 "--draws", "2000", "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    assert float(row["log_estimate"]) == float(row["true_log_ratio"]) == -1000.0
 
 
 @pytest.mark.parametrize("spec,sweeps", [("k2", 46), ("grid-3x3", 5)])

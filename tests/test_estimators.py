@@ -413,6 +413,12 @@ def test_bezakova_warns_when_it_stops_short_of_beta():
     assert sched.betas[-1] == 1e6
 
 
+def test_bezakova_keeps_its_start_at_a_beta_within_the_cut():
+    # The cut at beta - 1e-12 drops the later points only: 0 stays.
+    assert bezakova_schedule(1.0, 1, 5e-13).betas == (0.0, 5e-13)
+    assert bezakova_schedule(1.0, 1, 1e-12).betas == (0.0, 1e-12)
+
+
 def test_bezakova_rejects_nonpositive_q():
     with pytest.raises(ValueError):
         bezakova_schedule(q=0.0, n=2, beta=1.0)
@@ -724,6 +730,28 @@ def test_many_level_exact_rows_are_pinned_bit_for_bit(spec, beta, draws, logs):
     # TPA calls are wide enough to sum their level CDFs row by row and
     # whose first lockstep steps draw every run at one b.
     rows = [run_experiment(ExperimentConfig(model=spec, beta=beta, seed=seed))[0]
+            for seed in range(4)]
+    assert [row["draws_total"] for row in rows] == draws
+    assert [row["log_estimate"] for row in rows] == logs
+
+
+@pytest.mark.parametrize(
+    "spec,sweeps,draws,logs",
+    [
+        ("k2", 46, [22017, 22001, 14762, 21970],
+         [0.6250370594262353, 0.6262327162484542, 0.6169274345427258, 0.6161234317691164]),
+        ("grid-3x3", 5, [207907, 200150, 214849, 200243],
+         [7.6171610553249245, 7.614602173135594, 7.6159516745032105, 7.610878353135629]),
+        ("path-5", 7, [59228, 59076, 59266, 59099],
+         [2.3875749197387703, 2.392083875300375, 2.3884854325657576, 2.3875226010961033]),
+    ],
+)
+def test_restart_rows_are_pinned_bit_for_bit(spec, sweeps, draws, logs):
+    # Paired restart-Metropolis rows per seed: k2's 7,217-chain rows end in
+    # a one-sweep block, grid-3x3 has sites of two thresholds, and path-5
+    # and k2 one threshold per site.
+    config = {"sampler": "mcmc", "mcmc_steps": sweeps, "tv_budget": 1e-3}
+    rows = [run_experiment(ExperimentConfig(model=spec, beta=1.0, seed=seed, **config))[0]
             for seed in range(4)]
     assert [row["draws_total"] for row in rows] == draws
     assert [row["log_estimate"] for row in rows] == logs
