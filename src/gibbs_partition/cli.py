@@ -289,13 +289,17 @@ def _check_draw_limit(config: ExperimentConfig, model: models.GibbsModel, truth)
 def _worker_count() -> int:
     raw = os.environ.get(THREADS_ENV, "1") or "1"
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError:
         raise ConfigError(f"{THREADS_ENV} must be an integer, not {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{THREADS_ENV} must be at least 1, not {raw!r}")
+    return workers
 
 
 def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[dict]:
     reps = 1 if config.method == "exact" else config.reps
+    threads = _worker_count()
     rows: list[dict] = []
     loaded = sched_mod.load_schedule(config.schedule_in) if config.schedule_in else None
     if config.schedule_out:
@@ -305,7 +309,6 @@ def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[d
         kept = {key: value for key, value in config.overrides.items() if key == "replicates"}
         config = replace(config, overrides=kept)
     todo = range(len(rows), reps)
-    threads = _worker_count()
     if threads > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

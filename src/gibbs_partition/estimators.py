@@ -330,10 +330,18 @@ def product_baseline_log_estimate(
     of its stages gets ``max(1, draws // intervals)`` draws.  Models are
     routed through ``prepare`` as in the paired pipeline.  Returns the log
     estimate of Z(beta)/Z(0) and the schedule.  A budget below one draw
-    raises ValueError before any draw.
+    raises ValueError before any draw, and one whose smallest possible
+    stage row cannot be allocated raises MemoryError before any draw.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    # bezakova_schedule puts at most ceil(beta n) linear points and 10,000
+    # geometric ones below beta, so it makes at most ceil(beta n) + 10,001
+    # intervals and no stage takes fewer draws than this row.  A beta n
+    # past the float range bounds nothing.
+    span = beta * oracle.model.n_bound
+    if 0 < span < math.inf:
+        _require_row(max(1, draws // (math.ceil(span) + 10_001)))
     work, _, log_shift = prepare(oracle, beta)
     q_hat1, _ = initial_estimate(work, beta, rng, trace=trace)
     if q_hat1 > 0:

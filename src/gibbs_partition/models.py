@@ -128,8 +128,10 @@ def logsumexp(a) -> float:
     top = a.max(keepdims=True)
     at_top = a == top
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = np.sum(at_top, keepdims=True, dtype=np.float64)
-        s = np.sum(np.where(at_top, 0.0, np.exp(a - top)), keepdims=True) / m
+        shifted = np.exp(a - top)
+        shifted[at_top] = 0.0
+        m = np.count_nonzero(at_top)
+        s = np.sum(shifted, keepdims=True) / m
         out = np.log1p(s) + np.log(m) + top
         if not np.isfinite(out[0]):
             out = np.log(np.sum(np.exp(a), keepdims=True))

@@ -9,12 +9,15 @@ when it is taken, as the paired product reads them, and
 state index, and no model holds a state table.  ``ExactOracle`` samples from
 the model's density of states (its distinct energy levels and their
 multiplicities), so building it and a draw at a fresh b cost O(levels), not
-O(states).  One builder, ``_level_cdfs``, makes every level CDF in place,
-one column per b, summing each in level order as ``np.cumsum(axis=0)``
-does, row by row in a wide block, so a column's bits never depend on the
-block it is built in; one draw per b inverts by counting down its column,
-a call whose every b is one value through one column, and a row of n draws
-at one b through a guide table over it, O(1) per draw on average.
+O(states).  One builder, ``_fill_level_cdfs``, makes every level CDF in
+place, one column per b, summing each in level order as
+``np.cumsum(axis=0)`` does, row by row in a wide block, so a column's bits
+never depend on the block it is built in.  A row of n draws at one b reads
+its column from the generator ``_level_cdfs`` and inverts through a guide
+table over it, O(1) per draw on average.  A call with one draw per fresh b,
+a TPA step, calls the builder itself, block by block in one buffer, and
+inverts each block with one ``np.add.reduce`` that counts down every column
+at once; a call whose every b is one value builds and searches one column.
 ``RestartOracle`` runs n restart chains in lockstep on any Ising model of
 at most 63 sites (int64 start indices), from a kernel plan of the graph it
 builds once, each acceptance plane one compare of a block of uniforms with
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -299,72 +303,97 @@ def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -
 def _level_cdfs(model: GibbsModel, bs: np.ndarray):
     """Level CDFs at each b of ``bs``, one column per b, in column blocks.
 
-    Yields ``(cols, cw, top, below)`` for the b values bs[cols]: cw[l, j] is
-    the sum over levels i <= l of m_i exp(-b_j E_i), scaled by column j's
-    largest term and added in level order; top = cw[-1]; and below is the
-    largest double under top.  A search key clamped at below counts down to
-    each column's top drawable level at most, the first whose entry reaches
-    top: the trailing levels after it have weights that underflowed to zero
-    and are never drawn.  A block holds at most _MATRIX_CAP entries and is
-    built in place in one buffer, so a model with many levels never holds a
-    levels x len(bs) matrix at once.  The yielded arrays are views into
-    that buffer, valid until the next block.
-
-    The sums run in level order: entry l is entry l - 1 plus its own term,
-    one rounding each, as ``np.cumsum(axis=0)`` adds them.  A block of
-    _ROW_SUM_COLUMNS columns or more adds level l - 1 into level l one row
-    at a time, and a narrower one is one ``np.add.accumulate``.  Both make
-    the same sums, so a column's bits do not depend on the block it is
-    built in, and a call that needs one b builds one column.
+    Yields ``(cols, cw, top, below)`` for the b values bs[cols]: cw holds
+    their columns as ``_fill_level_cdfs`` builds them; top = cw[-1]; and
+    below is the largest double under top.  A search key clamped at below
+    counts down to each column's top drawable level at most, the first
+    whose entry reaches top: the trailing levels after it have weights that
+    underflowed to zero and are never drawn.  A block holds at most
+    _MATRIX_CAP entries and is built in place in one buffer, so a model
+    with many levels never holds a levels x len(bs) matrix at once.  The
+    yielded arrays are views into that buffer, valid until the next block.
+    ``energy_rows`` reads its blocks here; ``_count_levels`` walks the same
+    blocks through the builder itself.
     """
-    energies, counts = model.energies, model.counts
-    width = max(1, _MATRIX_CAP // len(energies))
-    buffer = np.empty((len(energies), min(width, len(bs))))
+    width = max(1, _MATRIX_CAP // len(model.energies))
+    buffer = np.empty((len(model.energies), min(width, len(bs))))
     for lo in range(0, len(bs), width):
         cols = slice(lo, lo + width)
-        b = bs[cols]
-        cw = buffer[:, : len(b)]
-        # Energies ascend, so each column's largest log-weight is at an end.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(energies[:, None], -b, out=cw)
-            peak = np.maximum(cw[0], cw[-1])
-            # The sum is inf or nan whenever a peak is inf.
-            if not math.isfinite(peak.sum()):
-                # Past the float range every other level weighs under
-                # exp(-4e292) of an end level: the column is that level's
-                # point mass, the lowest for b > 0.
-                hot = np.flatnonzero(np.isinf(peak))
-                cw[:, hot] = -np.inf
-                cw[np.where(b[hot] > 0, 0, -1), hot] = 0.0
-                peak[hot] = 0.0
-            np.subtract(cw, peak, out=cw)
-        np.exp(cw, out=cw)
-        np.multiply(counts[:, None], cw, out=cw)
-        if len(b) < _ROW_SUM_COLUMNS:
-            np.add.accumulate(cw, axis=0, out=cw)
-        else:
-            for previous, row in zip(cw, cw[1:]):
-                np.add(previous, row, out=row)
+        cw = _fill_level_cdfs(model, bs[cols], buffer)
         top = cw[-1]
         yield cols, cw, top, np.nextafter(top, -np.inf)
+
+
+def _fill_level_cdfs(model: GibbsModel, b: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """Build the level CDFs at each b of ``b`` in place in the first len(b)
+    columns of ``buffer``, and return that view.
+
+    Entry [l, j] is the sum over levels i <= l of m_i exp(-b_j E_i), scaled
+    by column j's largest term.  The sums run in level order: entry l is
+    entry l - 1 plus its own term, one rounding each, as
+    ``np.cumsum(axis=0)`` adds them.  A block of _ROW_SUM_COLUMNS columns
+    or more adds level l - 1 into level l one row at a time, and a narrower
+    one is one ``np.add.accumulate``.  Both make the same sums, so a
+    column's bits do not depend on the block it is built in, and a call
+    that needs one b builds one column.
+    """
+    energies, counts = model.energies, model.counts
+    cw = buffer[:, : len(b)]
+    # Energies ascend, so each column's largest log-weight is at an end.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(energies[:, None], -b, out=cw)
+        peak = np.maximum(cw[0], cw[-1])
+        # The sum is inf or nan whenever a peak is inf.
+        if not math.isfinite(np.add.reduce(peak)):
+            # Past the float range every other level weighs under
+            # exp(-4e292) of an end level: the column is that level's
+            # point mass, the lowest for b > 0.
+            hot = np.flatnonzero(np.isinf(peak))
+            cw[:, hot] = -np.inf
+            cw[np.where(b[hot] > 0, 0, -1), hot] = 0.0
+            peak[hot] = 0.0
+        np.subtract(cw, peak, out=cw)
+    np.exp(cw, out=cw)
+    np.multiply(counts[:, None], cw, out=cw)
+    if len(b) < _ROW_SUM_COLUMNS:
+        np.add.accumulate(cw, axis=0, out=cw)
+    else:
+        for previous, row in zip(cw, cw[1:]):
+            np.add(previous, row, out=row)
+    return cw
 
 
 def _count_levels(model: GibbsModel, bs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Energy of one draw at each b of ``bs``, bs[j] inverting uniform u[j].
 
-    The drawn level is the number of CDF entries at or below u * top in its
-    column, the first whose entry passes it; the key is clamped at below,
-    since u * top can round up to top.  When every b is one value, one
-    column serves them all, and ``searchsorted(side="right")`` over it
-    counts the same entries, since a column never decreases.
+    The drawn level is the number of CDF entries at or below the key u *
+    top in its column, the first whose entry passes it.  A column's peak
+    level weighs its count, at least 1, so top >= 1, and for u < 1 the key
+    rounds to at most the largest double under top: no key reaches top, so
+    none needs the clamp of ``_level_cdfs``'s below, and a call finds the
+    levels that clamp would.  Only a sum that overflowed to top = inf needs
+    it, and there the largest double is below.
+
+    The blocks are ``_level_cdfs``'s, built by ``_fill_level_cdfs`` in one
+    buffer with no generator between them, and each block is inverted by
+    one ``np.add.reduce`` of its entries at or below their column's key.
+    When every b is one value, one column serves them all, and
+    ``searchsorted(side="right")`` over it counts the same entries, since a
+    column never decreases.
     """
+    energies, largest = model.energies, sys.float_info.max
     if bs.size and bs[0] == bs[-1] and (bs == bs[0]).all():
-        [(_, cw, top, below)] = _level_cdfs(model, bs[:1])
-        return model.energies.take(cw[:, 0].searchsorted(np.minimum(u * top, below), side="right"))
+        col = _fill_level_cdfs(model, bs[:1], np.empty((len(energies), 1)))[:, 0]
+        return energies.take(col.searchsorted(np.minimum(u * col[-1], largest), side="right"))
+    width = max(1, _MATRIX_CAP // len(energies))
+    buffer = np.empty((len(energies), min(width, len(bs))))
     levels = np.empty(len(bs), np.intp)
-    for cols, cw, top, below in _level_cdfs(model, bs):
-        (cw <= np.minimum(u[cols] * top, below)).sum(axis=0, out=levels[cols])
-    return model.energies.take(levels)
+    for lo in range(0, len(bs), width):
+        cols = slice(lo, lo + width)
+        cw = _fill_level_cdfs(model, bs[cols], buffer)
+        keys = np.minimum(u[cols] * cw[-1], largest)
+        np.add.reduce(cw <= keys, axis=0, out=levels[cols])
+    return energies.take(levels)
 
 
 def _bytes(words: np.ndarray) -> np.ndarray:

@@ -55,7 +55,8 @@ def tpa_runs(
     b = np.full(runs, float(start))
     ids = np.arange(runs)
     points, steps = [], []
-    # H(X) = 0 divides by zero; np.where then takes the jump.
+    # H(X) = 0 divides ln U < 0 by zero: b_next is +inf or -inf, outside
+    # (0, beta), and only the trace records the jump in its place.
     with np.errstate(divide="ignore"):
         while b.size:
             hx = oracle.draw_energies_at(b, rng)
@@ -63,7 +64,7 @@ def tpa_runs(
             while np.count_nonzero(u) < u.size:
                 zeros = u == 0.0
                 u[zeros] = rng.random(np.count_nonzero(zeros))
-            b_next = np.where(hx, b - np.log(u) / hx, jump)
+            b_next = b - np.log(u) / hx
             inside = (0.0 < b_next) & (b_next < beta)
             if trace is not None:
                 steps.append((ids, b_next, hx, u))
@@ -72,6 +73,7 @@ def tpa_runs(
             points.append(b)
     if trace is not None:
         columns = [np.concatenate(column) for column in zip(*steps)]
+        columns[1] = np.where(columns[2], columns[1], jump)
         order = np.argsort(columns[0], kind="stable")
         records = zip(*(column[order].tolist() for column in columns))
         trace.extend({"run_id": i, "b": b, "H": h, "U": u} for i, b, h, u in records)

@@ -271,6 +271,16 @@ def test_main_non_integer_threads_exit_2(threads, tmp_path, monkeypatch, capsys)
     assert "GIBBS_PARTITION_THREADS must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_main_threads_below_one_exit_2(threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "opened", [])
+    monkeypatch.setenv("GIBBS_PARTITION_THREADS", threads)
+    code, out = _run_main(tmp_path, "t.csv", ["--method", "product", "--reps", "2"])
+    assert code == 2 and _InProcessPool.opened == [] and not out.exists()
+    assert f"GIBBS_PARTITION_THREADS must be at least 1, not '{threads}'" in capsys.readouterr().err
+
+
 def test_main_invalid_config_exit_2(tmp_path, capsys):
     assert main(["run", "--model", "k2", "--beta", "-3"]) == 2
     assert main(["run", "--model", "unknown-99", "--beta", "1"]) == 2

@@ -577,6 +577,25 @@ def test_a_product_budget_below_one_draw_is_refused_before_any_draw(k2, draws):
     assert oracle.counter.total == 0
 
 
+def test_a_product_budget_no_stage_row_can_hold_is_refused_before_any_draw(k2):
+    # The smallest row a stage could take, draws // (ceil(beta n) + 10,001),
+    # is refused before the TPA walk.
+    oracle = exact_oracle(k2)
+    with pytest.raises(MemoryError, match="cannot allocate a row of 9.998e\\+35 draws"):
+        product_baseline_log_estimate(oracle, 1.0, 10**40, _rng("pb-no-row"))
+    assert oracle.counter.total == 0
+
+
+@pytest.mark.parametrize("draws", [1, 3, 10_001, 10_002, 300_000])
+def test_a_product_budget_that_fits_still_runs(k2, draws):
+    # Budgets on either side of one draw per possible interval still run,
+    # and each stage takes draws // intervals, at least one.
+    oracle, walk = exact_oracle(k2), []
+    _, schedule = product_baseline_log_estimate(oracle, 1.0, draws, _rng("pb-fits"), trace=walk)
+    per_stage = max(1, draws // schedule.num_intervals)
+    assert oracle.counter.total == len(walk) + per_stage * schedule.num_intervals
+
+
 def test_overrides_are_honored(k2):
     oracle = exact_oracle(k2)
     est = paired_product_estimate(

@@ -217,6 +217,21 @@ def test_draw_energies_at_every_summing_branch_matches_draw_exact(bs):
     assert g1.bit_generator.state == g2.bit_generator.state
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "two-blocks"])
+def test_draw_energies_at_across_a_block_boundary_matches_draw_exact(extra):
+    # A block holds _MATRIX_CAP // 23 grid-4x4 columns: one more b starts a
+    # second block of one column.
+    model = grid_model(4, 4)
+    width = samplers._MATRIX_CAP // len(model.energies)
+    per_b, single = exact_oracle(model), exact_oracle(model)
+    bs = _rng("block-boundary-b").random(width + extra) * 2.0
+    g1, g2 = _rng("block-boundary"), _rng("block-boundary")
+    energies = per_b.draw_energies_at(bs, g1)
+    assert energies.tolist() == state_energies(model)[[draw_exact(single, b, g2) for b in bs.tolist()]].tolist()
+    assert per_b.counter.total == single.counter.total == len(bs)
+    assert g1.bit_generator.state == g2.bit_generator.state
+
+
 @pytest.mark.parametrize("offset", [-1, 0], ids=["accumulate", "row-by-row"])
 def test_level_cdf_columns_are_the_cumsum_bytes(offset):
     # On either side of the shape rule the sums are np.cumsum(axis=0)'s,

@@ -1,5 +1,6 @@
 """TPA runs, superposition, and thinning against their point-process laws."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ from scipy import stats
 
 from gibbs_partition import (
     constant_model,
+    cycle_edges,
     exact_oracle,
+    grid_model,
+    ising_model,
     log_partition_exact,
     log_ratio_exact,
     mcmc_oracle,
@@ -18,6 +22,7 @@ from gibbs_partition import (
     tpa_run,
     tpa_runs,
 )
+from gibbs_partition.estimators import prepare
 
 from conftest import draw_state, state_energies
 
@@ -278,3 +283,62 @@ def test_tpa_runs_rejects_bad_inputs(k2, mixed_table):
             tpa_runs(exact_oracle(k2), beta, 5, _rng("bad"))
     with pytest.raises(ValueError):
         tpa_runs(exact_oracle(k2), 1.0, 0, _rng("bad"))
+
+
+def _pinned_walk(label):
+    k2 = ising_model([(0, 1)], num_vertices=2)
+    if label == "k2":
+        return exact_oracle(k2), 1.0, 60
+    if label == "cycle-4":
+        return exact_oracle(ising_model(cycle_edges(4), num_vertices=4)), 1.0, 200
+    if label == "grid-3x3":
+        return exact_oracle(grid_model(3, 3)), 1.0, 300
+    if label == "mixed-5":
+        return prepare(exact_oracle(table_model([-2.0, -1.0, 0.0, 1.0, 2.0])), 1.0)[0], 1.0, 100
+    if label == "k2-mcmc":
+        return mcmc_oracle(k2, 46, 1e-3), 1.0, 20
+    # 728 runs: the first step draws every run at one b, and later steps
+    # build blocks at and past samplers._ROW_SUM_COLUMNS columns.
+    return exact_oracle(grid_model(4, 4)), 0.5, 728
+
+
+@pytest.mark.parametrize(
+    "label,points,digest,draws,state",
+    [
+        ("k2", 39, "d62489ea657050b6", 99, 338766097247123371464198141377634900770),
+        ("cycle-4", 503, "8290a198978537e6", 703, 251411557072791260725717085330703839884),
+        ("grid-3x3", 2317, "e6bebf263c9e306b", 2617, 47251634883633058462412289853118515604),
+        ("mixed-5", 467, "2e870fb0d7f46879", 567, 328198529788218200362919165668194203238),
+        ("k2-mcmc", 9, "2ef90a93f92a1451", 29, 237580472459281410159893473736705923872),
+        ("grid-4x4", 4919, "4d46fe698fefc703", 5647, 162038339923233734335378598370913696454),
+    ],
+)
+def test_lockstep_walk_is_pinned_bit_for_bit(label, points, digest, draws, state):
+    # The sorted points (by the first 16 hex digits of their bytes' SHA-256),
+    # the draw count and the generator state after the walk are pinned, so a
+    # step that moves any draw, uniform or b shows here.
+    oracle, beta, runs = _pinned_walk(label)
+    rng = stage_stream(SEED, f"pin-{label}")
+    process = tpa_runs(oracle, beta, runs, rng)
+    assert len(process) == points
+    assert hashlib.sha256(process.tobytes()).hexdigest()[:16] == digest
+    assert oracle.counter.total == draws
+    assert rng.bit_generator.state["state"]["state"] == state
+
+
+@pytest.mark.parametrize(
+    "model,beta,runs,jump",
+    [
+        (grid_model(3, 3), 0.3, 2000, -math.inf),
+        (table_model([0.0, 1.0, 2.0]), 1.0, 50, math.inf),
+    ],
+    ids=["nonpositive", "nonnegative"],
+)
+def test_trace_records_the_jump_at_zero_energy(model, beta, runs, jump):
+    # A step that draws H = 0 leaves the interval: the trace records -inf
+    # walking down and +inf walking up, and every other step a finite b.
+    trace = []
+    tpa_runs(exact_oracle(model), beta, runs, _rng(f"jump-{model.sign_class}"), trace=trace)
+    zero = [r["b"] for r in trace if r["H"] == 0.0]
+    assert zero and all(b == jump for b in zero)
+    assert all(math.isfinite(r["b"]) for r in trace if r["H"] != 0.0)
