@@ -269,7 +269,7 @@ def _check_draw_limit(config: ExperimentConfig, model: models.GibbsModel, truth)
     if config.method == "product":
         if shifted:
             q += 2.0 * model.n_bound * config.beta
-        bound = 5.0 * (q + 1.0) + config.draws
+        bound = sched_mod.INITIAL_RUNS * (q + 1.0) + config.draws
     elif shifted:
         bound = estimators.sample_bound_shifted(q, model.n_bound, config.beta, config.epsilon)
     else:

@@ -39,6 +39,8 @@ from .schedule import (
 # the shifted regime, so the shifted pipeline needs half the replicates.
 REPLICATE_COEFF_INTEGER = 2.0 * math.e * math.sqrt(10.0)
 REPLICATE_COEFF_SHIFTED = math.e * math.sqrt(10.0)
+# Geometric steps after which the two-piece schedule stops short of beta.
+_GEOMETRIC_STEPS = 10_000
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -282,15 +284,15 @@ def bezakova_schedule(q: float, n: int, beta: float) -> CoolingSchedule:
     points = [j / n for j in range(kk + 1)]
     t = 1
     nxt = kk * gamma / n
-    while nxt < beta and t <= 10_000:
+    while nxt < beta and t <= _GEOMETRIC_STEPS:
         points.append(nxt)
         t += 1
         nxt = kk * gamma ** t / n
     betas = [0.0, *(p for p in points[1:] if p < beta - 1e-12)]
     if nxt < beta:
         warnings.warn(
-            "bezakova_schedule stopped after 10,000 geometric steps short of "
-            f"beta; its final interval is {beta - betas[-1]:.6g} wide",
+            f"bezakova_schedule stopped after {_GEOMETRIC_STEPS:,} geometric steps "
+            f"short of beta; its final interval is {beta - betas[-1]:.6g} wide",
             UserWarning,
             stacklevel=2,
         )
@@ -335,13 +337,13 @@ def product_baseline_log_estimate(
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    # bezakova_schedule puts at most ceil(beta n) linear points and 10,000
-    # geometric ones below beta, so it makes at most ceil(beta n) + 10,001
-    # intervals and no stage takes fewer draws than this row.  A beta n
-    # past the float range bounds nothing.
+    # bezakova_schedule puts at most ceil(beta n) linear points and
+    # _GEOMETRIC_STEPS geometric ones below beta, so it makes at most one
+    # interval more than that and no stage takes fewer draws than this row.
+    # A beta n past the float range bounds nothing.
     span = beta * oracle.model.n_bound
     if 0 < span < math.inf:
-        _require_row(max(1, draws // (math.ceil(span) + 10_001)))
+        _require_row(max(1, draws // (math.ceil(span) + _GEOMETRIC_STEPS + 1)))
     work, _, log_shift = prepare(oracle, beta)
     q_hat1, _ = initial_estimate(work, beta, rng, trace=trace)
     if q_hat1 > 0:

@@ -58,6 +58,7 @@ class GibbsModel:
     ``n_bound``, the least positive integer with |E_l| <= n_bound for every
     level; ``sign_class``; and ``integer_valued``, whether all energies are
     integers, which is what the integer-regime parameter choices assume.
+    The counts, summed in level order, stay within the float range.
 
     An Ising model keeps its ``graph`` for MCMC's local moves.
     """
@@ -70,6 +71,10 @@ class GibbsModel:
             raise ValueError("hamiltonian values must be finite")
         if np.any(np.diff(energies) <= 0) or not np.all((counts >= 1) & (counts < np.inf)):
             raise ValueError("level energies must ascend strictly, with finite positive counts")
+        # The running sum in level order bounds every level CDF's top.
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.add.accumulate(counts)[-1]):
+                raise ValueError("level counts must sum within the float range")
         self.energies = energies
         self.counts = counts
         self.n_bound = _bound_for(energies)

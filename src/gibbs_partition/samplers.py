@@ -12,12 +12,12 @@ multiplicities), so building it and a draw at a fresh b cost O(levels), not
 O(states).  One builder, ``_fill_level_cdfs``, makes every level CDF in
 place, one column per b, summing each in level order as
 ``np.cumsum(axis=0)`` does, row by row in a wide block, so a column's bits
-never depend on the block it is built in.  A row of n draws at one b reads
-its column from the generator ``_level_cdfs`` and inverts through a guide
-table over it, O(1) per draw on average.  A call with one draw per fresh b,
-a TPA step, calls the builder itself, block by block in one buffer, and
-inverts each block with one ``np.add.reduce`` that counts down every column
-at once; a call whose every b is one value builds and searches one column.
+never depend on the block it is built in; both draw shapes build their
+columns block by block in one buffer.  A row of n draws at one b inverts
+its column through a guide table, O(1) per draw on average.  A call with
+one draw per fresh b, a TPA step, inverts each block with one
+``np.add.reduce`` that counts down every column at once; a call whose every
+b is one value builds and searches one column.
 ``RestartOracle`` runs n restart chains in lockstep on any Ising model of
 at most 63 sites (int64 start indices), from a kernel plan of the graph it
 builds once, each acceptance plane one compare of a block of uniforms with
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -111,27 +110,30 @@ class ExactOracle(SamplerOracle):
         u*g and j/g are exact and fl(u * top) is monotone in u, so a uniform
         in bucket j = floor(u*g) inverts to a level in [lv[j], lv[j+1]]:
         where the two agree that is its level, and in the at most levels - 1
-        other buckets ``searchsorted`` over the level CDF finds it.  Every
-        key is clamped at the column's below, as in ``_count_levels``.
+        other buckets ``searchsorted`` over the level CDF finds it.  The
+        edge u = 1 counts every entry, so the last bucket is always one of
+        them.  The columns are built in blocks, as in ``_count_levels``.
         """
         energies = self.model.energies
         bs = np.asarray(bs, dtype=float)
         g = 1 << (n // 8).bit_length()
         edges = np.arange(g + 1) / g
         buckets = np.empty(n, np.intp)
-        for cols, cw, top, below in _level_cdfs(self.model, bs):
-            for col, t, key_max in zip(cw.T, top.tolist(), below.tolist()):
+        width = max(1, _MATRIX_CAP // len(energies))
+        buffer = np.empty((len(energies), min(width, len(bs))))
+        for lo in range(0, len(bs), width):
+            cw = _fill_level_cdfs(self.model, bs[lo : lo + width], buffer)
+            for col, t in zip(cw.T, cw[-1].tolist()):
                 row = rng.random(n)
                 self.counter.record(n)
-                lv = col.searchsorted(np.minimum(edges * t, key_max), side="right")
+                lv = col.searchsorted(edges * t, side="right")
                 # Energies are finite, so nan marks the buckets a boundary splits.
                 guide = np.where(lv[:-1] == lv[1:], energies.take(lv[:-1]), np.nan)
                 np.multiply(row, g, out=buckets, casting="unsafe")
                 drawn = guide.take(buckets)
                 split = np.isnan(drawn).nonzero()[0]
                 if split.size:
-                    keys = np.minimum(row[split] * t, key_max)
-                    drawn[split] = energies.take(col.searchsorted(keys, side="right"))
+                    drawn[split] = energies.take(col.searchsorted(row[split] * t, side="right"))
                 yield drawn
 
     def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -300,30 +302,6 @@ def mcmc_oracle(model: GibbsModel, mcmc_steps: int, tv_budget_per_draw: float) -
     return RestartOracle(model, mcmc_steps, tv_budget_per_draw)
 
 
-def _level_cdfs(model: GibbsModel, bs: np.ndarray):
-    """Level CDFs at each b of ``bs``, one column per b, in column blocks.
-
-    Yields ``(cols, cw, top, below)`` for the b values bs[cols]: cw holds
-    their columns as ``_fill_level_cdfs`` builds them; top = cw[-1]; and
-    below is the largest double under top.  A search key clamped at below
-    counts down to each column's top drawable level at most, the first
-    whose entry reaches top: the trailing levels after it have weights that
-    underflowed to zero and are never drawn.  A block holds at most
-    _MATRIX_CAP entries and is built in place in one buffer, so a model
-    with many levels never holds a levels x len(bs) matrix at once.  The
-    yielded arrays are views into that buffer, valid until the next block.
-    ``energy_rows`` reads its blocks here; ``_count_levels`` walks the same
-    blocks through the builder itself.
-    """
-    width = max(1, _MATRIX_CAP // len(model.energies))
-    buffer = np.empty((len(model.energies), min(width, len(bs))))
-    for lo in range(0, len(bs), width):
-        cols = slice(lo, lo + width)
-        cw = _fill_level_cdfs(model, bs[cols], buffer)
-        top = cw[-1]
-        yield cols, cw, top, np.nextafter(top, -np.inf)
-
-
 def _fill_level_cdfs(model: GibbsModel, b: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """Build the level CDFs at each b of ``b`` in place in the first len(b)
     columns of ``buffer``, and return that view.
@@ -367,32 +345,34 @@ def _count_levels(model: GibbsModel, bs: np.ndarray, u: np.ndarray) -> np.ndarra
     """Energy of one draw at each b of ``bs``, bs[j] inverting uniform u[j].
 
     The drawn level is the number of CDF entries at or below the key u *
-    top in its column, the first whose entry passes it.  A column's peak
-    level weighs its count, at least 1, so top >= 1, and for u < 1 the key
-    rounds to at most the largest double under top: no key reaches top, so
-    none needs the clamp of ``_level_cdfs``'s below, and a call finds the
-    levels that clamp would.  Only a sum that overflowed to top = inf needs
-    it, and there the largest double is below.
+    top in its column, the first whose entry passes it.  No key is clamped.
+    An entry sums terms fl(m_l w_l) <= m_l, w_l <= 1, and rounding is
+    monotone, so top is at most the running sum of the counts, which
+    ``GibbsModel`` keeps finite; the peak level weighs its count, at least
+    1, so top >= 1.  So for u <= 1 - 2^-53 the key rounds to at most the
+    largest double under top, and no draw passes the top drawable level,
+    the first whose entry reaches top: levels whose weights underflowed
+    after it are never drawn.
 
-    The blocks are ``_level_cdfs``'s, built by ``_fill_level_cdfs`` in one
-    buffer with no generator between them, and each block is inverted by
-    one ``np.add.reduce`` of its entries at or below their column's key.
-    When every b is one value, one column serves them all, and
+    A block holds at most _MATRIX_CAP entries, built by ``_fill_level_cdfs``
+    in one buffer, so a model with many levels never holds a levels x
+    len(bs) matrix at once, and each block is inverted by one
+    ``np.add.reduce`` of its entries at or below their column's key.  When
+    every b is one value, one column serves them all, and
     ``searchsorted(side="right")`` over it counts the same entries, since a
     column never decreases.
     """
-    energies, largest = model.energies, sys.float_info.max
+    energies = model.energies
     if bs.size and bs[0] == bs[-1] and (bs == bs[0]).all():
         col = _fill_level_cdfs(model, bs[:1], np.empty((len(energies), 1)))[:, 0]
-        return energies.take(col.searchsorted(np.minimum(u * col[-1], largest), side="right"))
+        return energies.take(col.searchsorted(u * col[-1], side="right"))
     width = max(1, _MATRIX_CAP // len(energies))
     buffer = np.empty((len(energies), min(width, len(bs))))
     levels = np.empty(len(bs), np.intp)
     for lo in range(0, len(bs), width):
         cols = slice(lo, lo + width)
         cw = _fill_level_cdfs(model, bs[cols], buffer)
-        keys = np.minimum(u[cols] * cw[-1], largest)
-        np.add.reduce(cw <= keys, axis=0, out=levels[cols])
+        np.add.reduce(cw <= u[cols] * cw[-1], axis=0, out=levels[cols])
     return energies.take(levels)
 
 

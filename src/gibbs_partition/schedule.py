@@ -24,6 +24,8 @@ REGIME_INTEGER_NONPOSITIVE = "integer-nonpositive"
 REGIME_INTEGER_NONNEGATIVE = "integer-nonnegative"
 REGIME_SHIFTED = "shifted-mixed"
 REGIMES = (REGIME_INTEGER_NONPOSITIVE, REGIME_INTEGER_NONNEGATIVE, REGIME_SHIFTED)
+# TPA runs that step 1 walks to estimate q.
+INITIAL_RUNS = 5
 
 
 @dataclass(frozen=True)
@@ -147,9 +149,9 @@ def initial_estimate(
     probability >= 99%.
     """
     before = oracle.counter.total
-    points = tpa_runs(oracle, beta, 5, rng, trace=trace)
+    points = tpa_runs(oracle, beta, INITIAL_RUNS, rng, trace=trace)
     draws_used = oracle.counter.total - before
-    return len(points) / 5, draws_used
+    return len(points) / INITIAL_RUNS, draws_used
 
 
 def select_params(q_hat1: float, n: int, regime: str, beta: float) -> ScheduleParams:

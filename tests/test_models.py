@@ -403,10 +403,15 @@ def test_level_model_validation():
         "ragged": dict(levels=([-1.0, 0.0], [2.0]), graph=graph),
         "nan count": dict(levels=([0.0], [math.nan])),
         "inf count": dict(levels=([-1.0, 0.0], [2.0, math.inf])),
+        # Finite counts whose running sum passes the float range.
+        "overflowing sum": dict(levels=([0.0, 1.0], [1e308, 1e308])),
     }
     for kwargs in levels_of.values():
         with pytest.raises(ValueError):
             models.GibbsModel(**kwargs)
+    # The largest spin model, 2^1023 states, still builds.
+    counts = build_model("path-1023").counts
+    assert np.add.accumulate(counts)[-1] == pytest.approx(2.0**1023, rel=1e-12)
 
 
 PICKLED_SPECS = ["k2", "path-5", "cycle-4", "grid-3x3", "grid-10x10", "const-2", "mixed-5"]

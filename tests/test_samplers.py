@@ -16,6 +16,7 @@ from scipy import stats
 from gibbs_partition import (
     ENUMERATION_GUARD,
     ExactOracle,
+    GibbsModel,
     RestartOracle,
     coupling_failure_bound,
     cycle_edges,
@@ -238,14 +239,13 @@ def test_level_cdf_columns_are_the_cumsum_bytes(offset):
     # and each column has the bits of the same column built alone.
     model = grid_model(4, 4)
     bs = _rng("cumsum-b").random(samplers._ROW_SUM_COLUMNS + offset) * 2.0
-    [(_, cw, top, below)] = samplers._level_cdfs(model, bs)
+    levels = len(model.energies)
+    cw = samplers._fill_level_cdfs(model, bs, np.empty((levels, len(bs))))
     logw = np.multiply.outer(model.energies, -bs)
     terms = model.counts[:, None] * np.exp(logw - np.maximum(logw[0], logw[-1]))
     assert cw.tobytes() == np.cumsum(terms, axis=0).tobytes()
-    assert top.tobytes() == cw[-1].tobytes()
-    assert below.tobytes() == np.nextafter(top, -np.inf).tobytes()
     for j in (0, len(bs) // 2, len(bs) - 1):
-        [(_, alone, _, _)] = samplers._level_cdfs(model, bs[j : j + 1])
+        alone = samplers._fill_level_cdfs(model, bs[j : j + 1], np.empty((levels, 1)))
         assert alone[:, 0].tobytes() == cw[:, j].tobytes()
 
 
@@ -366,7 +366,11 @@ def test_mcmc_draw_energies_block_is_row_by_row_calls(label):
 
 
 class _TopUniform:
-    """Generator stand-in whose uniforms round u * total up to total."""
+    """Generator stand-in whose every uniform is 1 - 2^-53, the largest below 1.
+
+    For a total >= 1, u * total rounds to at most the double under total,
+    never up to it.
+    """
 
     def random(self, size=None):
         u = float(np.nextafter(1.0, 0.0))
@@ -376,7 +380,8 @@ class _TopUniform:
 def test_draw_never_lands_on_underflowed_level():
     from gibbs_partition import table_model
 
-    # At b = 1 the weight of energy 2000 underflows to zero.
+    # At b = 1 the weight of energy 2000 underflows to zero.  On every
+    # path, the largest uniform below 1 lands on the top drawable level.
     oracle = exact_oracle(table_model([0.0, 1.0, 1.0, 2000.0]))
     assert draw_exact(oracle, 1.0, _TopUniform()) == 2
     assert oracle.draw(1.0, _TopUniform()) == 1.0
@@ -397,6 +402,23 @@ def test_draw_never_lands_on_underflowed_level():
     assert counts[3] == 0
     expected = _pi(oracle.model, 1.0)[:3] * n
     assert stats.chisquare(counts[:3], expected).pvalue > 0.001
+
+
+def test_draws_follow_pi_at_the_largest_accepted_counts():
+    # Counts of 8e307 sum to 1.6e308, within the float range; at b = 0 that
+    # sum is a level CDF's top.  Both draw shapes follow pi_b, with no warning.
+    oracle, n = exact_oracle(GibbsModel(([0.0, 1.0], [8e307, 8e307]))), 20_000
+    bs = np.array([0.0, 0.5])
+    rows = list(oracle.energy_rows(bs, n, _rng("largest-counts-rows")))
+    # Alternating b takes the per-b path; one b per call, the one-column path.
+    mixed = oracle.draw_energies_at(np.tile(bs, n), _rng("largest-counts-mixed")).reshape(n, 2).T
+    alike = [oracle.draw_energies_at(np.full(n, b), _rng("largest-counts-alike", i))
+             for i, b in enumerate(bs)]
+    for j, b in enumerate(bs.tolist()):
+        p1 = 1.0 / (1.0 + math.exp(b))
+        for energies in (rows[j], mixed[j], alike[j]):
+            observed = np.bincount(energies.astype(int), minlength=2)
+            assert stats.chisquare(observed, np.array([1.0 - p1, p1]) * n).pvalue > 0.001
 
 
 @pytest.mark.parametrize("b", [6e307, 1e308])
