@@ -7,7 +7,8 @@ the determinism contract checkable by byte comparison.
 
 Each input is settable only where a run reads it, and exits 2 before any
 draw elsewhere: ``--draws`` needs method product or single (``compare``'s
-baselines run at the paired mean draws), and ``--expert-overrides`` paired.
+baselines run at the paired mean draws), ``--expert-overrides`` paired, and
+``--trace`` a method that walks TPA, paired or product.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ class ExperimentConfig:
             raise ConfigError("draws must be >= 1")
         if (self.schedule_in or self.schedule_out) and self.method != "paired":
             raise ConfigError("schedule_in and schedule_out need method paired")
+        if self.trace and self.method not in ("paired", "product"):
+            raise ConfigError("trace needs method paired or product")
 
 
 def build_model(spec: str) -> models.GibbsModel:
@@ -370,20 +373,12 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
     return table
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(rows: list[dict], fields: list[str]) -> str:
+    """One line per row, its ``fields`` in order; ``csv`` writes each float by its repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_fmt(row.get(f)) for f in fields])
+    writer.writerows([row[f] for f in fields] for row in rows)
     return buf.getvalue()
 
 
@@ -412,7 +407,9 @@ def _inputs_read(config: ExperimentConfig, methods: list[str] | None = None) -> 
     command = "compare" if methods is not None else config.method
     unread = {"method"} if methods is not None else set()
     unread |= set() if command in ("product", "single") else {"draws"}
-    unread |= set() if command in ("paired", "compare") else {"overrides", "boost"}
+    paired_only = {"overrides", "boost", "schedule_in", "schedule_out"}
+    unread |= set() if command in ("paired", "compare") else paired_only
+    unread |= set() if command in ("paired", "product", "compare") else {"trace"}
     unread |= set() if config.sampler == "mcmc" else {"mcmc_steps", "tv_budget"}
     record = {key: value for key, value in asdict(config).items() if key not in unread}
     return record if methods is None else {"methods": methods, **record}

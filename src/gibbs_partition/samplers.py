@@ -103,7 +103,7 @@ class ExactOracle(SamplerOracle):
 
         Each row reads ``rng.random(n)``, as the rows of one (len(bs), n)
         ``rng.random`` call would; uniform u of row i draws the
-        level ``_count_levels`` would for bs[i], found through a guide table
+        level ``draw_energies_at`` would for bs[i], found through a guide table
         (Chen and Asau, AIIE Trans. 6(2), 1974) of g = 2^k buckets over the
         row's level CDF column, k derived from n, so g = 1 below 8 draws.
         lv[j] is the level that u = j/g inverts to.  For a power of two g,
@@ -112,7 +112,7 @@ class ExactOracle(SamplerOracle):
         where the two agree that is its level, and in the at most levels - 1
         other buckets ``searchsorted`` over the level CDF finds it.  The
         edge u = 1 counts every entry, so the last bucket is always one of
-        them.  The columns are built in blocks, as in ``_count_levels``.
+        them.  The columns are built in blocks, as in ``draw_energies_at``.
         """
         energies = self.model.energies
         bs = np.asarray(bs, dtype=float)
@@ -138,10 +138,42 @@ class ExactOracle(SamplerOracle):
 
     def draw_energies_at(self, bs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """H(X_j) for independent X_j ~ pi_{bs[j]}, one per entry of ``bs``;
-        it equals ``[draw(b, rng) for b in bs]`` draw for draw."""
+        it equals ``[draw(b, rng) for b in bs]`` draw for draw.
+
+        Uniform u[j] of one ``rng.random(len(bs))`` call draws the level at
+        bs[j]: the number of CDF entries at or below the key u[j] * top in
+        its column, the first whose entry passes it.  No key is clamped.
+        An entry sums terms fl(m_l w_l) <= m_l, w_l <= 1, and rounding is
+        monotone, so top is at most the running sum of the counts, which
+        ``GibbsModel`` keeps finite; the peak level weighs its count, at
+        least 1, so top >= 1.  So for u <= 1 - 2^-53 the key rounds to at
+        most the largest double under top, and no draw passes the top
+        drawable level, the first whose entry reaches top: levels whose
+        weights underflowed after it are never drawn.
+
+        A block holds at most _MATRIX_CAP entries, built by
+        ``_fill_level_cdfs`` in one buffer, so a model with many levels
+        never holds a levels x len(bs) matrix at once, and each block is
+        inverted by one ``np.add.reduce`` of its entries at or below their
+        column's key.  When every b is one value, one column serves them
+        all, and ``searchsorted(side="right")`` over it counts the same
+        entries, since a column never decreases.
+        """
+        energies = self.model.energies
         bs = np.asarray(bs, dtype=float)
         self.counter.record(len(bs))
-        return _count_levels(self.model, bs, rng.random(len(bs)))
+        u = rng.random(len(bs))
+        if bs.size and bs[0] == bs[-1] and (bs == bs[0]).all():
+            col = _fill_level_cdfs(self.model, bs[:1], np.empty((len(energies), 1)))[:, 0]
+            return energies.take(col.searchsorted(u * col[-1], side="right"))
+        width = max(1, _MATRIX_CAP // len(energies))
+        buffer = np.empty((len(energies), min(width, len(bs))))
+        levels = np.empty(len(bs), np.intp)
+        for lo in range(0, len(bs), width):
+            cols = slice(lo, lo + width)
+            cw = _fill_level_cdfs(self.model, bs[cols], buffer)
+            np.add.reduce(cw <= u[cols] * cw[-1], axis=0, out=levels[cols])
+        return energies.take(levels)
 
     def with_model(self, model: GibbsModel) -> "ExactOracle":
         """View of this oracle on another model, sharing the draw counter.
@@ -321,12 +353,13 @@ def _fill_level_cdfs(model: GibbsModel, b: np.ndarray, buffer: np.ndarray) -> np
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(energies[:, None], -b, out=cw)
         peak = np.maximum(cw[0], cw[-1])
-        # The sum is inf or nan whenever a peak is inf.
+        # The sum is inf or nan whenever a peak is.
         if not math.isfinite(np.add.reduce(peak)):
             # Past the float range every other level weighs under
             # exp(-4e292) of an end level: the column is that level's
-            # point mass, the lowest for b > 0.
-            hot = np.flatnonzero(np.isinf(peak))
+            # point mass, the lowest for b > 0.  So is it at b = +-inf,
+            # where a level at energy 0 makes the peak 0 * inf = nan.
+            hot = np.flatnonzero(~np.isfinite(peak))
             cw[:, hot] = -np.inf
             cw[np.where(b[hot] > 0, 0, -1), hot] = 0.0
             peak[hot] = 0.0
@@ -339,41 +372,6 @@ def _fill_level_cdfs(model: GibbsModel, b: np.ndarray, buffer: np.ndarray) -> np
         for previous, row in zip(cw, cw[1:]):
             np.add(previous, row, out=row)
     return cw
-
-
-def _count_levels(model: GibbsModel, bs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Energy of one draw at each b of ``bs``, bs[j] inverting uniform u[j].
-
-    The drawn level is the number of CDF entries at or below the key u *
-    top in its column, the first whose entry passes it.  No key is clamped.
-    An entry sums terms fl(m_l w_l) <= m_l, w_l <= 1, and rounding is
-    monotone, so top is at most the running sum of the counts, which
-    ``GibbsModel`` keeps finite; the peak level weighs its count, at least
-    1, so top >= 1.  So for u <= 1 - 2^-53 the key rounds to at most the
-    largest double under top, and no draw passes the top drawable level,
-    the first whose entry reaches top: levels whose weights underflowed
-    after it are never drawn.
-
-    A block holds at most _MATRIX_CAP entries, built by ``_fill_level_cdfs``
-    in one buffer, so a model with many levels never holds a levels x
-    len(bs) matrix at once, and each block is inverted by one
-    ``np.add.reduce`` of its entries at or below their column's key.  When
-    every b is one value, one column serves them all, and
-    ``searchsorted(side="right")`` over it counts the same entries, since a
-    column never decreases.
-    """
-    energies = model.energies
-    if bs.size and bs[0] == bs[-1] and (bs == bs[0]).all():
-        col = _fill_level_cdfs(model, bs[:1], np.empty((len(energies), 1)))[:, 0]
-        return energies.take(col.searchsorted(u * col[-1], side="right"))
-    width = max(1, _MATRIX_CAP // len(energies))
-    buffer = np.empty((len(energies), min(width, len(bs))))
-    levels = np.empty(len(bs), np.intp)
-    for lo in range(0, len(bs), width):
-        cols = slice(lo, lo + width)
-        cw = _fill_level_cdfs(model, bs[cols], buffer)
-        np.add.reduce(cw <= u[cols] * cw[-1], axis=0, out=levels[cols])
-    return energies.take(levels)
 
 
 def _bytes(words: np.ndarray) -> np.ndarray:

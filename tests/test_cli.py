@@ -130,6 +130,14 @@ def test_validation_errors():
         run_experiment(ExperimentConfig(model="k2", beta=1.0, boost=2))
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig(model="k2", beta=1.0, method="quantum"))
+    for config, message in (
+        (ExperimentConfig(model="k2", beta=1.0, epsilon=0.0), "epsilon must lie in"),
+        (ExperimentConfig(model="k2", beta=1.0, epsilon=1.5), "epsilon must lie in"),
+        (ExperimentConfig(model="k2", beta=1.0, sampler="gibbs"), "unknown sampler 'gibbs'"),
+        (ExperimentConfig(model="k2", beta=1.0, method="product", draws=0), "draws must be >= 1"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            config.validate()
 
 
 # --- main() + exit codes ----------------------------------------------------
@@ -176,14 +184,19 @@ def test_cli_defaults_are_the_config_defaults(command, tmp_path, capsys):
 @pytest.mark.parametrize(
     "args,recorded,unrecorded",
     [
-        (["compare", "--methods", "paired,single"], {"methods": ["paired", "single"]},
+        (["compare", "--methods", "paired,single"],
+         {"methods": ["paired", "single"], "schedule_in": None, "trace": None},
          {"method", "draws", "mcmc_steps", "tv_budget"}),
-        (["run", "--method", "product", "--draws", "50"], {"method": "product", "draws": 50},
-         {"overrides", "boost", "mcmc_steps", "tv_budget"}),
-        (["run", "--method", "single", "--draws", "50"], {"draws": 50}, {"overrides", "boost"}),
+        (["run", "--method", "product", "--draws", "50"],
+         {"method": "product", "draws": 50, "trace": None},
+         {"overrides", "boost", "mcmc_steps", "tv_budget", "schedule_in", "schedule_out"}),
+        (["run", "--method", "single", "--draws", "50"], {"draws": 50},
+         {"overrides", "boost", "schedule_in", "schedule_out", "trace"}),
         (["run", "--method", "exact"], {"method": "exact"},
-         {"draws", "overrides", "boost", "mcmc_steps", "tv_budget"}),
-        (["run", "--expert-overrides", "r=20"], {"overrides": {"replicates": 20}, "boost": 1},
+         {"draws", "overrides", "boost", "mcmc_steps", "tv_budget", "schedule_in", "schedule_out",
+          "trace"}),
+        (["run", "--expert-overrides", "r=20"],
+         {"overrides": {"replicates": 20}, "boost": 1, "schedule_out": None, "trace": None},
          {"draws", "mcmc_steps"}),
         (["run", "--sampler", "mcmc", "--mcmc-steps", "3", "--tv-budget", "0.01"],
          {"mcmc_steps": 3, "tv_budget": 0.01}, {"draws"}),
@@ -304,6 +317,14 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
     ):
         assert main(["run", "--model", "k2", "--beta", "1", *extra]) == 2
         assert message in capsys.readouterr().err
+    # Refused by the config, the model and the truth, each before any draw.
+    for extra, message in (
+        (["--method", "product", "--draws", "0"], "draws must be >= 1"),
+        (["--model", "cycle-2"], "a cycle needs at least 3 vertices"),
+        (["--method", "exact", "--beta", "inf"], "beta must be finite"),
+    ):
+        assert main(["run", "--model", "k2", "--beta", "1", *extra]) == 2
+        assert message in capsys.readouterr().err
     for spec, form in (
         ("grid-3", "grid-RxC"),
         ("grid-2x2x2", "grid-RxC"),
@@ -340,14 +361,21 @@ def _no_oracle(*args):
          ["run", "--method", "paired", "--expert-overrides", "d=3"], "overrides"),
         (["run", "--method", "exact", "--expert-overrides", "k=40,eta=0.5"],
          ["run", "--method", "paired", "--expert-overrides", "k=40,eta=0.5"], "overrides"),
+        # Only the methods that walk TPA, paired and product, have steps to trace.
+        (["run", "--method", "single", "--trace", "t.jsonl"],
+         ["run", "--method", "product", "--trace", "t.jsonl"], "trace"),
+        (["run", "--method", "exact", "--trace", "t.jsonl"],
+         ["run", "--method", "paired", "--trace", "t.jsonl"], "trace"),
     ],
     ids=["compare-draws", "paired-draws", "exact-draws", "product-overrides",
-         "single-overrides", "exact-overrides"],
+         "single-overrides", "exact-overrides", "single-trace", "exact-trace"],
 )
 def test_an_input_no_run_reads_exit_2_before_any_draw(refused, accepted, flag, tmp_path,
                                                        monkeypatch, capsys):
     # Only product and single read --draws (compare's baselines run at the
     # paired mean draws), and only the paired method reads the overrides.
+    # A relative file, such as a trace, lands next to the output.
+    monkeypatch.chdir(tmp_path)
     args = ["--model", "k2", "--beta", "1", "--seed", "2", "--out", str(tmp_path / "o.csv")]
     with monkeypatch.context() as patched:
         patched.setattr(cli, "build_oracle", _no_oracle)
@@ -356,7 +384,8 @@ def test_an_input_no_run_reads_exit_2_before_any_draw(refused, accepted, flag, t
     assert "error:" in err and flag in err
     assert not os.listdir(tmp_path)
     assert main([*accepted, *args]) == 0
-    assert sorted(os.listdir(tmp_path)) == ["o.csv", "o.csv.config.json"]
+    written = [arg for arg in accepted if arg.endswith(".jsonl")]
+    assert sorted(os.listdir(tmp_path)) == sorted(["o.csv", "o.csv.config.json", *written])
 
 
 @pytest.mark.parametrize(
@@ -846,6 +875,8 @@ def _params_file(**bad) -> str:
         ("{}", "list of numbers as 'betas'"),
         ("[]", "list of numbers as 'betas'"),
         ('{"betas": [0, 1], "params": {"eta": 1}}', "no 'd' field"),
+        ('{"betas": [0, 1], "params": [0.5, 2, 3.0, 1.0, "integer-nonpositive"]}',
+         "params must be a JSON object"),
         ('{"betas": [0, null, 1]}', "list of numbers as 'betas'"),
         # json reads NaN as a float nan.
         ('{"betas": [0, NaN, 1]}', "finite and strictly increasing"),
@@ -856,8 +887,8 @@ def _params_file(**bad) -> str:
         (_params_file(k=True), "'k' must be a number"),
         (_params_file(regime=5), "'regime' must be one of"),
     ],
-    ids=["empty-object", "top-level-list", "params-without-d", "null-point", "nan-point",
-         "huge-int-point", "string-eta", "float-d", "bool-k", "int-regime"],
+    ids=["empty-object", "top-level-list", "params-without-d", "list-params", "null-point",
+         "nan-point", "huge-int-point", "string-eta", "float-d", "bool-k", "int-regime"],
 )
 def test_malformed_schedule_file_exit_2(text, message, tmp_path, capsys):
     sched = tmp_path / "s.json"

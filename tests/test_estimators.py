@@ -426,6 +426,17 @@ def test_bezakova_rejects_nonpositive_q():
         bezakova_schedule(q=-1.0, n=2, beta=1.0)
 
 
+@pytest.mark.parametrize(
+    "n,beta,message",
+    [(0, 1.0, "n must be >= 1"), (2, 0.0, "beta must be positive"),
+     (2, -1.0, "beta must be positive")],
+    ids=["n-0", "beta-0", "beta-negative"],
+)
+def test_bezakova_rejects_too_few_sites_and_nonpositive_beta(n, beta, message):
+    with pytest.raises(ValueError, match=message):
+        bezakova_schedule(q=1.0, n=n, beta=beta)
+
+
 @settings(max_examples=50, deadline=None)
 @given(q=st.floats(0.01, 20), n=st.integers(1, 30), beta=st.floats(0.05, 8))
 def test_bezakova_strictly_increasing_and_capped(q, n, beta):
@@ -575,6 +586,15 @@ def test_a_product_budget_below_one_draw_is_refused_before_any_draw(k2, draws):
     with pytest.raises(ValueError, match="draws must be >= 1"):
         product_baseline_log_estimate(oracle, 1.0, draws, _rng("pb-none"))
     assert oracle.counter.total == 0
+
+
+@pytest.mark.parametrize("draws", [0, -7])
+def test_a_stage_budget_below_one_draw_is_refused_before_any_draw(k2, draws):
+    oracle, rng = exact_oracle(k2), _rng("stage-none")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="draws_per_stage must be >= 1"):
+        product_log_estimate(CoolingSchedule(betas=(0.0, 1.0)), oracle, draws, rng)
+    assert oracle.counter.total == 0 and rng.bit_generator.state == state
 
 
 def test_a_product_budget_no_stage_row_can_hold_is_refused_before_any_draw(k2):

@@ -82,6 +82,13 @@ def test_ising_rejects_bad_edges(bad_edges):
         ising_model(bad_edges, num_vertices=2)
 
 
+def test_graphs_without_a_site_or_with_a_two_site_cycle_are_refused():
+    with pytest.raises(ValueError, match="num_vertices must be >= 1"):
+        ising_model([], num_vertices=0)
+    with pytest.raises(ValueError, match="a cycle needs at least 3 vertices"):
+        models.cycle_edges(2)
+
+
 def test_ising_enumeration_guard():
     # 2^1024 states pass the float64 range of the level counts.
     with pytest.raises(EnumerationGuardError, match="allows 1023 sites"):
@@ -153,6 +160,12 @@ def test_log_partition_matches_bruteforce(label, model, beta):
     assert log_partition_exact(model, beta) == pytest.approx(
         brute_z(model, beta), abs=1e-10
     )
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+def test_log_partition_refuses_a_beta_that_is_not_finite(k2, beta):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        log_partition_exact(k2, beta)
 
 
 def test_flat_model_log_partition_is_log_omega():

@@ -448,6 +448,19 @@ def test_draws_and_truth_past_the_float_range(b):
     assert g1.bit_generator.state == g2.bit_generator.state
 
 
+@pytest.mark.parametrize("b", [math.inf, -math.inf])
+def test_draws_at_infinite_b_are_the_extreme_level(b):
+    # pi_inf is the point mass at the lowest level and pi_-inf at the
+    # highest.  A level at energy 0 forms 0 * inf = nan on the way; every
+    # draw shape still lands on the extreme level, with no warning.
+    for model in (ising_model([(0, 1)], 2), grid_model(2, 2), table_model([0.0, 1.0, 2.0])):
+        oracle, rng = exact_oracle(model), _rng("infinite-b")
+        extreme = float(model.energies[0] if b > 0 else model.energies[-1])
+        assert oracle.draw(b, rng) == extreme
+        assert oracle.draw_energies_at(np.array([b, b, 1.0]), rng)[:2].tolist() == [extreme] * 2
+        assert next(oracle.energy_rows([b], 64, rng)).tolist() == [extreme] * 64
+
+
 def test_draw_exact_requires_exact_kind(k2):
     oracle = mcmc_oracle(k2, mcmc_steps=1, tv_budget_per_draw=0.1)
     with pytest.raises(ValueError):
@@ -587,6 +600,11 @@ def test_every_construction_without_tv_budget_warns_once(k2, build):
         build(k2, 0.0)
     assert len(record) == 1
     build(k2, 0.1)  # filterwarnings = error: a nonzero budget never warns
+
+
+def test_mcmc_refuses_a_negative_sweep_count(k2):
+    with pytest.raises(ValueError, match="mcmc_steps must be nonnegative"):
+        mcmc_oracle(k2, -1, 1e-3)
 
 
 def test_mcmc_requires_ising(mixed_table, c4):

@@ -149,6 +149,11 @@ def test_schedule_properties():
     assert sched.half_lengths == (0.2, 0.3)
 
 
+def test_schedule_params_refuse_a_negative_q_hat1():
+    with pytest.raises(ValueError, match="q_hat1 must be nonnegative"):
+        ScheduleParams(eta=0.5, d=1, k=3.0, q_hat1=-1.0, regime=REGIME_INTEGER_NONPOSITIVE)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         CoolingSchedule(betas=(0.0,))

@@ -285,6 +285,34 @@ def test_tpa_runs_rejects_bad_inputs(k2, mixed_table):
         tpa_runs(exact_oracle(k2), 1.0, 0, _rng("bad"))
 
 
+class _OneZeroU:
+    """Generator wrapper that records every ``random`` call and sets the
+    first entry of its second call, the first step's U, to 0.0."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def random(self, size):
+        out = self.rng.random(size)
+        if len(self.calls) == 1:
+            out[0] = 0.0
+        self.calls.append(out.copy())
+        return out
+
+
+def test_a_zero_uniform_is_redrawn_from_the_same_generator(k2):
+    # The exact oracle reads one uniform per run, then the step reads its U.
+    oracle, trace = exact_oracle(k2), []
+    rng = _OneZeroU(_rng("zero-u"))
+    process = tpa_runs(oracle, 1.0, 3, rng, trace=trace)
+    # The zero is redrawn alone, as the seventh uniform of the same stream,
+    # and that redraw is run 0's first traced U.
+    assert [call.size for call in rng.calls[:3]] == [3, 3, 1]
+    assert rng.calls[2][0] == _rng("zero-u").random(7)[6] == trace[0]["U"]
+    assert all(record["U"] > 0.0 for record in trace)
+    assert oracle.counter.total == len(trace) == len(process) + 3
+
+
 def _pinned_walk(label):
     k2 = ising_model([(0, 1)], num_vertices=2)
     if label == "k2":
