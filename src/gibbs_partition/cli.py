@@ -6,9 +6,8 @@ deliberately exclude wall-clock time (it lives in the JSON sidecar) to keep
 the determinism contract checkable by byte comparison.
 
 Each input is settable only where a run reads it, and exits 2 before any
-draw elsewhere: ``--draws`` needs method product or single (``compare``'s
-baselines run at the paired mean draws), ``--expert-overrides`` paired, and
-``--trace`` a method that walks TPA, paired or product.
+draw elsewhere: ``READERS`` names the runs that read each input that only
+some runs read, and ``compare`` reads what its paired rows read.
 """
 
 from __future__ import annotations
@@ -73,6 +72,26 @@ class ConfigError(ValueError):
     pass
 
 
+# Each input that only some runs read: the config field, method or sampler,
+# that selects its readers, and those readers.
+READERS = {
+    "draws": ("method", ("product", "single")),
+    "boost": ("method", ("paired",)),
+    "overrides": ("method", ("paired",)),
+    "schedule_in": ("method", ("paired",)),
+    "schedule_out": ("method", ("paired",)),
+    "trace": ("method", ("paired", "product")),
+    "mcmc_steps": ("sampler", ("mcmc",)),
+    "tv_budget": ("sampler", ("mcmc",)),
+}
+
+
+def unread_inputs(config: ExperimentConfig) -> dict[str, str]:
+    """Each input of ``READERS`` that ``config``'s run does not read, with its error."""
+    return {name: f"{name} needs {key} {' or '.join(readers)}"
+            for name, (key, readers) in READERS.items() if getattr(config, key) not in readers}
+
+
 class DrawLimitError(Exception):
     """A valid run whose draw bound passes MAX_SAMPLE_BOUND."""
 
@@ -106,20 +125,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if self.tv_budget != 0.0 and self.sampler != "mcmc":
-            raise ConfigError("tv_budget needs sampler mcmc")
         if self.boost < 1 or self.boost % 2 == 0:
             raise ConfigError("boost must be a positive odd integer")
-        if self.boost != 1 and self.method != "paired":
-            raise ConfigError("boost needs method paired")
-        if self.overrides and self.method != "paired":
-            raise ConfigError("overrides need method paired")
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
-        if (self.schedule_in or self.schedule_out) and self.method != "paired":
-            raise ConfigError("schedule_in and schedule_out need method paired")
-        if self.trace and self.method not in ("paired", "product"):
-            raise ConfigError("trace needs method paired or product")
+        # Every config carries draws and mcmc_steps; other unread inputs keep their default.
+        carried, default = ("draws", "mcmc_steps"), ExperimentConfig(self.model, self.beta)
+        for name, error in unread_inputs(self).items():
+            if name not in carried and getattr(self, name) != getattr(default, name):
+                raise ConfigError(error)
 
 
 def build_model(spec: str) -> models.GibbsModel:
@@ -151,25 +165,21 @@ def build_oracle(model: models.GibbsModel, config: ExperimentConfig) -> samplers
     return samplers.mcmc_oracle(model, config.mcmc_steps, config.tv_budget)
 
 
+# Each override key: the ParamOverrides field it sets and that field's type.
+OVERRIDE_KEYS = {"d": ("d", int), "k": ("k", float), "eta": ("eta", float),
+                 "r": ("replicates", int)}
+
+
 def parse_overrides(text: str) -> dict:
     """Parse 'd=140,k=300.5,eta=0.5,r=100' into override fields."""
     out: dict = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(str.strip, text.split(",")):
         key, _, value = chunk.partition("=")
         key = key.strip()
-        if key == "d":
-            out["d"] = int(value)
-        elif key == "k":
-            out["k"] = float(value)
-        elif key == "eta":
-            out["eta"] = float(value)
-        elif key == "r":
-            out["replicates"] = int(value)
-        else:
+        if key not in OVERRIDE_KEYS:
             raise ConfigError(f"unknown override {key!r}")
+        name, kind = OVERRIDE_KEYS[key]
+        out[name] = kind(value)
     return out
 
 
@@ -195,15 +205,9 @@ def _run_repetition(config: ExperimentConfig, model: models.GibbsModel, truth, r
         if config.method == "paired":
             schedule, params = loaded or (None, None)
             est = estimators.median_boosted_estimate(
-                oracle,
-                config.beta,
-                config.epsilon,
-                rng,
-                boost=config.boost,
+                oracle, config.beta, config.epsilon, rng, boost=config.boost,
                 overrides=estimators.ParamOverrides(**config.overrides),
-                schedule=schedule,
-                schedule_params=params,
-                trace=trace,
+                schedule=schedule, schedule_params=params, trace=trace,
             )
             if config.schedule_out and rep == 0:
                 sched_mod.save_schedule(config.schedule_out, est.schedule, est.params)
@@ -330,9 +334,11 @@ def _run_on(config: ExperimentConfig, model: models.GibbsModel, truth) -> list[d
 def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
     """Paired vs baselines at matched draw budgets, with the instance bound.
 
-    ``schedule_in``, ``schedule_out`` and ``trace`` act on the paired rows only.
+    It reads what its paired rows read: ``schedule_in``, ``schedule_out`` and
+    ``trace`` act on the paired rows only.
     """
-    config.validate()
+    paired = replace(config, method="paired")
+    paired.validate()
     if not methods:
         raise ConfigError("empty method list")
     for m in methods:
@@ -342,9 +348,9 @@ def compare_methods(config: ExperimentConfig, methods: list[str]) -> list[dict]:
     model = build_model(config.model)
     truth = models.log_ratio_exact(model, config.beta)
     band = math.log(1.0 + config.epsilon)
-    bound = _check_draw_limit(replace(config, method="paired"), model, truth)
+    bound = _check_draw_limit(paired, model, truth)
 
-    paired_rows = _run_on(replace(config, method="paired"), model, truth)
+    paired_rows = _run_on(paired, model, truth)
     mean_paired_draws = sum(r["draws_total"] for r in paired_rows) / len(paired_rows)
 
     table = []
@@ -402,15 +408,10 @@ def _dumps(value, **kwargs) -> str:
 
 
 def _inputs_read(config: ExperimentConfig, methods: list[str] | None = None) -> dict:
-    """``config`` as the sidecar records it: the inputs its command reads, and
-    for ``compare`` the ``methods`` it ran in place of ``method``."""
-    command = "compare" if methods is not None else config.method
-    unread = {"method"} if methods is not None else set()
-    unread |= set() if command in ("product", "single") else {"draws"}
-    paired_only = {"overrides", "boost", "schedule_in", "schedule_out"}
-    unread |= set() if command in ("paired", "compare") else paired_only
-    unread |= set() if command in ("paired", "product", "compare") else {"trace"}
-    unread |= set() if config.sampler == "mcmc" else {"mcmc_steps", "tv_budget"}
+    """``config`` as the sidecar records it: the inputs its run reads, and for
+    ``compare``, whose config is its paired rows', the ``methods`` it ran in
+    place of ``method``."""
+    unread = set(unread_inputs(config)) | ({"method"} if methods is not None else set())
     record = {key: value for key, value in asdict(config).items() if key not in unread}
     return record if methods is None else {"methods": methods, **record}
 
@@ -443,13 +444,6 @@ def _write_trace(rows: list[dict], path: str) -> None:
                 fh.write(_dumps(record) + "\n")
 
 
-class _Overrides(argparse.Action):
-    """Parses the overrides as read: a malformed one raises ConfigError, not a usage error."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, parse_overrides(values))
-
-
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="k2|path-N|cycle-N|grid-RxC|const-h|table:<file>")
     p.add_argument("--beta", type=float, required=True)
@@ -460,8 +454,8 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--reps", type=int)
     p.add_argument("--boost", type=int)
-    p.add_argument("--expert-overrides", dest="overrides", action=_Overrides,
-                   metavar="EXPERT_OVERRIDES", help="expert mode: d=..,k=..,eta=..,r=..")
+    p.add_argument("--expert-overrides", dest="overrides", metavar="EXPERT_OVERRIDES",
+                   help="expert mode: d=..,k=..,eta=..,r=..")
     p.add_argument("--schedule-in")
     p.add_argument("--schedule-out")
     p.add_argument("--trace", help="write TPA step records (JSON lines)")
@@ -471,12 +465,13 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> ExperimentConfig:
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name in args}
+    if "overrides" in given:  # a malformed one raises ConfigError, not a usage error
+        given["overrides"] = parse_overrides(given["overrides"])
     config = ExperimentConfig(**given)
-    # Every config carries these defaults; only a flag given names an input no run reads.
-    if "mcmc_steps" in given and config.sampler != "mcmc":
-        raise ConfigError("mcmc_steps needs sampler mcmc")
-    if "draws" in given and config.method not in ("product", "single"):
-        raise ConfigError("draws needs method product or single")
+    # compare has no --method, so its config is its paired rows'.
+    for name, error in unread_inputs(config).items():
+        if name in given:
+            raise ConfigError(error)
     return config
 
 

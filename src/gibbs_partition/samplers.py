@@ -94,7 +94,11 @@ class SamplerOracle:
 
 @dataclass
 class ExactOracle(SamplerOracle):
-    """Exact draws from the model's levels; it needs no state table."""
+    """Exact draws from the model's levels; it needs no state table.
+
+    A nan b has no pi_b: both draw shapes refuse it with ValueError before
+    they count its draws.
+    """
 
     tv_budget_per_draw: ClassVar[float] = 0.0
 
@@ -161,18 +165,19 @@ class ExactOracle(SamplerOracle):
         """
         energies = self.model.energies
         bs = np.asarray(bs, dtype=float)
-        self.counter.record(len(bs))
         u = rng.random(len(bs))
         if bs.size and bs[0] == bs[-1] and (bs == bs[0]).all():
             col = _fill_level_cdfs(self.model, bs[:1], np.empty((len(energies), 1)))[:, 0]
-            return energies.take(col.searchsorted(u * col[-1], side="right"))
-        width = max(1, _MATRIX_CAP // len(energies))
-        buffer = np.empty((len(energies), min(width, len(bs))))
-        levels = np.empty(len(bs), np.intp)
-        for lo in range(0, len(bs), width):
-            cols = slice(lo, lo + width)
-            cw = _fill_level_cdfs(self.model, bs[cols], buffer)
-            np.add.reduce(cw <= u[cols] * cw[-1], axis=0, out=levels[cols])
+            levels = col.searchsorted(u * col[-1], side="right")
+        else:
+            width = max(1, _MATRIX_CAP // len(energies))
+            buffer = np.empty((len(energies), min(width, len(bs))))
+            levels = np.empty(len(bs), np.intp)
+            for lo in range(0, len(bs), width):
+                cols = slice(lo, lo + width)
+                cw = _fill_level_cdfs(self.model, bs[cols], buffer)
+                np.add.reduce(cw <= u[cols] * cw[-1], axis=0, out=levels[cols])
+        self.counter.record(len(bs))
         return energies.take(levels)
 
     def with_model(self, model: GibbsModel) -> "ExactOracle":
@@ -358,8 +363,11 @@ def _fill_level_cdfs(model: GibbsModel, b: np.ndarray, buffer: np.ndarray) -> np
             # Past the float range every other level weighs under
             # exp(-4e292) of an end level: the column is that level's
             # point mass, the lowest for b > 0.  So is it at b = +-inf,
-            # where a level at energy 0 makes the peak 0 * inf = nan.
+            # where a level at energy 0 makes the peak 0 * inf = nan.  A
+            # nan b makes a nan peak too: it has no pi_b.
             hot = np.flatnonzero(~np.isfinite(peak))
+            if np.isnan(b[hot]).any():
+                raise ValueError("exact draws need a b that is not nan")
             cw[:, hot] = -np.inf
             cw[np.where(b[hot] > 0, 0, -1), hot] = 0.0
             peak[hot] = 0.0

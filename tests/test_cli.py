@@ -388,6 +388,94 @@ def test_an_input_no_run_reads_exit_2_before_any_draw(refused, accepted, flag, t
     assert sorted(os.listdir(tmp_path)) == sorted(["o.csv", "o.csv.config.json", *written])
 
 
+# The runs that read each input only some runs read: methods, compare (which
+# reads what its paired rows read) or the mcmc sampler.
+READ_BY = {
+    "draws": {"product", "single"},
+    "boost": {"paired", "compare"},
+    "overrides": {"paired", "compare"},
+    "schedule_in": {"paired", "compare"},
+    "schedule_out": {"paired", "compare"},
+    "trace": {"paired", "product", "compare"},
+    "mcmc_steps": {"mcmc"},
+    "tv_budget": {"mcmc"},
+}
+# Each input's flag, its text and the value the sidecar records for it.
+FLAGS = {
+    "draws": ("--draws", "50", 50),
+    "boost": ("--boost", "3", 3),
+    "overrides": ("--expert-overrides", "r=5", {"replicates": 5}),
+    "schedule_in": ("--schedule-in", "in.json", "in.json"),
+    "schedule_out": ("--schedule-out", "out.json", "out.json"),
+    "trace": ("--trace", "t.jsonl", "t.jsonl"),
+    "mcmc_steps": ("--mcmc-steps", "3", 3),
+    "tv_budget": ("--tv-budget", "0.02", 0.02),
+}
+
+
+@pytest.mark.parametrize("sampler", ["exact", "mcmc"])
+@pytest.mark.parametrize("command", ["paired", "product", "single", "exact", "compare"])
+@pytest.mark.parametrize("name", list(FLAGS))
+def test_each_input_is_taken_exactly_where_a_run_reads_it(name, command, sampler, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps({"betas": [0.0, 1.0]}))
+    run = ["compare"] if command == "compare" else ["run", "--method", command]
+    # A zero TV budget warns, so every mcmc run declares one; a later flag wins.
+    budget = ["--tv-budget", "0.01"] if sampler == "mcmc" else []
+    flag, text, value = FLAGS[name]
+    argv = [*run, "--model", "k2", "--beta", "1", "--seed", "2", "--sampler", sampler, *budget,
+            flag, text, "--out", "o.csv"]
+    unread = {key for key, readers in READ_BY.items() if not readers & {command, sampler}}
+    if name in unread:
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "build_oracle", _no_oracle)
+            assert _exit_code(argv) == 2
+        assert name in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["in.json"]
+        return
+    assert main(argv) == 0
+    recorded = json.loads((tmp_path / "o.csv.config.json").read_text())["config"]
+    expected = set(asdict(ExperimentConfig(model="k2", beta=1.0))) - unread
+    if command == "compare":
+        expected = expected - {"method"} | {"methods"}
+    assert recorded.keys() == expected
+    assert recorded[name] == value
+
+
+@pytest.mark.parametrize(
+    "extra,name",
+    [(["--tv-budget", "0"], "tv_budget"), (["--method", "product", "--boost", "1"], "boost"),
+     (["--method", "product", "--expert-overrides", ","], "overrides"),
+     (["--method", "exact", "--draws", "10000"], "draws"), (["--mcmc-steps", "100"], "mcmc_steps")],
+    ids=["tv-budget", "boost", "overrides", "draws", "mcmc-steps"],
+)
+def test_a_flag_at_its_default_is_refused_where_no_run_reads_it(extra, name, tmp_path, capsys):
+    # The value would change nothing, but the sidecar would drop the flag silently.
+    code, out = _run_main(tmp_path, "o.csv", extra)
+    assert code == 2 and not out.exists()
+    assert f"{name} needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(FLAGS))
+def test_validate_refuses_an_unread_input_set_from_its_default(name):
+    # An exact run on the exact sampler reads none of these inputs.  Every
+    # config carries draws and mcmc_steps, read or not: compare hands its
+    # baselines their draws, and a config built in code may carry sweeps.
+    value = FLAGS[name][2]
+    config = ExperimentConfig(model="k2", beta=1.0, method="exact", **{name: value})
+    if name in ("draws", "mcmc_steps"):
+        config.validate()
+    else:
+        with pytest.raises(ConfigError, match=f"^{name} needs"):
+            config.validate()
+    reader = sorted(READ_BY[name] - {"compare"})[0]
+    replace(config, **{"sampler" if reader == "mcmc" else "method": reader}).validate()
+    # A value equal to the default is not refused, whoever reads it.
+    ExperimentConfig(model="k2", beta=1.0, method="exact", boost=1, overrides={},
+                     tv_budget=0.0, schedule_in=None, trace=None).validate()
+
+
 @pytest.mark.parametrize(
     "text,message",
     [

@@ -17,6 +17,7 @@ import gibbs_partition
 from gibbs_partition import (
     CoolingSchedule,
     ParamOverrides,
+    ScheduleParams,
     bezakova_schedule,
     constant_model,
     epsilon_tilde,
@@ -663,6 +664,32 @@ def test_reused_schedule_must_end_at_beta(k2):
     sched = CoolingSchedule(betas=(0.0, 0.5, 1.0))
     with pytest.raises(ValueError, match="beta"):
         paired_product_estimate(exact_oracle(k2), 0.5, 0.1, _rng("reuse"), schedule=sched)
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [(dict(eta=-1.0), "eta and k must be positive"), (dict(d=0), "d >= 1"),
+     (dict(k=-5.0), "eta and k must be positive"), (dict(eta=0.0), "eta must be positive"),
+     (dict(eta=math.nan), "must be finite"), (dict(d=3, k=math.inf), "must be finite")],
+    ids=["eta-negative", "d-zero", "k-negative", "eta-zero", "eta-nan", "k-inf"],
+)
+def test_schedule_overrides_no_params_take_are_refused_before_any_draw(k2, overrides, message):
+    # Step 2 builds its ScheduleParams only after step 1 has walked TPA.
+    oracle = exact_oracle(k2)
+    with pytest.raises(ValueError, match=message):
+        paired_product_estimate(
+            oracle, 1.0, 0.1, _rng("bad-override"), overrides=ParamOverrides(**overrides)
+        )
+    assert oracle.counter.total == 0
+
+
+def test_schedule_params_without_a_schedule_are_refused_before_any_draw(k2):
+    # Step 2 would build its own schedule and params in their place.
+    oracle = exact_oracle(k2)
+    params = ScheduleParams(eta=0.5, d=2, k=3.0, q_hat1=1.0, regime=REGIME_INTEGER_NONPOSITIVE)
+    with pytest.raises(ValueError, match="schedule_params need a schedule"):
+        paired_product_estimate(oracle, 1.0, 0.1, _rng("lone-params"), schedule_params=params)
+    assert oracle.counter.total == 0
 
 
 def test_median_boost(k2):

@@ -799,10 +799,22 @@ def test_mcmc_at_b_zero_reads_only_its_start_states(label, sweeps, per_chain):
     assert oracle.counter.total == n
 
 
-@pytest.mark.parametrize("b", [-1.0, -1e-300, math.nan, "per-chain"])
+@pytest.mark.parametrize("b", [-1.0, -1e-300, math.nan, "per-chain", "exact-nan"])
 def test_mcmc_refuses_b_below_zero_and_nan(k2, b):
     # The flip rule takes each threshold at a <= deg // 2 to be 1, true
     # only for b >= 0: at b = -1 on k2 it drew uniform spins, not pi_b.
+    if b == "exact-nan":
+        # The exact oracle takes any b but nan, which drew the top level.
+        oracle = exact_oracle(table_model([0, 1, 2]))
+        for draw in (
+            lambda g: oracle.draw(math.nan, g),
+            lambda g: oracle.draw_energies_at(np.array([math.nan, 1.0]), g),
+            lambda g: next(oracle.energy_rows([math.nan], 4, g)),
+        ):
+            with pytest.raises(ValueError, match="not nan"):
+                draw(_rng("exact-nan"))
+        assert oracle.counter.total == 0
+        return
     oracle = mcmc_oracle(k2, mcmc_steps=46, tv_budget_per_draw=0.1)
     if b == "per-chain":
         b = np.array([0.0, 1.0, -0.5])
